@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-report experiments experiments-fast docs examples clean all lint lint-fast detcheck
+.PHONY: install test bench bench-check experiments experiments-fast docs examples clean all lint lint-fast detcheck
 
 # Keep in sync with .github/workflows/ci.yml and .pre-commit-config.yaml:
 # an unpinned ruff turns toolchain releases into surprise CI failures.
@@ -38,13 +38,11 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Perf trajectory: times the kernel + representative experiments, writes the
-# next BENCH_N.json and fails on regression vs the previous snapshot.
-bench-report:
-	$(PYTHON) scripts/bench_report.py
-
-bench-smoke:
-	$(PYTHON) scripts/bench_report.py --quick
+# The repository benchmark (bench/README.md): every workload at 1/20 size,
+# twice -- correctness, metric names, repeatability.  The full run is
+# `python3 bench/run.py`; judge a change with `--compare parent.json change.json`.
+bench-check:
+	$(PYTHON) bench/run.py --check
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

@@ -30,7 +30,6 @@ def abp_run(variant: str, order_mode: str):
         num_objects=128,
         abp_variant=variant,
         abp_order_mode=order_mode,
-        abp_token_hold=1.0,
         seed=88,
     )
     workload = standard_workload(num_objects=128, read_ops=2, write_ops=2)
@@ -170,7 +169,6 @@ def test_e10_abp_uniform_delivery(benchmark):
             "abp",
             num_objects=128,
             abp_uniform=uniform,
-            abp_stability_interval=10.0,
             seed=92,
         )
         workload = standard_workload(num_objects=128)

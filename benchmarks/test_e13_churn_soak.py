@@ -19,8 +19,9 @@ claims, each asserted:
 
 The 200-site acceptance soak (≥60s simulated, all four protocols) runs
 when ``E13_ACCEPTANCE=1`` — several wall-clock minutes, so it is not part
-of the default collection.  The interactive-speed headline number lives
-in the perf suite (``bench_e13_churn_soak`` → ``BENCH_N.json``).
+of the default collection.  The interactive-speed number is the
+repository benchmark's ``sim.sim_s_per_wall_s`` on ``abp_churn``
+(``python3 bench/run.py``).
 """
 
 import os

@@ -31,7 +31,6 @@ from benchmarks.common import (
     standard_workload,
 )
 from repro.analysis.report import Table
-from repro.broadcast.batching import BatchingConfig
 
 #: None = passthrough; numbers are flush windows in simulated ms.
 WINDOWS = (None, 0.0, 2.0, 5.0)
@@ -40,13 +39,12 @@ TX_PER_POINT = 60
 
 
 def batching_run(protocol: str, window):
-    batching = None if window is None else BatchingConfig(flush_window=window)
     cluster = make_cluster(
         protocol,
         num_objects=256,
         seed=21,
         loss_rate=LOSS,
-        batching=batching,
+        batching=window,
     )
     workload = standard_workload(num_objects=256, zipf_theta=0.0)
     result = run_mix(cluster, workload, transactions=TX_PER_POINT, mpl=8)

@@ -7,7 +7,7 @@ Suppression syntax (in comments):
 - ``# detcheck: ignore[D103,P201] -- justification`` — same, with a note;
 - ``# detcheck: ignore`` — suppress every rule on this line;
 - ``# detcheck: file-ignore[D102]`` — suppress the listed rules for the
-  whole file (used by the perf harness, whose entire point is wall-clock).
+  whole file (used by scripts that time a run, whose point is wall-clock).
 
 A suppressed finding still appears in ``--verbose`` output but never fails
 the run and is never written to a baseline.

@@ -42,8 +42,8 @@ RULES: dict[str, Rule] = {
             "D102",
             "wall-clock",
             "wall-clock reads (time.time, datetime.now, ...) in simulation code",
-            "use engine.now (simulated time); wall clocks belong in the perf "
-            "harness only, behind a detcheck suppression",
+            "use engine.now (simulated time); wall clocks belong in bench/ and "
+            "timing scripts only, behind a detcheck suppression",
         ),
         Rule(
             "D103",

@@ -30,6 +30,7 @@ from repro.core.events import (
     P2pWriteAck,
 )
 from repro.core.replica import Replica
+from repro.core.tally import Tally
 from repro.core.transaction import AbortReason, Transaction, TxPhase
 from repro.db.locks import LockMode
 from repro.db.serialization import HistoryRecorder
@@ -43,7 +44,7 @@ CHANNEL = "p2p"
 @dataclass
 class _WriteRound:
     key: str
-    acks: set[int] = field(default_factory=set)
+    acks: Tally = field(default_factory=Tally)
     timeout: Optional[EventHandle] = None
 
 
@@ -73,7 +74,7 @@ class PointToPointReplica(Replica):
         # Home-side state.
         self._write_round: dict[str, _WriteRound] = {}
         self._write_queue: dict[str, list[tuple[str, Any]]] = {}
-        self._votes: dict[str, dict[int, bool]] = {}
+        self._votes: dict[str, Tally] = {}
         self.timeouts_fired = 0
         # detcheck: ignore[P203] — periodic deadlock sweep; reads only the
         # current waits-for graph, so a stale firing is a harmless no-op.
@@ -167,15 +168,14 @@ class PointToPointReplica(Replica):
         if not ack.ok:
             self._abort_everywhere(tx, AbortReason.DEADLOCK)
             return
-        round_.acks.add(ack.site)
-        # Length first — per-ack member-set builds made a round O(n^2);
-        # the superset check stays authoritative (departed sites linger).
-        if len(round_.acks) >= len(self.view_members) and round_.acks >= set(
-            self.view_members
-        ):
+        round_.acks[ack.site] = True
+        self._check_round(tx, round_)
+
+    def _check_round(self, tx: Transaction, round_: _WriteRound) -> None:
+        if round_.acks.complete(self.view_member_set):
             if round_.timeout is not None:
                 round_.timeout.cancel()
-            del self._write_round[ack.tx]
+            del self._write_round[tx.tx_id]
             self._send_next_write(tx)
 
     def _write_timed_out(self, tx_id: str, key: str) -> None:
@@ -191,7 +191,7 @@ class PointToPointReplica(Replica):
 
     def _start_2pc(self, tx: Transaction) -> None:
         tx.phase = TxPhase.COMMITTING
-        self._votes[tx.tx_id] = {self.site: True}
+        self._votes[tx.tx_id] = Tally({self.site: True})
         for dst in self.other_members():
             self.router.send(dst, CHANNEL, P2pPrepare(tx.tx_id), "p2p.prepare")
         self._check_votes(tx)
@@ -210,16 +210,9 @@ class PointToPointReplica(Replica):
 
     def _check_votes(self, tx: Transaction) -> None:
         tally = self._votes.get(tx.tx_id)
-        if tally is None:
+        if tally is None or not tally.complete(self.view_member_set):
             return
-        if len(tally) < len(self.view_members):
-            # Cheap necessary condition; keeps the per-vote tally check
-            # O(1) until the deciding vote (see rbp's _check_votes).
-            return
-        members = set(self.view_members)
-        if not members <= set(tally):
-            return
-        commit = all(tally[member] for member in members)
+        commit = tally.unanimous(self.view_member_set)
         del self._votes[tx.tx_id]
         for dst in self.other_members():
             self.router.send(
@@ -293,24 +286,18 @@ class PointToPointReplica(Replica):
         NO for any transaction it does not hold buffered writes for.
         """
         super().on_view_change(members, has_quorum)
-        view = set(self.view_members)
         for tx_id in sorted(self._write_round):
             tx = self.local.get(tx_id)
-            round_ = self._write_round[tx_id]
             if tx is None or tx.terminal:
                 continue
-            if round_.acks >= view:
-                if round_.timeout is not None:
-                    round_.timeout.cancel()
-                del self._write_round[tx_id]
-                self._send_next_write(tx)
+            self._check_round(tx, self._write_round[tx_id])
             # A joined member missing this round's write never acks; the
             # write timeout aborts and the client retry re-disseminates.
         for tx_id in sorted(self._votes):
             tx = self.local.get(tx_id)
             if tx is None or tx.terminal:
                 continue
-            for dst in sorted(view - set(self._votes[tx_id])):
+            for dst in self._votes[tx_id].missing(self.view_member_set):
                 if dst != self.site:
                     self.router.send(dst, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
             self._check_votes(tx)

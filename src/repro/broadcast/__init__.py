@@ -16,7 +16,7 @@ views [Bv94, SS94].
 
 from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.broadcast.vector_clock import VectorClock
-from repro.broadcast.batching import BatchEnvelope, BatchingConfig, BroadcastBatcher
+from repro.broadcast.batching import BatchEnvelope, BroadcastBatcher
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.broadcast.fifo import FifoBroadcast
 from repro.broadcast.causal import CausalBroadcast, CausalEnvelope, DeltaCausalEnvelope
@@ -27,7 +27,6 @@ from repro.broadcast.stability import StabilityTracker
 
 __all__ = [
     "BatchEnvelope",
-    "BatchingConfig",
     "BroadcastBatcher",
     "BroadcastMessage",
     "CausalBroadcast",

@@ -17,16 +17,19 @@ and dispatches the constituents in deterministic ``(sender, batch seq,
 slot)`` order — slot order *is* the sender's issue order, so per-link FIFO
 is preserved payload-for-payload.
 
-Selection is per-cluster via ``ClusterConfig.batching`` (see
-:class:`BatchingConfig`).  ``None`` keeps the historical passthrough path:
-no batcher is constructed at all and the wire traffic is bit-identical to
-previous releases (the pinned digests in
-``tests/integration/test_batching_equivalence.py`` prove it).  With
-batching enabled, correctness is *outcome equivalence* — same committed
-set, same converged stores, 1SR — not trace identity: coalescing reorders
-event timing by up to one flush window.
+Selection is per-cluster via ``ClusterConfig.batching``: the flush window in
+simulated milliseconds, or ``None`` for off.  ``None`` keeps the historical
+passthrough path: no batcher is constructed at all and the wire traffic is
+bit-identical to previous releases (the pinned digests in
+``tests/integration/test_batching_equivalence.py`` prove it).  Batching on
+also turns on protocol group commit (RBP votes/acks, ABP order assignments
+packed per instant) and delta-encoded vector clocks (see
+``CausalBroadcast.enable_delta_clocks``).  With batching enabled,
+correctness is *outcome equivalence* — same committed set, same converged
+stores, 1SR — not trace identity: coalescing reorders event timing by up
+to one flush window.
 
-A ``flush_window`` of ``0.0`` still batches: the flush is scheduled through
+A flush window of ``0.0`` still batches: the flush is scheduled through
 the event loop at the current timestamp, so every payload issued by the
 current event cascade shares one envelope per link without adding simulated
 latency.
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
+from repro.sim.outbox import Outbox, by_destination
 
 #: Accounting label of the envelope's own framing overhead.  The network
 #: attributes each constituent payload's bytes to the payload's own kind
@@ -45,27 +49,6 @@ from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
 #: framing — lands under this label, which is background traffic for the
 #: E1 cost model.
 BATCH_KIND = "transport.batch"
-
-
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Batching knobs, selected via ``ClusterConfig.batching``.
-
-    ``flush_window`` is the coalescing horizon in simulated milliseconds
-    (0.0 = same-timestamp coalescing only).  ``group_commit`` lets the
-    protocol layers pack votes/acks/order-assignments for transactions
-    sharing a delivery round into single logical messages;
-    ``delta_clocks`` ships vector clocks as per-sender deltas (see
-    ``CausalBroadcast.enable_delta_clocks``).
-    """
-
-    flush_window: float = 0.0
-    group_commit: bool = True
-    delta_clocks: bool = True
-
-    def __post_init__(self) -> None:
-        if self.flush_window < 0:
-            raise ValueError("flush_window must be non-negative")
 
 
 @dataclass(slots=True)
@@ -113,48 +96,20 @@ class BroadcastBatcher:
     """
 
     def __init__(self, engine, transport, flush_window: float = 0.0):
-        if flush_window < 0:
-            raise ValueError("flush_window must be non-negative")
-        self.engine = engine
+        self._window = Outbox(engine, self._flush, window=flush_window)
         self.transport = transport
-        self.site = transport.site
-        self.flush_window = flush_window
-        self._queues: dict[int, list[tuple[Any, Optional[str]]]] = {}
-        self._armed = False
         self._next_seq = 0
         #: Counters for tests and the E14 tables.
         self.batches_sent = 0
         self.singles_sent = 0
         self.payloads_batched = 0
-        self.empty_flushes = 0
 
     def send(self, dst: int, payload: Any, kind: Optional[str] = None) -> None:
         """Queue one payload for ``dst``; arms the flush timer if idle."""
-        queue = self._queues.get(dst)
-        if queue is None:
-            queue = self._queues[dst] = []
-        queue.append((payload, kind))
-        if not self._armed:
-            self._armed = True
-            # detcheck: ignore[P203] — the flush re-checks the queues; a
-            # crash (reset) between arming and firing leaves it a no-op.
-            self.engine.schedule(self.flush_window, self._flush)
+        self._window.put((dst, (payload, kind)))
 
-    def flush_now(self) -> None:
-        """Flush synchronously (tests, and draining before a controlled
-        shutdown).  The armed timer, if any, later fires as a no-op."""
-        self._flush()
-
-    def _flush(self) -> None:
-        if not self._queues:
-            # Crash reset (or flush_now) emptied the window under the timer.
-            self._armed = False
-            self.empty_flushes += 1
-            return
-        self._armed = False
-        queues, self._queues = self._queues, {}
-        for dst in sorted(queues):
-            items = queues[dst]
+    def _flush(self, queued: list[tuple[int, tuple[Any, Optional[str]]]]) -> None:
+        for dst, items in by_destination(queued):
             if len(items) == 1:
                 payload, kind = items[0]
                 self.singles_sent += 1
@@ -170,11 +125,11 @@ class BroadcastBatcher:
 
     def pending_count(self) -> int:
         """Payloads queued for the currently open window."""
-        return sum(len(self._queues[dst]) for dst in sorted(self._queues))
+        return len(self._window)
 
     def reset(self) -> None:
         """Drop the open window (fail-stop crash: queued traffic is lost)."""
-        self._queues.clear()
+        self._window.clear()
 
 
 # Import-time shape check for the size model (detcheck P201/P202).

@@ -38,6 +38,7 @@ from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
 from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
 from repro.sim.engine import SimulationEngine
+from repro.sim.outbox import Outbox
 
 TOKEN_CHANNEL = "abcast.token"
 
@@ -148,10 +149,9 @@ class TotalOrderBroadcast:
         #: at one simulation instant and broadcasts them as a single
         #: OrderAssignment per epoch run, instead of one per message.
         self.group_commit = group_commit
-        self._assign_outbox: list[tuple[int, MessageId, int]] = []
-        self._assign_armed = False
-        # Token state.
-        self._outbox: list[tuple[Any, str]] = []
+        self._assign_outbox = Outbox(engine, self._flush_assignments)
+        # Token state: payloads wait here (no timer) for the token.
+        self._outbox = Outbox(engine)
         self._has_token = False
         causal.set_deliver(self._on_causal_deliver)
         if uniform:
@@ -183,7 +183,7 @@ class TotalOrderBroadcast:
         if self.mode == "sequencer":
             self.causal.broadcast(SequencedEnvelope(payload, True, kind or ""), kind)
         else:
-            self._outbox.append((payload, kind or ""))
+            self._outbox.put((payload, kind or ""))
             if self._has_token:
                 self._flush_outbox()
 
@@ -284,19 +284,9 @@ class TotalOrderBroadcast:
         if not self.group_commit:
             self.causal.broadcast(OrderAssignment(epoch, [(msg_id, seq)]))
             return
-        self._assign_outbox.append((epoch, msg_id, seq))
-        if not self._assign_armed:
-            self._assign_armed = True
-            # detcheck: ignore[P203] — the flush re-checks the outbox; a
-            # crash clears it (on_crash) and leaves the firing a no-op.
-            self.engine.schedule(0.0, self._flush_assignments)
+        self._assign_outbox.put((epoch, msg_id, seq))
 
-    def _flush_assignments(self) -> None:
-        self._assign_armed = False
-        if not self._assign_outbox:
-            return
-        # Swap-drain (detcheck H402): broadcasting can re-enter delivery.
-        outbox, self._assign_outbox = self._assign_outbox, []
+    def _flush_assignments(self, outbox: list[tuple[int, MessageId, int]]) -> None:
         # One OrderAssignment per contiguous same-epoch run, so a view
         # change mid-window never mixes epochs inside one frame.
         index = 0
@@ -424,12 +414,7 @@ class TotalOrderBroadcast:
 
     def _flush_outbox(self) -> None:
         token = self._token
-        # Swap-drain (detcheck H402): a broadcast delivered back
-        # synchronously could append to the outbox mid-loop; draining a
-        # detached list keeps such arrivals queued for the next flush
-        # instead of silently clearing them unsent.
-        outbox, self._outbox = self._outbox, []
-        for payload, kind in outbox:
+        for payload, kind in self._outbox.drain():
             key = (token.epoch, token.next_seq)
             token.next_seq += 1
             self.causal.broadcast(

@@ -52,6 +52,7 @@ from repro.broadcast.message import BroadcastMessage
 from repro.broadcast.vector_clock import BEFORE, VectorClock
 from repro.core.events import CbpCommitRequest, CbpNack, CbpNull, CbpWriteSet
 from repro.core.replica import Replica
+from repro.core.tally import Tally
 from repro.core.transaction import AbortReason, Transaction, TxPhase
 from repro.db.locks import LockMode
 from repro.db.serialization import HistoryRecorder
@@ -76,7 +77,7 @@ class _TxState:
     granted: set[str] = field(default_factory=set)
     waiting: set[str] = field(default_factory=set)
     cr_entry: Optional[int] = None  # home's clock entry of the commit request
-    echoes: set[int] = field(default_factory=set)
+    echoes: Tally = field(default_factory=Tally)
     endorsed: bool = False
     committed: bool = False
 
@@ -200,7 +201,7 @@ class CausalBroadcastReplica(Replica):
             if state.cr_entry is None or state.committed or state.tx in self._dead:
                 continue
             if sender not in state.echoes and clock.dominates_entry(state.home, state.cr_entry):
-                state.echoes.add(sender)
+                state.echoes[sender] = True
                 self._check_commit(state)
 
     # -- write delivery and conflict resolution ------------------------------------
@@ -387,8 +388,8 @@ class CausalBroadcastReplica(Replica):
         state.endorsed = True
         # The request itself is the home's implicit yes; our own endorsement
         # counts as ours.
-        state.echoes.add(request.home)
-        state.echoes.add(self.site)
+        state.echoes[request.home] = True
+        state.echoes[self.site] = True
         self._check_commit(state)
 
     def _check_commit(self, state: _TxState) -> None:
@@ -401,18 +402,14 @@ class CausalBroadcastReplica(Replica):
             return
         if state.waiting:
             return
-        # Length guards first: this check runs on every grant and every
-        # echo, and rebuilding these sets each time made the commit path
-        # O(n^2) per transaction.  ``granted``/``echoes`` are sets and
-        # ``writes`` is keyed by object, so equal length is necessary —
-        # the full comparisons below remain authoritative.
+        # Length guard first: this check runs on every grant and every
+        # echo.  ``granted`` is a set and ``writes`` is keyed by object, so
+        # equal length is necessary — the comparison remains authoritative.
         if len(state.granted) != len(state.writes) or set(state.granted) != set(
             state.writes
         ):
             return
-        if len(state.echoes) < len(self.view_members) or not set(
-            self.view_members
-        ) <= state.echoes:
+        if not state.echoes.complete(self.view_member_set):
             return
         state.committed = True
         installed = self.install_writes(state.tx, state.writes)
@@ -530,7 +527,7 @@ class CausalBroadcastReplica(Replica):
             }
             adopted.all_writes_seen = exported["all_writes_seen"]
             adopted.cr_entry = exported["cr_entry"]
-            adopted.echoes = set(exported["echoes"])
+            adopted.echoes = Tally.fromkeys(exported["echoes"], True)
             adopted.endorsed = exported["endorsed"]
             self._states[adopted.tx] = adopted
         # Locks: donor's holders first (at most one exclusive holder per

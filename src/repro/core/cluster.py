@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.baselines.p2p_2pc import PointToPointReplica
-from repro.broadcast.batching import BatchingConfig, BroadcastBatcher
+from repro.broadcast.batching import BroadcastBatcher
 from repro.broadcast.causal import CausalBroadcast
 from repro.broadcast.failure_detector import FailureDetector
 from repro.broadcast.membership import MembershipService, View
@@ -70,13 +70,11 @@ class ClusterConfig:
     # (rejected when loss_rate > 0).
     reliable_links: Optional[bool] = None
     # Batching: None = passthrough, bit-identical to historical traffic.
-    # Otherwise a BatchingConfig (or shorthand: True = defaults, a number =
-    # flush window in ms) enabling the flush-window coalescer plus, per its
-    # flags, protocol group commit and delta-encoded vector clocks.  With
-    # batching on, runs are outcome-equivalent, not trace-identical.
-    batching: Optional[Any] = None
-    arq_window: int = 32
-    arq_max_backoff: float = 64.0
+    # A number is the flush window in ms (0.0 = same-instant coalescing)
+    # and enables the flush-window coalescer together with protocol group
+    # commit and delta-encoded vector clocks.  With batching on, runs are
+    # outcome-equivalent, not trace-identical.
+    batching: Optional[float] = None
     relay: bool = False
     trace: bool = False
     # Trace retention: a cap (records) and which end to keep when it is
@@ -99,17 +97,13 @@ class ClusterConfig:
     rbp_wound_local_readers: bool = False
     rbp_pipeline_writes: bool = False
     rbp_decision_query_timeout: float = 60.0
-    rbp_decision_query_attempts: int = 8
-    rbp_decision_log_capacity: int = 1024
     # CBP knobs.
     cbp_heartbeat: Optional[float] = 25.0
     cbp_per_op: bool = False
     # ABP knobs.
     abp_variant: str = "bundled"  # or "shipped" / "locked"
     abp_order_mode: str = "sequencer"  # or "token"
-    abp_token_hold: float = 1.0
     abp_uniform: bool = False  # uniform (stable) delivery of commit requests
-    abp_stability_interval: float = 10.0
     # Baseline knobs.
     p2p_write_timeout: float = 400.0
     p2p_deadlock_interval: float = 10.0
@@ -126,18 +120,27 @@ class ClusterConfig:
                 "reliable_links=False with loss_rate > 0 would break the "
                 "reliable-FIFO-link assumption the protocols are built on"
             )
-        if self.batching is not None and not isinstance(self.batching, BatchingConfig):
-            if self.batching is True:
-                self.batching = BatchingConfig()
-            elif isinstance(self.batching, (int, float)) and not isinstance(
-                self.batching, bool
+        if self.batching is not None:
+            if (
+                isinstance(self.batching, bool)
+                or not isinstance(self.batching, (int, float))
+                or self.batching < 0
             ):
-                self.batching = BatchingConfig(flush_window=float(self.batching))
-            else:
                 raise ValueError(
-                    "batching must be None, True, a flush window in ms, "
-                    "or a BatchingConfig"
+                    "batching must be None or a non-negative flush window in ms"
                 )
+            self.batching = float(self.batching)
+        for name in (
+            "fd_interval",
+            "checkpoint_interval",
+            "cbp_heartbeat",
+            "p2p_deadlock_interval",
+        ):
+            interval = getattr(self, name)
+            if interval is not None and interval <= 0:
+                # A periodic tick that reschedules itself at +0 never lets
+                # simulated time advance: the run hangs.
+                raise ValueError(f"{name} must be positive, got {interval!r}")
 
 
 @dataclass
@@ -227,14 +230,12 @@ class Cluster:
                 self.network,
                 site,
                 reliable=config.reliable_links,
-                window=config.arq_window,
-                max_backoff=config.arq_max_backoff,
                 trace=self.trace,
             )
             batcher = None
             if config.batching is not None:
                 batcher = BroadcastBatcher(
-                    self.engine, transport, flush_window=config.batching.flush_window
+                    self.engine, transport, flush_window=config.batching
                 )
             router = ChannelRouter(transport, batcher=batcher)
             reliable = ReliableBroadcast(
@@ -278,9 +279,8 @@ class Cluster:
         self, site: int, router: ChannelRouter, reliable: ReliableBroadcast
     ) -> Replica:
         config = self.config
-        batching = config.batching
-        group_commit = batching is not None and batching.group_commit
-        delta_clocks = batching is not None and batching.delta_clocks
+        # Batching on implies group commit and delta clocks.
+        batched = config.batching is not None
         common = (
             self.engine,
             site,
@@ -297,43 +297,35 @@ class Cluster:
                 wound_local_readers=config.rbp_wound_local_readers,
                 pipeline_writes=config.rbp_pipeline_writes,
                 decision_query_timeout=config.rbp_decision_query_timeout,
-                decision_query_attempts=config.rbp_decision_query_attempts,
-                decision_log_capacity=config.rbp_decision_log_capacity,
-                group_commit=group_commit,
+                group_commit=batched,
             )
+        if config.protocol == "p2p":
+            return PointToPointReplica(
+                *common,
+                router=router,
+                write_timeout=config.p2p_write_timeout,
+                deadlock_check_interval=config.p2p_deadlock_interval,
+            )
+        causal = CausalBroadcast(reliable)
+        if batched:
+            causal.enable_delta_clocks()
+        self.causals.append(causal)
         if config.protocol == "cbp":
-            causal = CausalBroadcast(reliable)
-            if delta_clocks:
-                causal.enable_delta_clocks()
-            self.causals.append(causal)
             return CausalBroadcastReplica(
                 *common,
                 cbcast=causal,
                 heartbeat_interval=config.cbp_heartbeat,
                 per_op=config.cbp_per_op,
             )
-        if config.protocol == "abp":
-            causal = CausalBroadcast(reliable)
-            if delta_clocks:
-                causal.enable_delta_clocks()
-            self.causals.append(causal)
-            total = TotalOrderBroadcast(
-                self.engine,
-                causal,
-                mode=config.abp_order_mode,
-                token_hold=config.abp_token_hold,
-                uniform=config.abp_uniform,
-                stability_interval=config.abp_stability_interval,
-                group_commit=group_commit,
-            )
-            self.totals.append(total)
-            return AtomicBroadcastReplica(*common, abcast=total, variant=config.abp_variant)
-        return PointToPointReplica(
-            *common,
-            router=router,
-            write_timeout=config.p2p_write_timeout,
-            deadlock_check_interval=config.p2p_deadlock_interval,
+        total = TotalOrderBroadcast(
+            self.engine,
+            causal,
+            mode=config.abp_order_mode,
+            uniform=config.abp_uniform,
+            group_commit=batched,
         )
+        self.totals.append(total)
+        return AtomicBroadcastReplica(*common, abcast=total, variant=config.abp_variant)
 
     def _schedule_checkpoints(self, replica: Replica, interval: float) -> None:
         def tick() -> None:

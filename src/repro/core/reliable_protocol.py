@@ -46,11 +46,13 @@ from repro.core.events import (
     RbpWriteAckBatch,
 )
 from repro.core.replica import Replica
+from repro.core.tally import Tally
 from repro.core.transaction import AbortReason, Transaction, TxPhase
 from repro.db.locks import LockMode
 from repro.db.serialization import HistoryRecorder
 from repro.net.router import ChannelRouter
 from repro.sim.engine import SimulationEngine
+from repro.sim.outbox import Outbox, by_destination
 from repro.sim.trace import TraceLog
 
 DIRECT_CHANNEL = "rbp.direct"
@@ -61,7 +63,7 @@ class _WriteRound:
     """Home-side state for one in-flight broadcast write."""
 
     key: str
-    acks: set[int] = field(default_factory=set)
+    acks: Tally = field(default_factory=Tally)
 
 
 @dataclass
@@ -69,7 +71,7 @@ class _VoteState:
     """Per-site tally of decentralized 2PC votes for one transaction."""
 
     home: int
-    votes: dict[int, bool] = field(default_factory=dict)
+    votes: Tally = field(default_factory=Tally)
     request_seen: bool = False
     decided: bool = False
     voted_yes: bool = False
@@ -115,6 +117,11 @@ class ReliableBroadcastReplica(Replica):
     #: E12 loss sweep asserts exactly that.
     write_grace = 1000.0
 
+    #: In-doubt termination: decision-query rounds before the query parks
+    #: until the next view change, and the bound on the decision log.
+    decision_query_attempts = 8
+    decision_log_capacity = 1024
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -128,8 +135,6 @@ class ReliableBroadcastReplica(Replica):
         wound_local_readers: bool = False,
         pipeline_writes: bool = False,
         decision_query_timeout: float = 60.0,
-        decision_query_attempts: int = 8,
-        decision_log_capacity: int = 1024,
         group_commit: bool = False,
     ):
         super().__init__(engine, site, num_sites, recorder, metrics, trace)
@@ -137,14 +142,10 @@ class ReliableBroadcastReplica(Replica):
         self.router = router
         self.wound_local_readers = wound_local_readers
         #: Group commit: votes cast (and write acks owed per home) at one
-        #: simulation instant ride one frame instead of one each.  Tallies
-        #: accept the batched forms unconditionally — only the *sending*
-        #: side is gated, so mixed configurations interoperate.
+        #: simulation instant ride one frame instead of one each.
         self.group_commit = group_commit
-        self._vote_outbox: list[RbpVote] = []
-        self._vote_armed = False
-        self._ack_outbox: dict[int, list[RbpWriteAck]] = {}
-        self._ack_armed = False
+        self._vote_outbox = Outbox(engine, self._flush_votes)
+        self._ack_outbox = Outbox(engine, self._flush_acks)
         #: Ablation (E10): broadcast every write at once instead of the
         #: paper's one-blocked-round-per-write; latency stops growing
         #: linearly in the write count at unchanged message cost.
@@ -167,10 +168,7 @@ class ReliableBroadcastReplica(Replica):
         # bounded log of authoritative outcomes, open queries at this site,
         # and remote queriers promised a push of a still-pending outcome.
         self.decision_query_timeout = decision_query_timeout
-        self.decision_query_attempts = decision_query_attempts
-        self.decision_log_capacity = decision_log_capacity
         self._decisions: dict[str, bool] = {}
-        self._decision_seq = 0
         self._queries: dict[str, _QueryState] = {}
         self._query_waiters: dict[str, set[int]] = {}
         #: Durable prepare records [Ske82]: transactions this site voted YES
@@ -241,17 +239,12 @@ class ReliableBroadcastReplica(Replica):
             )
             self._abort_everywhere(tx, AbortReason.WRITE_CONFLICT)
             return
-        round_.acks.add(ack.site)
+        round_.acks[ack.site] = True
         self._write_progress[ack.tx] = self.now
         self._check_round(tx, round_)
 
     def _check_round(self, tx: Transaction, round_: _WriteRound) -> None:
-        # Length first: every ack re-checks the round, and building the
-        # member set per ack made a write round O(n^2).  The superset
-        # check stays authoritative (acks from departed sites linger).
-        if len(round_.acks) >= len(self.view_members) and round_.acks >= set(
-            self.view_members
-        ):
+        if round_.acks.complete(self.view_member_set):
             rounds = self._write_round.get(tx.tx_id)
             if rounds is not None:
                 rounds.pop(round_.key, None)
@@ -352,8 +345,6 @@ class ReliableBroadcastReplica(Replica):
             self._on_vote(payload)
         elif isinstance(payload, RbpVoteBatch):
             # Group commit: tally each constituent as if it arrived alone.
-            # Accepted regardless of the local group_commit setting, so
-            # mixed configurations interoperate.
             for vote in payload.votes:
                 self._on_vote(vote)
         elif isinstance(payload, RbpAbort):
@@ -479,20 +470,12 @@ class ReliableBroadcastReplica(Replica):
         if not self.group_commit:
             self.router.send(write.home, DIRECT_CHANNEL, ack, ack.kind)
             return
-        self._ack_outbox.setdefault(write.home, []).append(ack)
-        if not self._ack_armed:
-            self._ack_armed = True
-            # detcheck: ignore[P203] — the flush re-checks alive and the
-            # outbox; a crash clears both, leaving the firing a no-op.
-            self.engine.schedule(0.0, self._flush_acks)
+        self._ack_outbox.put((write.home, ack))
 
-    def _flush_acks(self) -> None:
-        self._ack_armed = False
-        if not self.alive or not self._ack_outbox:
+    def _flush_acks(self, owed: list[tuple[int, RbpWriteAck]]) -> None:
+        if not self.alive:
             return
-        outbox, self._ack_outbox = self._ack_outbox, {}
-        for home in sorted(outbox):
-            acks = outbox[home]
+        for home, acks in by_destination(owed):
             if len(acks) == 1:
                 self.router.send(home, DIRECT_CHANNEL, acks[0], acks[0].kind)
             else:
@@ -504,22 +487,15 @@ class ReliableBroadcastReplica(Replica):
         if not self.group_commit:
             self.rbcast.broadcast(vote)
             return
-        self._vote_outbox.append(vote)
-        if not self._vote_armed:
-            self._vote_armed = True
-            # detcheck: ignore[P203] — the flush re-checks alive and the
-            # outbox; a crash clears both, leaving the firing a no-op.
-            self.engine.schedule(0.0, self._flush_votes)
+        self._vote_outbox.put(vote)
 
-    def _flush_votes(self) -> None:
-        self._vote_armed = False
-        if not self.alive or not self._vote_outbox:
+    def _flush_votes(self, votes: list[RbpVote]) -> None:
+        if not self.alive:
             return
-        outbox, self._vote_outbox = self._vote_outbox, []
-        if len(outbox) == 1:
-            self.rbcast.broadcast(outbox[0])
+        if len(votes) == 1:
+            self.rbcast.broadcast(votes[0])
         else:
-            self.rbcast.broadcast(RbpVoteBatch(tuple(outbox)))
+            self.rbcast.broadcast(RbpVoteBatch(tuple(votes)))
 
     def _on_commit_request(self, request: RbpCommitRequest) -> None:
         decided = self._decisions.get(request.tx)
@@ -578,19 +554,10 @@ class ReliableBroadcastReplica(Replica):
             # transfer).  Our own transactions are aborted by the view
             # change; remote state waits for the home or the orphan watchdog.
             return
-        if len(state.votes) < len(self.view_members):
-            # Cheap necessary condition: a tally with fewer entries than
-            # the view cannot cover it.  Every vote triggers a tally
-            # check, so building the member/voter sets here made a commit
-            # round O(n^2); this guard keeps all but the deciding vote at
-            # O(1) while the subset check below stays authoritative
-            # (stragglers from departed sites can inflate the count).
-            return
-        members = set(self.view_members)
-        if not members <= set(state.votes):
+        if not state.votes.complete(self.view_member_set):
             return
         state.decided = True
-        if all(state.votes[member] for member in members):
+        if state.votes.unanimous(self.view_member_set):
             self._commit_local(tx_id, state)
         else:
             tx = self.local.get(tx_id)
@@ -685,23 +652,17 @@ class ReliableBroadcastReplica(Replica):
         self._prepared.discard(tx_id)  # outcome known: the prepare record goes
         if tx_id not in self._decisions:
             self._decisions[tx_id] = committed
-            self._decision_seq += 1
             self._gc_decisions()
         self._notify_waiters(tx_id, "commit" if committed else "abort")
 
     def _gc_decisions(self) -> None:
         """Watermark GC: evict the oldest outcomes beyond the capacity.
-        Everything below :attr:`decision_watermark` is forgotten — queries
+        Evicted outcomes are forgotten — queries
         about such ancient transactions get "unknown", which is safe as
         long as in-doubt cohorts query within the retention window (they
         do: a query starts at most one view change after the 2PC round)."""
         while len(self._decisions) > self.decision_log_capacity:
             del self._decisions[next(iter(self._decisions))]
-
-    @property
-    def decision_watermark(self) -> int:
-        """Number of decisions already evicted from the log."""
-        return self._decision_seq - len(self._decisions)
 
     def _notify_waiters(self, tx_id: str, outcome: str) -> None:
         waiters = self._query_waiters.pop(tx_id, None)
@@ -741,7 +702,6 @@ class ReliableBroadcastReplica(Replica):
             prior = self._decisions.get(tx_id)
             if prior is None:
                 self._decisions[tx_id] = committed
-                self._decision_seq += 1
             elif committed and not prior:
                 self._decisions[tx_id] = True
             resolved[tx_id] = committed or bool(prior)
@@ -932,7 +892,7 @@ class ReliableBroadcastReplica(Replica):
         if "abort" in outcomes:
             self._resolve_in_doubt(tx_id, False, via="query")
             return
-        if not members <= set(answers):
+        if not answers.keys() >= members:
             return  # more answers (or the retry timer) to come
         if "pending" in outcomes:
             return  # a member can still decide; it pushes the outcome
@@ -1040,8 +1000,7 @@ class ReliableBroadcastReplica(Replica):
                 self._prepared.add(tx_id)
         self._buffered.clear()
         self._votes.clear()
-        # Group-commit outboxes are volatile: clearing them makes any
-        # already-scheduled zero-delay flush a no-op after the crash.
+        # Group-commit outboxes are volatile, lost with the site.
         self._vote_outbox.clear()
         self._ack_outbox.clear()
         self._write_round.clear()
@@ -1081,7 +1040,7 @@ class ReliableBroadcastReplica(Replica):
 
     def on_view_change(self, members: list[int], has_quorum: bool) -> None:
         super().on_view_change(members, has_quorum)
-        member_set = set(members)
+        member_set = self.view_member_set
         if not has_quorum:
             # Minority view: our in-flight updates can never be decided here
             # (see _check_votes) and submit() refuses new ones.  Abort them
@@ -1109,9 +1068,9 @@ class ReliableBroadcastReplica(Replica):
             if tx is not None:
                 for round_ in list(rounds.values()):
                     self._check_round(tx, round_)
-        # Vote tallies: ignore departed voters.
+        # Vote tallies: forget departed voters.
         for tx_id, state in list(self._votes.items()):
-            state.votes = {s: v for s, v in state.votes.items() if s in member_set}
+            state.votes.restrict(member_set)
             self._check_votes(tx_id)
         # Transactions homed at departed sites: a cohort that voted YES
         # becomes in-doubt (the outcome may exist at the survivors — query
@@ -1157,7 +1116,7 @@ class ReliableBroadcastReplica(Replica):
             # the home left the view.
             self._maybe_drop_orphan(tx_id, member_set)
 
-    def _maybe_drop_orphan(self, tx_id: str, member_set: set[int]) -> None:
+    def _maybe_drop_orphan(self, tx_id: str, member_set: frozenset[int]) -> None:
         """Drop a buffered write whose home left the view before 2PC began:
         this site never voted for it, so no view containing this site can
         have committed it."""

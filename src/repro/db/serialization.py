@@ -146,8 +146,9 @@ class HistoryRecorder:
     def __len__(self) -> int:
         return len(self.committed)
 
-    def check(self) -> SerializationResult:
-        """Build the one-copy serialization graph and test acyclicity."""
+    def _graph(self) -> tuple[dict[str, set[str]], list[str]]:
+        """The one-copy serialization graph over the committed history, and
+        the version conflicts found while building it."""
         writer_of: dict[tuple[str, int], str] = {}
         conflicts: list[str] = []
         max_version: dict[str, int] = {}
@@ -198,10 +199,14 @@ class HistoryRecorder:
                 successor = writer_of.get((key, version + 1))
                 if successor is not None:
                     add_edge(record.tx, successor)  # ww forward
+        return edges, conflicts
 
+    def check(self) -> SerializationResult:
+        """Build the one-copy serialization graph and test acyclicity."""
+        edges, conflicts = self._graph()
         num_edges = sum(  # detcheck: ignore[D106] — integer sum
             len(targets) for targets in edges.values())
-        cycle = _find_cycle(edges)
+        _, cycle = _depth_first(edges, sorted(edges, key=str))
         return SerializationResult(
             acyclic=cycle is None,
             cycle=cycle,
@@ -212,70 +217,47 @@ class HistoryRecorder:
 
     def serial_order(self) -> Optional[list[str]]:
         """A topological order witnessing serializability, if acyclic."""
-        result = self.check()
-        if not result.acyclic:
-            return None
-        edges: dict[str, set[str]] = {}
+        edges, _ = self._graph()
         nodes = {record.tx for record in self.committed} | {INITIAL_TX}
-        # Rebuild edges (cheap; check() already validated them).
-        writer_of = {
-            (key, version): record.tx
-            for record in self.committed
-            for key, version in record.writes
-        }
-        for record in self.committed:
-            for key, version in record.reads:
-                writer = writer_of.get((key, version), INITIAL_TX)
-                edges.setdefault(writer, set()).add(record.tx)  # wr
-                successor = writer_of.get((key, version + 1))
-                if successor is not None and successor != record.tx:
-                    edges.setdefault(record.tx, set()).add(successor)  # rw
-            for key, version in record.writes:
-                predecessor = writer_of.get((key, version - 1), INITIAL_TX)
-                edges.setdefault(predecessor, set()).add(record.tx)  # ww
-        order: list[str] = []
-        visited: set[str] = set()
-
-        def visit(node: str) -> None:
-            if node in visited:
-                return
-            visited.add(node)
-            for succ in sorted(edges.get(node, ()), key=str):
-                visit(succ)
-            order.append(node)
-
-        for node in sorted(nodes, key=str):
-            visit(node)
+        order, cycle = _depth_first(edges, sorted(nodes, key=str))
+        if cycle is not None:
+            return None
         order.reverse()
         return [tx for tx in order if tx != INITIAL_TX]
 
 
-def _find_cycle(edges: dict[str, set[str]]) -> Optional[list[str]]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack: list[str] = []
+def _depth_first(
+    edges: dict[str, set[str]], roots: list[str]
+) -> tuple[list[str], Optional[list[str]]]:
+    """Depth-first search from ``roots`` in the order given, successors in
+    sorted order.  Returns ``(postorder, cycle)``: the first cycle met and
+    the postorder up to it, or ``None`` and the complete postorder.
 
-    def visit(node: str) -> Optional[list[str]]:
-        color[node] = GREY
-        stack.append(node)
-        for succ in sorted(edges.get(node, ()), key=str):
-            state = color.get(succ, WHITE)
-            if state == GREY:
-                return stack[stack.index(succ):]
-            if state == WHITE:
-                found = visit(succ)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in sorted(edges, key=str):
-        if color.get(node, WHITE) == WHITE:
-            cycle = visit(node)
-            if cycle is not None:
-                return cycle
-    return None
+    Iterative, with an explicit stack: a ww-chain is as deep as the history
+    is long, far past the interpreter's recursion limit.
+    """
+    postorder: list[str] = []
+    seen: set[str] = set()
+    on_path: set[str] = set()
+    path: list[str] = []
+    pending = [iter(roots)]  # the roots are the successors of no node
+    while pending:
+        for node in pending[-1]:
+            if node in on_path:
+                return postorder, path[path.index(node):]
+            if node not in seen:
+                seen.add(node)
+                on_path.add(node)
+                path.append(node)
+                pending.append(iter(sorted(edges.get(node, ()), key=str)))
+                break
+        else:
+            pending.pop()
+            if path:
+                done = path.pop()
+                on_path.discard(done)
+                postorder.append(done)
+    return postorder, None
 
 
 def replicas_converged(stores: Iterable) -> bool:

@@ -22,7 +22,6 @@ import hashlib
 
 import pytest
 
-from repro.broadcast.batching import BatchingConfig
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.core.transaction import TransactionSpec
 from repro.workload.generator import WorkloadConfig
@@ -131,31 +130,34 @@ def test_batched_outcome_equivalence(protocol, loss):
     commit the same transactions and converge to the same stores — while
     actually coalescing: strictly fewer physical datagrams."""
     base_cluster, base_result = base_cell(protocol, loss)
-    cluster, result = run_cell(protocol, loss, batching=BatchingConfig(flush_window=2.0))
+    cluster, result = run_cell(protocol, loss, batching=2.0)
     assert outcome_summary(cluster, result) == outcome_summary(base_cluster, base_result)
     assert result.network_stats["sent"] < base_result.network_stats["sent"]
     assert sum(b.batches_sent for b in cluster.batchers if b is not None) > 0
+    # The one switch also turns on group commit and delta clocks.
+    if protocol == "rbp":
+        assert result.messages_by_kind.get("rbp.vote_batch", 0) > 0
+    if protocol in ("cbp", "abp"):
+        assert sum(c.deltas_sent for c in cluster.causals) > 0
 
 
 def test_zero_window_batching_outcome_equivalence():
     """flush_window=0.0 coalesces same-instant traffic only; outcomes must
     still match the passthrough run (rbp exercises votes + acks + 2PC)."""
     base_cluster, base_result = base_cell("rbp", 0.0)
-    cluster, result = run_cell("rbp", 0.0, batching=True)
+    cluster, result = run_cell("rbp", 0.0, batching=0.0)
     assert outcome_summary(cluster, result) == outcome_summary(base_cluster, base_result)
     assert result.network_stats["sent"] < base_result.network_stats["sent"]
 
 
-def test_batching_config_normalization():
+def test_batching_is_one_flush_window():
+    """One shape: ``None`` (off) or the flush window in ms."""
     assert ClusterConfig(protocol="rbp", num_sites=3).batching is None
-    assert ClusterConfig(protocol="rbp", num_sites=3, batching=True).batching == (
-        BatchingConfig()
-    )
-    assert ClusterConfig(protocol="rbp", num_sites=3, batching=3).batching == (
-        BatchingConfig(flush_window=3.0)
-    )
-    with pytest.raises(ValueError, match="batching"):
-        ClusterConfig(protocol="rbp", num_sites=3, batching="yes")
+    config = ClusterConfig(protocol="rbp", num_sites=3, batching=3)
+    assert config.batching == 3.0 and isinstance(config.batching, float)
+    for rejected in (True, "yes", -1.0):
+        with pytest.raises(ValueError, match="batching"):
+            ClusterConfig(protocol="rbp", num_sites=3, batching=rejected)
 
 
 @pytest.mark.parametrize("protocol", ["rbp", "cbp", "abp"])
@@ -172,7 +174,7 @@ def test_view_change_mid_window(protocol):
             enable_failure_detector=True,
             fd_interval=20.0,
             fd_timeout=80.0,
-            batching=BatchingConfig(flush_window=5.0),
+            batching=5.0,
         )
     )
     for n in range(4):
@@ -207,7 +209,7 @@ def test_crash_and_recover_with_batching(protocol):
             enable_failure_detector=True,
             fd_interval=20.0,
             fd_timeout=80.0,
-            batching=BatchingConfig(flush_window=2.0),
+            batching=2.0,
         )
     )
     cluster.crash_site(4, at=50.0)
@@ -238,7 +240,7 @@ def test_crash_under_loss_with_batching_and_relay(seed):
     the documented mitigation; this pins that it keeps working when the
     relays themselves ride through batch envelopes.
     """
-    for batching in (None, BatchingConfig(flush_window=2.0)):
+    for batching in (None, 2.0):
         cluster = Cluster(
             ClusterConfig(
                 protocol="cbp",

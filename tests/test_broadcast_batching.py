@@ -7,7 +7,6 @@ import pytest
 from repro.broadcast.batching import (
     BATCH_KIND,
     BatchEnvelope,
-    BatchingConfig,
     BroadcastBatcher,
 )
 from repro.net.network import Network
@@ -35,9 +34,7 @@ def build(num_sites=3, flush_window=0.0):
     return engine, network, routers, batchers
 
 
-def test_config_rejects_negative_window():
-    with pytest.raises(ValueError):
-        BatchingConfig(flush_window=-1.0)
+def test_rejects_negative_window():
     with pytest.raises(ValueError):
         BroadcastBatcher(SimulationEngine(), None, flush_window=-0.5)
 
@@ -111,26 +108,13 @@ def test_windows_close_and_reopen():
     assert batchers[0]._next_seq == 2
 
 
-def test_empty_flush_after_reset_is_a_noop():
+def test_reset_drops_the_open_window():
     engine, network, routers, batchers = build()
     routers[1].register("c", lambda src, p: pytest.fail("window was dropped"))
     routers[0].send(1, "c", Note("doomed"))
     batchers[0].reset()  # fail-stop crash: the open window is lost
-    engine.run()
-    assert batchers[0].empty_flushes == 1
+    engine.run()  # the armed timer fires as a no-op
     assert network.stats.sent == 0
-
-
-def test_flush_now_drains_synchronously():
-    engine, network, routers, batchers = build()
-    routers[1].register("c", lambda src, p: None)
-    routers[0].send(1, "c", Note("x"))
-    routers[0].send(1, "c", Note("y"))
-    batchers[0].flush_now()
-    assert batchers[0].pending_count() == 0
-    assert batchers[0].batches_sent == 1
-    engine.run()  # the armed timer fires as an empty flush
-    assert batchers[0].empty_flushes == 1
 
 
 def test_envelope_wire_size_matches_field_traversal():

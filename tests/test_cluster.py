@@ -18,6 +18,34 @@ def test_config_validation():
         ClusterConfig(num_objects=0)
 
 
+@pytest.mark.parametrize(
+    "field", ["cbp_heartbeat", "p2p_deadlock_interval", "fd_interval", "checkpoint_interval"]
+)
+def test_non_positive_periodic_interval_rejected(field):
+    """A tick that reschedules itself at +0 never lets simulated time
+    advance, so the run would hang instead of failing.  ``None`` stays
+    legal where it means "off"."""
+    for interval in (0.0, -5.0):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**{field: interval})
+    config = ClusterConfig(protocol="cbp", cbp_heartbeat=None, checkpoint_interval=None)
+    assert config.cbp_heartbeat is None and config.checkpoint_interval is None
+
+
+def test_config_surface_is_pinned():
+    """Knobs must not drift back: every field multiplies the configurations
+    tests and benchmarks have to cover."""
+    import dataclasses
+
+    import repro
+    import repro.broadcast
+
+    assert len(dataclasses.fields(ClusterConfig)) <= 30
+    assert not hasattr(repro.broadcast, "BatchingConfig")
+    assert not hasattr(repro.broadcast.batching, "BatchingConfig")
+    assert "BatchingConfig" not in repro.__all__
+
+
 def test_duplicate_spec_rejected(cluster_factory, make_spec):
     cluster = cluster_factory("rbp")
     cluster.submit(make_spec("t1", 0, writes={"x0": 1}))

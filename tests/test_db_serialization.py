@@ -155,3 +155,46 @@ def test_upgrade_with_empty_writes_keeps_cohort_versions():
     recorder.record_commit_provisional("T1", 2, writes={"x": 3}, commit_time=5.0)
     recorder.record_commit("T1", 0, reads={}, writes={}, commit_time=9.0)
     assert recorder.committed[0].writes == (("x", 3),)
+
+
+def _ww_chain(length, close=False):
+    """T0 -> T1 -> ... on ``x``; with ``close`` the last transaction also
+    read the ``y`` that the first one overwrote (an rw edge back to it)."""
+    recorder = HistoryRecorder()
+    for i in range(length):
+        reads, writes = {"x": i}, {"x": i + 1}
+        if close and i == 0:
+            writes["y"] = 1
+        if close and i == length - 1:
+            reads["y"] = 0
+        recorder.record_commit(f"T{i:05d}", 0, reads, writes, commit_time=float(i))
+    return recorder
+
+
+def test_long_ww_chain_and_cycle_at_default_recursion_limit():
+    """A 5000-transaction chain is a 5000-deep path in the graph: the
+    search must not recurse (the interpreter's default limit is 1000)."""
+    import sys
+
+    assert sys.getrecursionlimit() < 5000
+    recorder = _ww_chain(5000)
+    result = recorder.check()
+    assert result.ok and result.num_edges == 5000
+    assert recorder.serial_order() == [f"T{i:05d}" for i in range(5000)]
+    closed = _ww_chain(5000, close=True)
+    assert closed.check().cycle == [f"T{i:05d}" for i in range(5000)]
+    assert closed.serial_order() is None
+
+
+def test_reported_cycle_is_pinned():
+    """Visiting order is part of the contract (roots and successors sorted),
+    so the cycle reported for a given history never changes: T1 -> T3 -> T2
+    -> T1 via three rw edges, found from T1 and reported in path order."""
+    recorder = HistoryRecorder()
+    recorder.record_commit("T0", 0, reads={}, writes={"d": 1}, commit_time=0.0)
+    recorder.record_commit("T1", 0, reads={"a": 0, "d": 1}, writes={"b": 1}, commit_time=1.0)
+    recorder.record_commit("T2", 1, reads={"b": 0}, writes={"c": 1}, commit_time=1.0)
+    recorder.record_commit("T3", 2, reads={"c": 0}, writes={"a": 1}, commit_time=1.0)
+    result = recorder.check()
+    assert result.cycle == ["T1", "T3", "T2"]
+    assert result.num_edges == 8

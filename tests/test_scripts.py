@@ -29,14 +29,6 @@ def test_run_experiments_rejects_unknown():
     assert "unknown experiments" in proc.stdout
 
 
-def test_bench_report_quick_smoke():
-    """CI smoke: quick perf suite runs, prints the table, writes nothing."""
-    proc = run_script("bench_report.py", "--quick", "--no-write", timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "perf suite" in proc.stdout
-    assert "engine_churn" in proc.stdout
-
-
 def test_run_experiments_single_experiment():
     """Run the fastest experiment end to end through the script."""
     proc = run_script("run_experiments.py", "e1", timeout=400)
