@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-check experiments experiments-fast docs examples clean all lint lint-fast detcheck
+.PHONY: install test bench bench-check bench-pairs experiments experiments-fast docs examples clean all lint lint-fast detcheck
 
 # Keep in sync with .github/workflows/ci.yml and .pre-commit-config.yaml:
 # an unpinned ruff turns toolchain releases into surprise CI failures.
@@ -43,6 +43,12 @@ bench:
 # `python3 bench/run.py`; judge a change with `--compare parent.json change.json`.
 bench-check:
 	$(PYTHON) bench/run.py --check
+
+# Judge a performance claim (scripts/bench_pairs.py): alternating pairs of
+# the parent revision and this tree on one workload, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=rbp_wide
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

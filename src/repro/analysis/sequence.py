@@ -1,6 +1,6 @@
 """Message sequence diagrams from network captures.
 
-With capture enabled, the network records every delivered datagram; this
+With capture enabled, the network reports every delivered datagram; this
 module renders the flow between sites as an ASCII sequence diagram —
 invaluable when explaining or debugging a protocol round:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.network import Datagram, Network
+from repro.net.network import Network
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,9 @@ class MessageCapture:
         self.capacity = capacity
         self.messages: list[CapturedMessage] = []
 
-    def record(self, datagram: Datagram) -> None:
-        if len(self.messages) >= self.capacity:
-            return
-        self.messages.append(
-            CapturedMessage(
-                datagram.deliver_time, datagram.src, datagram.dst, datagram.kind
-            )
-        )
+    def record(self, time: float, src: int, dst: int, kind: str) -> None:
+        if len(self.messages) < self.capacity:
+            self.messages.append(CapturedMessage(time, src, dst, kind))
 
     def filtered(
         self,
@@ -74,17 +69,9 @@ class MessageCapture:
 
 
 def attach_capture(network: Network, capacity: int = 100_000) -> MessageCapture:
-    """Wrap the network's delivery path with a capture hook."""
+    """Record every datagram ``network`` delivers from now on."""
     capture = MessageCapture(capacity)
-    original = network._deliver
-
-    def capturing_deliver(datagram: Datagram) -> None:
-        was_up = network.site_is_up(datagram.dst)
-        original(datagram)
-        if was_up:
-            capture.record(datagram)
-
-    network._deliver = capturing_deliver  # type: ignore[method-assign]
+    network.on_deliver = capture.record
     return capture
 
 

@@ -38,7 +38,7 @@ latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
 from repro.sim.outbox import Outbox, by_destination
@@ -107,6 +107,19 @@ class BroadcastBatcher:
     def send(self, dst: int, payload: Any, kind: Optional[str] = None) -> None:
         """Queue one payload for ``dst``; arms the flush timer if idle."""
         self._window.put((dst, (payload, kind)))
+
+    def multicast(
+        self,
+        dsts: Iterable[int],
+        payload: Any,
+        kind: Optional[str] = None,
+        include_self: bool = False,
+    ) -> None:
+        """Queue one payload for each of ``dsts`` (the transport's
+        ``multicast`` contract: our own site only on request)."""
+        for dst in dsts:
+            if dst != self.transport.site or include_self:
+                self.send(dst, payload, kind)
 
     def _flush(self, queued: list[tuple[int, tuple[Any, Optional[str]]]]) -> None:
         for dst, items in by_destination(queued):

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size
+from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, kind_of
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -56,10 +56,7 @@ class BroadcastMessage:
     _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            payload_kind = getattr(self.payload, "kind", None)
-            self.kind = payload_kind if isinstance(payload_kind, str) else type(self.payload).__name__
-        self.kind = sys.intern(self.kind)
+        self.kind = sys.intern(self.kind or kind_of(self.payload))
 
     @property
     def sender(self) -> int:

@@ -262,5 +262,6 @@ def _depth_first(
 
 def replicas_converged(stores: Iterable) -> bool:
     """True when all replica stores expose identical committed state."""
-    digests = [store.digest() for store in stores]
-    return all(digest == digests[0] for digest in digests[1:]) if digests else True
+    stores = iter(stores)
+    first = next(stores, None)
+    return first is None or all(first.same_state(store) for store in stores)

@@ -111,6 +111,19 @@ class VersionedStore:
             for key, versions in sorted(self._objects.items())
         )
 
+    def same_state(self, other: "VersionedStore") -> bool:
+        """``self.digest() == other.digest()`` without building or sorting
+        either: latest ``(version, value)`` compared key by key, stopping at
+        the first difference."""
+        theirs = other._objects
+        return len(self._objects) == len(theirs) and all(
+            (others := theirs.get(key)) is not None
+            and versions[-1].version == others[-1].version
+            # Identity first, as tuple comparison does (a shared NaN is equal).
+            and (versions[-1].value is others[-1].value or versions[-1].value == others[-1].value)
+            for key, versions in self._objects.items()
+        )
+
     def export_snapshot(self) -> tuple[tuple[str, int, Any], ...]:
         """Latest version of every object as wire-friendly tuples
         (key, version, value) — the payload of a state transfer."""

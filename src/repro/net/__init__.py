@@ -10,7 +10,8 @@ Layering (bottom to top):
   per-link FIFO ordering and loss/partition injection.
 - :class:`repro.net.transport.ReliableTransport` -- per-link ARQ giving
   reliable FIFO channels between correct, connected sites (what the paper
-  assumes of its links).
+  assumes of its links).  On a lossless network it is a binding, not a
+  layer: the router's dispatch is attached straight to the network.
 - The broadcast primitives in :mod:`repro.broadcast` build on the transport.
 """
 
@@ -22,7 +23,7 @@ from repro.net.latency import (
     UniformLatency,
     WanLatency,
 )
-from repro.net.network import Datagram, Network, NetworkStats
+from repro.net.network import Network, NetworkStats
 from repro.net.partition import PartitionManager
 from repro.net.router import ChannelRouter
 from repro.net.sizes import estimate_size, wire_size
@@ -30,7 +31,6 @@ from repro.net.transport import ReliableTransport
 
 __all__ = [
     "ChannelRouter",
-    "Datagram",
     "FixedLatency",
     "LanLatency",
     "LatencyModel",

@@ -18,28 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.latency import FixedLatency, LatencyModel
-from repro.net.sizes import estimate_size, wire_size
+from repro.net.sizes import estimate_size, kind_of, wire_size
 from repro.net.partition import PartitionManager
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
-
-
-@dataclass
-# Simulator-internal delivery record: the network sizes datagram *payloads*
-# (wire_size(payload) below), never the Datagram wrapper itself.
-# detcheck: ignore[S302]
-class Datagram:
-    """One point-to-point message on the wire."""
-
-    src: int
-    dst: int
-    payload: Any
-    kind: str
-    send_time: float
-    deliver_time: float = 0.0
 
 
 @dataclass
@@ -75,10 +60,10 @@ class NetworkStats:
 class Network:
     """Simulated datagram network connecting numbered sites.
 
-    Sites register a receive callback with :meth:`attach`; crashed sites are
-    marked with :meth:`set_site_up`.  The optional ``payload_kind`` function
-    extracts an accounting label from payloads (defaults to the payload's
-    ``kind`` attribute, or its type name).
+    Sites register a receive callback ``handler(src, payload)`` with
+    :meth:`attach`; crashed sites are marked with :meth:`set_site_up`.  A
+    datagram's accounting label is the ``kind`` the sender passes, else
+    :func:`repro.net.sizes.kind_of` its payload.
     """
 
     def __init__(
@@ -105,14 +90,18 @@ class Network:
         self.bandwidth = bandwidth
         self.partitions = PartitionManager(num_sites)
         self.stats = NetworkStats()
+        #: Observer ``fn(time, src, dst, kind)`` called for every datagram
+        #: handed to a site's handler (see ``analysis.sequence``).
+        self.on_deliver: Optional[Callable[[float, int, int, str], None]] = None
         self._rng = (rng or RngRegistry(0)).stream("network")
-        self._handlers: list[Optional[Callable[[Datagram], None]]] = [None] * num_sites
+        self._handlers: list[Optional[Callable[[int, Any], None]]] = [None] * num_sites
         self._site_up = [True] * num_sites
-        # Per-(src, dst) last scheduled delivery time, for FIFO clamping.
-        self._last_delivery: dict[tuple[int, int], float] = {}
+        # FIFO clamp: ``_link_floor[src][dst]`` is the latest delivery time
+        # scheduled on that link.
+        self._link_floor = [[0.0] * num_sites for _ in range(num_sites)]
 
-    def attach(self, site: int, handler: Callable[[Datagram], None]) -> None:
-        """Register the receive callback for ``site``."""
+    def attach(self, site: int, handler: Callable[[int, Any], None]) -> None:
+        """Register the receive callback ``handler(src, payload)`` for ``site``."""
         self._check_site(site)
         self._handlers[site] = handler
 
@@ -132,12 +121,86 @@ class Network:
         scheduling delay so local delivery still goes through the event loop
         (keeping callback ordering uniform).
         """
+        self._fan_out(src, (dst,), payload, kind, True)
+
+    def multicast(
+        self,
+        src: int,
+        dsts: Iterable[int],
+        payload: Any,
+        kind: Optional[str] = None,
+        include_self: bool = False,
+    ) -> None:
+        """Unicast ``payload`` to each destination (the LAN broadcast model).
+
+        The paper's cost model treats a broadcast to ``n`` sites as ``n``
+        point-to-point messages in the absence of hardware multicast; the
+        accounting says exactly that, and every destination gets its own
+        loss and latency draw, in destination order.
+        """
+        self._fan_out(src, dsts, payload, kind, include_self)
+
+    def _fan_out(
+        self, src: int, dsts: Iterable[int], payload: Any, kind: Optional[str], include_self: bool
+    ) -> None:
+        """One payload to each of ``dsts``: what differs per destination
+        (reachability, loss, latency, FIFO clamp) runs per destination; the
+        label, the wire size and the accounting are shared."""
         self._check_site(src)
-        self._check_site(dst)
-        label = kind if kind is not None else _kind_of(payload)
+        num_sites = self.num_sites
         size = wire_size(payload)
-        self.stats.sent += 1
-        self.stats.bytes_sent += size
+        stats = self.stats
+        src_up = self._site_up[src]
+        group = self.partitions._group
+        src_group = group[src]
+        loss_rate = self.loss_rate
+        rng = self._rng
+        sample = self.latency.sample
+        transmission = 0.0 if self.bandwidth is None else size / self.bandwidth
+        now = self.engine.now
+        floors = self._link_floor[src]
+        schedule_at = self.engine.schedule_at
+        deliver = self._deliver
+        label = kind if kind is not None else kind_of(payload)
+        datagrams = 0
+        try:
+            for dst in dsts:
+                if dst == src:
+                    if not include_self:
+                        continue
+                elif not 0 <= dst < num_sites:
+                    raise ValueError(f"unknown site {dst} (num_sites={num_sites})")
+                datagrams += 1
+                if not src_up:
+                    # A crashed site cannot send; callers normally guard
+                    # this, but a late timer may race a crash.
+                    stats.dropped_crashed += 1
+                    continue
+                if dst == src:
+                    deliver_at = now
+                else:
+                    if group[dst] != src_group:
+                        stats.dropped_partition += 1
+                        continue
+                    if loss_rate > 0 and rng.random() < loss_rate:
+                        stats.dropped_loss += 1
+                        continue
+                    deliver_at = now + (sample(rng, src, dst) + transmission)
+                # FIFO clamp: never deliver before an earlier datagram on
+                # this link.
+                if deliver_at < floors[dst]:
+                    deliver_at = floors[dst]
+                floors[dst] = deliver_at
+                schedule_at(deliver_at, deliver, src, dst, payload, label)
+        finally:
+            if datagrams:
+                self._account(payload, label, size, datagrams)
+
+    def _account(self, payload: Any, label: str, size: int, datagrams: int) -> None:
+        """Count ``datagrams`` physical sends of one payload."""
+        stats = self.stats
+        stats.sent += datagrams
+        stats.bytes_sent += size * datagrams
         if label == _BATCH_KIND:
             # A flush-window batch is one physical datagram but many
             # protocol messages: attribute each constituent's count and
@@ -147,77 +210,30 @@ class Network:
             # opaque ``transport.retransmit`` label, as all repair traffic
             # does.)  ``sent`` keeps counting physical datagrams, so with
             # batching on ``sum(by_kind) > sent`` by design.
-            self._account_batch(payload, size)
+            self._account_batch(payload, size, datagrams)
         else:
-            self.stats.by_kind[label] += 1
-            self.stats.bytes_by_kind[label] += size
+            stats.by_kind[label] += datagrams
+            stats.bytes_by_kind[label] += size * datagrams
 
-        if not self._site_up[src]:
-            # A crashed site cannot send; callers normally guard this, but a
-            # late timer may race a crash.
+    def _deliver(self, src: int, dst: int, payload: Any, kind: str) -> None:
+        if not self._site_up[dst]:
             self.stats.dropped_crashed += 1
             return
         if src != dst:
-            if not self.partitions.connected(src, dst):
+            group = self.partitions._group
+            if group[src] != group[dst]:
+                # Partition struck while in flight.
                 self.stats.dropped_partition += 1
                 return
-            if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-                self.stats.dropped_loss += 1
-                return
-            delay = self.latency.sample(self._rng, src, dst)
-            if self.bandwidth is not None:
-                delay += size / self.bandwidth
-        else:
-            delay = 0.0
-
-        now = self.engine.now
-        deliver_at = now + delay
-        # FIFO clamp: never deliver before an earlier datagram on this link.
-        key = (src, dst)
-        floor = self._last_delivery.get(key, 0.0)
-        if deliver_at < floor:
-            deliver_at = floor
-        self._last_delivery[key] = deliver_at
-
-        datagram = Datagram(src, dst, payload, label, now, deliver_at)
-        self.engine.schedule_at(deliver_at, self._deliver, datagram)
-
-    def multicast(
-        self,
-        src: int,
-        dsts: list[int],
-        payload: Any,
-        kind: Optional[str] = None,
-        include_self: bool = False,
-    ) -> None:
-        """Unicast ``payload`` to each destination (the LAN broadcast model).
-
-        The paper's cost model treats a broadcast to ``n`` sites as ``n``
-        point-to-point messages in the absence of hardware multicast; this
-        method makes that accounting explicit.
-        """
-        for dst in dsts:
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, payload, kind)
-
-    def _deliver(self, datagram: Datagram) -> None:
-        if not self._site_up[datagram.dst]:
-            self.stats.dropped_crashed += 1
-            return
-        if datagram.src != datagram.dst and not self.partitions.connected(
-            datagram.src, datagram.dst
-        ):
-            # Partition struck while in flight.
-            self.stats.dropped_partition += 1
-            return
-        handler = self._handlers[datagram.dst]
+        handler = self._handlers[dst]
         if handler is None:
-            raise RuntimeError(f"site {datagram.dst} has no attached handler")
+            raise RuntimeError(f"site {dst} has no attached handler")
         self.stats.delivered += 1
-        handler(datagram)
+        if self.on_deliver is not None:
+            self.on_deliver(self.engine.now, src, dst, kind)
+        handler(src, payload)
 
-    def _account_batch(self, payload: Any, size: int) -> None:
+    def _account_batch(self, payload: Any, size: int, datagrams: int) -> None:
         """Split a batch datagram's accounting across its constituents.
 
         ``payload`` is the BatchEnvelope itself on a passthrough link, or
@@ -227,21 +243,18 @@ class Network:
         estimates the envelope's own wire size summed over.
         """
         batch = payload if isinstance(payload, BatchEnvelope) else getattr(payload, "payload", None)
-        if not isinstance(batch, BatchEnvelope):
-            self.stats.by_kind[_BATCH_KIND] += 1
-            self.stats.bytes_by_kind[_BATCH_KIND] += size
-            return
         by_kind = self.stats.by_kind
         bytes_by_kind = self.stats.bytes_by_kind
         inner = 0
-        for item in batch.items:
-            item_size = estimate_size(item)
-            item_kind = _kind_of(item)
-            by_kind[item_kind] += 1
-            bytes_by_kind[item_kind] += item_size
-            inner += item_size
-        by_kind[_BATCH_KIND] += 1
-        bytes_by_kind[_BATCH_KIND] += size - inner
+        if isinstance(batch, BatchEnvelope):
+            for item in batch.items:
+                item_size = estimate_size(item)
+                item_kind = kind_of(item)
+                by_kind[item_kind] += datagrams
+                bytes_by_kind[item_kind] += item_size * datagrams
+                inner += item_size
+        by_kind[_BATCH_KIND] += datagrams
+        bytes_by_kind[_BATCH_KIND] += (size - inner) * datagrams
 
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.num_sites:
@@ -249,13 +262,6 @@ class Network:
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
-
-
-def _kind_of(payload: Any) -> str:
-    kind = getattr(payload, "kind", None)
-    if isinstance(kind, str):
-        return kind
-    return type(payload).__name__
 
 
 # Imported last: batching lives in repro.broadcast, whose package import

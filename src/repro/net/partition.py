@@ -18,7 +18,9 @@ class PartitionManager:
         if num_sites <= 0:
             raise ValueError("num_sites must be positive")
         self.num_sites = num_sites
-        # group id per site; all zero means fully connected.
+        # group id per site; all zero means fully connected.  Network reads
+        # this list directly on its per-datagram path and re-fetches it on
+        # every use, because heal() rebinds it.
         self._group: list[int] = [0] * num_sites
 
     def connected(self, a: int, b: int) -> bool:

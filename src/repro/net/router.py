@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
+from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, kind_of, register_payload
 from repro.net.transport import ReliableTransport
 
 
@@ -29,10 +29,7 @@ class Tagged:
 
     def __post_init__(self) -> None:
         if not self.kind:
-            payload_kind = getattr(self.payload, "kind", None)
-            self.kind = (
-                payload_kind if isinstance(payload_kind, str) else type(self.payload).__name__
-            )
+            self.kind = kind_of(self.payload)
 
     def __wire_size__(self) -> int:
         # Byte-identical to the generic traversal over (channel, payload,
@@ -80,11 +77,7 @@ class ChannelRouter:
     ) -> None:
         # One envelope for the whole fan-out: allocation and the memoized
         # wire size amortize across destinations (detcheck S302 audit).
-        tagged = Tagged(channel, payload, kind or "")
-        for dst in dsts:
-            if dst == self.site and not include_self:
-                continue
-            self._sender.send(dst, tagged, kind)
+        self._sender.multicast(dsts, Tagged(channel, payload, kind or ""), kind, include_self)
 
     def _dispatch(self, src: int, payload: Any) -> None:
         if isinstance(payload, Tagged):

@@ -112,6 +112,15 @@ def wire_size(payload: Any) -> int:
     return HEADER_BYTES + estimate_size(payload)
 
 
+def kind_of(payload: Any) -> str:
+    """Accounting label of ``payload``: its ``kind`` attribute when that is
+    a string, else its type name.  The one rule every layer labels by."""
+    kind = getattr(payload, "kind", None)
+    if isinstance(kind, str):
+        return kind
+    return type(payload).__name__
+
+
 #: Payload classes vetted for the size model (see :func:`register_payload`).
 _REGISTERED_PAYLOADS: set[type] = set()
 

@@ -8,9 +8,11 @@ retransmission and per-link incarnation epochs.
 
 Two modes, fixed at construction:
 
-- **passthrough**: datagrams go straight through with no framing or acks, so
-  message accounting matches the paper's analytical cost model exactly.
-  This is the default on a lossless network.
+- **passthrough**: no framing and no acks, so message accounting matches the
+  paper's analytical cost model exactly.  This is the default on a lossless
+  network.  Passthrough is a binding, not a layer: sends go straight to the
+  network and :meth:`ReliableTransport.set_receiver` attaches the receiver
+  to the network itself, so no transport code runs per datagram.
 - **ARQ** (lossy network, or ``reliable=True`` on a lossless one): payloads
   are framed with per-link sequence numbers; the receiver delivers in order
   and returns cumulative acks; the sender retransmits unacked frames on a
@@ -50,10 +52,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from repro.net.network import Datagram, Network
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
+from repro.net.network import Network
+from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, kind_of, register_payload
 from repro.sim.engine import EventHandle, SimulationEngine
 from repro.sim.trace import TraceLog
 
@@ -200,11 +202,17 @@ class ReliableTransport:
         self._receiver: Optional[Callable[[int, Any], None]] = None
         self._send_state: dict[int, _LinkSendState] = {}
         self._recv_state: dict[int, _LinkRecvState] = {}
-        network.attach(site, self._on_datagram)
+        if not self.passthrough:
+            network.attach(site, self._on_datagram)
 
     def set_receiver(self, fn: Callable[[int, Any], None]) -> None:
-        """Register the upper-layer callback ``fn(src_site, payload)``."""
+        """Register the upper-layer callback ``fn(src_site, payload)``.
+
+        In passthrough mode the network calls ``fn`` directly.
+        """
         self._receiver = fn
+        if self.passthrough:
+            self.network.attach(self.site, fn)
 
     def send(self, dst: int, payload: Any, kind: Optional[str] = None) -> None:
         """Send ``payload`` reliably and in FIFO order to ``dst``."""
@@ -212,11 +220,30 @@ class ReliableTransport:
             self.network.send(self.site, dst, payload, kind)
             return
         state = self._send_state.setdefault(dst, _LinkSendState())
-        label = kind if kind is not None else getattr(payload, "kind", type(payload).__name__)
+        label = kind if kind is not None else kind_of(payload)
         if len(state.unacked) >= self.window:
             state.pending.append((payload, label))
             return
         self._admit(dst, state, payload, label)
+
+    def multicast(
+        self,
+        dsts: Iterable[int],
+        payload: Any,
+        kind: Optional[str] = None,
+        include_self: bool = False,
+    ) -> None:
+        """Send ``payload`` to each of ``dsts`` (our own site only on request).
+
+        Passthrough hands the whole fan-out to the network at once; ARQ
+        frames the payload per link.
+        """
+        if self.passthrough:
+            self.network.multicast(self.site, dsts, payload, kind, include_self)
+            return
+        for dst in dsts:
+            if dst != self.site or include_self:
+                self.send(dst, payload, kind)
 
     def reset(self) -> None:
         """Begin a new incarnation after a crash (drop all link state).
@@ -265,15 +292,14 @@ class ReliableTransport:
 
     # -- internals ---------------------------------------------------------
 
-    def _on_datagram(self, datagram: Datagram) -> None:
-        payload = datagram.payload
-        if self.passthrough or datagram.src == self.site:
-            self._deliver(datagram.src, payload)
-            return
-        if isinstance(payload, AckFrame):
-            self._on_ack(datagram.src, payload)
+    def _on_datagram(self, src: int, payload: Any) -> None:
+        """The network's receive callback in ARQ mode."""
+        if src == self.site:
+            self._deliver(src, payload)  # loopback is never framed
+        elif isinstance(payload, AckFrame):
+            self._on_ack(src, payload)
         elif isinstance(payload, Frame):
-            self._on_frame(datagram.src, payload)
+            self._on_frame(src, payload)
         else:
             # A raw (unframed) payload reaching an ARQ endpoint means some
             # peer runs in passthrough mode.  Delivering it would bypass the
@@ -284,12 +310,12 @@ class ReliableTransport:
                     self.engine.now,
                     f"transport{self.site}",
                     "transport.unframed",
-                    src=datagram.src,
-                    payload_kind=datagram.kind,
+                    src=src,
+                    payload_kind=kind_of(payload),
                 )
             raise RuntimeError(
                 f"site {self.site} (ARQ mode) received an unframed payload of "
-                f"kind {datagram.kind!r} from site {datagram.src}: mixed "
+                f"kind {kind_of(payload)!r} from site {src}: mixed "
                 "passthrough/ARQ transport configurations are not supported"
             )
 

@@ -15,6 +15,9 @@ Determinism guarantees:
 
 Hot-path design (the whole library funnels through this loop):
 
+- **Heap entries are ``(time, seq, handle)`` tuples**, so ``heapq`` orders
+  them in C; :meth:`SimulationEngine.run` settles, pops and fires the head
+  in one loop body rather than through a call per step.
 - **Lazy cancellation with bounded garbage.**  ``EventHandle.cancel`` leaves
   the heap entry in place (an O(log n) removal per cancel would dominate ARQ
   timer churn), but the engine counts cancelled residents and compacts the
@@ -56,7 +59,9 @@ class EventHandle:
     popped.  ``fired`` is True once the callback has run.  ``fire_at`` is the
     real deadline: normally equal to ``time`` (the heap position), it is
     moved forward by :meth:`SimulationEngine.reschedule` without touching the
-    heap — the engine re-sorts the entry when it surfaces.
+    heap — the engine re-sorts the entry when it surfaces.  ``time`` and
+    ``seq`` mirror the handle's ``(time, seq, handle)`` heap entry; the heap
+    orders on the tuple, never on the handle.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "fire_at", "_engine")
@@ -94,9 +99,6 @@ class EventHandle:
         """True while the event is scheduled and not yet fired/cancelled."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<EventHandle t={self.fire_at:.3f} seq={self.seq} {state}>"
@@ -123,7 +125,10 @@ class SimulationEngine:
     compact_min = 64
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        #: ``(time, seq, handle)`` entries: ``seq`` is unique, so ``heapq``
+        #: orders them by comparing floats and ints in C and never reaches
+        #: the handle.
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -149,9 +154,9 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, handle)
+        seq = self._seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def reschedule(
@@ -207,22 +212,23 @@ class SimulationEngine:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][2]
             if head.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
-                continue
-            if head.fire_at > head.time:
-                # Deferred timer surfacing at its old position: move it to
-                # its real deadline (new seq keeps same-time FIFO order).
-                heapq.heappop(heap)
-                self._seq += 1
-                head.time = head.fire_at
-                head.seq = self._seq
-                heapq.heappush(heap, head)
-                continue
-            return head
+            elif head.fire_at > head.time:
+                self._resort_deferred(head)
+            else:
+                return head
         return None
+
+    def _resort_deferred(self, head: EventHandle) -> None:
+        """Move a deferred timer surfacing at its old heap position to its
+        real deadline (a new seq keeps same-time FIFO order)."""
+        heapq.heappop(self._heap)
+        head.time = head.fire_at
+        head.seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, (head.time, head.seq, head))
 
     def step(self) -> bool:
         """Run the single next pending event.
@@ -231,7 +237,7 @@ class SimulationEngine:
         """
         if self._settle_head() is None:
             return False
-        self._fire(heapq.heappop(self._heap))
+        self._fire(heapq.heappop(self._heap)[2])
         return True
 
     def _fire(self, handle: EventHandle) -> None:
@@ -270,21 +276,41 @@ class SimulationEngine:
         self._running = True
         self._stopped = False
         processed = 0
+        # The whole library funnels through this loop, so it settles the
+        # head (as _settle_head does) and fires it (as _fire does) inline
+        # rather than through three calls per event.  ``heap`` stays valid
+        # across callbacks because _compact rewrites the list in place.
+        heap = self._heap
+        heappop = heapq.heappop
         try:
             while True:
                 if self._stopped:
                     return RUN_STOPPED
-                head = self._settle_head()
-                if head is None:
+                if not heap:
                     if until is not None and until > self._now:
                         # An empty queue still lets time pass up to the
                         # requested horizon (run_for semantics).
                         self._now = until
                     return RUN_EXHAUSTED
-                if until is not None and head.time > until:
+                time, _, handle = heap[0]
+                if handle.cancelled:
+                    heappop(heap)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if handle.fire_at > time:
+                    self._resort_deferred(handle)
+                    continue
+                if until is not None and time > until:
                     self._now = until
                     return RUN_HORIZON
-                self._fire(heapq.heappop(self._heap))
+                heappop(heap)
+                self._now = time
+                handle.fired = True
+                fn, args = handle.fn, handle.args
+                handle.fn = None
+                handle.args = ()
+                fn(*args)
+                self.events_processed += 1
                 processed += 1
                 if stop_when is not None and stop_when():
                     return RUN_PREDICATE
@@ -306,9 +332,11 @@ class SimulationEngine:
 
         ``heapify`` on the (time, seq) total order reproduces exactly the
         pop order of the garbage-laden heap, so compaction is invisible to
-        the simulation (asserted by the determinism tests).
+        the simulation (asserted by the determinism tests).  The list is
+        rewritten in place: a cancel inside a callback compacts the very
+        list :meth:`run` is iterating.
         """
-        self._heap = [h for h in self._heap if not h.cancelled]
+        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.compactions += 1

@@ -26,6 +26,10 @@ class Process:
         self.name = name
         self.alive = True
         self._timers: list[EventHandle] = []
+        #: Drop fired/cancelled handles from ``_timers`` once it outgrows
+        #: this; reset to twice the survivors, so pruning is amortised O(1)
+        #: however many timers are genuinely pending.
+        self._prune_at = 256
         self._crash_count = 0
 
     @property
@@ -37,8 +41,9 @@ class Process:
         epoch = self._crash_count
         handle = self.engine.schedule(delay, self._guarded, epoch, fn, args)
         self._timers.append(handle)
-        if len(self._timers) > 256:
+        if len(self._timers) > self._prune_at:
             self._timers = [h for h in self._timers if h.pending]
+            self._prune_at = max(256, 2 * len(self._timers))
         return handle
 
     def _guarded(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:

@@ -81,3 +81,35 @@ def test_read_at_or_before_is_floor(ops):
             assert got <= latest
             if probe <= latest:
                 assert got == probe
+
+
+#: Small domains so equal and unequal stores are both common; key sets vary
+#: (force_version creates keys), and NaN exercises tuple comparison's
+#: identity-before-equality rule, which the shared-payload simulator hits.
+NAN = float("nan")
+store_specs = st.lists(
+    st.dictionaries(
+        st.sampled_from(("a", "b", "c", "d")),
+        st.tuples(st.integers(1, 3), st.sampled_from((0, 1, NAN))),
+        max_size=4,
+    ),
+    min_size=0,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_specs)
+def test_replicas_converged_agrees_with_digest_comparison(specs):
+    from repro.db.serialization import replicas_converged
+
+    stores = []
+    for spec in specs:
+        store = VersionedStore()
+        for key, (version, value) in spec.items():
+            # Distinct writers: the digest (and convergence) ignore them.
+            store.force_version(key, version, value, f"w{len(stores)}")
+        stores.append(store)
+    digests = [store.digest() for store in stores]
+    assert replicas_converged(stores) == all(d == digests[0] for d in digests[1:])
+    assert replicas_converged(iter(stores)) == replicas_converged(stores)

@@ -1,5 +1,6 @@
 """Unit tests for the channel router."""
 
+import inspect
 from dataclasses import dataclass
 
 import pytest
@@ -68,3 +69,44 @@ def test_message_kind_accounting_flows_through():
     routers[0].send(1, "c", Note("x"))
     engine.run()
     assert network.stats.by_kind["note"] == 1
+
+
+def test_passthrough_delivery_chain_is_network_then_router():
+    """Passthrough is a binding, not a layer: between the engine loop and a
+    channel handler there are exactly two frames.  Pinned so the chain
+    cannot quietly re-accrete."""
+    engine, network, routers = build(3)
+    chains = []
+
+    def handler(src, payload):
+        names = [
+            f"{type(info.frame.f_locals.get('self')).__name__}.{info.function}"
+            for info in inspect.stack()[1:]
+        ]
+        chains.append(names[: names.index("SimulationEngine.run")])
+
+    for router in routers:
+        router.register("c", handler)
+    routers[0].multicast([0, 1, 2], "c", Note("fan-out"), include_self=True)
+    routers[0].send(1, "c", Note("unicast"))
+    engine.run()
+    assert chains == [["ChannelRouter._dispatch", "Network._deliver"]] * 4
+
+
+@pytest.mark.parametrize("reliable", [None, True], ids=["passthrough", "arq"])
+def test_multicast_reaches_each_destination_once(reliable):
+    engine = SimulationEngine()
+    network = Network(engine, 3)
+    routers = [
+        ChannelRouter(ReliableTransport(engine, network, site, reliable=reliable))
+        for site in range(3)
+    ]
+    boxes = [[] for _ in range(3)]
+    for site in range(3):
+        routers[site].register("c", lambda src, p, site=site: boxes[site].append((src, p.text)))
+    routers[0].multicast([0, 1, 2], "c", Note("all"), include_self=True)
+    routers[0].multicast([0, 1, 2], "c", Note("others"))
+    engine.run(until=1000.0)
+    assert boxes[0] == [(0, "all")]
+    assert boxes[1] == boxes[2] == [(0, "all"), (0, "others")]
+    assert network.stats.by_kind["note"] == 5

@@ -94,3 +94,17 @@ def test_bandwidth_validation():
 
     with pytest.raises(ValueError):
         Network(SimulationEngine(), 2, bandwidth=0.0)
+
+
+def test_kind_of_is_the_string_kind_else_the_type_name():
+    from repro.net.sizes import kind_of
+
+    class Labelled:
+        kind = "x.label"
+
+    class Numbered:
+        kind = 7
+
+    assert kind_of(Labelled()) == "x.label"
+    assert kind_of(Numbered()) == "Numbered"
+    assert kind_of({"raw": True}) == "dict"

@@ -233,3 +233,23 @@ def test_forced_arq_on_lossless_network():
     engine.run()
     assert [p.n for _, p in inboxes[1]] == [1]
     assert network.stats.by_kind["transport.ack"] == 1  # framed + acked
+
+
+@dataclass
+class Numbered:
+    """A payload whose ``kind`` is not a label (e.g. an enum-like int)."""
+
+    kind: int = 7
+
+
+@pytest.mark.parametrize("reliable", [None, True], ids=["passthrough", "arq"])
+def test_non_string_kind_is_labelled_by_type_name_in_both_modes(reliable):
+    """One ``kind_of`` rule: ARQ used to label such a payload ``7`` while
+    passthrough labelled it ``Numbered``."""
+    engine, network, transports, inboxes = build(reliable=reliable)
+    transports[0].send(1, Numbered())
+    transports[0].multicast([0, 1], Numbered())
+    engine.run(until=1000.0)
+    assert len(inboxes[1]) == 2 and inboxes[0] == []
+    labels = {k: v for k, v in network.stats.by_kind.items() if k != "transport.ack"}
+    assert labels == {"Numbered": 2}

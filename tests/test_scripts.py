@@ -35,3 +35,26 @@ def test_run_experiments_single_experiment():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "E1" in proc.stdout
     assert "PASS" in proc.stdout
+
+
+def test_bench_pairs_verdict_rule():
+    """Nine tenths of the pairs won *and* medians further apart than the
+    parent's own quartiles; ties count for neither side."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [5.0, 5.1, 5.2, 5.0, 5.3, 5.1, 5.0, 5.2, 5.1, 5.0]
+    faster = [p - 1.0 for p in parent]
+    assert bench_pairs.verdict(parent, faster)[0] == 0
+    assert bench_pairs.verdict(faster, parent)[0] == 3
+    # Wins every pair, but by less than the parent's quartile distance.
+    assert bench_pairs.verdict(parent, [p - 0.01 for p in parent])[0] == 2
+    # Two losses (or two ties) in ten pairs: eight wins are not nine.
+    assert bench_pairs.verdict(parent, [5.4, 5.4] + faster[2:])[0] == 2
+    assert bench_pairs.verdict(parent, parent[:2] + faster[2:])[0] == 2
+    status, lines = bench_pairs.verdict(parent, [6.0] + faster[1:])
+    assert status == 0 and "won 9, lost 1, of 10 (need 9)" in lines[2]

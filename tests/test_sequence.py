@@ -68,10 +68,8 @@ def test_message_matrix_counts():
 
 def test_capture_capacity_bound():
     capture = MessageCapture(capacity=2)
-    from repro.net.network import Datagram
-
     for n in range(5):
-        capture.record(Datagram(0, 1, None, "k", float(n), float(n)))
+        capture.record(float(n), 0, 1, "k")
     assert len(capture) == 2
 
 

@@ -302,3 +302,54 @@ def test_zero_delay_event_runs_after_current(engine):
     engine.schedule(1.0, first)
     engine.run()
     assert order == ["first-start", "first-end", "zero"]
+
+
+def test_compaction_inside_callback_keeps_run_on_the_live_heap(engine):
+    """A cancel storm inside a callback compacts the heap run() is reading:
+    survivors, and events scheduled after the compaction by that same
+    callback, all fire, in (time, schedule) order."""
+    engine.compact_min = 4
+    fired = []
+    doomed = [engine.schedule(50.0 + i, fired.append, f"doomed{i}") for i in range(8)]
+    engine.schedule(3.0, fired.append, "survivor-a")
+    engine.schedule(3.0, fired.append, "survivor-b")
+
+    def storm():
+        for handle in doomed:
+            handle.cancel()
+        assert engine.compactions > 0
+        engine.schedule(1.0, fired.append, "after-early")
+        engine.schedule(2.0, fired.append, "after-same-time")
+
+    engine.schedule(1.0, storm)
+    assert engine.run() == RUN_EXHAUSTED
+    assert fired == ["after-early", "survivor-a", "survivor-b", "after-same-time"]
+    assert engine.heap_size() == 0 and engine.pending_count() == 0
+
+
+def test_deferred_timer_surfacing_among_same_time_events_keeps_fifo(engine):
+    """The deferred entry surfaces between two events at its old time and is
+    re-sorted behind an event already queued at its new deadline; neither
+    time's schedule order is disturbed."""
+    fired = []
+    engine.schedule(2.0, fired.append, "a")
+    timer = engine.schedule(2.0, fired.append, "timer")
+    engine.schedule(2.0, fired.append, "b")
+    engine.schedule(6.0, fired.append, "c")
+    engine.reschedule(timer, 6.0, fired.append, "timer")
+    engine.schedule(2.0, lambda: engine.schedule(4.0, fired.append, "d"))
+    engine.run()
+    # "d" is pushed at t=2 after the timer was re-sorted to t=6, so it
+    # follows the timer there.
+    assert fired == ["a", "b", "c", "timer", "d"]
+
+
+def test_run_until_leaves_a_deferred_timer_beyond_the_horizon_queued(engine):
+    fired = []
+    timer = engine.schedule(2.0, fired.append, "timer")
+    engine.reschedule(timer, 10.0, fired.append, "timer")
+    assert engine.run(until=5.0) == RUN_HORIZON
+    assert fired == [] and engine.now == 5.0
+    assert engine.pending_count() == 1 and engine.peek_time() == 10.0
+    assert engine.run() == RUN_EXHAUSTED
+    assert fired == ["timer"] and engine.now == 10.0

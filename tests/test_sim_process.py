@@ -86,3 +86,27 @@ def test_double_crash_and_double_recover_are_idempotent():
     ticker.recover()
     ticker.recover()
     assert ticker.recoveries == 1
+
+
+def test_pruning_is_amortised_and_crash_still_cancels_everything():
+    """With more than 256 timers genuinely pending, schedule() used to rebuild
+    the timer list on every call; now only when the list has doubled."""
+    engine = SimulationEngine()
+    ticker = Ticker(engine)
+    handles, rebuilds = [], 0
+    for n in range(1000):
+        before = ticker._timers
+        handles.append(ticker.schedule(1000.0 + n, ticker.tick))
+        rebuilds += ticker._timers is not before
+    assert rebuilds == 2  # on outgrowing 256, then on doubling to 514
+    for handle in handles[:900]:
+        handle.cancel()
+    while len(ticker._timers) >= len(handles):  # until the next doubling
+        handles.append(ticker.schedule(5000.0, ticker.tick))
+    assert len(handles) < 1100
+    assert len(ticker._timers) == len(handles) - 900  # the dead are gone
+    ticker.crash()
+    assert not any(handle.pending for handle in handles)
+    assert engine.pending_count() == 0
+    engine.run()
+    assert ticker.ticks == 0
