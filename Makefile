@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-check bench-pairs experiments experiments-fast docs examples clean all lint lint-fast detcheck
+.PHONY: install test bench bench-check bench-pairs experiments experiments-fast docs examples clean all lint lint-fast detcheck scorecard
 
 # Keep in sync with .github/workflows/ci.yml and .pre-commit-config.yaml:
 # an unpinned ruff turns toolchain releases into surprise CI failures.
@@ -59,6 +59,10 @@ experiments-fast:
 
 docs:
 	$(PYTHON) scripts/gen_api_index.py
+
+# The size numbers every PR quotes in CHANGES.md (ROADMAP "Standing").
+scorecard:
+	$(PYTHON) scripts/scorecard.py
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -40,7 +40,10 @@ def anatomize(protocol: str) -> None:
             num_sites=NUM_SITES,
             seed=99,
             trace=True,
-            cbp_heartbeat=None,  # keep the trace clean of null messages
+            # A slow heartbeat keeps null messages out of the anatomy
+            # transaction's part of the trace; the late cbp.null lines are
+            # what lets the last echo collect its implicit acknowledgments.
+            cbp_heartbeat=500.0,
         )
     )
     capture = attach_capture(cluster.network)
@@ -50,8 +53,8 @@ def anatomize(protocol: str) -> None:
         )
     )
     if protocol == "cbp":
-        # Without heartbeats, CBP needs real traffic for its implicit
-        # acknowledgments: one tiny unrelated update per other site.
+        # Before the first heartbeat, CBP needs real traffic for its
+        # implicit acknowledgments: one tiny unrelated update per other site.
         for site in range(1, NUM_SITES):
             cluster.submit(
                 TransactionSpec.make(f"echo{site}", site, writes={f"x{5 + site}": 0}),

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Print the size scorecard ROADMAP's Standing bullet asks every PR to quote.
+
+One line, suitable for CHANGES.md::
+
+    python scripts/scorecard.py        # or: make scorecard
+
+- lines of Python under ``src/`` (and, of those, the static checker);
+- ``detcheck: ignore`` pragmas outside the checker;
+- ``ClusterConfig`` fields;
+- hand-written ``__wire_size__`` definitions and ``_size`` memo fields
+  under ``src/``;
+- detcheck rules;
+- collected tier-1 tests.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CHECKER = SRC / "repro" / "analysis" / "staticcheck"
+sys.path.insert(0, str(SRC))
+
+from repro.analysis.staticcheck.rules import ALL_RULE_IDS  # noqa: E402  (path bootstrap above)
+from repro.core.cluster import ClusterConfig  # noqa: E402
+
+PRAGMA = r"detcheck: ignore"
+WIRE_SIZE_DEF = r"^\s*def __wire_size__"
+SIZE_FIELD = r"^\s+_size\s*:"
+
+
+def collected_tests() -> int:
+    """Tests pytest collects for the tier-1 command (ROADMAP.md)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(re.search(r"(\d+) tests? collected", proc.stdout).group(1))
+
+
+def main() -> None:
+    paths = sorted(SRC.rglob("*.py"))
+    everything = [path.read_text() for path in paths]
+    simulator = [path.read_text() for path in paths if CHECKER not in path.parents]
+
+    def lines(texts: list[str]) -> int:
+        return sum(text.count("\n") for text in texts)
+
+    def matches(pattern: str, texts: list[str]) -> int:
+        return sum(len(re.findall(pattern, text, re.MULTILINE)) for text in texts)
+
+    print(
+        f"src/ lines {lines(everything)} "
+        f"(staticcheck {lines(everything) - lines(simulator)}), "
+        f"pragmas {matches(PRAGMA, simulator)}, "
+        f"ClusterConfig fields {len(dataclasses.fields(ClusterConfig))}, "
+        f"__wire_size__ defs {matches(WIRE_SIZE_DEF, everything)}, "
+        f"_size fields {matches(SIZE_FIELD, everything)}, "
+        f"lint rules {len(ALL_RULE_IDS)}, "
+        f"tests {collected_tests()}"
+    )
+
+
+if __name__ == "__main__":
+    main()

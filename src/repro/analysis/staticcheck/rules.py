@@ -114,14 +114,6 @@ RULES: dict[str, Rule] = {
             "of the handler (the PR 6 commit-tally O(n^2) class)",
         ),
         Rule(
-            "S302",
-            "payload-size-memo",
-            "envelope class with a payload field but no memoized "
-            "__wire_size__ (estimate_size re-traverses it per send)",
-            "add a _size slot and a __wire_size__ that computes once and "
-            "caches, as BroadcastMessage does",
-        ),
-        Rule(
             "S303",
             "loop-invariant-rebuild",
             "sorted()/list() rebuilt every iteration over a loop-invariant "
@@ -173,7 +165,7 @@ RULES: dict[str, Rule] = {
 
 D_DEFAULT = ("D101", "D102", "D103", "D104", "D105", "D106")
 P_DEFAULT = ("P201", "P202", "P203", "P204")
-S_DEFAULT = ("S301", "S302", "S303", "S304")
+S_DEFAULT = ("S301", "S303", "S304")
 H_DEFAULT = ("H401", "H402", "H403")
 ALL_RULE_IDS = D_DEFAULT + P_DEFAULT + S_DEFAULT + H_DEFAULT
 

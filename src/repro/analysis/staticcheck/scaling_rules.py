@@ -1,11 +1,10 @@
-"""S-series rules: hot-path scaling hazards (S301–S304).
+"""S-series rules: hot-path scaling hazards (S301, S303, S304).
 
 These rules combine the module call graph (entry points -> reachability) with
 the membership data-flow pass: an O(n) member-set build is fine at view
 install time and a scaling bug inside a per-message handler.  They encode the
 PR 6 manual audit — commit tallies rebuilding ``set(self.view_members)`` per
-ack, per-destination envelope re-sizing, per-send ``estimate_size`` on tiny
-payloads — as permanent checks.
+ack, collections re-sorted inside loops — as permanent checks.
 
 The O(1) *length-guard* idiom that audit introduced is recognised and
 exempted, in both shapes the tree uses::
@@ -19,9 +18,10 @@ exempted, in both shapes the tree uses::
         return
     members = set(self.view_members)
 
-Dissemination fan-out loops (``for dst in members: router.send(...)``) are
-inherently O(n) — the message must reach every member — and are exempt when
-the loop body contains a send.
+Dissemination fan-outs are inherently O(n) — the message must reach every
+member — and are exempt: a loop whose body contains a send (``for dst in
+members: router.send(...)``), and a comprehension passed straight to one
+(``router.multicast([dst for dst in members if ...], ...)``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _len_of_proportional(expr: ast.AST, flow: FunctionFlow) -> bool:
 
 
 class ScalingChecker:
-    """Emit S301–S304 through the host ModuleChecker's finding machinery."""
+    """Emit the S-series through the host ModuleChecker's finding machinery."""
 
     def __init__(self, checker, graph: CallGraph):
         self.checker = checker  # duck-typed ModuleChecker: _emit/_parents
@@ -87,7 +87,6 @@ class ScalingChecker:
                 self._check_hot_function(funcdef)
             if self.graph.is_hot(funcdef):
                 self._check_loop_invariant_rebuilds(funcdef)
-        self._check_payload_classes()
 
     # -- S301 / S304: membership materialization in message handlers ----------
 
@@ -104,6 +103,8 @@ class ScalingChecker:
                 ):
                     self._flag_materialization(funcdef, flow, node, node.args[0], name)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                if self._is_send_argument(node):
+                    continue  # the destination list of a fan-out: inherently O(n)
                 for generator in node.generators:
                     if flow.is_n_proportional(generator.iter):
                         self._flag_materialization(
@@ -132,6 +133,10 @@ class ScalingChecker:
             f"per-message handler {funcdef.name}() iterates the full member "
             "set per event (the PR 6 commit-tally O(n^2) class)",
         )
+
+    def _is_send_argument(self, node: ast.AST) -> bool:
+        parent = self.checker._parents.get(id(node))
+        return isinstance(parent, ast.Call) and _call_name(parent.func) in _SEND_CALLS
 
     @staticmethod
     def _body_sends(node: ast.For) -> bool:
@@ -201,27 +206,6 @@ class ScalingChecker:
                 return True
         return False
 
-    # -- S302: unmemoized envelope wire sizes ----------------------------------
-
-    def _check_payload_classes(self) -> None:
-        for node in ast.walk(self.graph.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            fields = _class_fields(node)
-            if "payload" not in fields or "kind" not in fields:
-                continue
-            has_wire_size = any(
-                isinstance(item, ast.FunctionDef) and item.name == "__wire_size__"
-                for item in node.body
-            )
-            if not has_wire_size:
-                self.checker._emit(
-                    "S302",
-                    node,
-                    f"envelope {node.name} wraps a payload but has no memoized "
-                    "__wire_size__: estimate_size re-traverses it on every send",
-                )
-
     # -- S303: loop-invariant rebuilds -----------------------------------------
 
     def _check_loop_invariant_rebuilds(self, funcdef: ast.FunctionDef) -> None:
@@ -286,18 +270,6 @@ def _names_assigned_in(loop: ast.AST) -> set[str]:
             ):
                 assigned.add(base.attr)
     return assigned
-
-
-def _class_fields(node: ast.ClassDef) -> set[str]:
-    fields: set[str] = set()
-    for item in node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            fields.add(item.target.id)
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    fields.add(target.id)
-    return fields
 
 
 def run_scaling_rules(checker, graph: CallGraph) -> None:

@@ -16,7 +16,6 @@ views [Bv94, SS94].
 
 from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.broadcast.vector_clock import VectorClock
-from repro.broadcast.batching import BatchEnvelope, BroadcastBatcher
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.broadcast.fifo import FifoBroadcast
 from repro.broadcast.causal import CausalBroadcast, CausalEnvelope, DeltaCausalEnvelope
@@ -26,8 +25,6 @@ from repro.broadcast.membership import MembershipService, View
 from repro.broadcast.stability import StabilityTracker
 
 __all__ = [
-    "BatchEnvelope",
-    "BroadcastBatcher",
     "BroadcastMessage",
     "CausalBroadcast",
     "CausalEnvelope",

@@ -45,18 +45,13 @@ from __future__ import annotations
 
 import heapq
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.broadcast.message import BroadcastMessage
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.broadcast.vector_clock import VectorClock
-from repro.net.sizes import (
-    DELTA_PAIR_BYTES,
-    OBJECT_OVERHEAD,
-    estimate_size,
-    register_payload,
-)
+from repro.net.sizes import estimate_size, kind_of, register_payload
 
 
 @dataclass(slots=True)
@@ -66,30 +61,9 @@ class CausalEnvelope:
     vc: VectorClock
     payload: Any
     kind: str = ""
-    #: Memoized wire size: the envelope carries an O(n) vector clock, and
-    #: the enclosing BroadcastMessage consults this once per broadcast —
-    #: the memo keeps re-deliveries and relays from re-walking the clock.
-    _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            payload_kind = getattr(self.payload, "kind", None)
-            self.kind = (
-                payload_kind if isinstance(payload_kind, str) else type(self.payload).__name__
-            )
-        self.kind = sys.intern(self.kind)
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic traversal over (vc, payload, kind);
-        # _size is sender-side bookkeeping, not wire content.
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + estimate_size(self.vc)
-                + estimate_size(self.payload)
-                + estimate_size(self.kind)
-            )
-        return self._size
+        self.kind = sys.intern(self.kind or kind_of(self.payload))
 
 
 @dataclass(slots=True)
@@ -108,29 +82,9 @@ class DeltaCausalEnvelope:
     delta: tuple[tuple[int, int], ...]
     payload: Any
     kind: str = ""
-    #: Memoized wire size, same contract as :class:`CausalEnvelope`.
-    _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            payload_kind = getattr(self.payload, "kind", None)
-            self.kind = (
-                payload_kind if isinstance(payload_kind, str) else type(self.payload).__name__
-            )
-        self.kind = sys.intern(self.kind)
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic traversal over (delta, payload,
-        # kind): the delta encodes as a tuple of (site, value) int pairs,
-        # DELTA_PAIR_BYTES each (see net/sizes.py).
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + (OBJECT_OVERHEAD + DELTA_PAIR_BYTES * len(self.delta))
-                + estimate_size(self.payload)
-                + estimate_size(self.kind)
-            )
-        return self._size
+        self.kind = sys.intern(self.kind or kind_of(self.payload))
 
 
 class _Held:
@@ -251,10 +205,10 @@ class CausalBroadcast:
             self.fulls_sent += 1
             return envelope
         delta = envelope.vc.delta_since(self._last_stamp)
-        candidate = DeltaCausalEnvelope(delta, envelope.payload, envelope.kind)
-        if candidate.__wire_size__() < envelope.__wire_size__():
+        # Payload and kind are common to both forms: compare the encodings.
+        if estimate_size(delta) < estimate_size(envelope.vc):
             self.deltas_sent += 1
-            return candidate
+            return DeltaCausalEnvelope(delta, envelope.payload, envelope.kind)
         self.fulls_sent += 1
         return envelope
 

@@ -90,9 +90,13 @@ class ReliableBroadcast:
             return
         self._seen.add(message.id)
         if self.relay:
-            for dst in self.group:
-                if dst not in (self.site, src, message.sender):
-                    self.router.send(dst, CHANNEL, message, message.kind)
+            # multicast skips our own site; one envelope for the fan-out.
+            self.router.multicast(
+                [dst for dst in self.group if dst not in (src, message.sender)],
+                CHANNEL,
+                message,
+                message.kind,
+            )
         self._handoff(message)
 
     def _handoff(self, message: BroadcastMessage) -> None:

@@ -31,12 +31,13 @@ crash non-sequencer sites or quiesce first, as documented in DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
 from repro.broadcast.message import BroadcastMessage, MessageId
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
+from repro.net.sizes import kind_of, register_payload
 from repro.sim.engine import SimulationEngine
 from repro.sim.outbox import Outbox
 
@@ -51,29 +52,9 @@ class SequencedEnvelope:
     ordered: bool
     kind: str = ""
     preassigned: Optional[tuple[int, int]] = None  # (epoch, seq) in token mode
-    #: Memoized wire size (see BroadcastMessage): the enclosing causal and
-    #: broadcast envelopes consult this on every size estimate.
-    _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            payload_kind = getattr(self.payload, "kind", None)
-            self.kind = (
-                payload_kind if isinstance(payload_kind, str) else type(self.payload).__name__
-            )
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic __slots__ traversal over (payload,
-        # ordered, kind, preassigned); _size is bookkeeping, not wire content.
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + estimate_size(self.payload)
-                + estimate_size(self.ordered)
-                + estimate_size(self.kind)
-                + estimate_size(self.preassigned)
-            )
-        return self._size
+        self.kind = sys.intern(self.kind or kind_of(self.payload))
 
 
 @dataclass(slots=True)

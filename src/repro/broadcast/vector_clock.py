@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.net.sizes import OBJECT_OVERHEAD
+from repro.net.sizes import OBJECT_OVERHEAD, register_payload
 
 #: Outcomes of :meth:`VectorClock.compare` (a partial order, hence four).
 BEFORE = -1  #: self happened strictly before other
@@ -188,3 +188,7 @@ class VectorClock:
 
     def __repr__(self) -> str:
         return f"VC{self.entries}"
+
+
+# The one wire class that brings its own sizer (see ``register_payload``).
+register_payload(VectorClock)

@@ -24,7 +24,6 @@ from typing import Any, Callable, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.baselines.p2p_2pc import PointToPointReplica
-from repro.broadcast.batching import BroadcastBatcher
 from repro.broadcast.causal import CausalBroadcast
 from repro.broadcast.failure_detector import FailureDetector
 from repro.broadcast.membership import MembershipService, View
@@ -41,6 +40,7 @@ from repro.db.serialization import (
     SerializationResult,
     replicas_converged,
 )
+from repro.net.batching import BroadcastBatcher
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.net.router import ChannelRouter
@@ -96,7 +96,6 @@ class ClusterConfig:
     # RBP knobs.
     rbp_wound_local_readers: bool = False
     rbp_pipeline_writes: bool = False
-    rbp_decision_query_timeout: float = 60.0
     # CBP knobs.
     cbp_heartbeat: Optional[float] = 25.0
     cbp_per_op: bool = False
@@ -296,7 +295,6 @@ class Cluster:
                 router=router,
                 wound_local_readers=config.rbp_wound_local_readers,
                 pipeline_writes=config.rbp_pipeline_writes,
-                decision_query_timeout=config.rbp_decision_query_timeout,
                 group_commit=batched,
             )
         if config.protocol == "p2p":

@@ -117,8 +117,10 @@ class ReliableBroadcastReplica(Replica):
     #: E12 loss sweep asserts exactly that.
     write_grace = 1000.0
 
-    #: In-doubt termination: decision-query rounds before the query parks
+    #: In-doubt termination: the base wait for answers to a decision query
+    #: (ms; grows linearly up to 4x), the rounds before the query parks
     #: until the next view change, and the bound on the decision log.
+    decision_query_timeout = 60.0
     decision_query_attempts = 8
     decision_log_capacity = 1024
 
@@ -134,7 +136,6 @@ class ReliableBroadcastReplica(Replica):
         router: ChannelRouter,
         wound_local_readers: bool = False,
         pipeline_writes: bool = False,
-        decision_query_timeout: float = 60.0,
         group_commit: bool = False,
     ):
         super().__init__(engine, site, num_sites, recorder, metrics, trace)
@@ -167,7 +168,6 @@ class ReliableBroadcastReplica(Replica):
         # In-doubt termination (decision queries, see PROTOCOLS.md):
         # bounded log of authoritative outcomes, open queries at this site,
         # and remote queriers promised a push of a still-pending outcome.
-        self.decision_query_timeout = decision_query_timeout
         self._decisions: dict[str, bool] = {}
         self._queries: dict[str, _QueryState] = {}
         self._query_waiters: dict[str, set[int]] = {}

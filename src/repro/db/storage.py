@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedValue:
     """One committed version of one object."""
 

@@ -12,6 +12,11 @@ Layering (bottom to top):
   reliable FIFO channels between correct, connected sites (what the paper
   assumes of its links).  On a lossless network it is a binding, not a
   layer: the router's dispatch is attached straight to the network.
+- :class:`repro.net.router.ChannelRouter` -- channel tagging and dispatch,
+  with the optional flush-window coalescer of :mod:`repro.net.batching`
+  between it and the transport.
+- :mod:`repro.net.sizes` -- the one size model every envelope layer above
+  is priced by.
 - The broadcast primitives in :mod:`repro.broadcast` build on the transport.
 """
 

@@ -1,4 +1,4 @@
-"""Opt-in broadcast batching: coalesce a flush window's traffic per link.
+"""Opt-in batching: coalesce a flush window's traffic per link.
 
 Every message in this simulator is a point-to-point datagram paying
 ``HEADER_BYTES`` of framing and one full scheduling round trip through the
@@ -37,10 +37,10 @@ latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, register_payload
+from repro.net.sizes import register_payload
 from repro.sim.outbox import Outbox, by_destination
 
 #: Accounting label of the envelope's own framing overhead.  The network
@@ -64,21 +64,6 @@ class BatchEnvelope:
     seq: int
     items: tuple[Any, ...]
     kind: str = BATCH_KIND
-    #: Memoized wire size: the envelope is sized once when sent and again
-    #: by the accounting split; items are immutable once flushed.
-    _size: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic __slots__ traversal over
-        # (seq, items, kind); _size is sender-side bookkeeping.
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + 8  # seq
-                + estimate_size(self.items)
-                + estimate_size(self.kind)
-            )
-        return self._size
 
     def __len__(self) -> int:
         return len(self.items)
@@ -145,5 +130,5 @@ class BroadcastBatcher:
         self._window.clear()
 
 
-# Import-time shape check for the size model (detcheck P201/P202).
+# Import-time shape check and sizer derivation (detcheck P201/P202).
 register_payload(BatchEnvelope)

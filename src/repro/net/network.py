@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from repro.net.batching import BATCH_KIND, BatchEnvelope
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.sizes import estimate_size, kind_of, wire_size
 from repro.net.partition import PartitionManager
@@ -201,7 +202,7 @@ class Network:
         stats = self.stats
         stats.sent += datagrams
         stats.bytes_sent += size * datagrams
-        if label == _BATCH_KIND:
+        if label == BATCH_KIND:
             # A flush-window batch is one physical datagram but many
             # protocol messages: attribute each constituent's count and
             # bytes to its own kind so the E1/E11 per-kind cost tables are
@@ -253,8 +254,8 @@ class Network:
                 by_kind[item_kind] += datagrams
                 bytes_by_kind[item_kind] += item_size * datagrams
                 inner += item_size
-        by_kind[_BATCH_KIND] += datagrams
-        bytes_by_kind[_BATCH_KIND] += (size - inner) * datagrams
+        by_kind[BATCH_KIND] += datagrams
+        bytes_by_kind[BATCH_KIND] += (size - inner) * datagrams
 
     def _check_site(self, site: int) -> None:
         if not 0 <= site < self.num_sites:
@@ -262,10 +263,3 @@ class Network:
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
-
-
-# Imported last: batching lives in repro.broadcast, whose package import
-# reaches this module through the transport — by this point every name the
-# cycle needs is defined.
-from repro.broadcast.batching import BATCH_KIND as _BATCH_KIND  # noqa: E402
-from repro.broadcast.batching import BatchEnvelope  # noqa: E402

@@ -8,10 +8,12 @@ receiver, so the components stay decoupled.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, kind_of, register_payload
+from repro.net.batching import BatchEnvelope
+from repro.net.sizes import kind_of, register_payload
 from repro.net.transport import ReliableTransport
 
 
@@ -22,26 +24,12 @@ class Tagged:
     channel: str
     payload: Any
     kind: str
-    #: Memoized wire size: the network sizes every datagram, and a
-    #: multicast reuses one Tagged across all destinations, so the payload
-    #: traversal runs once per message instead of once per send.
+    #: Size memo (see ``register_payload``): under ARQ one multicast puts
+    #: the same Tagged inside a Frame per link, and each Frame is sized.
     _size: int = field(default=-1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.kind:
-            self.kind = kind_of(self.payload)
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic traversal over (channel, payload,
-        # kind); _size is sender-side bookkeeping, not wire content.
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + estimate_size(self.channel)
-                + estimate_size(self.payload)
-                + estimate_size(self.kind)
-            )
-        return self._size
+        self.kind = sys.intern(self.kind or kind_of(self.payload))
 
 
 class ChannelRouter:
@@ -50,7 +38,7 @@ class ChannelRouter:
     def __init__(self, transport: ReliableTransport, batcher: Optional[Any] = None):
         self.transport = transport
         self.site = transport.site
-        #: Optional flush-window coalescer (repro.broadcast.batching); when
+        #: Optional flush-window coalescer (repro.net.batching); when
         #: absent every send goes straight to the transport, keeping the
         #: historical wire traffic bit-identical.
         self.batcher = batcher
@@ -76,7 +64,7 @@ class ChannelRouter:
         include_self: bool = False,
     ) -> None:
         # One envelope for the whole fan-out: allocation and the memoized
-        # wire size amortize across destinations (detcheck S302 audit).
+        # wire size amortize across destinations.
         self._sender.multicast(dsts, Tagged(channel, payload, kind or ""), kind, include_self)
 
     def _dispatch(self, src: int, payload: Any) -> None:
@@ -98,10 +86,5 @@ class ChannelRouter:
         raise RuntimeError(f"site {self.site}: untagged payload {payload!r} from {src}")
 
 
-# Import-time shape check for the size model (detcheck P201/P202).
+# Import-time shape check and sizer derivation (detcheck P201/P202).
 register_payload(Tagged)
-
-# Imported last: batching lives in repro.broadcast, whose package import
-# pulls in the reliable layer, which imports this module — by this point
-# every name the cycle needs is defined.
-from repro.broadcast.batching import BatchEnvelope  # noqa: E402

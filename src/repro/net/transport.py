@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.net.network import Network
-from repro.net.sizes import OBJECT_OVERHEAD, estimate_size, kind_of, register_payload
+from repro.net.sizes import kind_of, register_payload
 from repro.sim.engine import EventHandle, SimulationEngine
 from repro.sim.trace import TraceLog
 
@@ -78,23 +78,10 @@ class Frame:
     kind: str
     src_epoch: int = 0
     dst_epoch: int = 0
-    #: Memoized wire size: retransmission re-sends the *same* Frame object
-    #: on every backoff interval, so without the memo a lossy link pays the
-    #: full payload traversal once per retransmit, not once per frame.
+    #: Size memo (see ``register_payload``): retransmission re-sends the
+    #: *same* Frame object on every backoff interval, so without it a lossy
+    #: link pays the payload traversal per retransmit, not once per frame.
     _size: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def __wire_size__(self) -> int:
-        # Byte-identical to the generic __slots__ traversal: three fixed
-        # ints (seq + epoch pair) plus payload and kind; _size is sender
-        # bookkeeping, not wire content.
-        if self._size < 0:
-            self._size = (
-                OBJECT_OVERHEAD
-                + 24
-                + estimate_size(self.payload)
-                + estimate_size(self.kind)
-            )
-        return self._size
 
 
 @dataclass(slots=True)
@@ -110,12 +97,6 @@ class AckFrame:
     src_epoch: int = 0
     dst_epoch: int = 0
     kind: str = "transport.ack"
-
-    def __wire_size__(self) -> int:
-        # Fixed shape (three ints + an interned label): shortcut for the
-        # size estimator, byte-identical to its generic traversal.  Acks are
-        # the most numerous frames on a reliable link, one per data frame.
-        return OBJECT_OVERHEAD + 24 + estimate_size(self.kind)
 
 
 @dataclass

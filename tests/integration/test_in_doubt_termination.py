@@ -20,6 +20,7 @@ how the scenarios strand votes on one side of a split.
 
 from repro.analysis.audit import assert_clean
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.core.reliable_protocol import ReliableBroadcastReplica
 from repro.core.transaction import AbortReason, TransactionSpec
 from repro.net.latency import LatencyModel
 from repro.sim.faults import FaultSchedule
@@ -101,7 +102,7 @@ def test_home_crash_after_prepare_resolved_by_query_commit():
     in_doubt = cluster.trace.filter("rbp.in_doubt", tx="T#1")
     adopted = cluster.trace.filter("rbp.decision_adopted", tx="T#1", outcome="commit")
     assert len(in_doubt) == 1 and len(adopted) == 1
-    assert adopted[0].time - in_doubt[0].time <= cluster.config.rbp_decision_query_timeout
+    assert adopted[0].time - in_doubt[0].time <= ReliableBroadcastReplica.decision_query_timeout
     assert_no_locks(cluster)
     assert_clean(cluster)
 
@@ -183,7 +184,7 @@ def test_query_answered_by_lagging_member_after_retries():
         assert adopted, f"{record.source} never adopted the outcome"
         assert (
             adopted[0].time - record.time
-            <= 4 * cluster.config.rbp_decision_query_timeout
+            <= 4 * ReliableBroadcastReplica.decision_query_timeout
         )
     assert_no_locks(cluster)
     assert_clean(cluster)

@@ -2,6 +2,14 @@
 
 from dataclasses import dataclass
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.broadcast.causal import CausalEnvelope, DeltaCausalEnvelope
+from repro.broadcast.vector_clock import VectorClock
+from repro.net.sizes import estimate_size
+from tests.conftest import BroadcastHarness
+
 
 @dataclass
 class Event:
@@ -184,6 +192,30 @@ def test_delta_only_sent_when_smaller(harness_factory):
     assert h.layers[0].deltas_sent == 0
     assert h.layers[0].fulls_sent == 4
     assert [p.label for p in h.payloads(1)] == [f"m{n}" for n in range(4)]
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 50), min_size=n, max_size=n),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        )
+    ),
+    st.one_of(st.none(), st.text(max_size=20), st.tuples(st.integers(), st.text(max_size=5))),
+)
+def test_encoder_picks_the_smaller_whole_envelope(clocks, payload):
+    """``_encode`` compares the two clock encodings only (payload and kind
+    are common to both wire forms); that must choose what sizing the two
+    whole envelopes chooses."""
+    previous, bumps = clocks
+    stamp = VectorClock([a + b for a, b in zip(previous, bumps)])
+    layer = BroadcastHarness(num_sites=len(previous), stack="causal").layers[0]
+    layer._full_due = False
+    layer._last_stamp = VectorClock(previous)
+    full = CausalEnvelope(stamp, payload, "")
+    delta = DeltaCausalEnvelope(stamp.delta_since(layer._last_stamp), payload, "")
+    smaller = delta if estimate_size(delta) < estimate_size(full) else full
+    assert type(layer._encode(full)) is type(smaller)
 
 
 def test_causal_order_over_lossy_network(harness_factory):

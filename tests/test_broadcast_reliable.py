@@ -43,6 +43,44 @@ def test_relay_costs_more_messages(harness_factory):
     assert direct.network.stats.sent == 4  # n-1 unicasts
 
 
+def test_relay_by_multicast_equals_the_per_destination_send_loop(harness_factory, monkeypatch):
+    """Relaying with one ``router.multicast`` must be the run the historical
+    ``router.send`` loop produced: same loss and latency draws in the same
+    order, so the same delivery times and the same network accounting."""
+    import dataclasses
+
+    from repro.broadcast import reliable
+
+    def relay_by_send_loop(self, src, message):
+        if message.id in self._seen:
+            return
+        self._seen.add(message.id)
+        for dst in self.group:
+            if dst not in (self.site, src, message.sender):
+                self.router.send(dst, reliable.CHANNEL, message, message.kind)
+        self._handoff(message)
+
+    def run(arq):
+        h = harness_factory(num_sites=5, stack="reliable", relay=True, seed=9,
+                            loss_rate=0.3 if arq else 0.0)
+        h.network.loss_rate = 0.3  # passthrough: lossy after the transports bound
+        times = []
+        for site, layer in enumerate(h.layers):
+            layer.set_deliver(lambda m, site=site: times.append((h.engine.now, site, m.payload.text)))
+        for n in range(6):
+            h.layers[n % 5].broadcast(Word(f"w{n}"))
+        h.run(until=100000.0)
+        return times, dataclasses.asdict(h.network.stats)
+
+    for arq in (False, True):
+        by_multicast = run(arq)
+        with monkeypatch.context() as patch:
+            patch.setattr(reliable.ReliableBroadcast, "_on_receive", relay_by_send_loop)
+            by_send_loop = run(arq)
+        assert by_multicast == by_send_loop
+        assert by_multicast[1]["dropped_loss"] > 0 and len(by_multicast[0]) > 5
+
+
 def test_agreement_with_relay_despite_sender_crash_midway(harness_factory):
     """Relay mode: if any correct site received m, all correct sites get it
     even though the sender dies immediately after reaching one site."""

@@ -40,9 +40,9 @@ def test_config_surface_is_pinned():
     import repro
     import repro.broadcast
 
-    assert len(dataclasses.fields(ClusterConfig)) <= 30
+    assert len(dataclasses.fields(ClusterConfig)) <= 29
     assert not hasattr(repro.broadcast, "BatchingConfig")
-    assert not hasattr(repro.broadcast.batching, "BatchingConfig")
+    assert not hasattr(repro.net.batching, "BatchingConfig")
     assert "BatchingConfig" not in repro.__all__
 
 

@@ -59,8 +59,9 @@ def test_broadcast_playground():
     assert "all ordering guarantees held" in proc.stdout
 
 
-def test_trace_anatomy_single_protocol():
-    proc = run_example("trace_anatomy.py", "abp")
+def test_trace_anatomy():
+    proc = run_example("trace_anatomy.py")  # no arguments: all four protocols
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "abp.commit_request" in proc.stdout
-    assert "transaction timeline" in proc.stdout
+    for kind in ("p2p.prepare", "rbp.vote", "cbp.commit_request", "abp.commit_request"):
+        assert kind in proc.stdout
+    assert proc.stdout.count("transaction timeline") == 4

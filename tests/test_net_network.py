@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.broadcast.batching import BATCH_KIND, BatchEnvelope
+from repro.net.batching import BATCH_KIND, BatchEnvelope
 from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.network import Network, NetworkStats
 from repro.sim.engine import SimulationEngine

@@ -657,9 +657,16 @@ def test_s301_allows_dissemination_fanout_loop():
             def __init__(self, router):
                 router.register("req", self._on_request)
 
+                router.register("relay", self._on_relay)
+
             def _on_request(self, src, msg):
                 for dst in self.view_members:
                     self.router.send(dst, "c", msg, "k")
+
+            def _on_relay(self, src, msg):
+                self.router.multicast(
+                    [dst for dst in self.view_members if dst != src], "c", msg, "k"
+                )
         """
     )
 
@@ -708,32 +715,6 @@ def test_s304_flags_derived_temporaries():
         """
     )
     assert "S304" in hits and "S301" not in hits
-
-
-# -- S302: unmemoized envelope wire sizes -------------------------------------
-
-
-def test_s302_flags_envelope_without_wire_size():
-    assert "S302" in run_rules(
-        """
-        class Envelope:
-            payload: object
-            kind: str = "x"
-        """
-    )
-
-
-def test_s302_allows_memoized_envelope():
-    assert "S302" not in run_rules(
-        """
-        class Envelope:
-            payload: object
-            kind: str = "x"
-
-            def __wire_size__(self):
-                return 8
-        """
-    )
 
 
 # -- S303: loop-invariant rebuilds --------------------------------------------
