@@ -6,6 +6,7 @@ One line, suitable for CHANGES.md::
     python scripts/scorecard.py        # or: make scorecard
 
 - lines of Python under ``src/`` (and, of those, the static checker);
+- the largest module under ``src/repro`` outside the checker (``path lines``);
 - ``detcheck: ignore`` pragmas outside the checker;
 - ``ClusterConfig`` fields;
 - hand-written ``__wire_size__`` definitions and ``_size`` memo fields
@@ -60,9 +61,13 @@ def main() -> None:
     def matches(pattern: str, texts: list[str]) -> int:
         return sum(len(re.findall(pattern, text, re.MULTILINE)) for text in texts)
 
+    size, largest = max(
+        (lines([path.read_text()]), path) for path in paths if CHECKER not in path.parents
+    )
     print(
         f"src/ lines {lines(everything)} "
         f"(staticcheck {lines(everything) - lines(simulator)}), "
+        f"largest module {largest.relative_to(SRC)} {size}, "
         f"pragmas {matches(PRAGMA, simulator)}, "
         f"ClusterConfig fields {len(dataclasses.fields(ClusterConfig))}, "
         f"__wire_size__ defs {matches(WIRE_SIZE_DEF, everything)}, "

@@ -118,33 +118,15 @@ def _audit_locks(replica) -> list[Finding]:
 def _audit_protocol_state(replica) -> list[Finding]:
     findings = []
     # Protocol-specific in-flight state that must drain by quiescence.
-    leak_attrs = {
-        "_buffered": "buffered writes",
-        "_write_round": "open write rounds",
-        "_write_queue": "unsent writes",
-        "_votes": "open vote tallies",
-        "_write_seen": "live orphan watchdogs",
-        "_queries": "open decision queries",
-        "_query_waiters": "unserved decision-query waiters",
-        "_states": "pending commit states",
-        "_shipped": "undelivered shipped write sets",
-    }
-    # detcheck: ignore[D104] — literal dict above; source order is the spec.
-    for attribute, label in leak_attrs.items():
-        residue = getattr(replica, attribute, None)
+    for label, residue in sorted(replica.in_flight().items()):
         if residue:
-            non_empty = {
-                k: v for k, v in residue.items() if v or v == 0
-            } if isinstance(residue, dict) else residue
-            if non_empty:
-                findings.append(
-                    Finding(
-                        replica.site,
-                        "protocol-leak",
-                        f"{label}: {list(non_empty)[:4]}"
-                        + ("..." if len(non_empty) > 4 else ""),
-                    )
+            findings.append(
+                Finding(
+                    replica.site,
+                    "protocol-leak",
+                    f"{label}: {residue[:4]}" + ("..." if len(residue) > 4 else ""),
                 )
+            )
     if replica.local:
         findings.append(
             Finding(

@@ -272,6 +272,15 @@ class PointToPointReplica(Replica):
             self._write_queue.pop(tx_id, None)
             self.abort_home(tx, local_reason)
 
+    def in_flight(self) -> dict[str, list[str]]:
+        return {
+            "buffered writes": list(self._buffered),
+            "open write rounds": list(self._write_round),
+            # An emptied queue stays until the transaction ends: not residue.
+            "unsent writes": sorted(tx for tx, q in self._write_queue.items() if q),
+            "open vote tallies": list(self._votes),
+        }
+
     # -- view changes ---------------------------------------------------------------------
 
     def on_view_change(self, members: list[int], has_quorum: bool) -> None:

@@ -87,6 +87,9 @@ class AtomicBroadcastReplica(Replica):
         self.certified_commits = 0
         self.certified_aborts = 0
 
+    def in_flight(self) -> dict[str, list[str]]:
+        return {"undelivered shipped write sets": list(self._shipped)}
+
     # -- crash / recovery --------------------------------------------------------------
 
     def on_crash(self) -> None:

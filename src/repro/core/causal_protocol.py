@@ -445,6 +445,9 @@ class CausalBroadcastReplica(Replica):
         # detcheck: ignore[P203] — periodic tick reschedule (see __init__).
         self.schedule(self.heartbeat_interval, self._heartbeat)
 
+    def in_flight(self) -> dict[str, list[str]]:
+        return {"pending commit states": list(self._states)}
+
     # -- crash / recovery ------------------------------------------------------------------
 
     def on_crash(self) -> None:

@@ -348,8 +348,6 @@ class Cluster:
                 state["causal_recon"] = self.causals[site].export_recon()
             if self.totals:
                 state["total_order_state"] = self.totals[site].export_order_state()
-            if isinstance(replica, ReliableBroadcastReplica):
-                state["decision_log"] = replica.export_decision_log()
             return state
 
         def apply(state: dict) -> None:
@@ -364,9 +362,6 @@ class Cluster:
                 self.totals[site].fast_forward(order_state)
                 if isinstance(replica, AtomicBroadcastReplica):
                     replica.fast_forward_order(order_state["next_delivery_index"])
-            decision_log = state.get("decision_log")
-            if decision_log is not None and isinstance(replica, ReliableBroadcastReplica):
-                replica.adopt_decision_log(decision_log)
 
         agent.fast_forward.export = export
         agent.fast_forward.apply = apply
@@ -424,9 +419,7 @@ class Cluster:
             self.trace.emit(
                 self.engine.now, f"site{site}", "recovery.state_transfer", donor=donor.site
             )
-        if isinstance(replica, ReliableBroadcastReplica) and isinstance(
-            donor, ReliableBroadcastReplica
-        ):
+        if isinstance(replica, ReliableBroadcastReplica):
             # The snapshot (when one was needed) already reflects the
             # donor's decided transactions; the log lets this site discharge
             # residual in-doubt state — including a parked transaction of
@@ -434,7 +427,7 @@ class Cluster:
             # queries for them.  Worth adopting even when the stores already
             # agree: an all-aborted epoch leaves digests equal but in-doubt
             # state standing.
-            replica.adopt_decision_log(donor.export_decision_log())
+            replica.adopt_protocol_state(donor.export_protocol_state())
 
     # -- client API ------------------------------------------------------------------
 

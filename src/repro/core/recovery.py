@@ -54,12 +54,11 @@ class StateTransferReply:
     objects: tuple[tuple[str, int, Any], ...]
     causal_clock: Optional[list[int]] = None
     total_order_state: Optional[dict] = None
-    #: RBP decision log (tx -> committed?) so a rejoiner can answer (and
+    #: Protocol-private state (``Replica.export_protocol_state``): CBP's
+    #: in-flight transaction books, ABP's pre-shipped write sets — the
+    #: committed snapshot alone misses transactions in flight at export
+    #: time — and RBP's decision log, so a rejoiner can answer (and
     #: terminate) decision queries for outcomes reached while it was down.
-    decision_log: Optional[tuple] = None
-    #: Protocol-private in-flight state (``Replica.export_protocol_state``):
-    #: CBP's transaction books, ABP's pre-shipped write sets.  The committed
-    #: snapshot alone misses transactions in flight at export time.
     protocol_state: Optional[dict] = None
     kind: str = "recovery.reply"
 
@@ -138,7 +137,6 @@ class RecoveryAgent:
             objects=replica.store.export_snapshot(),
             causal_clock=state.get("causal_clock"),
             total_order_state=state.get("total_order_state"),
-            decision_log=state.get("decision_log"),
             protocol_state=replica.export_protocol_state(),
         )
         self.transfers_served += 1
@@ -157,16 +155,12 @@ class RecoveryAgent:
             return  # duplicate reply
         replica.install_snapshot(reply.objects)
         self.fast_forward.apply(
-            {
-                "causal_clock": reply.causal_clock,
-                "total_order_state": reply.total_order_state,
-                "decision_log": reply.decision_log,
-            }
+            {"causal_clock": reply.causal_clock, "total_order_state": reply.total_order_state}
         )
         if reply.protocol_state is not None:
             replica.adopt_protocol_state(reply.protocol_state)
         replica.recovering = False
-        # The snapshot (plus fast-forwarded decision log) is now the store
+        # The snapshot (plus adopted protocol state) is now the store
         # base: let the protocol replay whatever it deferred while the
         # transfer was in flight, so live traffic delivered between the
         # donor's export and this install is not clobbered by it.

@@ -283,6 +283,22 @@ class Replica(Process):
         """Install a donor's :meth:`export_protocol_state` payload (rejoiner
         side, between the snapshot install and :meth:`on_recovery_complete`)."""
 
+    # -- introspection --------------------------------------------------------------
+
+    def in_flight(self) -> dict[str, list[str]]:
+        """Per-transaction protocol state that must drain by quiescence, as
+        residue label -> transaction ids (the post-run auditor reports any
+        non-empty entry as a leak).  The base replica keeps none."""
+        return {}
+
+    def in_doubt_transactions(self) -> tuple[str, ...]:
+        """Transactions blocked on an outcome this site cannot compute
+        (RBP's in-doubt query protocol), sorted.  The churn oracles sample
+        this to bound in-doubt residency: a transaction stuck here longer
+        than the configured limit means the query/park/restart machinery is
+        wedged, not merely waiting."""
+        return ()
+
     # -- view plumbing -------------------------------------------------------------
 
     def on_view_change(self, members: list[int], has_quorum: bool) -> None:

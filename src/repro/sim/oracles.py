@@ -160,10 +160,9 @@ class SoakOracles:
         assert limit is not None
         current: set[tuple[int, str]] = set()
         for replica in self.cluster.replicas:
-            sample = getattr(replica, "in_doubt_transactions", None)
-            if sample is None or not replica.alive:
+            if not replica.alive:
                 continue
-            for tx_id in sample():
+            for tx_id in replica.in_doubt_transactions():
                 current.add((replica.site, tx_id))
         for pair in sorted(self._in_doubt_since):
             if pair not in current:

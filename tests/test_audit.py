@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.audit import assert_clean, audit_cluster
+from repro.baselines.p2p_2pc import _WriteRound
+from repro.core.causal_protocol import _TxState
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.core.events import RbpDecisionQuery
+from repro.core.reliable_protocol import _TxRecord
+from repro.core.tally import Tally
 from repro.core.transaction import TransactionSpec
 from repro.db.locks import LockMode
 from repro.workload import WorkloadConfig
@@ -47,11 +52,54 @@ def test_audit_detects_lock_leak():
         assert_clean(cluster)
 
 
+GHOST = "ghost#1"
+
+
+def _rbp_ghost(replica):
+    replica._live[GHOST] = _TxRecord(
+        home=1,
+        writes={"x0": 1},
+        votes=Tally(),
+        request_seen=True,
+        voted_yes=True,
+        heard=0.0,
+        rounds={"x0": Tally()},
+        unsent=[("x1", 2)],
+    )
+    replica.termination.hand_over(GHOST)
+    replica.termination.on_query(RbpDecisionQuery(GHOST, 1, 1))
+
+
+def _cbp_ghost(replica):
+    replica._states[GHOST] = _TxState(GHOST, 1, (0.0, 1, "ghost"))
+
+
+def _abp_ghost(replica):
+    replica._shipped[GHOST] = {"x0": 1}
+
+
+def _p2p_ghost(replica):
+    replica._buffered[GHOST] = {"x0": 1}
+    replica._write_round[GHOST] = _WriteRound("x0")
+    replica._write_queue[GHOST] = [("x1", 2)]
+    replica._votes[GHOST] = Tally({0: True})
+
+
+#: protocol -> plant one ghost transaction under every ``in_flight()`` label.
+GHOSTS = {"rbp": _rbp_ghost, "cbp": _cbp_ghost, "abp": _abp_ghost, "p2p": _p2p_ghost}
+
+
 def test_audit_detects_protocol_leak():
-    cluster = run_clean_cluster("rbp")
-    cluster.replicas[0]._buffered["ghost#1"] = {"x0": 1}
-    findings = audit_cluster(cluster)
-    assert any(f.category == "protocol-leak" for f in findings)
+    for protocol, plant in GHOSTS.items():
+        cluster = run_clean_cluster(protocol)
+        replica = cluster.replicas[0]
+        assert not any(replica.in_flight().values())
+        plant(replica)
+        labels = sorted(replica.in_flight())
+        assert labels and all(replica.in_flight()[label] == [GHOST] for label in labels)
+        leaks = [f for f in audit_cluster(cluster) if f.category == "protocol-leak"]
+        assert [f.detail for f in leaks] == [f"{label}: ['{GHOST}']" for label in labels]
+        assert all(f.site == 0 for f in leaks)
 
 
 def test_audit_detects_wal_mismatch():
