@@ -45,10 +45,13 @@ bench-check:
 	$(PYTHON) bench/run.py --check
 
 # Judge a performance claim (scripts/bench_pairs.py): alternating pairs of
-# the parent revision and this tree on one workload, e.g.
+# the parent revision and this tree, workload by workload, e.g.
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=rbp_wide
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=p2p_steady
+# (the claimed workload must read GAIN, the others only not SLOWER).
 bench-pairs:
-	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) \
+		$(foreach w,$(WORKLOAD),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM))
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

@@ -23,9 +23,11 @@ Entry points carry a *kind*:
 Edges are intra-module and deliberately over-approximate: any reference to
 ``self._method`` inside a function body (call *or* callback-passing — lock
 grant continuations, scheduled thunks) adds an edge, as does any call of a
-module-level function by name.  Over-approximation errs toward treating code
-as hot, which is the safe direction for scaling rules; cross-module calls
-are out of scope (each module is checked against its own entry points).
+module-level function by name, and a reference to an attribute bound to a
+dispatch table (``self._handlers = {Type: self._on_x, ...}``) adds an edge to
+every method in the table.  Over-approximation errs toward treating code as
+hot, which is the safe direction for scaling rules; cross-module calls are
+out of scope (each module is checked against its own entry points).
 """
 
 from __future__ import annotations
@@ -202,6 +204,15 @@ class CallGraph:
         return False
 
     def _collect_edges(self) -> None:
+        tables: dict[tuple[int, str], set[int]] = {}  # (class, attribute) -> handlers
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                resolved = (self._resolve_callback(node, v) for v in node.value.values)
+                held = {id(funcdef) for funcdef in resolved if funcdef is not None}
+                classdef = self._enclosing(node, ast.ClassDef)
+                for target in node.targets:
+                    if _is_self_attr(target):
+                        tables.setdefault((id(classdef), target.attr), set()).update(held)
         for func_id, funcdef in self.functions.items():
             callees = self.edges.setdefault(func_id, set())
             classdef = self._enclosing(funcdef, ast.ClassDef)
@@ -211,6 +222,7 @@ class CallGraph:
                     target = methods.get(sub.attr)  # type: ignore[union-attr]
                     if target is not None and target is not funcdef:
                         callees.add(id(target))
+                    callees.update(tables.get((id(classdef), sub.attr), ()))
                 elif (
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Name)

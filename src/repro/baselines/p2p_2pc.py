@@ -68,6 +68,13 @@ class PointToPointReplica(Replica):
         self.write_timeout = write_timeout
         self.deadlock_check_interval = deadlock_check_interval
         router.register(CHANNEL, self._on_message)
+        self._handlers = {
+            P2pWrite: self._on_write,
+            P2pWriteAck: self._on_ack,
+            P2pPrepare: self._on_prepare,
+            P2pVote: self._on_vote,
+            P2pDecision: self._on_decision,
+        }
         self._buffered: dict[str, dict[str, Any]] = {}
         self._priority: dict[str, tuple] = {}
         self._finished: set[str] = set()
@@ -132,11 +139,14 @@ class PointToPointReplica(Replica):
         )
         self._write_round[tx.tx_id] = round_
         write = P2pWrite(tx.tx_id, key, value, tx.priority)
-        for dst in self.view_members:
-            if dst == self.site:
-                self._on_write(self.site, write)
-            else:
-                self.router.send(dst, CHANNEL, write, write.kind)
+        self._to_others(write)
+        # Our own copy takes the local path: it draws nothing from the
+        # network and, while the transaction is live, sends nothing.
+        self._on_write(self.site, write)
+
+    def _to_others(self, payload: Any) -> None:
+        """One payload, sent once, to every other member of the view."""
+        self.router.multicast(self.view_members, CHANNEL, payload, payload.kind)
 
     def _on_write(self, src: int, write: P2pWrite) -> None:
         if write.tx in self._finished:
@@ -156,11 +166,11 @@ class PointToPointReplica(Replica):
     def _send_ack(self, home: int, write: P2pWrite, ok: bool) -> None:
         ack = P2pWriteAck(write.tx, write.key, self.site, ok)
         if home == self.site:
-            self._on_ack(ack)
+            self._on_ack(home, ack)
         else:
             self.router.send(home, CHANNEL, ack, ack.kind)
 
-    def _on_ack(self, ack: P2pWriteAck) -> None:
+    def _on_ack(self, src: int, ack: P2pWriteAck) -> None:
         tx = self.local.get(ack.tx)
         round_ = self._write_round.get(ack.tx)
         if tx is None or round_ is None or round_.key != ack.key or tx.terminal:
@@ -192,15 +202,14 @@ class PointToPointReplica(Replica):
     def _start_2pc(self, tx: Transaction) -> None:
         tx.phase = TxPhase.COMMITTING
         self._votes[tx.tx_id] = Tally({self.site: True})
-        for dst in self.other_members():
-            self.router.send(dst, CHANNEL, P2pPrepare(tx.tx_id), "p2p.prepare")
+        self._to_others(P2pPrepare(tx.tx_id))
         self._check_votes(tx)
 
     def _on_prepare(self, src: int, prepare: P2pPrepare) -> None:
         yes = prepare.tx in self._buffered and prepare.tx not in self._finished
         self.router.send(src, CHANNEL, P2pVote(prepare.tx, self.site, yes), "p2p.vote")
 
-    def _on_vote(self, vote: P2pVote) -> None:
+    def _on_vote(self, src: int, vote: P2pVote) -> None:
         tx = self.local.get(vote.tx)
         tally = self._votes.get(vote.tx)
         if tx is None or tally is None or tx.terminal:
@@ -214,17 +223,13 @@ class PointToPointReplica(Replica):
             return
         commit = tally.unanimous(self.view_member_set)
         del self._votes[tx.tx_id]
-        for dst in self.other_members():
-            self.router.send(
-                dst, CHANNEL, P2pDecision(tx.tx_id, commit), "p2p.decision"
-            )
+        self._to_others(P2pDecision(tx.tx_id, commit))
         if commit:
             self._apply_commit(tx.tx_id)
         else:
             self._purge(tx.tx_id)
-        # _apply_commit/_purge finished the home transaction bookkeeping.
 
-    def _on_decision(self, decision: P2pDecision) -> None:
+    def _on_decision(self, src: int, decision: P2pDecision) -> None:
         if decision.commit:
             self._apply_commit(decision.tx)
         else:
@@ -254,10 +259,7 @@ class PointToPointReplica(Replica):
             round_.timeout.cancel()
         self._write_queue.pop(tx.tx_id, None)
         self._votes.pop(tx.tx_id, None)
-        for dst in self.other_members():
-            self.router.send(
-                dst, CHANNEL, P2pDecision(tx.tx_id, False), "p2p.decision"
-            )
+        self._to_others(P2pDecision(tx.tx_id, False))
         self._purge(tx.tx_id, local_reason=reason)
 
     def _purge(self, tx_id: str, local_reason: AbortReason = AbortReason.DEADLOCK) -> None:
@@ -306,9 +308,8 @@ class PointToPointReplica(Replica):
             tx = self.local.get(tx_id)
             if tx is None or tx.terminal:
                 continue
-            for dst in self._votes[tx_id].missing(self.view_member_set):
-                if dst != self.site:
-                    self.router.send(dst, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
+            missing = self._votes[tx_id].missing(self.view_member_set)
+            self.router.multicast(missing, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
             self._check_votes(tx)
 
     # -- deadlock detection ---------------------------------------------------------------
@@ -346,17 +347,12 @@ class PointToPointReplica(Replica):
             # Local transaction: we are its home; abort it globally.
             self._abort_everywhere(tx, AbortReason.DEADLOCK)
             return
-        # Remote transaction: withdraw its lock state here and send a
-        # negative acknowledgment so its home aborts it everywhere.  The
-        # home site is not encoded in the tx id, so the NACK rides on the
-        # buffered write's origin: every site that buffered the write knows
-        # it came from the initiator; we broadcast-decline instead.
-        writes = self._buffered.get(victim, {})
+        # Remote transaction: the home site is not encoded in the tx id,
+        # so broadcast-decline -- withdraw its lock state here and send the
+        # abort decision to every other member, its home among them.
         self.locks.release_all(victim)
-        for dst in self.other_members():
-            self.router.send(dst, CHANNEL, P2pDecision(victim, False), "p2p.decision")
+        self._to_others(P2pDecision(victim, False))
         self._purge(victim)
-        del writes
 
     # -- message dispatch ---------------------------------------------------------------------
 
@@ -366,15 +362,7 @@ class PointToPointReplica(Replica):
     # churn-soak oracles (1SR + convergence) cover this baseline too.
     # detcheck: ignore[H403]
     def _on_message(self, src: int, payload: Any) -> None:
-        if isinstance(payload, P2pWrite):
-            self._on_write(src, payload)
-        elif isinstance(payload, P2pWriteAck):
-            self._on_ack(payload)
-        elif isinstance(payload, P2pPrepare):
-            self._on_prepare(src, payload)
-        elif isinstance(payload, P2pVote):
-            self._on_vote(payload)
-        elif isinstance(payload, P2pDecision):
-            self._on_decision(payload)
-        else:
+        handler = self._handlers.get(type(payload))
+        if handler is None:
             raise RuntimeError(f"site {self.site}: unexpected p2p payload {payload!r}")
+        handler(src, payload)

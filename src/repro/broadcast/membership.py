@@ -151,9 +151,7 @@ class MembershipService(Process):
         new_view = View(max(self.view.view_id, min_id) + 1, members)
         self._install(new_view)
         announcement = ViewMessage(new_view)
-        for member in range(self.num_sites):
-            if member != self.site:
-                self.router.send(member, CHANNEL, announcement, announcement.kind)
+        self.router.multicast(self._peers, CHANNEL, announcement, announcement.kind)
 
     def _on_message(self, src: int, payload: object) -> None:
         if isinstance(payload, ViewMessage):

@@ -118,9 +118,10 @@ class Network:
     def send(self, src: int, dst: int, payload: Any, kind: Optional[str] = None) -> None:
         """Send one datagram; it may be lost, partitioned away, or delivered.
 
-        Loopback (``src == dst``) is delivered with zero loss after a tiny
-        scheduling delay so local delivery still goes through the event loop
-        (keeping callback ordering uniform).
+        Loopback (``src == dst``) is delivered with zero loss and zero
+        latency, but scheduled at ``now`` rather than called, so local
+        delivery still goes through the event loop (keeping callback
+        ordering uniform).
         """
         self._fan_out(src, (dst,), payload, kind, True)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.net.batching import BatchEnvelope
 from repro.net.sizes import kind_of, register_payload
@@ -57,7 +57,7 @@ class ChannelRouter:
 
     def multicast(
         self,
-        dsts: list[int],
+        dsts: Iterable[int],
         channel: str,
         payload: Any,
         kind: Optional[str] = None,

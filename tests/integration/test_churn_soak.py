@@ -22,10 +22,18 @@ pinned so the bug cannot quietly return:
   ROWA write rounds waited on *every* view member with no re-evaluation
   on view change, so a voter crashing post-prepare wedged the home
   forever.  Fixed by ``PointToPointReplica.on_view_change``.
+
+One cell is pinned *open*: **rbp / 12 sites / seed 564**, the property
+test's own configuration, ends with live replicas disagreeing on committed
+state (the RBP join-view defect, ROADMAP item 1a).  It is a strict
+``xfail``, so the fix for 1a flips it loudly.
 """
 
+import pytest
+
 from repro.analysis.experiment import run_sweep
-from repro.workload.soak import e13_smoke_cell, e13_tiny_cell
+from repro.sim.oracles import OracleViolation
+from repro.workload.soak import SoakConfig, e13_smoke_cell, e13_tiny_cell, run_churn_soak
 
 
 def test_cbp_join_eviction_race_cell():
@@ -48,6 +56,13 @@ def test_p2p_vote_wedge_cell():
     assert metrics["serializable"] == 1.0
     assert metrics["converged"] == 1.0
     assert metrics["unanswered"] == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=OracleViolation, reason="ROADMAP item 1a")
+def test_rbp_join_view_divergence_cell():
+    run_churn_soak(
+        "rbp", SoakConfig(sites=12, duration=8_000.0, trace=True, trace_capacity=2_000), 564
+    )
 
 
 def test_e13_sharded_sweep_digest_matches_serial():

@@ -18,8 +18,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.workload.soak import SoakConfig, run_churn_soak
 
+# derandomize: tier-1 replays the same six examples every run; fresh seeds
+# belong to a soak, and a failure one finds is pinned in
+# ``tests/integration/test_churn_soak.py`` (ROADMAP item 3, "Standing").
 CHURN_SETTINGS = settings(
     max_examples=6,
+    derandomize=True,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

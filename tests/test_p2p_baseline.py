@@ -1,5 +1,6 @@
 """Protocol tests for the point-to-point ROWA + centralized 2PC baseline."""
 
+from repro.core.events import P2pPrepare, P2pWrite
 from repro.core.transaction import AbortReason
 
 
@@ -126,7 +127,7 @@ def test_view_change_completes_a_tally_missing_a_crashed_voter(
         fd_timeout=80.0,
     )
     silent = cluster.replicas[3]
-    silent._on_prepare = lambda src, prepare: None  # dies holding its vote
+    silent._handlers[P2pPrepare] = lambda src, prepare: None  # dies holding its vote
     cluster.submit(make_spec("T1", 0, writes={"x0": 1}))
     cluster.crash_site(3, at=30.0)  # write round done, vote outstanding
     result = cluster.run(max_time=20_000.0)
@@ -151,9 +152,101 @@ def test_view_change_completes_a_write_round_missing_a_crashed_acker(
         p2p_write_timeout=60_000.0,
     )
     deaf = cluster.replicas[3]
-    deaf._on_write = lambda src, write: None  # never acks
+    deaf._handlers[P2pWrite] = lambda src, write: None  # never acks
     cluster.submit(make_spec("T1", 0, writes={"x0": 1}))
     cluster.crash_site(3, at=30.0)
     result = cluster.run(max_time=20_000.0)
     assert cluster.spec_status("T1").committed
     assert result.serialization.ok
+
+
+def test_fanout_by_multicast_equals_the_per_destination_send_loop(monkeypatch):
+    """Sending a write, prepare or decision with one ``router.multicast``
+    must be the run the historical ``router.send`` loop produced: the same
+    loss and latency draws in the same order, so the same trace, delivery
+    times, network accounting and stores -- on passthrough, ARQ and batched
+    links, through a commit, a deadlock victim, a write timeout and the
+    re-prepare of a view change."""
+    import dataclasses
+    import random
+
+    from repro.core.cluster import Cluster, ClusterConfig
+    from repro.core.transaction import TransactionSpec
+    from repro.net.router import ChannelRouter
+
+    reprepared = []
+
+    def multicast_by_send_loop(self, dsts, channel, payload, kind=None, include_self=False):
+        if kind == "p2p.prepare" and dsts and self.site not in dsts:
+            reprepared.append((self.site, payload.tx))  # only the missing voters
+        for dst in dsts:
+            if dst != self.site or include_self:
+                self.send(dst, channel, payload, kind)
+
+    def run(**links):
+        cluster = Cluster(ClusterConfig(
+            protocol="p2p", num_sites=5, num_objects=10, seed=6, trace=True,
+            enable_failure_detector=True, fd_interval=20.0, fd_timeout=80.0,
+            p2p_write_timeout=40.0, p2p_deadlock_interval=5.0, **links,
+        ))
+        if not links:
+            cluster.network.loss_rate = 0.3  # passthrough: lossy after the transports bound
+        deliveries = []
+        cluster.network.on_deliver = lambda *delivery: deliveries.append(delivery)
+        rng = random.Random(6)
+        for n in range(40):  # ten keys, read one and write two: upgrades collide
+            first, second = rng.sample(range(10), 2)
+            cluster.submit(
+                TransactionSpec.make(
+                    f"t{n}", rng.randrange(4), read_keys=[f"x{first}"],
+                    writes={f"x{first}": n, f"x{second}": n},
+                ),
+                at=8.0 * n,
+            )
+        cluster.crash_site(4, at=50.0)
+        cluster.recover_site(4, at=120.0)
+        cluster.run(max_time=1500.0)
+        return (
+            cluster.trace.records,
+            deliveries,
+            dataclasses.asdict(cluster.network.stats),
+            [replica.store.digest() for replica in cluster.replicas],
+        )
+
+    for links in ({}, {"loss_rate": 0.3}, {"batching": 1.0}):
+        by_multicast = run(**links)
+        with monkeypatch.context() as patch:
+            patch.setattr(ChannelRouter, "multicast", multicast_by_send_loop)
+            by_send_loop = run(**links)
+        assert by_multicast == by_send_loop, links
+        trace, _, stats, _ = by_multicast
+        kinds = {record.kind for record in trace}
+        if links:  # reliable links: every n-way send of the protocol ran
+            assert {"tx.commit", "p2p.deadlock", "p2p.timeout"} <= kinds and reprepared, links
+        else:  # 30 % loss and nothing repairs it: no round completes
+            assert "p2p.timeout" in kinds and stats["dropped_loss"] > 0
+        reprepared.clear()
+
+
+def test_one_sizing_per_fanout_not_per_datagram(cluster_factory, make_spec, monkeypatch):
+    """Two writes at eight sites put 49 datagrams on the wire per commit;
+    the four fan-outs (write, write, prepare, decision) are sized once
+    each, so only the 14 write acks and 7 votes add a sizing of their own."""
+    import repro.net.network as network_module
+
+    sized = []
+    wire_size = network_module.wire_size
+
+    def counting_wire_size(payload):
+        sized.append(payload)
+        return wire_size(payload)
+
+    monkeypatch.setattr(network_module, "wire_size", counting_wire_size)
+    cluster = cluster_factory("p2p", num_sites=8)
+    for n in range(3):
+        writes = {f"x{2 * n}": n, f"x{2 * n + 1}": n}
+        cluster.submit(make_spec(f"t{n}", n, writes=writes), at=50.0 * n)
+    result = cluster.run()
+    assert result.ok and result.committed_specs == 3
+    assert cluster.network.stats.sent == 3 * 49
+    assert len(sized) == 3 * 25

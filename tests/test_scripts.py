@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -58,3 +60,31 @@ def test_bench_pairs_verdict_rule():
     assert bench_pairs.verdict(parent, parent[:2] + faster[2:])[0] == 2
     status, lines = bench_pairs.verdict(parent, [6.0] + faster[1:])
     assert status == 0 and "won 9, lost 1, of 10 (need 9)" in lines[2]
+
+    # Several workloads: the claimed one must read GAIN, the rest only not
+    # SLOWER; INVALID or SLOWER anywhere outranks the claim's own verdict.
+    gain = bench_pairs.verdict(parent, faster)[0]
+    flat = bench_pairs.verdict(parent, parent)[0]
+    slower = bench_pairs.verdict(faster, parent)[0]
+
+    def overall(p2p, rbp, claim="p2p_steady"):
+        return bench_pairs.overall({"p2p_steady": p2p, "rbp_wide": rbp}, claim)
+
+    assert overall(gain, flat) == 0
+    assert overall(flat, gain) == 2
+    assert overall(gain, slower) == 3
+    assert overall(gain, bench_pairs.INVALID) == 1
+    assert overall(flat, flat, claim=None) == 0
+    assert overall(flat, slower, claim=None) == 3
+
+    args = bench_pairs.parse_args(["--parent", "HEAD", "--workload", "rbp_wide"])
+    assert (args.workloads, args.claim) == (["rbp_wide"], "rbp_wide")  # its own claim
+    args = bench_pairs.parse_args(
+        "--parent HEAD --workload p2p_steady --workload all --claim p2p_steady".split()
+    )
+    assert args.workloads[0] == "p2p_steady" and len(args.workloads) == 6
+    assert args.claim == "p2p_steady"
+    assert bench_pairs.parse_args(["--parent", "HEAD", "--workload", "all"]).claim is None
+    for bad in (["--workload", "nope"], ["--workload", "rbp_wide", "--claim", "p2p_steady"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(["--parent", "HEAD", *bad])

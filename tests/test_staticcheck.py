@@ -868,6 +868,22 @@ def test_h403_flags_install_without_deferral():
                 self.store.install(msg.key, msg.value, msg.tx)
         """
     )
+    # A dispatch table bound at construction hides no handler from the
+    # call graph: reading the table reaches every method it holds.
+    assert "H403" in run_rules(
+        """
+        class Proto:
+            def __init__(self, router):
+                router.register("c", self._on_msg)
+                self._handlers = {Decision: self._apply}
+
+            def _on_msg(self, src, msg):
+                self._handlers[type(msg)](msg)
+
+            def _apply(self, msg):
+                self.store.install(msg.key, msg.value, msg.tx)
+        """
+    )
 
 
 def test_h403_allows_recovering_deferral():
