@@ -9,8 +9,9 @@ One line, suitable for CHANGES.md::
 - the largest module under ``src/repro`` outside the checker (``path lines``);
 - ``detcheck: ignore`` pragmas outside the checker;
 - ``ClusterConfig`` fields;
-- hand-written ``__wire_size__`` definitions and ``_size`` memo fields
-  under ``src/``;
+- commit tails (``record_commit_provisional(`` call sites under
+  ``src/repro`` outside ``db/``) and ``in_flight`` definitions: how many
+  copies of the per-transaction lifecycle the protocols keep;
 - detcheck rules;
 - collected tier-1 tests.
 """
@@ -33,8 +34,8 @@ from repro.analysis.staticcheck.rules import ALL_RULE_IDS  # noqa: E402  (path b
 from repro.core.cluster import ClusterConfig  # noqa: E402
 
 PRAGMA = r"detcheck: ignore"
-WIRE_SIZE_DEF = r"^\s*def __wire_size__"
-SIZE_FIELD = r"^\s+_size\s*:"
+COMMIT_TAIL = r"\.record_commit_provisional\("
+IN_FLIGHT_DEF = r"^\s*def in_flight\("
 
 
 def collected_tests() -> int:
@@ -54,6 +55,7 @@ def main() -> None:
     paths = sorted(SRC.rglob("*.py"))
     everything = [path.read_text() for path in paths]
     simulator = [path.read_text() for path in paths if CHECKER not in path.parents]
+    outside_db = [path.read_text() for path in paths if SRC / "repro" / "db" not in path.parents]
 
     def lines(texts: list[str]) -> int:
         return sum(text.count("\n") for text in texts)
@@ -70,8 +72,8 @@ def main() -> None:
         f"largest module {largest.relative_to(SRC)} {size}, "
         f"pragmas {matches(PRAGMA, simulator)}, "
         f"ClusterConfig fields {len(dataclasses.fields(ClusterConfig))}, "
-        f"__wire_size__ defs {matches(WIRE_SIZE_DEF, everything)}, "
-        f"_size fields {matches(SIZE_FIELD, everything)}, "
+        f"commit tails {matches(COMMIT_TAIL, outside_db)}, "
+        f"in_flight defs {matches(IN_FLIGHT_DEF, everything)}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
         f"tests {collected_tests()}"
     )

@@ -6,7 +6,6 @@ taint from the membership sources the tree actually uses:
 
 - ``self.view_members`` / ``view.members`` / ``self.group`` /
   ``self.active_sites`` — the view-derived collections,
-- ``self.other_members()`` — the fan-out helper,
 - ``range(... num_sites ...)`` — index-space iteration over all sites,
 - plus anything flowing out of those through materializers
   (``set``/``sorted``/``list``/``tuple``/``frozenset``), comprehensions,
@@ -35,8 +34,6 @@ MEMBERSHIP_ATTRS = {
     "group",
     "active_sites",
 }
-#: Method calls returning membership-derived collections.
-MEMBERSHIP_CALLS = {"other_members"}
 #: Names whose presence inside a ``range(...)`` call makes the range
 #: n-proportional (``range(self.num_sites)``).
 SIZE_NAMES = {"num_sites", "n_sites", "cluster_size"}
@@ -48,16 +45,12 @@ def is_membership_source(node: ast.AST) -> bool:
     """True for an expression that *directly* denotes a membership collection."""
     if isinstance(node, ast.Attribute) and node.attr in MEMBERSHIP_ATTRS:
         return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in MEMBERSHIP_CALLS:
-            return True
-        if isinstance(func, ast.Name) and func.id == "range":
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Attribute) and sub.attr in SIZE_NAMES:
-                    return True
-                if isinstance(sub, ast.Name) and sub.id in SIZE_NAMES:
-                    return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range":
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr in SIZE_NAMES:
+                return True
+            if isinstance(sub, ast.Name) and sub.id in SIZE_NAMES:
+                return True
     return False
 
 

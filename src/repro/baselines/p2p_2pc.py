@@ -41,15 +41,34 @@ from repro.sim.trace import TraceLog
 CHANNEL = "p2p"
 
 
-@dataclass
-class _WriteRound:
-    key: str
-    acks: Tally = field(default_factory=Tally)
+@dataclass(slots=True)
+class _TxRecord:
+    """Everything one site holds for one live transaction."""
+
+    #: Deadlock-victim rank: the home's at submit, a cohort's from the write.
+    priority: tuple
+    #: Cohort side (every site, the home included): the buffered writes,
+    #: each holding or queued for its exclusive lock.
+    writes: dict[str, Any] = field(default_factory=dict)
+    #: Home side: the writes not yet sent, the one open acknowledgment round
+    #: (its key, acks and timeout, all ``None`` between rounds) and, once
+    #: 2PC starts, the vote tally.
+    unsent: list[tuple[str, Any]] = field(default_factory=list)
+    round_key: Optional[str] = None
+    acks: Optional[Tally] = None
     timeout: Optional[EventHandle] = None
+    votes: Optional[Tally] = None
 
 
 class PointToPointReplica(Replica):
     """One site running the point-to-point ROWA + centralized 2PC baseline."""
+
+    residue = {
+        "buffered writes": lambda rec: rec.writes,
+        "open write rounds": lambda rec: rec.round_key is not None,
+        "unsent writes": lambda rec: rec.unsent,
+        "open vote tallies": lambda rec: rec.votes is not None,
+    }
 
     def __init__(
         self,
@@ -75,13 +94,9 @@ class PointToPointReplica(Replica):
             P2pVote: self._on_vote,
             P2pDecision: self._on_decision,
         }
-        self._buffered: dict[str, dict[str, Any]] = {}
-        self._priority: dict[str, tuple] = {}
+        #: Transactions committed or aborted here: late writes draw a
+        #: negative ack, a repeated decision is ignored.
         self._finished: set[str] = set()
-        # Home-side state.
-        self._write_round: dict[str, _WriteRound] = {}
-        self._write_queue: dict[str, list[tuple[str, Any]]] = {}
-        self._votes: dict[str, Tally] = {}
         self.timeouts_fired = 0
         # detcheck: ignore[P203] — periodic deadlock sweep; reads only the
         # current waits-for graph, so a stale firing is a harmless no-op.
@@ -97,7 +112,7 @@ class PointToPointReplica(Replica):
             self._complete_abort(tx, AbortReason.NO_QUORUM)
             return
         self.local[tx.tx_id] = tx
-        self._priority[tx.tx_id] = tx.priority
+        self._live[tx.tx_id] = _TxRecord(tx.priority)
         tx.phase = TxPhase.PENDING
         self.trace.emit(self.now, self.name, "tx.submit", tx=tx.tx_id)
         self._acquire_next_read(tx, 0)
@@ -122,22 +137,19 @@ class PointToPointReplica(Replica):
 
     def start_update(self, tx: Transaction) -> None:
         self.public.add(tx.tx_id)
-        self._write_queue[tx.tx_id] = list(tx.spec.writes)
-        self._send_next_write(tx)
+        rec = self._live[tx.tx_id]
+        rec.unsent = list(tx.spec.writes)
+        self._send_next_write(tx, rec)
 
-    def _send_next_write(self, tx: Transaction) -> None:
+    def _send_next_write(self, tx: Transaction, rec: _TxRecord) -> None:
         if tx.terminal:
             return
-        queue = self._write_queue.get(tx.tx_id, [])
-        if not queue:
-            self._start_2pc(tx)
+        if not rec.unsent:
+            self._start_2pc(tx, rec)
             return
-        key, value = queue.pop(0)
-        round_ = _WriteRound(key)
-        round_.timeout = self.schedule(
-            self.write_timeout, self._write_timed_out, tx.tx_id, key
-        )
-        self._write_round[tx.tx_id] = round_
+        key, value = rec.unsent.pop(0)
+        rec.round_key, rec.acks = key, Tally()
+        rec.timeout = self.schedule(self.write_timeout, self._write_timed_out, tx.tx_id, key)
         write = P2pWrite(tx.tx_id, key, value, tx.priority)
         self._to_others(write)
         # Our own copy takes the local path: it draws nothing from the
@@ -152,8 +164,10 @@ class PointToPointReplica(Replica):
         if write.tx in self._finished:
             self._send_ack(src, write, ok=False)
             return
-        self._priority[write.tx] = write.priority
-        self._buffered.setdefault(write.tx, {})[write.key] = write.value
+        rec = self._live.get(write.tx)
+        if rec is None:
+            rec = self._live[write.tx] = _TxRecord(write.priority)
+        rec.writes[write.key] = write.value
         granted = self.locks.acquire(
             write.tx,
             write.key,
@@ -172,26 +186,25 @@ class PointToPointReplica(Replica):
 
     def _on_ack(self, src: int, ack: P2pWriteAck) -> None:
         tx = self.local.get(ack.tx)
-        round_ = self._write_round.get(ack.tx)
-        if tx is None or round_ is None or round_.key != ack.key or tx.terminal:
+        rec = self._live.get(ack.tx)
+        if tx is None or rec is None or rec.round_key != ack.key or tx.terminal:
             return
         if not ack.ok:
             self._abort_everywhere(tx, AbortReason.DEADLOCK)
             return
-        round_.acks[ack.site] = True
-        self._check_round(tx, round_)
+        rec.acks[ack.site] = True
+        self._check_round(tx, rec)
 
-    def _check_round(self, tx: Transaction, round_: _WriteRound) -> None:
-        if round_.acks.complete(self.view_member_set):
-            if round_.timeout is not None:
-                round_.timeout.cancel()
-            del self._write_round[tx.tx_id]
-            self._send_next_write(tx)
+    def _check_round(self, tx: Transaction, rec: _TxRecord) -> None:
+        if rec.acks.complete(self.view_member_set):
+            rec.timeout.cancel()
+            rec.round_key = rec.acks = rec.timeout = None
+            self._send_next_write(tx, rec)
 
     def _write_timed_out(self, tx_id: str, key: str) -> None:
         tx = self.local.get(tx_id)
-        round_ = self._write_round.get(tx_id)
-        if tx is None or round_ is None or round_.key != key or tx.terminal:
+        rec = self._live.get(tx_id)
+        if tx is None or rec is None or rec.round_key != key or tx.terminal:
             return
         self.timeouts_fired += 1
         self.trace.emit(self.now, self.name, "p2p.timeout", tx=tx_id, key=key)
@@ -199,66 +212,57 @@ class PointToPointReplica(Replica):
 
     # -- centralized two-phase commit ----------------------------------------------------
 
-    def _start_2pc(self, tx: Transaction) -> None:
+    def _start_2pc(self, tx: Transaction, rec: _TxRecord) -> None:
         tx.phase = TxPhase.COMMITTING
-        self._votes[tx.tx_id] = Tally({self.site: True})
+        rec.votes = Tally({self.site: True})
         self._to_others(P2pPrepare(tx.tx_id))
-        self._check_votes(tx)
+        self._check_votes(tx, rec)
 
     def _on_prepare(self, src: int, prepare: P2pPrepare) -> None:
-        yes = prepare.tx in self._buffered and prepare.tx not in self._finished
+        # Yes iff we still buffer its writes: a site that finished it, or
+        # lost the record in a crash, holds none.
+        rec = self._live.get(prepare.tx)
+        yes = rec is not None and bool(rec.writes)
         self.router.send(src, CHANNEL, P2pVote(prepare.tx, self.site, yes), "p2p.vote")
 
     def _on_vote(self, src: int, vote: P2pVote) -> None:
         tx = self.local.get(vote.tx)
-        tally = self._votes.get(vote.tx)
-        if tx is None or tally is None or tx.terminal:
+        rec = self._live.get(vote.tx)
+        if tx is None or rec is None or rec.votes is None or tx.terminal:
             return
-        tally[vote.site] = vote.yes
-        self._check_votes(tx)
+        rec.votes[vote.site] = vote.yes
+        self._check_votes(tx, rec)
 
-    def _check_votes(self, tx: Transaction) -> None:
-        tally = self._votes.get(tx.tx_id)
-        if tally is None or not tally.complete(self.view_member_set):
+    def _check_votes(self, tx: Transaction, rec: _TxRecord) -> None:
+        if not rec.votes.complete(self.view_member_set):
             return
-        commit = tally.unanimous(self.view_member_set)
-        del self._votes[tx.tx_id]
-        self._to_others(P2pDecision(tx.tx_id, commit))
-        if commit:
-            self._apply_commit(tx.tx_id)
-        else:
-            self._purge(tx.tx_id)
+        decision = P2pDecision(tx.tx_id, rec.votes.unanimous(self.view_member_set))
+        self._to_others(decision)
+        self._on_decision(self.site, decision)  # our own copy: the local path
 
     def _on_decision(self, src: int, decision: P2pDecision) -> None:
         if decision.commit:
-            self._apply_commit(decision.tx)
+            self._commit(decision.tx)
         else:
             self._purge(decision.tx)
 
-    def _apply_commit(self, tx_id: str) -> None:
+    # -- the terminal paths -----------------------------------------------------------------
+
+    def _discharge(self, tx_id: str) -> None:
+        """Also disarms the write timeout of a round still open."""
+        rec = self._live.get(tx_id)
+        if rec is not None and rec.timeout is not None:
+            rec.timeout.cancel()
+        super()._discharge(tx_id)
+
+    def _commit(self, tx_id: str) -> None:
         if tx_id in self._finished:
             return
         self._finished.add(tx_id)
-        writes = self._buffered.pop(tx_id, {})
-        installed = self.install_writes(tx_id, writes)
-        self.locks.release_all(tx_id)
-        self._priority.pop(tx_id, None)
-        tx = self.local.get(tx_id)
-        if tx is not None:
-            self._write_queue.pop(tx_id, None)
-            self.commit_home(tx, installed)
-        else:
-            # Cohort side (or a home whose client context died with a
-            # crash): record a provisional writer so the 1SR version order
-            # stays dense even if the initiator never records the commit.
-            self.recorder.record_commit_provisional(tx_id, self.site, installed, self.now)
+        rec = self._live.get(tx_id)
+        self._install_commit(tx_id, rec.writes if rec is not None else {})
 
     def _abort_everywhere(self, tx: Transaction, reason: AbortReason) -> None:
-        round_ = self._write_round.pop(tx.tx_id, None)
-        if round_ is not None and round_.timeout is not None:
-            round_.timeout.cancel()
-        self._write_queue.pop(tx.tx_id, None)
-        self._votes.pop(tx.tx_id, None)
         self._to_others(P2pDecision(tx.tx_id, False))
         self._purge(tx.tx_id, local_reason=reason)
 
@@ -266,22 +270,10 @@ class PointToPointReplica(Replica):
         if tx_id in self._finished:
             return
         self._finished.add(tx_id)
-        self._buffered.pop(tx_id, None)
-        self._priority.pop(tx_id, None)
-        self.locks.release_all(tx_id)
+        self._discharge(tx_id)
         tx = self.local.get(tx_id)
         if tx is not None and not tx.terminal:
-            self._write_queue.pop(tx_id, None)
             self.abort_home(tx, local_reason)
-
-    def in_flight(self) -> dict[str, list[str]]:
-        return {
-            "buffered writes": list(self._buffered),
-            "open write rounds": list(self._write_round),
-            # An emptied queue stays until the transaction ends: not residue.
-            "unsent writes": sorted(tx for tx, q in self._write_queue.items() if q),
-            "open vote tallies": list(self._votes),
-        }
 
     # -- view changes ---------------------------------------------------------------------
 
@@ -297,20 +289,19 @@ class PointToPointReplica(Replica):
         NO for any transaction it does not hold buffered writes for.
         """
         super().on_view_change(members, has_quorum)
-        for tx_id in sorted(self._write_round):
-            tx = self.local.get(tx_id)
-            if tx is None or tx.terminal:
-                continue
-            self._check_round(tx, self._write_round[tx_id])
+        # An earlier step of a pass can end a later transaction: look up anew.
+        for tx_id in sorted(self._live):
+            tx, rec = self.local.get(tx_id), self._live.get(tx_id)
+            if tx is not None and rec is not None and rec.round_key is not None:
+                self._check_round(tx, rec)
             # A joined member missing this round's write never acks; the
             # write timeout aborts and the client retry re-disseminates.
-        for tx_id in sorted(self._votes):
-            tx = self.local.get(tx_id)
-            if tx is None or tx.terminal:
-                continue
-            missing = self._votes[tx_id].missing(self.view_member_set)
-            self.router.multicast(missing, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
-            self._check_votes(tx)
+        for tx_id in sorted(self._live):
+            tx, rec = self.local.get(tx_id), self._live.get(tx_id)
+            if tx is not None and rec is not None and rec.votes is not None:
+                missing = rec.votes.missing(self.view_member_set)
+                self.router.multicast(missing, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
+                self._check_votes(tx, rec)
 
     # -- deadlock detection ---------------------------------------------------------------
 
@@ -334,9 +325,9 @@ class PointToPointReplica(Replica):
             local_tx = self.local.get(tx_id)
             if local_tx is not None and local_tx.read_only:
                 continue
-            priority = self._priority.get(tx_id)
-            if priority is not None:
-                candidates.append((priority, tx_id))
+            rec = self._live.get(tx_id)
+            if rec is not None:
+                candidates.append((rec.priority, tx_id))
         if not candidates:
             return None
         return max(candidates)[1]
@@ -348,11 +339,12 @@ class PointToPointReplica(Replica):
             self._abort_everywhere(tx, AbortReason.DEADLOCK)
             return
         # Remote transaction: the home site is not encoded in the tx id,
-        # so broadcast-decline -- withdraw its lock state here and send the
-        # abort decision to every other member, its home among them.
-        self.locks.release_all(victim)
-        self._to_others(P2pDecision(victim, False))
+        # so broadcast-decline -- withdraw its state here (first: the
+        # release can grant a queued writer, whose ack goes out ahead of
+        # the decline) and send the abort decision to every other member,
+        # its home among them.
         self._purge(victim)
+        self._to_others(P2pDecision(victim, False))
 
     # -- message dispatch ---------------------------------------------------------------------
 

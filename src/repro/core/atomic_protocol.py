@@ -63,6 +63,10 @@ class AtomicBroadcastReplica(Replica):
     #: certification test replaces lock-based read protection.
     hold_read_locks = False
 
+    #: Variant B: a ``_live`` record is a causally pre-shipped write set
+    #: (key -> value), held until its commit request is certified.
+    residue = {"undelivered shipped write sets": lambda writes: True}
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -80,21 +84,12 @@ class AtomicBroadcastReplica(Replica):
         self.abcast = abcast
         self.variant = variant
         abcast.set_deliver(self._on_deliver)
-        #: Variant B: causally pre-shipped write values, by tx id.
-        self._shipped: dict[str, dict[str, Any]] = {}
         #: Sanity: total-order positions must arrive contiguously.
         self._expected_index = 0
         self.certified_commits = 0
         self.certified_aborts = 0
 
-    def in_flight(self) -> dict[str, list[str]]:
-        return {"undelivered shipped write sets": list(self._shipped)}
-
-    # -- crash / recovery --------------------------------------------------------------
-
-    def on_crash(self) -> None:
-        super().on_crash()
-        self._shipped.clear()
+    # -- recovery ----------------------------------------------------------------------
 
     def fast_forward_order(self, next_index: int) -> None:
         """Skip the total-order prefix a state-transfer snapshot covers."""
@@ -116,13 +111,13 @@ class AtomicBroadcastReplica(Replica):
         return {
             "shipped": tuple(
                 (tx, tuple(sorted(writes.items())))
-                for tx, writes in sorted(self._shipped.items())
+                for tx, writes in sorted(self._live.items())
             )
         }
 
     def adopt_protocol_state(self, state: dict) -> None:
         for tx, writes in state["shipped"]:
-            self._shipped.setdefault(tx, dict(writes))
+            self._live.setdefault(tx, dict(writes))
 
     # -- home side ------------------------------------------------------------------
 
@@ -156,7 +151,7 @@ class AtomicBroadcastReplica(Replica):
     ) -> None:
         if isinstance(payload, AbpWriteSet):
             assert order_index is None
-            self._shipped[payload.tx] = dict(payload.writes)
+            self._live[payload.tx] = dict(payload.writes)
             if self.variant == "locked":
                 # The paper's S5 text: operations "executed as delivered".
                 # Acquire (or queue for) the exclusive locks now, so local
@@ -186,7 +181,7 @@ class AtomicBroadcastReplica(Replica):
         if not ok:
             self.certified_aborts += 1
             self.trace.emit(self.now, self.name, "abp.cert_abort", tx=request.tx)
-            self._shipped.pop(request.tx, None)
+            self._live.pop(request.tx, None)
             if self.variant == "locked":
                 # Drop the early locks/queued claims: waiting readers resume.
                 self.locks.release_all(request.tx)
@@ -194,7 +189,7 @@ class AtomicBroadcastReplica(Replica):
                 self.abort_home(tx, AbortReason.CERTIFICATION)
             return
         if self.variant in ("shipped", "locked"):
-            writes = self._shipped.pop(request.tx, None)
+            writes = self._live.pop(request.tx, None)
             if writes is None:
                 # Causal order puts the write set before the commit request;
                 # its absence indicates a broken broadcast stack.
@@ -215,6 +210,10 @@ class AtomicBroadcastReplica(Replica):
         if self.variant == "locked":
             self.locks.release_all(request.tx)
         self.trace.emit(self.now, self.name, "abp.applied", tx=request.tx)
+        # ABP's own commit tail, not ``Replica._install_commit``: outside the
+        # locked variant a cohort holds no lock for the transaction, and the
+        # shared tail's discharge would add a ``release_all`` (a scan of
+        # every lock queue) to each of its commits.
         if tx is not None and request.home == self.site:
             self.locks.release_all(tx.tx_id)
             self.commit_home(tx, installed)

@@ -64,9 +64,9 @@ class ProtocolInvariantError(AssertionError):
     """A protocol safety invariant was violated (always a bug)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxState:
-    """Per-site bookkeeping for one in-flight update transaction."""
+    """Everything one site holds for one live update transaction."""
 
     tx: str
     home: int
@@ -85,6 +85,8 @@ class _TxState:
 class CausalBroadcastReplica(Replica):
     """One site running CBP."""
 
+    residue = {"pending commit states": lambda state: True}
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -102,7 +104,6 @@ class CausalBroadcastReplica(Replica):
         self.heartbeat_interval = heartbeat_interval
         self.per_op = per_op
         cbcast.set_deliver(self._on_deliver)
-        self._states: dict[str, _TxState] = {}
         self._dead: set[str] = set()
         self._finished: set[str] = set()
         self._nacked_by_me: set[str] = set()
@@ -127,7 +128,7 @@ class CausalBroadcastReplica(Replica):
         # Eager local state: the home must remember endorsement and priority
         # before its own broadcasts loop back through causal delivery.
         state = _TxState(tx.tx_id, self.site, tx.priority)
-        self._states[tx.tx_id] = state
+        self._live[tx.tx_id] = state
         writes = tx.spec.writes
         # The home acquires its own write locks synchronously, *before*
         # broadcasting.  Conflicts here are with lock holders that predate
@@ -197,7 +198,7 @@ class CausalBroadcastReplica(Replica):
         self._update_echoes(sender, clock)
 
     def _update_echoes(self, sender: int, clock: VectorClock) -> None:
-        for state in list(self._states.values()):
+        for state in list(self._live.values()):
             if state.cr_entry is None or state.committed or state.tx in self._dead:
                 continue
             if sender not in state.echoes and clock.dominates_entry(state.home, state.cr_entry):
@@ -214,10 +215,10 @@ class CausalBroadcastReplica(Replica):
             # Our own broadcast looping back: locks were taken synchronously
             # at start_update; nothing further to admit.
             return
-        state = self._states.get(tx_id)
+        state = self._live.get(tx_id)
         if state is None:
             state = _TxState(tx_id, write_set.home, write_set.priority)
-            self._states[tx_id] = state
+            self._live[tx_id] = state
         for key, value in write_set.writes:
             state.writes[key] = value
             state.write_clocks[key] = clock
@@ -258,7 +259,7 @@ class CausalBroadcastReplica(Replica):
         """Apply the paper's conflict rules between the just-delivered write
         of ``state.tx`` and one conflicting lock holder/waiter."""
         tx_id = state.tx
-        opponent_state = self._states.get(opponent_id)
+        opponent_state = self._live.get(opponent_id)
         if opponent_state is not None and opponent_id not in self.local:
             # Remote (or already-public local) update transaction.
             opponent_clock = opponent_state.write_clocks.get(key)
@@ -280,7 +281,7 @@ class CausalBroadcastReplica(Replica):
                 self.preempt_local_readers(key, exempt=tx_id)
                 return
             # Public local update transaction holding a read lock on key.
-            local_state = self._states.get(opponent_id)
+            local_state = self._live.get(opponent_id)
             if (
                 local_state is not None
                 and local_state.cr_entry is not None
@@ -302,7 +303,7 @@ class CausalBroadcastReplica(Replica):
         self._nack(tx_id, f"conflict with unknown holder {opponent_id} on {key}")
 
     def _write_granted(self, tx_id: str, key: str) -> None:
-        state = self._states.get(tx_id)
+        state = self._live.get(tx_id)
         if state is None or tx_id in self._dead:
             return
         state.waiting.discard(key)
@@ -318,9 +319,9 @@ class CausalBroadcastReplica(Replica):
         if not cycle:
             return
         candidates = [
-            self._states[tx_id]
+            self._live[tx_id]
             for tx_id in cycle
-            if tx_id in self._states and tx_id not in self._dead
+            if tx_id in self._live and tx_id not in self._dead
         ]
         if not candidates:
             return
@@ -337,7 +338,7 @@ class CausalBroadcastReplica(Replica):
     def _nack(self, tx_id: str, reason: str, force: bool = False) -> None:
         if tx_id in self._nacked_by_me or tx_id in self._dead:
             return
-        state = self._states.get(tx_id)
+        state = self._live.get(tx_id)
         if not force and state is not None and state.endorsed and state.home == self.site:
             raise ProtocolInvariantError(
                 f"site {self.site} attempted to NACK its own endorsed {tx_id}"
@@ -363,8 +364,7 @@ class CausalBroadcastReplica(Replica):
                 f"site {self.site}: NACK arrived for committed transaction {tx_id}"
             )
         self._dead.add(tx_id)
-        self._states.pop(tx_id, None)
-        self.locks.release_all(tx_id)
+        self._discharge(tx_id)
         tx = self.local.get(tx_id)
         if tx is not None and not tx.terminal:
             self.abort_home(tx, AbortReason.CONCURRENT_NACK)
@@ -375,7 +375,7 @@ class CausalBroadcastReplica(Replica):
         tx_id = request.tx
         if tx_id in self._dead or tx_id in self._finished:
             return
-        state = self._states.get(tx_id)
+        state = self._live.get(tx_id)
         if state is None:
             # Commit request with no writes seen: FIFO order makes this
             # impossible for correct senders.
@@ -412,22 +412,9 @@ class CausalBroadcastReplica(Replica):
         if not state.echoes.complete(self.view_member_set):
             return
         state.committed = True
-        installed = self.install_writes(state.tx, state.writes)
-        self.locks.release_all(state.tx)
-        self._states.pop(state.tx, None)
         self._finished.add(state.tx)
+        self._install_commit(state.tx, state.writes)
         self.trace.emit(self.now, self.name, "cbp.applied", tx=state.tx)
-        tx = self.local.get(state.tx) if state.home == self.site else None
-        if tx is not None:
-            self.commit_home(tx, installed)
-        else:
-            # Cohort, or a home that lost the client context in a crash:
-            # the group commits without the initiator (implicit acks need
-            # no reply from it), so keep the version order dense for the
-            # 1SR checker even when nobody ever calls record_commit.
-            self.recorder.record_commit_provisional(
-                state.tx, self.site, installed, self.now
-            )
 
     # -- heartbeats (null messages) ---------------------------------------------------
 
@@ -445,14 +432,10 @@ class CausalBroadcastReplica(Replica):
         # detcheck: ignore[P203] — periodic tick reschedule (see __init__).
         self.schedule(self.heartbeat_interval, self._heartbeat)
 
-    def in_flight(self) -> dict[str, list[str]]:
-        return {"pending commit states": list(self._states)}
-
     # -- crash / recovery ------------------------------------------------------------------
 
     def on_crash(self) -> None:
         super().on_crash()
-        self._states.clear()
         self._nacked_by_me.clear()
         self._recovery_backlog.clear()
 
@@ -474,7 +457,7 @@ class CausalBroadcastReplica(Replica):
         its live state while the reply is in flight.
         """
         states = []
-        for _, state in sorted(self._states.items()):
+        for _, state in sorted(self._live.items()):
             states.append(
                 {
                     "tx": state.tx,
@@ -493,13 +476,13 @@ class CausalBroadcastReplica(Replica):
                 }
             )
         keys: set[str] = set()
-        for state in self._states.values():
+        for state in self._live.values():
             keys.update(state.writes)
         lock_queues = {
             key: tuple(
                 request.tx
                 for request in self.locks.queued(key)
-                if request.tx in self._states
+                if request.tx in self._live
             )
             for key in sorted(keys)
         }
@@ -514,9 +497,8 @@ class CausalBroadcastReplica(Replica):
         """Install a donor's in-flight books (rejoiner side, at snapshot
         install time).  Replaces wholesale: anything built locally from the
         stale pre-crash state is released and dropped."""
-        for tx_id in sorted(self._states):
-            self.locks.release_all(tx_id)
-        self._states.clear()
+        for tx_id in sorted(self._live):
+            self._discharge(tx_id)
         self._finished = set(state["finished"])
         self._dead = set(state["dead"])
         for exported in state["states"]:
@@ -532,7 +514,7 @@ class CausalBroadcastReplica(Replica):
             adopted.cr_entry = exported["cr_entry"]
             adopted.echoes = Tally.fromkeys(exported["echoes"], True)
             adopted.endorsed = exported["endorsed"]
-            self._states[adopted.tx] = adopted
+            self._live[adopted.tx] = adopted
         # Locks: donor's holders first (at most one exclusive holder per
         # key), then waiters in the donor's queue order — which is the
         # causal delivery order of the conflicting writes, identical at
@@ -540,7 +522,7 @@ class CausalBroadcastReplica(Replica):
         # stays convergent.
         for exported in state["states"]:
             tx_id = exported["tx"]
-            adopted = self._states[tx_id]
+            adopted = self._live[tx_id]
             for key in exported["granted"]:
                 if self.locks.acquire(tx_id, key, LockMode.EXCLUSIVE, self._write_granted):
                     adopted.granted.add(key)
@@ -548,7 +530,7 @@ class CausalBroadcastReplica(Replica):
                     adopted.waiting.add(key)
         for key in sorted(state["lock_queues"]):
             for tx_id in state["lock_queues"][key]:
-                adopted = self._states.get(tx_id)
+                adopted = self._live.get(tx_id)
                 if adopted is None or key in adopted.granted or key in adopted.waiting:
                     continue
                 if self.locks.acquire(tx_id, key, LockMode.EXCLUSIVE, self._write_granted):
@@ -562,7 +544,7 @@ class CausalBroadcastReplica(Replica):
         # re-delivers.  Reap it now, exactly as on_view_change would have;
         # otherwise its locks wedge the keys forever (a churn-soak liveness
         # stall with every site up).
-        for adopted in list(self._states.values()):
+        for adopted in list(self._live.values()):
             if adopted.home not in self.view_members:
                 self._kill(adopted.tx)
 
@@ -592,7 +574,7 @@ class CausalBroadcastReplica(Replica):
                 deferred=len(backlog),
                 replayed=replayed,
             )
-        for state in list(self._states.values()):
+        for state in list(self._live.values()):
             self._check_commit(state)
 
     def on_recover(self) -> None:
@@ -607,7 +589,7 @@ class CausalBroadcastReplica(Replica):
 
     def on_view_change(self, members: list[int], has_quorum: bool) -> None:
         super().on_view_change(members, has_quorum)
-        for state in list(self._states.values()):
+        for state in list(self._live.values()):
             if state.home not in members:
                 # The initiator left: its transaction cannot be completed
                 # (no further messages from it); drop it everywhere.

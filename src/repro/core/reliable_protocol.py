@@ -25,10 +25,11 @@ aborting the (much more expensive to restart) remote writer.
 Read-only transactions commit locally, broadcast nothing, and are never
 aborted.
 
-A site keeps one :class:`_TxRecord` per live transaction, created on first
-touch and dropped by ``_discharge``, the one exit of every terminal path.
-What a YES-voting cohort does once it can no longer compute the outcome —
-decision log, decision queries — is :mod:`repro.core.rbp_termination`.
+A site keeps one :class:`_TxRecord` per live transaction on the base
+replica's lifecycle (``_live``, ``_discharge``, ``_install_commit``; see
+PROTOCOLS.md, "Shared mechanics").  What a YES-voting cohort does once it
+can no longer compute the outcome — decision log, decision queries — is
+:mod:`repro.core.rbp_termination`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ DIRECT_CHANNEL = "rbp.direct"
 
 @dataclass(slots=True)
 class _TxRecord:
-    """Everything one site holds for one live transaction."""
+    """Everything one site holds for one live transaction, opened on first
+    touch: the home's ``start_update``, else the first granted write, vote
+    or commit request delivered."""
 
     #: The initiating site; -1 while only other sites' votes were seen.
     home: int = -1
@@ -121,6 +124,14 @@ class ReliableBroadcastReplica(Replica):
     decision_query_attempts = 8
     decision_log_capacity = 1024
 
+    residue = {
+        "buffered writes": lambda rec: rec.writes,
+        "open write rounds": lambda rec: rec.rounds,
+        "unsent writes": lambda rec: rec.unsent,
+        "open vote tallies": lambda rec: rec.votes is not None,
+        "live orphan watchdogs": lambda rec: rec.heard is not None,
+    }
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -150,14 +161,9 @@ class ReliableBroadcastReplica(Replica):
         self.pipeline_writes = pipeline_writes
         rbcast.set_deliver(self._on_broadcast)
         router.register(DIRECT_CHANNEL, self._on_direct)
-        #: tx -> record, for every transaction with volatile state here, in
-        #: first-touch order (the home's ``start_update``, else the first
-        #: granted write, vote or commit request delivered).  Invariant: a
-        #: transaction with a record is neither in ``_finished`` nor in the
-        #: decision log — every path that enters it there discharges it.
-        self._live: dict[str, _TxRecord] = {}
         #: Transactions aborted or renounced here: late writes draw a
-        #: negative ack, late commit requests a NO vote.
+        #: negative ack, late commit requests a NO vote.  A transaction
+        #: with a ``_live`` record is neither in here nor in the decision log.
         self._finished: set[str] = set()
         #: In-doubt termination (decision queries, see PROTOCOLS.md), owner
         #: of the durable decision log and prepare records.
@@ -515,34 +521,13 @@ class ReliableBroadcastReplica(Replica):
 
     # -- the terminal paths ----------------------------------------------------------
 
-    def _discharge(self, tx_id: str) -> None:
-        """Drop the record and the locks of ``tx_id``: the one exit every
-        terminal path takes (commit, purge, log adoption, crash)."""
-        self._live.pop(tx_id, None)
-        self.locks.release_all(tx_id)
-
     def _commit(self, tx_id: str, adopted: bool = False) -> None:
         """Install the buffered writes and release the locks: the tally
         completed unanimously, or (``adopted``) a decision query learned
-        the commit from a survivor's log."""
+        the commit from a survivor's log — at the home that is home-side
+        in-doubt: we were partitioned away mid-2PC."""
         rec = self._live.get(tx_id)
-        installed = self.install_writes(tx_id, rec.writes if rec is not None else {})
-        self._discharge(tx_id)
-        tx = self.local.get(tx_id)
-        if tx is not None and not tx.terminal:
-            # We are the home.  An adopted commit comes back from the
-            # survivors (home-side in-doubt: we were partitioned away
-            # mid-2PC); the cohorts that committed recorded the
-            # authoritative versions (provisional record) and our store may
-            # be behind the majority's, so pass no writes and let the
-            # recorder keep the cohort's versions.
-            self.commit_home(tx, {} if adopted else installed)
-        else:
-            # A cohort commit may be the only one the recorder ever hears
-            # about (the home can crash after casting its vote); record the
-            # installed versions so the 1SR graph keeps a writer for them.
-            # The home's full record (with the read set) upgrades this.
-            self.recorder.record_commit_provisional(tx_id, self.site, installed, self.now)
+        self._install_commit(tx_id, rec.writes if rec is not None else {}, adopted)
         self.termination.record(tx_id, committed=True)
         self._emit("rbp.applied", tx=tx_id)
 
@@ -621,15 +606,7 @@ class ReliableBroadcastReplica(Replica):
         return tuple(sorted(tx for tx, rec in self._live.items() if rec.in_doubt))
 
     def in_flight(self) -> dict[str, list[str]]:
-        live = self._live.items()
-        return {
-            "buffered writes": [tx for tx, rec in live if rec.writes],
-            "open write rounds": [tx for tx, rec in live if rec.rounds],
-            "unsent writes": [tx for tx, rec in live if rec.unsent],
-            "open vote tallies": [tx for tx, rec in live if rec.votes is not None],
-            "live orphan watchdogs": [tx for tx, rec in live if rec.heard is not None],
-            **self.termination.in_flight(),
-        }
+        return {**super().in_flight(), **self.termination.in_flight()}
 
     # -- direct (point-to-point) deliveries ----------------------------------------
 
@@ -654,15 +631,14 @@ class ReliableBroadcastReplica(Replica):
     # -- crash / recovery ---------------------------------------------------------------
 
     def on_crash(self) -> None:
-        super().on_crash()
         # Classic presumed-abort 2PC durability: before the volatile vote
         # tallies are lost, force a prepare record for every YES vote whose
         # outcome this site does not know, so that after recovery it never
         # denies the vote (``InDoubtTermination.prepared`` says why).
-        for tx_id, rec in list(self._live.items()):
+        for tx_id, rec in self._live.items():
             if rec.request_seen and rec.voted_yes:
                 self.termination.prepare(tx_id)
-            self._discharge(tx_id)
+        super().on_crash()
         # Group-commit outboxes are volatile, lost with the site.
         self._vote_outbox.clear()
         self._ack_outbox.clear()

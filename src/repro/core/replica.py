@@ -9,7 +9,12 @@ phases every protocol shares:
   see DESIGN.md);
 - the read-only fast path: read-only transactions commit locally, broadcast
   nothing, and are never aborted (paper, sections 3-5);
-- commit/abort bookkeeping against the global history recorder and metrics.
+- commit/abort bookkeeping against the global history recorder and metrics;
+- the per-transaction lifecycle: one record per live transaction in
+  ``_live`` (the protocol defines the record class and opens it on first
+  touch), one exit (:meth:`_discharge`), one commit tail
+  (:meth:`_install_commit`) and :meth:`in_flight`, derived from ``_live``
+  through the protocol's ``residue`` table.
 
 Protocol subclasses implement :meth:`start_update` (what happens once an
 update transaction has its reads) and the message handlers.
@@ -39,6 +44,10 @@ class Replica(Process):
     #: (optimistic certification protocols).
     hold_read_locks = True
 
+    #: Residue label -> test over a ``_live`` record: what :meth:`in_flight`
+    #: reports, one table per protocol.
+    residue: dict[str, Callable[[Any], Any]] = {}
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -62,6 +71,11 @@ class Replica(Process):
         self.local: dict[str, Transaction] = {}
         #: Local update transactions that have broadcast anything ("public").
         self.public: set[str] = set()
+        #: tx -> the protocol's record, for every transaction with volatile
+        #: protocol state here, in first-touch order.  A transaction with a
+        #: record is not in the protocol's finished/dead books: every
+        #: terminal path enters it there and leaves through ``_discharge``.
+        self._live: dict[str, Any] = {}
         #: View membership hook; protocols read this for "all sites".
         self.view_members: list[int] = list(range(num_sites))
         #: Same membership as a frozenset, maintained by on_view_change so
@@ -131,7 +145,7 @@ class Replica(Process):
 
     def _commit_readonly(self, tx: Transaction) -> None:
         """Read-only transactions commit locally and never abort (paper)."""
-        self.locks.release_all(tx.tx_id)
+        self._discharge(tx.tx_id)
         tx.phase = TxPhase.COMMITTED
         tx.commit_time = self.now
         self.recorder.record_commit(
@@ -158,6 +172,34 @@ class Replica(Process):
             versions[key] = self.store.install(key, writes[key], tx_id)
         self.wal.log_commit(tx_id)
         return versions
+
+    def _discharge(self, tx_id: str) -> None:
+        """Drop the record and the locks of ``tx_id``: the one exit every
+        terminal path takes (commit, purge, read-only commit; a crash drops
+        them all at once)."""
+        self._live.pop(tx_id, None)
+        self.locks.release_all(tx_id)
+
+    def _install_commit(self, tx_id: str, writes: dict[str, Any], adopted: bool = False) -> None:
+        """The commit tail at any site: install, discharge, tell the recorder.
+
+        ``local`` only ever holds transactions homed here and drops them
+        when terminal, so finding ``tx_id`` there means the client context
+        is live.  Otherwise this is a cohort, or a home whose client context
+        died with a crash: the group commits without the initiator, so
+        record a provisional writer and the 1SR version order stays dense
+        even if nobody ever records the full commit (the home's record,
+        with the read set, upgrades it).  ``adopted``: the outcome was
+        learned from the survivors and our store may be behind theirs —
+        pass the recorder no versions and let it keep the cohorts'.
+        """
+        installed = self.install_writes(tx_id, writes)
+        self._discharge(tx_id)
+        tx = self.local.get(tx_id)
+        if tx is not None:
+            self.commit_home(tx, {} if adopted else installed)
+        else:
+            self.recorder.record_commit_provisional(tx_id, self.site, installed, self.now)
 
     def commit_home(self, tx: Transaction, installed: dict[str, int]) -> None:
         """Finish a committed update transaction at its home site."""
@@ -262,6 +304,7 @@ class Replica(Process):
         self.locks = LockManager()
         self.local.clear()
         self.public.clear()
+        self._live.clear()
 
     def on_recovery_complete(self) -> None:
         """Hook invoked by the recovery agent right after the state-transfer
@@ -288,8 +331,12 @@ class Replica(Process):
     def in_flight(self) -> dict[str, list[str]]:
         """Per-transaction protocol state that must drain by quiescence, as
         residue label -> transaction ids (the post-run auditor reports any
-        non-empty entry as a leak).  The base replica keeps none."""
-        return {}
+        non-empty entry as a leak)."""
+        live = self._live.items()
+        return {
+            label: [tx for tx, rec in live if held(rec)]
+            for label, held in self.residue.items()
+        }
 
     def in_doubt_transactions(self) -> tuple[str, ...]:
         """Transactions blocked on an outcome this site cannot compute
@@ -306,6 +353,3 @@ class Replica(Process):
         self.view_members = sorted(members)
         self.view_member_set = frozenset(self.view_members)
         self.has_quorum = has_quorum
-
-    def other_members(self) -> list[int]:
-        return [m for m in self.view_members if m != self.site]

@@ -210,17 +210,17 @@ def test_shipped_variant_exports_preshipped_write_sets():
 
     cluster = quick_cluster("abp", abp_variant="shipped")
     donor = cluster.replicas[0]
-    donor._shipped["T9"] = {"x0": 5}
+    donor._live["T9"] = {"x0": 5}
     state = donor.export_protocol_state()
     assert state == {"shipped": (("T9", (("x0", 5),)),)}
     rejoiner = cluster.replicas[1]
     rejoiner.adopt_protocol_state(state)
-    assert rejoiner._shipped["T9"] == {"x0": 5}
+    assert rejoiner._live["T9"] == {"x0": 5}
     # Adoption never clobbers a write set already delivered locally.
     other = cluster.replicas[2]
-    other._shipped["T9"] = {"x0": 7}
+    other._live["T9"] = {"x0": 7}
     other.adopt_protocol_state(state)
-    assert other._shipped["T9"] == {"x0": 7}
+    assert other._live["T9"] == {"x0": 7}
 
 
 def test_bundled_variant_ships_no_protocol_state():

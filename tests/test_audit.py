@@ -3,14 +3,14 @@
 import pytest
 
 from repro.analysis.audit import assert_clean, audit_cluster
-from repro.baselines.p2p_2pc import _WriteRound
-from repro.core.causal_protocol import _TxState
+from repro.baselines import p2p_2pc
+from repro.core import causal_protocol, reliable_protocol
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.core.events import RbpDecisionQuery
-from repro.core.reliable_protocol import _TxRecord
 from repro.core.tally import Tally
 from repro.core.transaction import TransactionSpec
 from repro.db.locks import LockMode
+from repro.sim.rng import RngRegistry
 from repro.workload import WorkloadConfig
 from repro.workload.runner import run_standard_mix
 
@@ -55,8 +55,9 @@ def test_audit_detects_lock_leak():
 GHOST = "ghost#1"
 
 
-def _rbp_ghost(replica):
-    replica._live[GHOST] = _TxRecord(
+#: protocol -> a ``_live`` record held under every residue label.
+GHOSTS = {
+    "rbp": lambda: reliable_protocol._TxRecord(
         home=1,
         writes={"x0": 1},
         votes=Tally(),
@@ -65,41 +66,93 @@ def _rbp_ghost(replica):
         heard=0.0,
         rounds={"x0": Tally()},
         unsent=[("x1", 2)],
-    )
-    replica.termination.hand_over(GHOST)
-    replica.termination.on_query(RbpDecisionQuery(GHOST, 1, 1))
+    ),
+    "cbp": lambda: causal_protocol._TxState(GHOST, 1, (0.0, 1, "ghost")),
+    "abp": lambda: {"x0": 1},
+    "p2p": lambda: p2p_2pc._TxRecord(
+        (0.0, 1, "ghost"),
+        writes={"x0": 1},
+        unsent=[("x1", 2)],
+        round_key="x0",
+        votes=Tally({0: True}),
+    ),
+}
 
 
-def _cbp_ghost(replica):
-    replica._states[GHOST] = _TxState(GHOST, 1, (0.0, 1, "ghost"))
-
-
-def _abp_ghost(replica):
-    replica._shipped[GHOST] = {"x0": 1}
-
-
-def _p2p_ghost(replica):
-    replica._buffered[GHOST] = {"x0": 1}
-    replica._write_round[GHOST] = _WriteRound("x0")
-    replica._write_queue[GHOST] = [("x1", 2)]
-    replica._votes[GHOST] = Tally({0: True})
-
-
-#: protocol -> plant one ghost transaction under every ``in_flight()`` label.
-GHOSTS = {"rbp": _rbp_ghost, "cbp": _cbp_ghost, "abp": _abp_ghost, "p2p": _p2p_ghost}
+def plant_ghost(replica, protocol):
+    replica._live[GHOST] = GHOSTS[protocol]()
+    if protocol == "rbp":
+        # The termination seam keeps its own books: an open query, a waiter.
+        replica.termination.hand_over(GHOST)
+        replica.termination.on_query(RbpDecisionQuery(GHOST, 1, 1))
 
 
 def test_audit_detects_protocol_leak():
-    for protocol, plant in GHOSTS.items():
+    for protocol in GHOSTS:
         cluster = run_clean_cluster(protocol)
         replica = cluster.replicas[0]
         assert not any(replica.in_flight().values())
-        plant(replica)
+        plant_ghost(replica, protocol)
         labels = sorted(replica.in_flight())
+        assert set(labels) >= set(replica.residue)
         assert labels and all(replica.in_flight()[label] == [GHOST] for label in labels)
         leaks = [f for f in audit_cluster(cluster) if f.category == "protocol-leak"]
         assert [f.detail for f in leaks] == [f"{label}: ['{GHOST}']" for label in labels]
         assert all(f.site == 0 for f in leaks)
+
+
+def _contended_updates():
+    """Deadlock victims chosen at a remote site: their homes learn the
+    abort from the victim decision, mid write round."""
+    cluster = Cluster(ClusterConfig(protocol="p2p", num_sites=5, num_objects=8, seed=0))
+    rng = RngRegistry(0).stream("recipe")
+    keys = [f"x{i}" for i in range(8)]
+    for i in range(120):
+        reads, writes = [rng.choice(keys)], None
+        if rng.random() >= 0.3:
+            writes = dict.fromkeys(rng.sample(keys, 2), i)
+        cluster.submit(TransactionSpec.make(f"T{i}", rng.randrange(5), reads, writes), at=2.0 * i)
+    return cluster
+
+
+def _read_only():
+    cluster = Cluster(ClusterConfig(protocol="p2p", num_sites=4, num_objects=8, seed=3))
+    for i in range(50):
+        cluster.submit(TransactionSpec.make(f"R{i}", i % 4, [f"x{i % 8}"]), at=float(i))
+    return cluster
+
+
+def _crashed_cohort():
+    """Site 2 crashes holding T1's buffered write and rejoins much later."""
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="p2p",
+            num_sites=4,
+            num_objects=8,
+            seed=3,
+            enable_failure_detector=True,
+            fd_interval=20,
+            fd_timeout=80,
+        )
+    )
+    cluster.submit(TransactionSpec.make("T1", 0, writes={"x0": 1, "x1": 1, "x2": 1}), at=0.0)
+    cluster.crash_site(2, at=1.2)
+    cluster.recover_site(2, at=600)
+    return cluster
+
+
+def test_p2p_ends_every_transaction_with_no_record_left():
+    """Three ways the baseline used to strand per-transaction state: a home
+    aborted by a remote deadlock-victim decision kept its open write round
+    (and the armed timer), a read-only commit kept its priority, a crash
+    kept the buffered writes."""
+    for recipe in (_contended_updates, _read_only, _crashed_cohort):
+        cluster = recipe()
+        assert cluster.run().ok, recipe.__name__
+        cluster.run_for(1500.0)  # past the rejoin; drains decisions still on the wire
+        findings = audit_cluster(cluster)
+        assert findings == [], recipe.__name__ + "\n" + "\n".join(map(str, findings))
+        assert not any(replica._live for replica in cluster.replicas), recipe.__name__
 
 
 def test_audit_detects_wal_mismatch():

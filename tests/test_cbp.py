@@ -180,17 +180,17 @@ def test_protocol_state_round_trips_through_export(cluster_factory, make_spec):
     cluster.submit(make_spec("T1", 0, writes={"x0": 1, "x1": 2}))
     donor = cluster.replicas[0]
     for _ in range(1000):
-        if donor._states:
+        if donor._live:
             break
         cluster.run_for(0.1)
-    assert donor._states, "write never went in flight"
+    assert donor._live, "write never went in flight"
     exported = donor.export_protocol_state()
     # Adopt replaces the rejoiner's own (possibly stale) books wholesale.
     rejoiner = cluster.replicas[2]
     rejoiner.adopt_protocol_state(exported)
-    assert set(rejoiner._states) == set(donor._states)
-    for tx_id, state in donor._states.items():
-        adopted = rejoiner._states[tx_id]
+    assert set(rejoiner._live) == set(donor._live)
+    for tx_id, state in donor._live.items():
+        adopted = rejoiner._live[tx_id]
         assert adopted.writes == state.writes
         assert adopted.home == state.home
         assert adopted.priority == tuple(state.priority)
@@ -210,12 +210,12 @@ def test_adopt_reaps_states_whose_home_left_the_view(cluster_factory, make_spec)
     cluster.submit(make_spec("T1", 1, writes={"x0": 1}))
     donor = cluster.replicas[0]
     for _ in range(1000):
-        if donor._states:
+        if donor._live:
             break
         cluster.run_for(0.1)
     exported = donor.export_protocol_state()
     rejoiner = cluster.replicas[2]
     rejoiner.view_members = [0, 2]  # home site 1 evicted meanwhile
     rejoiner.adopt_protocol_state(exported)
-    assert "T1" not in rejoiner._states
+    assert "T1" not in rejoiner._live
     assert not rejoiner.locks.queued("x0")

@@ -42,7 +42,7 @@ def test_abp_certification_abort_leaves_no_residue(make_spec):
     cluster.run_for(100.0)
     assert all_lock_tables_empty(cluster)
     for replica in cluster.replicas:
-        assert replica._shipped == {}
+        assert replica._live == {}
 
 
 def test_cbp_duplicate_nacks_cause_single_abort(make_spec):

@@ -1,6 +1,12 @@
 """Tests for the shared replica behaviour (read phase, fast paths)."""
 
+from repro.analysis.metrics import MetricsCollector
+from repro.core.replica import Replica
 from repro.core.transaction import AbortReason, Transaction, TxPhase
+from repro.db.locks import LockMode
+from repro.db.serialization import HistoryRecorder
+from repro.sim.engine import SimulationEngine
+from repro.sim.trace import TraceLog
 
 
 def make_tx(spec, attempt=1, at=0.0):
@@ -66,8 +72,6 @@ def test_preempt_spares_read_only_and_public(cluster_factory, make_spec):
     ro = make_tx(make_spec("ro", 0, reads=["x0"]))
     # Drive only the lock acquisition path: mark it local.
     replica.local[ro.tx_id] = ro
-    from repro.db.locks import LockMode
-
     replica.locks.try_acquire(ro.tx_id, "x0", LockMode.SHARED)
     preempted = replica.preempt_local_readers("x0", exempt="other")
     assert preempted == []
@@ -91,6 +95,44 @@ def test_view_change_updates_membership_and_quorum(cluster_factory):
     replica = cluster.replicas[0]
     replica.on_view_change([0, 1], True)
     assert replica.view_members == [0, 1]
-    assert replica.other_members() == [1]
     replica.on_view_change([0], False)
     assert not replica.has_quorum
+
+
+def test_transaction_lifecycle_without_a_cluster(make_spec):
+    """The base lifecycle every protocol shares: a record opened in ``_live``
+    leaves, with its locks, through ``_discharge``; a crash drops them all;
+    the commit tail finishes the client where its context is live and
+    records a provisional writer everywhere else."""
+    recorder = HistoryRecorder()
+    replica = Replica(SimulationEngine(), 0, 2, recorder, MetricsCollector(), TraceLog())
+    replica.residue = {"held": lambda rec: rec}
+    replica.store.initialize(["x0", "x1"])
+
+    def open_record(tx_id, key):
+        replica._live[tx_id] = {key: 1}
+        assert replica.locks.try_acquire(tx_id, key, LockMode.EXCLUSIVE)
+
+    open_record("gone", "x0")
+    assert replica.in_flight() == {"held": ["gone"]}
+    replica._discharge("gone")
+    assert replica.in_flight() == {"held": []} and not replica.locks.holders_of("x0")
+
+    # Home with a live client context: the full commit, read set included.
+    tx = make_tx(make_spec("home", 0, reads=["x1"], writes={"x0": 1}))
+    replica.local[tx.tx_id] = tx
+    tx.reads_observed["x1"] = (None, 0)
+    open_record(tx.tx_id, "x0")
+    replica._install_commit(tx.tx_id, replica._live[tx.tx_id])
+    assert tx.phase is TxPhase.COMMITTED and not replica.local
+    # Anywhere else (a cohort, or a home that lost the client in a crash).
+    open_record("cohort", "x0")
+    replica._install_commit("cohort", replica._live["cohort"])
+    home, cohort = recorder.committed
+    assert (home.provisional, home.reads, home.writes) == (False, (("x1", 0),), (("x0", 1),))
+    assert (cohort.provisional, cohort.reads, cohort.writes) == (True, (), (("x0", 2),))
+    assert not replica._live and not replica.locks.holders_of("x0")
+
+    open_record("lost", "x1")
+    replica.crash()
+    assert not replica._live and not replica.locks.holders_of("x1")
