@@ -12,12 +12,17 @@ One line, suitable for CHANGES.md::
 - commit tails (``record_commit_provisional(`` call sites under
   ``src/repro`` outside ``db/``) and ``in_flight`` definitions: how many
   copies of the per-transaction lifecycle the protocols keep;
+- tick loops: functions under ``src/repro`` that re-``schedule`` themselves
+  with no argument, so nothing tells one firing from the next (hand-rolled
+  periodic work; the one inside ``Process.every`` is meant to be the only
+  one -- a watchdog that re-arms itself with its transaction id is not one);
 - detcheck rules;
 - collected tier-1 tests.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
 import pathlib
@@ -36,6 +41,23 @@ from repro.core.cluster import ClusterConfig  # noqa: E402
 PRAGMA = r"detcheck: ignore"
 COMMIT_TAIL = r"\.record_commit_provisional\("
 IN_FLIGHT_DEF = r"^\s*def in_flight\("
+
+
+def tick_loops(source: str) -> int:
+    """Functions containing ``x.schedule(delay, <the function itself>)``."""
+    count = 0
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        count += any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "schedule"
+            and len(call.args) == 2
+            and getattr(call.args[1], "attr", getattr(call.args[1], "id", None)) == func.name
+            for call in ast.walk(func)
+        )
+    return count
 
 
 def collected_tests() -> int:
@@ -74,6 +96,7 @@ def main() -> None:
         f"ClusterConfig fields {len(dataclasses.fields(ClusterConfig))}, "
         f"commit tails {matches(COMMIT_TAIL, outside_db)}, "
         f"in_flight defs {matches(IN_FLIGHT_DEF, everything)}, "
+        f"tick loops {sum(tick_loops(text) for text in everything)}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
         f"tests {collected_tests()}"
     )

@@ -15,7 +15,8 @@ Entry points carry a *kind*:
   delivery path).  Also any function annotated ``# detcheck: hot-path`` on
   or directly above its ``def`` line, or decorated ``@hot_path``.
 - ``"timer"`` — a scheduled callback (``schedule``/``schedule_at``/
-  ``reschedule`` with a non-zero delay), resolved like rule P203 does.
+  ``reschedule`` with a non-zero delay), resolved like rule P203 does, or
+  the tick body handed to ``Process.every`` (epoch-guarded: no P203).
 - ``"view"`` — view-change and suspicion-change plumbing: methods named
   ``on_view_change``/``on_view``, listeners passed to ``add_listener``, and
   callbacks assigned to an ``on_change``/``on_recovered`` slot.
@@ -150,6 +151,8 @@ class CallGraph:
                     self._mark(self._resolve_callback(node, node.args[-1]), kind)
                 elif method in _SCHEDULE_METHODS:
                     self._mark_timer(node, method)
+                elif method == "every" and len(node.args) == 2:
+                    self._mark(self._resolve_callback(node, node.args[1]), TIMER)
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if (

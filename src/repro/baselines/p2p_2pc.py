@@ -85,7 +85,6 @@ class PointToPointReplica(Replica):
         super().__init__(engine, site, num_sites, recorder, metrics, trace)
         self.router = router
         self.write_timeout = write_timeout
-        self.deadlock_check_interval = deadlock_check_interval
         router.register(CHANNEL, self._on_message)
         self._handlers = {
             P2pWrite: self._on_write,
@@ -98,9 +97,7 @@ class PointToPointReplica(Replica):
         #: negative ack, a repeated decision is ignored.
         self._finished: set[str] = set()
         self.timeouts_fired = 0
-        # detcheck: ignore[P203] — periodic deadlock sweep; reads only the
-        # current waits-for graph, so a stale firing is a harmless no-op.
-        self.schedule(deadlock_check_interval, self._deadlock_check)
+        self.every(deadlock_check_interval, self._deadlock_check)
 
     # -- submission: incremental (hold-and-wait) read locking ----------------------
 
@@ -315,8 +312,6 @@ class PointToPointReplica(Replica):
                     self.now, self.name, "p2p.deadlock", victim=victim, cycle=len(cycle)
                 )
                 self._resolve_victim(victim)
-        # detcheck: ignore[P203] — periodic sweep reschedule (see __init__).
-        self.schedule(self.deadlock_check_interval, self._deadlock_check)
 
     def _pick_victim(self, cycle: list) -> Optional[str]:
         """Youngest update transaction in the cycle (read-only spared)."""

@@ -1,10 +1,9 @@
-"""Broadcast primitives: reliable, FIFO, causal, and atomic (total order).
+"""Broadcast primitives: reliable, causal, and atomic (total order).
 
 This package implements, from scratch, the group-communication layer the
 paper builds on.  The primitives form a hierarchy [HT93]:
 
 - **Reliable broadcast**: validity, agreement, integrity — no ordering.
-- **FIFO broadcast**: reliable + per-sender order.
 - **Causal broadcast**: reliable + causal order (vector clocks, exposed to
   the application layer as the paper requires for the CBP protocol).
 - **Atomic broadcast**: reliable + a single total order consistent with
@@ -17,7 +16,6 @@ views [Bv94, SS94].
 from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.broadcast.vector_clock import VectorClock
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.fifo import FifoBroadcast
 from repro.broadcast.causal import CausalBroadcast, CausalEnvelope, DeltaCausalEnvelope
 from repro.broadcast.total import SequencedEnvelope, TotalOrderBroadcast
 from repro.broadcast.failure_detector import FailureDetector
@@ -30,7 +28,6 @@ __all__ = [
     "CausalEnvelope",
     "DeltaCausalEnvelope",
     "FailureDetector",
-    "FifoBroadcast",
     "MembershipService",
     "MessageId",
     "ReliableBroadcast",

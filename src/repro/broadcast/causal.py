@@ -34,10 +34,10 @@ broadcast, instead of the full O(n) vector.  Every receiver reconstructs
 the full stamp from its record of that previous stamp; a delta arriving
 before its base (relay and retransmission reorder across links) is parked
 until the base reconstructs.  The sender falls back to a full clock
-whenever continuity is in doubt — first broadcast, view change or
-recovery fast-forward (:meth:`note_disruption`, which also covers ARQ
-epoch bumps: link incarnations only change through the crash/recovery
-path that announces a view change) — and whenever the delta would not
+whenever continuity is in doubt — first broadcast, view change
+(:meth:`set_group`, which also covers ARQ epoch bumps: link incarnations
+only change through the crash/recovery path that announces a view change)
+or recovery (:meth:`adopt_state`) — and whenever the delta would not
 actually be smaller on the wire.
 """
 
@@ -156,12 +156,6 @@ class CausalBroadcast:
         Cluster-wide: every site of a group must agree, since receivers
         only reconstruct what senders encode."""
         self._delta_enabled = True
-
-    def note_disruption(self) -> None:
-        """Force the next broadcast to carry a full clock.  Called on view
-        changes and recovery (which also covers ARQ link-epoch bumps):
-        receivers may have lost the reconstruction chain."""
-        self._full_due = True
 
     @property
     def clock(self) -> VectorClock:
@@ -295,7 +289,7 @@ class CausalBroadcast:
             # (seq already delivered or skipped by a recovery fast-forward)
             # lands on a (sender, value) key the clock has already passed
             # and is never released — exactly the historical behavior of
-            # parking it in the scan queue forever; fast_forward prunes it.
+            # parking it in the scan queue forever; adopt_state prunes it.
             deficit += 1
             self._waiting.setdefault((sender, seq - 1), []).append(held)
         for site, seen in enumerate(stamped):
@@ -341,16 +335,39 @@ class CausalBroadcast:
         )
         return len(self._held) + parked
 
-    def fast_forward(self, clock_entries: list[int]) -> None:
-        """Jump the delivered-vector past messages a state transfer already
-        covers (crash recovery).  Our own send counter is preserved — peers
-        still expect our next broadcast to continue our own sequence — and
-        held-back messages from the skipped past are discarded.  Survivors
-        are re-indexed against the new clock, keeping their arrival ranks;
-        as before, delivery resumes with the next arrival, not here.
+    # -- the stack's chain: view changes and state transfer ------------------------
+
+    def set_group(self, members: list[int]) -> None:
+        """Adopt a new view, bottom-up.  Some receiver may have lost our
+        reconstruction chain (this also covers ARQ link-epoch bumps): the
+        next broadcast ships a full clock."""
+        self.reliable.set_group(members)
+        self._full_due = True
+
+    def export_state(self) -> dict:
+        """The lower layers' state-transfer keys plus ours: the delivered
+        clock and, with delta clocks on (``None`` costs no wire bytes), the
+        last reconstructed stamp per sender, so a rejoiner can decode deltas
+        that straddle the transfer — under static membership no view change
+        makes the senders go full, so this is the only defense."""
+        state = self.reliable.export_state()
+        state["causal_clock"] = list(self._clock)
+        if self._delta_enabled:
+            state["causal_recon"] = {s: list(vc) for s, vc in self._recon.items()}
+        return state
+
+    def adopt_state(self, state: Any) -> None:
+        """Rejoiner side (the reply carries the exported keys as attributes):
+        jump the delivered-vector past messages the state transfer already
+        covers.  Our own send counter is preserved — peers still expect our
+        next broadcast to continue our own sequence — and held-back messages
+        from the skipped past are discarded.  Survivors are re-indexed
+        against the new clock, keeping their arrival ranks; delivery resumes
+        with the next arrival, not here.
         """
-        own_send_seq = max(self._send_seq, clock_entries[self.site])
-        self._clock = VectorClock(clock_entries)
+        self.reliable.adopt_state(state)
+        own_send_seq = max(self._send_seq, state.causal_clock[self.site])
+        self._clock = VectorClock(state.causal_clock)
         self._clock.entries[self.site] = own_send_seq
         self._send_seq = own_send_seq
         survivors = [
@@ -367,23 +384,11 @@ class CausalBroadcast:
         # Receivers may have lost our reconstruction chain while we were
         # away; ship a full clock first.
         self._full_due = True
+        for sender, entries in sorted((state.causal_recon or {}).items()):
+            self._note_recon(sender, VectorClock(entries))
 
     def _deliverable_in_future(self, held: _Held) -> bool:
         return held.envelope.vc[held.message.sender] > self._clock[held.message.sender]
-
-    # -- recovery plumbing for delta reconstruction --------------------------------
-
-    def export_recon(self) -> dict[int, list[int]]:
-        """Last reconstructed stamp per sender — a state-transfer donor
-        ships this so a rejoiner can decode deltas that straddle the
-        transfer (senders also go full on the view change, so this is a
-        second line of defense for the static-membership path)."""
-        return {sender: list(vc.entries) for sender, vc in self._recon.items()}
-
-    def adopt_recon(self, recon: dict[int, list[int]]) -> None:
-        """Seed reconstruction bases from a donor's :meth:`export_recon`."""
-        for sender, entries in sorted(recon.items()):
-            self._note_recon(sender, VectorClock(entries))
 
 
 # Import-time shape check for the size model (detcheck P201/P202).

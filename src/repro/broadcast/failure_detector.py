@@ -69,7 +69,7 @@ class FailureDetector(Process):
         self._peers = tuple(peer for peer in range(num_sites) if peer != site)
         router.register(CHANNEL, self._on_heartbeat)
         if enabled:
-            self.schedule(self.interval, self._tick)
+            self.every(self.interval, self._tick)
 
     def start(self) -> None:
         """Enable a detector constructed with ``enabled=False``."""
@@ -77,7 +77,7 @@ class FailureDetector(Process):
             self.enabled = True
             for peer in self._last_heard:
                 self._last_heard[peer] = self.now
-            self.schedule(self.interval, self._tick)
+            self.every(self.interval, self._tick)
 
     def _on_heartbeat(self, src: int, payload: object) -> None:
         self._last_heard[src] = self.now
@@ -85,9 +85,9 @@ class FailureDetector(Process):
             self.suspected.discard(src)
             self._notify()
 
-    def _tick(self) -> None:
+    def _tick(self) -> bool:
         if not self.enabled:
-            return
+            return False  # ends the Process.every loop
         self.router.multicast(self._peers, CHANNEL, _HEARTBEAT, "fd.heartbeat")
         newly = {
             peer
@@ -97,7 +97,7 @@ class FailureDetector(Process):
         if newly != self.suspected:
             self.suspected = newly
             self._notify()
-        self.schedule(self.interval, self._tick)
+        return True
 
     def refresh(self, peer: int) -> None:
         """Direct proof of life for ``peer`` outside the heartbeat channel
@@ -134,5 +134,3 @@ class FailureDetector(Process):
         for peer in self._last_heard:
             self._last_heard[peer] = self.now
         self.suspected.clear()
-        if self.enabled:
-            self.schedule(self.interval, self._tick)

@@ -66,6 +66,13 @@ class ReliableBroadcast:
             raise ValueError(f"site {self.site} not in its own group {members}")
         self.group = sorted(members)
 
+    def export_state(self) -> dict:
+        """This layer's keys of a state-transfer reply: none (chain bottom)."""
+        return {}
+
+    def adopt_state(self, state: Any) -> None:
+        """Rejoiner side of :meth:`export_state`: nothing to adopt."""
+
     def broadcast(self, payload: Any, kind: Optional[str] = None) -> BroadcastMessage:
         """Reliably broadcast ``payload`` to the group (including ourselves).
 

@@ -40,6 +40,7 @@ from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.net.sizes import kind_of, register_payload
 from repro.sim.engine import SimulationEngine
 from repro.sim.outbox import Outbox
+from repro.sim.process import Process
 
 TOKEN_CHANNEL = "abcast.token"
 
@@ -84,8 +85,10 @@ class _OrderedPending:
 DeliverFn = Callable[[Any, CausalEnvelope, Optional[int]], None]
 
 
-class TotalOrderBroadcast:
-    """Atomic broadcast endpoint for one site, layered on causal broadcast."""
+class TotalOrderBroadcast(Process):
+    """Atomic broadcast endpoint for one site, layered on causal broadcast.
+    A :class:`Process`: the stability tick and the token hold are its timers,
+    so they stop with the site and the tick resumes when it recovers."""
 
     def __init__(
         self,
@@ -99,7 +102,7 @@ class TotalOrderBroadcast:
     ):
         if mode not in ("sequencer", "token"):
             raise ValueError(f"unknown total-order mode {mode!r}")
-        self.engine = engine
+        super().__init__(engine, f"abcast{causal.site}")
         self.causal = causal
         self.site = causal.site
         self.num_sites = causal.num_sites
@@ -119,7 +122,7 @@ class TotalOrderBroadcast:
         self.epoch = 0
         self._deliver: Optional[DeliverFn] = None
         # Ordered-delivery machinery.
-        self._next_delivery_index = 0
+        self.next_delivery_index = 0
         self._order_of: dict[MessageId, tuple[int, int]] = {}
         self._ready: dict[tuple[int, int], _OrderedPending] = {}
         self._unordered: dict[MessageId, _OrderedPending] = {}
@@ -139,11 +142,11 @@ class TotalOrderBroadcast:
             tracker = causal.enable_stability()
             tracker.on_advance(lambda stable: self._drain())
             self._last_own_broadcast = 0.0
-            engine.schedule(stability_interval, self._stability_tick)
+            self.every(stability_interval, self._stability_tick)
         if mode == "token":
             causal.reliable.router.register(TOKEN_CHANNEL, self._on_token)
             if self.site == 0:
-                engine.schedule(0.0, self._acquire_token, Token(0, 0))
+                self.schedule(0.0, self._acquire_token, Token(0, 0))
 
     # -- public API ---------------------------------------------------------
 
@@ -175,7 +178,9 @@ class TotalOrderBroadcast:
         self.causal.broadcast(SequencedEnvelope(payload, False, kind or ""), kind)
 
     def set_group(self, members: list[int]) -> None:
-        """Adopt a new view: re-elect the sequencer, bump the epoch."""
+        """Adopt a new view, bottom-up (a takeover broadcasts into the new
+        group): re-elect the sequencer, bump the epoch."""
+        self.causal.set_group(members)
         self.group = sorted(members)
         self.epoch += 1
         if self.mode == "sequencer" and self.is_sequencer:
@@ -198,21 +203,26 @@ class TotalOrderBroadcast:
     def is_sequencer(self) -> bool:
         return bool(self.group) and self.site == min(self.group)
 
-    def export_order_state(self) -> dict:
-        """Ordering position for a state-transfer donor to ship."""
-        return {
-            "next_delivery_index": self._next_delivery_index,
+    def export_state(self) -> dict:
+        """The lower layers' state-transfer keys plus our ordering position."""
+        state = self.causal.export_state()
+        state["total_order_state"] = {
+            "next_delivery_index": self.next_delivery_index,
             "last_delivered_key": self._last_delivered_key,
             "next_seq": self._next_seq,
             "epoch": self.epoch,
         }
+        return state
 
-    def fast_forward(self, state: dict) -> None:
-        """Jump past the total-order prefix a state transfer covers."""
-        self._next_delivery_index = state["next_delivery_index"]
-        self._last_delivered_key = state["last_delivered_key"]
-        self._next_seq = max(self._next_seq, state["next_seq"])
-        self.epoch = max(self.epoch, state["epoch"])
+    def adopt_state(self, state: Any) -> None:
+        """Rejoiner side: jump past the total-order prefix the transferred
+        snapshot covers (``state``: the reply, keys as attributes)."""
+        self.causal.adopt_state(state)
+        order = state.total_order_state
+        self.next_delivery_index = order["next_delivery_index"]
+        self._last_delivered_key = order["last_delivered_key"]
+        self._next_seq = max(self._next_seq, order["next_seq"])
+        self.epoch = max(self.epoch, order["epoch"])
         # Drop buffered deliveries from the covered prefix.
         covered = {
             key for key in self._ready if self._last_delivered_key is not None
@@ -325,8 +335,8 @@ class TotalOrderBroadcast:
                 break  # stability advance will re-drain
             self._delivery_order.pop(0)
             del self._ready[key]
-            index = self._next_delivery_index
-            self._next_delivery_index += 1
+            index = self.next_delivery_index
+            self.next_delivery_index += 1
             self._last_delivered_key = key
             self._handoff(pending.message, pending.envelope, index)
 
@@ -347,13 +357,11 @@ class TotalOrderBroadcast:
         if self.engine.now - self._last_own_broadcast < self.stability_interval:
             # Recent real traffic's piggybacked clock already carried the
             # information; this firing is redundant (detcheck H401 guard).
-            self.engine.schedule(self.stability_interval, self._stability_tick)
             return
         self.causal.broadcast(
             SequencedEnvelope(None, False, "abcast.stability"), "abcast.stability"
         )
         self._last_own_broadcast = self.engine.now
-        self.engine.schedule(self.stability_interval, self._stability_tick)
 
     def _is_next(self, epoch: int, seq: int) -> bool:
         last = self._last_delivered_key
@@ -391,7 +399,7 @@ class TotalOrderBroadcast:
         self._has_token = True
         self._token = token
         self._flush_outbox()
-        self.engine.schedule(self.token_hold, self._pass_token)
+        self.schedule(self.token_hold, self._pass_token)
 
     def _flush_outbox(self) -> None:
         token = self._token
@@ -411,7 +419,7 @@ class TotalOrderBroadcast:
         if len(members) <= 1:
             # detcheck: ignore[P203] — sole-member token self-pass; the token
             # argument is the freshness token (stale tokens are discarded).
-            self.engine.schedule(self.token_hold, self._acquire_token, token)
+            self.schedule(self.token_hold, self._acquire_token, token)
             return
         position = members.index(self.site)
         successor = members[(position + 1) % len(members)]

@@ -91,9 +91,9 @@ class AtomicBroadcastReplica(Replica):
 
     # -- recovery ----------------------------------------------------------------------
 
-    def fast_forward_order(self, next_index: int) -> None:
-        """Skip the total-order prefix a state-transfer snapshot covers."""
-        self._expected_index = max(self._expected_index, next_index)
+    def on_recovery_complete(self) -> None:
+        """Skip the total-order prefix the adopted state transfer covers."""
+        self._expected_index = max(self._expected_index, self.abcast.next_delivery_index)
 
     def export_protocol_state(self) -> Optional[dict]:
         """Ship the causally pre-shipped write sets with a state transfer.

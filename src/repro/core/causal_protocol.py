@@ -117,9 +117,8 @@ class CausalBroadcastReplica(Replica):
         self._last_broadcast = 0.0
         self.nacks_sent = 0
         if heartbeat_interval is not None:
-            # detcheck: ignore[P203] — periodic null-message loop; sends are
-            # idempotent heartbeats gated on elapsed time, not on epoch state.
-            self.schedule(heartbeat_interval, self._heartbeat)
+            # Null messages: an idle site's implicit acknowledgments.
+            self.every(heartbeat_interval, self._heartbeat)
 
     # -- home side --------------------------------------------------------------
 
@@ -429,8 +428,6 @@ class CausalBroadcastReplica(Replica):
         # is covered by the snapshot or the adopted in-flight state.
         if not self.recovering and self.now - self._last_broadcast >= self.heartbeat_interval:
             self._broadcast(CbpNull(self.site))
-        # detcheck: ignore[P203] — periodic tick reschedule (see __init__).
-        self.schedule(self.heartbeat_interval, self._heartbeat)
 
     # -- crash / recovery ------------------------------------------------------------------
 
@@ -576,14 +573,6 @@ class CausalBroadcastReplica(Replica):
             )
         for state in list(self._live.values()):
             self._check_commit(state)
-
-    def on_recover(self) -> None:
-        # Restart the null-message loop; without it the recovered site
-        # would never provide implicit acknowledgments again.
-        if self.heartbeat_interval is not None:
-            # detcheck: ignore[P203] — restart of the periodic null-message
-            # loop after recovery (see __init__).
-            self.schedule(self.heartbeat_interval, self._heartbeat)
 
     # -- view changes -------------------------------------------------------------------
 

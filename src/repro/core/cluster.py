@@ -77,18 +77,13 @@ class ClusterConfig:
     batching: Optional[float] = None
     relay: bool = False
     trace: bool = False
-    # Trace retention: a cap (records) and which end to keep when it is
-    # reached — "head" keeps the oldest (assert on a run's opening phase),
-    # "ring" keeps the newest (long soaks: memory stays bounded and the
-    # records nearest a failure survive).  See repro.sim.trace.TraceLog.
+    # Trace retention cap (records), a ring of the newest: a long soak stays
+    # memory-bounded and the records nearest a failure survive (TraceLog).
     trace_capacity: Optional[int] = None
-    trace_mode: str = "head"
     # Failure handling.
     enable_failure_detector: bool = False
     fd_interval: float = 50.0
     fd_timeout: float = 200.0
-    # Periodic WAL checkpointing (None disables).
-    checkpoint_interval: Optional[float] = None
     # Client retry loop.
     retry_aborted: bool = True
     max_attempts: int = 25
@@ -129,12 +124,7 @@ class ClusterConfig:
                     "batching must be None or a non-negative flush window in ms"
                 )
             self.batching = float(self.batching)
-        for name in (
-            "fd_interval",
-            "checkpoint_interval",
-            "cbp_heartbeat",
-            "p2p_deadlock_interval",
-        ):
+        for name in ("fd_interval", "cbp_heartbeat", "p2p_deadlock_interval"):
             interval = getattr(self, name)
             if interval is not None and interval <= 0:
                 # A periodic tick that reschedules itself at +0 never lets
@@ -190,7 +180,7 @@ class Cluster:
         self.trace = TraceLog(
             enabled=config.trace,
             capacity=config.trace_capacity,
-            mode=config.trace_mode,
+            mode="head" if config.trace_capacity is None else "ring",
         )
         self.recorder = HistoryRecorder()
         self.metrics = MetricsCollector()
@@ -211,6 +201,9 @@ class Cluster:
         self.reliables: list[ReliableBroadcast] = []
         self.causals: list[CausalBroadcast] = []
         self.totals: list[TotalOrderBroadcast] = []
+        #: Per site, the top of its broadcast stack: view changes and state
+        #: transfer enter there and forward down the chain.
+        self.stacks: list[Any] = []
         self.detectors: list[FailureDetector] = []
         self.memberships: list[MembershipService] = []
         self.recovery_agents: list[RecoveryAgent] = []
@@ -249,10 +242,10 @@ class Cluster:
             replica.on_complete = self._on_complete
             replica.store.initialize(self.keys)
             self.replicas.append(replica)
-            if config.checkpoint_interval is not None:
-                self._schedule_checkpoints(replica, config.checkpoint_interval)
+            # The highest layer the protocol put on the reliable one.
+            self.stacks.append((self.totals or self.causals or self.reliables)[site])
             self.recovery_agents.append(
-                self._wire_recovery(site, router, replica)
+                RecoveryAgent(self.engine, router, replica, self.trace, self.stacks[site])
             )
 
             if config.enable_failure_detector:
@@ -325,61 +318,12 @@ class Cluster:
         self.totals.append(total)
         return AtomicBroadcastReplica(*common, abcast=total, variant=config.abp_variant)
 
-    def _schedule_checkpoints(self, replica: Replica, interval: float) -> None:
-        def tick() -> None:
-            if replica.alive and not replica.recovering:
-                replica.checkpoint()
-            # detcheck: ignore[P203] — periodic checkpoint tick; guarded by
-            # the alive/recovering re-check above on every firing.
-            replica.schedule(interval, tick)
-
-        # detcheck: ignore[P203] — initial arming of the checkpoint tick.
-        replica.schedule(interval, tick)
-
-    def _wire_recovery(
-        self, site: int, router: ChannelRouter, replica: Replica
-    ) -> RecoveryAgent:
-        agent = RecoveryAgent(self.engine, router, replica, self.trace)
-
-        def export() -> dict:
-            state: dict = {}
-            if self.causals:
-                state["causal_clock"] = list(self.causals[site].clock)
-                state["causal_recon"] = self.causals[site].export_recon()
-            if self.totals:
-                state["total_order_state"] = self.totals[site].export_order_state()
-            return state
-
-        def apply(state: dict) -> None:
-            clock = state.get("causal_clock")
-            if self.causals and clock is not None:
-                self.causals[site].fast_forward(clock)
-                recon = state.get("causal_recon")
-                if recon is not None:
-                    self.causals[site].adopt_recon(recon)
-            order_state = state.get("total_order_state")
-            if self.totals and order_state is not None:
-                self.totals[site].fast_forward(order_state)
-                if isinstance(replica, AtomicBroadcastReplica):
-                    replica.fast_forward_order(order_state["next_delivery_index"])
-
-        agent.fast_forward.export = export
-        agent.fast_forward.apply = apply
-        return agent
-
     def _make_view_listener(self, site: int) -> Callable[[View, set[int]], None]:
         def listener(view: View, joined: set[int]) -> None:
             replica = self.replicas[site]
             members = list(view.members)
             was_primary = replica.has_quorum
-            self.reliables[site].set_group(members)
-            if self.causals:
-                # Delta-clock fallback: a membership change means some
-                # receiver may have lost our reconstruction chain — the
-                # next broadcast ships a full clock (no-op without deltas).
-                self.causals[site].note_disruption()
-            if self.totals:
-                self.totals[site].set_group(members)
+            self.stacks[site].set_group(members)
             now_primary = view.has_quorum(self.config.num_sites)
             if replica.recovering:
                 # Crash recovery: we have rejoined the view (so members now
@@ -498,7 +442,7 @@ class Cluster:
             # Fail-stop: the open flush window's queued traffic is lost.
             self.batchers[site].reset()
         if self.totals:
-            self.totals[site].on_crash()
+            self.totals[site].crash()
         replica = self.replicas[site]
         for tx in list(replica.local.values()):
             replica._complete_abort(tx, AbortReason.SITE_FAILURE)
@@ -523,6 +467,8 @@ class Cluster:
         self.transports[site].reset()
         if self.batchers[site] is not None:
             self.batchers[site].reset()
+        if self.totals:
+            self.totals[site].recover()
         replica.recover()
         replica.recovering = True
         if self.detectors:

@@ -8,10 +8,10 @@ simulation shortcut:
 
 1. the recovering site sends a :class:`StateTransferRequest` to a donor
    (the lowest live member of the primary component);
-2. the donor replies with a full object snapshot plus the broadcast-layer
-   fast-forward state (causal clock, total-order position);
-3. the recovering site loads the snapshot, fast-forwards its broadcast
-   stack past everything the snapshot already covers, truncates its WAL
+2. the donor replies with a full object snapshot plus what its broadcast
+   stack exports (causal clock, delta bases, total-order position);
+3. the recovering site loads the snapshot, has its broadcast stack adopt
+   that state (past everything the snapshot covers), truncates its WAL
    (the snapshot is the new recovery point), and only then starts
    accepting transactions and announces itself to the membership service.
 
@@ -26,7 +26,7 @@ so the reliable layer's agreement property provides exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.replica import Replica
@@ -48,11 +48,18 @@ class StateTransferRequest:
 
 @dataclass(slots=True)
 class StateTransferReply:
-    """Snapshot of committed state + broadcast-layer positions."""
+    """Snapshot of committed state + broadcast-layer positions.
+
+    ``causal_*`` and ``total_*`` belong to the broadcast stack: a layer
+    writes its keys in ``export_state`` and reads them back as attributes
+    in ``adopt_state``; the agent only passes them through, so a key no
+    field carries is a ``TypeError`` at the donor, not a silent drop.
+    """
 
     from_site: int
     objects: tuple[tuple[str, int, Any], ...]
     causal_clock: Optional[list[int]] = None
+    causal_recon: Optional[dict] = None
     total_order_state: Optional[dict] = None
     #: Protocol-private state (``Replica.export_protocol_state``): CBP's
     #: in-flight transaction books, ABP's pre-shipped write sets — the
@@ -61,14 +68,6 @@ class StateTransferReply:
     #: terminate) decision queries for outcomes reached while it was down.
     protocol_state: Optional[dict] = None
     kind: str = "recovery.reply"
-
-
-@dataclass
-class _FastForward:
-    """Hooks into the broadcast stack, filled in by the cluster wiring."""
-
-    export: Callable[[], dict] = field(default=lambda: {})
-    apply: Callable[[dict], None] = field(default=lambda state: None)
 
 
 class RecoveryAgent:
@@ -80,12 +79,15 @@ class RecoveryAgent:
         router: ChannelRouter,
         replica: Replica,
         trace: TraceLog,
+        stack: Any,
         serve_delay: float = 100.0,
     ):
         self.engine = engine
         self.router = router
         self.replica = replica
         self.trace = trace
+        #: Top endpoint of the site's broadcast stack.
+        self.stack = stack
         #: Settle period before the donor exports its snapshot.  The
         #: recovering site rejoins the broadcast group *first*; any message
         #: sent by a member that had not yet installed the rejoin view will
@@ -93,7 +95,6 @@ class RecoveryAgent:
         #: covers every message the recovering site will never receive.
         #: (A real group-communication system runs a view flush here.)
         self.serve_delay = serve_delay
-        self.fast_forward = _FastForward()
         self.on_recovered: Optional[Callable[[], None]] = None
         self.requested = False
         self.transfers_served = 0
@@ -131,13 +132,11 @@ class RecoveryAgent:
         replica = self.replica
         if not replica.alive or replica.recovering:
             return
-        state = self.fast_forward.export()
         reply = StateTransferReply(
-            from_site=replica.site,
-            objects=replica.store.export_snapshot(),
-            causal_clock=state.get("causal_clock"),
-            total_order_state=state.get("total_order_state"),
+            replica.site,
+            replica.store.export_snapshot(),
             protocol_state=replica.export_protocol_state(),
+            **self.stack.export_state(),
         )
         self.transfers_served += 1
         self.trace.emit(
@@ -154,9 +153,7 @@ class RecoveryAgent:
         if not replica.recovering:
             return  # duplicate reply
         replica.install_snapshot(reply.objects)
-        self.fast_forward.apply(
-            {"causal_clock": reply.causal_clock, "total_order_state": reply.total_order_state}
-        )
+        self.stack.adopt_state(reply)
         if reply.protocol_state is not None:
             replica.adopt_protocol_state(reply.protocol_state)
         replica.recovering = False

@@ -272,6 +272,8 @@ class Replica(Process):
         crash recovery is "load the checkpoint snapshot, replay the (short)
         log tail" — verified by :meth:`rebuild_from_local_log`.
         """
+        if self.recovering:
+            return  # the state transfer's snapshot becomes the recovery point
         self._checkpoint = self.store.export_snapshot()
         self.wal.truncate()
         self.checkpoints_taken += 1

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.process import Process
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster, ClusterResult, SpecStatus
 
@@ -70,7 +72,7 @@ class OracleConfig:
             raise ValueError("in_doubt_limit must be positive when set")
 
 
-class SoakOracles:
+class SoakOracles(Process):
     """Arms the continuous checks against one cluster.
 
     Usage::
@@ -86,6 +88,7 @@ class SoakOracles:
     """
 
     def __init__(self, cluster: "Cluster", config: Optional[OracleConfig] = None):
+        super().__init__(cluster.engine, "oracles")
         self.cluster = cluster
         self.config = config if config is not None else OracleConfig()
         self.finals_observed = 0
@@ -103,9 +106,7 @@ class SoakOracles:
             return
         self._armed = True
         self._last_progress = self.cluster.engine.now
-        # detcheck: ignore[P203] — periodic read-only oracle tick; guarded
-        # by the _armed re-check on every firing.
-        self.cluster.engine.schedule(self.config.check_interval, self._tick)
+        self.every(self.config.check_interval, self._tick)
 
     def disarm(self) -> None:
         """Stop the periodic checks after the current interval."""
@@ -121,14 +122,13 @@ class SoakOracles:
         self._last_progress = now
         self.finals_observed += 1
 
-    def _tick(self) -> None:
+    def _tick(self) -> bool:
         if not self._armed:
-            return
+            return False  # disarmed: ends the Process.every loop
         self._check_liveness()
         if self.config.in_doubt_limit is not None:
             self._check_in_doubt()
-        # detcheck: ignore[P203] — periodic oracle tick reschedule (see arm).
-        self.cluster.engine.schedule(self.config.check_interval, self._tick)
+        return True
 
     def _check_liveness(self) -> None:
         cluster = self.cluster

@@ -3,7 +3,8 @@
 A :class:`Process` owns a set of timers; crashing a process cancels all of
 its timers and makes subsequent ``schedule`` calls inert, which models a
 fail-stop site [SS82]: a crashed site performs no further actions until it is
-explicitly recovered.
+explicitly recovered.  Periodic work is registered once, with
+:meth:`Process.every`; no subclass re-arms a tick loop by hand.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class Process:
         #: however many timers are genuinely pending.
         self._prune_at = 256
         self._crash_count = 0
+        #: ``(interval, tick)`` per unended :meth:`every` loop, for :meth:`recover`.
+        self._loops: list[tuple[float, Callable[[], None]]] = []
 
     @property
     def now(self) -> float:
@@ -50,6 +53,26 @@ class Process:
         if self.alive and epoch == self._crash_count:
             fn(*args)
 
+    def every(self, interval: float, fn: Callable[[], Any]) -> None:
+        """Run ``fn()`` each ``interval`` while the process is alive, first
+        one ``interval`` from now.  A crash silences the loop (the epoch
+        guard of :meth:`schedule`), :meth:`recover` starts it again once,
+        after ``on_recover``, and ``fn`` returning ``False`` ends it."""
+        if interval <= 0:
+            # Rescheduling at +0 never lets simulated time advance.
+            raise ValueError(f"interval must be positive, got {interval!r}")
+
+        def tick() -> None:
+            if fn() is False:
+                self._loops.remove(loop)
+                return
+            self.schedule(interval, tick)
+
+        loop = (interval, tick)
+        self._loops.append(loop)
+        if self.alive:
+            self.schedule(interval, tick)
+
     def crash(self) -> None:
         """Fail-stop: cancel all pending timers and stop reacting to events."""
         if not self.alive:
@@ -67,6 +90,8 @@ class Process:
             return
         self.alive = True
         self.on_recover()
+        for interval, tick in self._loops:
+            self.schedule(interval, tick)
 
     def on_crash(self) -> None:
         """Hook for subclasses; called once per crash."""

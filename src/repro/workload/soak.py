@@ -75,7 +75,6 @@ def scaled_cluster_config(
         reliable_links=True if flap_loss is not None else None,
         trace=trace,
         trace_capacity=trace_capacity if trace else None,
-        trace_mode="ring" if trace else "head",
     )
 
 

@@ -45,6 +45,7 @@ class BroadcastHarness:
         loss_rate: float = 0.0,
         seed: int = 0,
         mode: str = "sequencer",
+        uniform: bool = False,
     ):
         self.engine = SimulationEngine()
         self.network = Network(
@@ -68,12 +69,6 @@ class BroadcastHarness:
             if stack == "reliable":
                 reliable.set_deliver(self._make_sink(site, lambda m: (m.payload, None)))
                 self.layers.append(reliable)
-            elif stack == "fifo":
-                from repro.broadcast.fifo import FifoBroadcast
-
-                fifo = FifoBroadcast(reliable)
-                fifo.set_deliver(self._make_sink(site, lambda m: (m.payload, m.id)))
-                self.layers.append(fifo)
             elif stack == "causal":
                 causal = CausalBroadcast(reliable)
                 causal.set_deliver(
@@ -82,7 +77,9 @@ class BroadcastHarness:
                 self.layers.append(causal)
             elif stack == "total":
                 causal = CausalBroadcast(reliable)
-                total = TotalOrderBroadcast(self.engine, causal, mode=mode, token_hold=0.5)
+                total = TotalOrderBroadcast(
+                    self.engine, causal, mode=mode, token_hold=0.5, uniform=uniform
+                )
                 total.set_deliver(
                     self._make_sink(site, lambda p, env, idx: (p, idx))
                 )

@@ -29,10 +29,16 @@ def test_soak_with_fault_timeline(protocol):
             cbp_heartbeat=20.0,
             max_attempts=60,
             retry_backoff=8.0,
-            checkpoint_interval=500.0,
         )
     )
+    for replica in cluster.replicas:
+        replica.every(500.0, replica.checkpoint)
     schedule = FaultSchedule(cluster).crash(4, at=800.0).recover(4, at=2500.0)
+    # Site 4's checkpoint count once its state transfer has settled.
+    settled: list[int] = []
+    cluster.engine.schedule_at(
+        3500.0, lambda: settled.append(cluster.replicas[4].checkpoints_taken)
+    )
     expected_actions = ["crash", "recover"]
     if protocol == "rbp":
         # Partition-with-live-traffic is exercised only for RBP: its
@@ -76,8 +82,10 @@ def test_soak_with_fault_timeline(protocol):
     last_fault = max(e.time for e in schedule.log)
     last_commit = max(o.end_time for o in result.metrics.committed)
     assert last_commit > last_fault
-    # Checkpoints kept running through the faults on the surviving sites.
+    # Checkpoints kept running through the faults on the surviving sites,
+    # and the recovered site's loop was re-armed by its recovery.
     assert all(r.checkpoints_taken > 0 for r in cluster.replicas if r.alive)
+    assert cluster.replicas[4].checkpoints_taken >= settled[0] + 2
 
 
 def test_soak_open_loop_abp():

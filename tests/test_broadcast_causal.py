@@ -166,13 +166,13 @@ def test_first_broadcast_is_full_then_deltas(harness_factory):
 
 
 def test_disruption_forces_full_stamp(harness_factory):
-    """After note_disruption (view change) the next stamp goes out full,
+    """After a view change the next stamp goes out full,
     resynchronizing every receiver's reconstruction state."""
     h = harness_factory(num_sites=6, stack="causal")
     _enable_deltas(h)
     layer = h.layers[0]
     layer.broadcast(Event("a"))
-    layer.note_disruption()
+    layer.set_group(list(range(6)))
     layer.broadcast(Event("b"))
     h.run()
     assert layer.fulls_sent == 2

@@ -46,9 +46,10 @@ def test_periodic_checkpoints_bound_wal_growth():
             num_sites=3,
             num_objects=32,
             seed=7,
-            checkpoint_interval=100.0,
         )
     )
+    for replica in cluster.replicas:
+        replica.every(100.0, replica.checkpoint)
     result = run_standard_mix(
         cluster,
         WorkloadConfig(num_objects=32, num_sites=3, read_ops=1, write_ops=2),

@@ -18,9 +18,7 @@ def test_config_validation():
         ClusterConfig(num_objects=0)
 
 
-@pytest.mark.parametrize(
-    "field", ["cbp_heartbeat", "p2p_deadlock_interval", "fd_interval", "checkpoint_interval"]
-)
+@pytest.mark.parametrize("field", ["cbp_heartbeat", "p2p_deadlock_interval", "fd_interval"])
 def test_non_positive_periodic_interval_rejected(field):
     """A tick that reschedules itself at +0 never lets simulated time
     advance, so the run would hang instead of failing.  ``None`` stays
@@ -28,8 +26,7 @@ def test_non_positive_periodic_interval_rejected(field):
     for interval in (0.0, -5.0):
         with pytest.raises(ValueError, match=field):
             ClusterConfig(**{field: interval})
-    config = ClusterConfig(protocol="cbp", cbp_heartbeat=None, checkpoint_interval=None)
-    assert config.cbp_heartbeat is None and config.checkpoint_interval is None
+    assert ClusterConfig(protocol="cbp", cbp_heartbeat=None).cbp_heartbeat is None
 
 
 def test_config_surface_is_pinned():
@@ -40,7 +37,7 @@ def test_config_surface_is_pinned():
     import repro
     import repro.broadcast
 
-    assert len(dataclasses.fields(ClusterConfig)) <= 29
+    assert len(dataclasses.fields(ClusterConfig)) <= 27
     assert not hasattr(repro.broadcast, "BatchingConfig")
     assert not hasattr(repro.net.batching, "BatchingConfig")
     assert "BatchingConfig" not in repro.__all__

@@ -163,3 +163,80 @@ def test_live_write_during_state_transfer_survives_snapshot_install():
         if record.kind == "rbp.recovery_replay"
     ]
     assert replays, "expected site 1 to defer deliveries during its transfer"
+
+
+def _update(name, home, i, value):
+    return TransactionSpec.make(
+        name, home, read_keys=[f"x{i % 16}"], writes={f"x{(i + 1) % 16}": value}
+    )
+
+
+def _waves(*waves):
+    """``(prefix, first_at, homes, count)`` per wave -> timed updates, 5 ms
+    apart, homed round-robin over ``homes``."""
+    return [
+        (first_at + 5 * i, _update(f"{prefix}{i}", homes[i % len(homes)], i, f"{prefix}{i}"))
+        for prefix, first_at, homes, count in waves
+        for i in range(count)
+    ]
+
+
+EVERY_SITE, SURVIVORS = [0, 1, 2, 3], [0, 1, 3]
+#: config, (victim, crash at, recover at), timed submissions.  Each fails on
+#: the tree before ``Process.every`` / the stack's ``export_state`` chain.
+LIFECYCLE_RECIPES = {
+    # The recovered site's deadlock sweep runs again: A and B deadlock at
+    # site 1 behind C's write and a 10 ms sweep (not the 400 ms write
+    # timeout) breaks the cycle.
+    "p2p_sweep": (
+        dict(protocol="p2p", num_objects=8, seed=3, enable_failure_detector=True,
+             fd_interval=20, fd_timeout=80),
+        (1, 10, 300),
+        [
+            (1500, TransactionSpec.make("C", 1, writes={"x5": 1})),
+            (1501, TransactionSpec.make("A", 1, read_keys=["x0", "x5"], writes={"x1": 1})),
+            (1501, TransactionSpec.make("B", 1, read_keys=["x1", "x5"], writes={"x0": 1})),
+        ],
+    ),
+    # The stability tick stops with its site: no null messages numbered
+    # while down for every survivor to wait on after the recovery.
+    "uniform_tick": (
+        dict(protocol="abp", seed=5, abp_uniform=True),
+        (2, 100, 500),
+        _waves(("a", 0, EVERY_SITE, 8), ("c", 1200, EVERY_SITE, 8)),
+    ),
+    # The reply carries the delta-clock reconstruction bases (static
+    # membership: no view change makes the senders go full).
+    "recon_bases": (
+        dict(protocol="abp", seed=5, batching=0.0),
+        (2, 100, 400),
+        _waves(("a", 0, EVERY_SITE, 12), ("b", 120, SURVIVORS, 12), ("c", 900, EVERY_SITE, 12)),
+    ),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(LIFECYCLE_RECIPES))
+def test_site_lifecycle_survives_crash_and_recovery(recipe):
+    config, (victim, crash_at, recover_at), submissions = LIFECYCLE_RECIPES[recipe]
+    cluster = Cluster(ClusterConfig(**{"num_sites": 4, "num_objects": 16, **config}))
+    cluster.crash_site(victim, at=crash_at)
+    cluster.recover_site(victim, at=recover_at)
+    for at, tx in submissions:
+        cluster.submit(tx, at=at)
+    result = cluster.run(max_time=20_000, stop_when=cluster.await_specs(len(submissions)))
+    assert result.incomplete_specs == 0 and result.failed_specs == 0
+    assert result.ok, result.serialization.explain()
+    assert all(causal.pending_count() == 0 for causal in cluster.causals)
+    if recipe == "p2p_sweep":
+        assert result.metrics.deadlocks_detected == 1
+        assert cluster.replicas[victim].timeouts_fired == 0
+
+
+def test_reply_rejects_a_stack_key_it_cannot_carry():
+    """A layer exporting a key ``StateTransferReply`` has no field for fails
+    at the donor, loudly, instead of being dropped on the way."""
+    agent = fault_cluster("cbp").recovery_agents[0]
+    export = agent.stack.export_state
+    agent.stack.export_state = lambda: {**export(), "token_position": 3}
+    with pytest.raises(TypeError, match="token_position"):
+        agent._send_reply(1)

@@ -1,5 +1,7 @@
 """Unit tests for the fail-stop process abstraction."""
 
+import pytest
+
 from repro.sim.engine import SimulationEngine
 from repro.sim.process import Process
 
@@ -110,3 +112,28 @@ def test_pruning_is_amortised_and_crash_still_cancels_everything():
     assert engine.pending_count() == 0
     engine.run()
     assert ticker.ticks == 0
+
+
+def test_every_fires_while_alive_is_rearmed_once_and_ends_on_false():
+    """``every``: a firing per interval; a crash silences the loop and each
+    recovery starts exactly one again; ``False`` ends it for good."""
+    engine = SimulationEngine()
+    process = Process(engine, "p")
+    fired, bounded = [], []
+    process.every(10.0, lambda: fired.append(engine.now))
+    # Returns False on its third run: ended, and no recovery brings it back.
+    process.every(4.0, lambda: bounded.append(engine.now) or len(bounded) < 3)
+    for at, action in [
+        (35.0, process.crash),
+        (50.0, process.recover),
+        (50.0, process.recover),  # already up: no second loop
+        (75.0, process.crash),
+        (80.0, process.recover),
+    ]:
+        engine.schedule_at(at, action)
+    engine.run(until=115.0)
+    assert fired == [10.0, 20.0, 30.0, 60.0, 70.0, 90.0, 100.0, 110.0]
+    assert bounded == [4.0, 8.0, 12.0]
+    for interval in (0.0, -1.0):
+        with pytest.raises(ValueError, match="interval"):
+            process.every(interval, fired.clear)

@@ -61,14 +61,7 @@ def test_restrict_to_drops_departed_members():
 def test_uniform_total_order_waits_for_stability(harness_factory):
     """In uniform mode a lone ordered message is not delivered until every
     site's clock confirms receipt (carried by stability null messages)."""
-    h = harness_factory(num_sites=3, stack="total")
-    for layer in h.layers:
-        layer.uniform = True
-        tracker = layer.causal.enable_stability()
-        tracker.on_advance(lambda stable, layer=layer: layer._drain())
-        layer._last_own_broadcast = 0.0
-        layer.engine = h.engine
-        h.engine.schedule(5.0, layer._stability_tick)
+    h = harness_factory(num_sites=3, stack="total", uniform=True)
     h.layers[0].broadcast(Op("solo"))
     # Shortly after the broadcast nothing is delivered anywhere (the data
     # needs one hop, the confirming clocks another).

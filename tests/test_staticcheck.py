@@ -803,6 +803,22 @@ def test_h401_allows_guard_first_and_counter_bumps():
     )
 
 
+def test_h401_reaches_a_tick_body_handed_to_every():
+    # Process.every's callable is a timer entry point; P203 does not apply.
+    hits = run_rules(
+        """
+        class Proto:
+            def __init__(self):
+                self.every(5.0, self._sweep)
+
+            def _sweep(self):
+                self.pending.clear()
+                self.router.send(0, "c", None, "k")
+        """
+    )
+    assert "H401" in hits and "P203" not in hits
+
+
 def test_h401_ignores_zero_delay_dispatch():
     # schedule(0, ...) is the uniform local-delivery path, not a timer.
     assert "H401" not in run_rules(
