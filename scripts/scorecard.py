@@ -16,6 +16,9 @@ One line, suitable for CHANGES.md::
   with no argument, so nothing tells one firing from the next (hand-rolled
   periodic work; the one inside ``Process.every`` is meant to be the only
   one -- a watchdog that re-arms itself with its transaction id is not one);
+- recovery backlogs: distinct ``self.*backlog*`` attributes per module
+  under ``src/repro`` (hand-rolled holds of traffic a site in state
+  transfer receives; the router's hold is meant to be the only one);
 - detcheck rules;
 - collected tier-1 tests.
 """
@@ -41,6 +44,7 @@ from repro.core.cluster import ClusterConfig  # noqa: E402
 PRAGMA = r"detcheck: ignore"
 COMMIT_TAIL = r"\.record_commit_provisional\("
 IN_FLIGHT_DEF = r"^\s*def in_flight\("
+BACKLOG_ATTR = r"\bself\.(\w*backlog\w*)"
 
 
 def tick_loops(source: str) -> int:
@@ -97,6 +101,7 @@ def main() -> None:
         f"commit tails {matches(COMMIT_TAIL, outside_db)}, "
         f"in_flight defs {matches(IN_FLIGHT_DEF, everything)}, "
         f"tick loops {sum(tick_loops(text) for text in everything)}, "
+        f"recovery backlogs {sum(len(set(re.findall(BACKLOG_ATTR, t))) for t in everything)}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
         f"tests {collected_tests()}"
     )

@@ -20,6 +20,10 @@ Entry points carry a *kind*:
 - ``"view"`` — view-change and suspicion-change plumbing: methods named
   ``on_view_change``/``on_view``, listeners passed to ``add_listener``, and
   callbacks assigned to an ``on_change``/``on_recovered`` slot.
+- ``"transfer"`` — a message entry point the router serves while its site
+  is in state transfer: ``router.register(channel, self._h,
+  during_transfer=True)``.  Every other channel is held until the snapshot
+  lands, so only these can run against the pre-transfer store.
 
 Edges are intra-module and deliberately over-approximate: any reference to
 ``self._method`` inside a function body (call *or* callback-passing — lock
@@ -40,6 +44,7 @@ from typing import Iterable, Optional
 MESSAGE = "message"
 TIMER = "timer"
 VIEW = "view"
+TRANSFER = "transfer"
 
 #: ``obj.<attr>(channel, self._h)`` registration methods -> entry kind.
 _REGISTER_METHODS = {
@@ -148,7 +153,13 @@ class CallGraph:
                 if kind is not None and node.args:
                     # Callback is the last positional argument in every
                     # registration shape the tree uses.
-                    self._mark(self._resolve_callback(node, node.args[-1]), kind)
+                    target = self._resolve_callback(node, node.args[-1])
+                    self._mark(target, kind)
+                    if any(
+                        k.arg == "during_transfer" and getattr(k.value, "value", 0) is True
+                        for k in node.keywords
+                    ):
+                        self._mark(target, TRANSFER)
                 elif method in _SCHEDULE_METHODS:
                     self._mark_timer(node, method)
                 elif method == "every" and len(node.args) == 2:

@@ -18,12 +18,14 @@ recovery-window clobber, generalized from their one-off fixes:
   window where the re-entrant handler observes the pre-mutation value.
   Complete the transition first, send last.
 - **H403** — the PR 4 bug class: state installed while a recovery/state
-  transfer is in flight gets clobbered by the stale snapshot.  Any message
+  transfer is in flight gets clobbered by the stale snapshot.  The router
+  holds every channel of a site in transfer except those registered
+  ``during_transfer=True``, so only those handlers can run then: any such
   entry point whose reachable call set performs a durable install
   (``install_writes``/``install_snapshot``/``adopt_protocol_state``/
   ``store.install``) must show deferral evidence somewhere on that path —
-  a ``recovering`` check or a backlog queue — as ReliableBroadcastProtocol
-  does.
+  a ``recovering`` check or a backlog queue — as the recovery agent's
+  reply handler does.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.analysis.staticcheck.callgraph import MESSAGE, TIMER, CallGraph
+from repro.analysis.staticcheck.callgraph import TIMER, TRANSFER, CallGraph
 from repro.analysis.staticcheck.scaling_rules import _own_nodes
 
 #: Collection mutator methods that count as state writes on their receiver.
@@ -117,7 +119,7 @@ class HandlerChecker:
         for funcdef in self.graph.functions.values():
             if self.graph.is_message_hot(funcdef):
                 self._check_send_then_mutate(funcdef)
-        for funcdef in self.graph.entries(MESSAGE):
+        for funcdef in self.graph.entries(TRANSFER):
             self._check_recovery_window(funcdef)
 
     # -- H401: mutation ordered against the staleness guard --------------------
@@ -256,9 +258,9 @@ class HandlerChecker:
         self.checker._emit(
             "H403",
             funcdef,
-            f"message handler {funcdef.name}() reaches a durable install "
-            f"({install_site[0]}() calls {install_site[1]}) with no recovery-"
-            "window deferral on the path (the PR 4 stale-snapshot clobber class)",
+            f"handler {funcdef.name}(), served during state transfer, reaches a "
+            f"durable install ({install_site[0]}() calls {install_site[1]}) with no "
+            "recovery-window deferral on the path (the PR 4 stale-snapshot clobber class)",
         )
 
 

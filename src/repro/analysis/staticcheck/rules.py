@@ -148,11 +148,11 @@ RULES: dict[str, Rule] = {
         Rule(
             "H403",
             "recovery-window-install",
-            "message handler reaches a durable state install with no "
-            "recovery-window deferral on the path",
-            "defer deliveries to a backlog while self.recovering and replay "
-            "them after install, as ReliableBroadcastProtocol does (the PR 4 "
-            "stale-snapshot clobber class)",
+            "handler served during state transfer reaches a durable state "
+            "install with no recovery-window deferral on the path",
+            "drop during_transfer=True so the router holds the channel until "
+            "the snapshot lands, or check self.recovering first, as the "
+            "recovery agent does (the stale-snapshot clobber class)",
         ),
         Rule(
             "E001",

@@ -343,11 +343,6 @@ class PointToPointReplica(Replica):
 
     # -- message dispatch ---------------------------------------------------------------------
 
-    # 2PC installs on decision messages; a rejoiner's buffered/voted state
-    # is dropped on crash and the recovery agent's settle window (serve
-    # delay) separates the snapshot install from resumed traffic.  E13
-    # churn-soak oracles (1SR + convergence) cover this baseline too.
-    # detcheck: ignore[H403]
     def _on_message(self, src: int, payload: Any) -> None:
         handler = self._handlers.get(type(payload))
         if handler is None:

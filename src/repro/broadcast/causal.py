@@ -271,7 +271,13 @@ class CausalBroadcast:
             del self._recon_pending[sender]
 
     def _admit(self, message: BroadcastMessage, envelope: CausalEnvelope) -> None:
-        """Index a message under every clock entry still blocking it."""
+        """Index a message under every clock entry still blocking it.  A
+        stamp at or below the sender's delivered entry is dropped: it is
+        covered — delivered already, or skipped by a state transfer's
+        fast-forward (its effects are in the snapshot and the adopted
+        books), which is how traffic held during the transfer is cut."""
+        if envelope.vc.entries[message.sender] <= self._clock.entries[message.sender]:
+            return
         held = _Held(self._arrivals, message, envelope)
         self._arrivals += 1
         self._held[held.order] = held
@@ -285,11 +291,7 @@ class CausalBroadcast:
         deficit = 0
         seq = stamped[sender]
         if seq != local[sender] + 1:
-            # Waits for the sender's preceding broadcast.  A *stale* stamp
-            # (seq already delivered or skipped by a recovery fast-forward)
-            # lands on a (sender, value) key the clock has already passed
-            # and is never released — exactly the historical behavior of
-            # parking it in the scan queue forever; adopt_state prunes it.
+            # Waits for the sender's preceding broadcast.
             deficit += 1
             self._waiting.setdefault((sender, seq - 1), []).append(held)
         for site, seen in enumerate(stamped):

@@ -67,7 +67,7 @@ class FailureDetector(Process):
         # The heartbeat fan-out list never changes; building it afresh on
         # every tick cost an O(n) allocation per site per interval.
         self._peers = tuple(peer for peer in range(num_sites) if peer != site)
-        router.register(CHANNEL, self._on_heartbeat)
+        router.register(CHANNEL, self._on_heartbeat, during_transfer=True)
         if enabled:
             self.every(self.interval, self._tick)
 

@@ -101,7 +101,7 @@ class MembershipService(Process):
         self._peers = tuple(p for p in range(num_sites) if p != site)
         self.view = View(0, tuple(range(num_sites)))
         self.listeners: list[ViewListener] = []
-        router.register(CHANNEL, self._on_message)
+        router.register(CHANNEL, self._on_message, during_transfer=True)
         detector.on_change = self._on_suspicion_change
 
     def add_listener(self, listener: ViewListener) -> None:

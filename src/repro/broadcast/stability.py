@@ -31,6 +31,8 @@ class StabilityTracker:
         self._rows: list[VectorClock] = [
             VectorClock.zero(num_sites) for _ in range(num_sites)
         ]
+        #: The rows the minimum is taken over: the current view's members.
+        self._members = list(range(num_sites))
         self._listeners: list[Callable[[VectorClock], None]] = []
         self._last_stable = VectorClock.zero(num_sites)
 
@@ -52,10 +54,10 @@ class StabilityTracker:
         self._listeners.append(listener)
 
     def stable_vector(self) -> VectorClock:
-        """Componentwise minimum over all rows: what everyone delivered."""
-        entries = [
-            min(row[j] for row in self._rows) for j in range(self.num_sites)
-        ]
+        """Componentwise minimum over the members' rows: what everyone
+        delivered."""
+        rows = [self._rows[site] for site in self._members]
+        entries = [min(row[j] for row in rows) for j in range(self.num_sites)]
         return VectorClock(entries)
 
     def is_stable(self, origin: int, seq: int) -> bool:
@@ -67,17 +69,7 @@ class StabilityTracker:
         return self._rows[sender].copy()
 
     def restrict_to(self, members: list[int]) -> None:
-        """View change: stability is computed over current members only.
-
-        Rows of departed members are raised to the local row so they no
-        longer hold the minimum down (their deliveries are moot).
-        """
-        local = self._rows[self.site]
-        for site in range(self.num_sites):
-            if site not in members:
-                self._rows[site] = local.copy()
-
-    def garbage_collect_threshold(self) -> VectorClock:
-        """Alias for :meth:`stable_vector`: everything at or below it can
-        be dropped from retransmission/dedup buffers."""
-        return self.stable_vector()
+        """View change: stability is computed over current members only, so
+        a departed member's last row no longer holds the minimum down (its
+        deliveries are moot) while the members' rows keep advancing."""
+        self._members = sorted(members)

@@ -179,10 +179,15 @@ class TotalOrderBroadcast(Process):
 
     def set_group(self, members: list[int]) -> None:
         """Adopt a new view, bottom-up (a takeover broadcasts into the new
-        group): re-elect the sequencer, bump the epoch."""
+        group): re-elect the sequencer, bump the epoch and, when uniform,
+        take stability over the new members — a departed member's last row
+        would otherwise pin it for good."""
         self.causal.set_group(members)
         self.group = sorted(members)
         self.epoch += 1
+        if self.uniform:
+            self.causal.stability.restrict_to(members)
+            self._drain()
         if self.mode == "sequencer" and self.is_sequencer:
             # Best-effort takeover: number the unassigned backlog.
             # Canonical (sorted) takeover order: the backlog dict reflects

@@ -140,12 +140,6 @@ class AtomicBroadcastReplica(Replica):
 
     # -- delivery --------------------------------------------------------------------
 
-    # ABP installs straight from totally-ordered deliveries: the recovery
-    # agent fast-forwards the broadcast layer past the snapshot before any
-    # live delivery resumes, and the post-rejoin settle window (serve_delay)
-    # keeps installs out of the transfer itself.  E13 churn-soak oracles
-    # (1SR + convergence under rolling restarts) cover this path.
-    # detcheck: ignore[H403]
     def _on_deliver(
         self, payload: Any, envelope: CausalEnvelope, order_index: Optional[int]
     ) -> None:

@@ -107,13 +107,6 @@ class CausalBroadcastReplica(Replica):
         self._dead: set[str] = set()
         self._finished: set[str] = set()
         self._nacked_by_me: set[str] = set()
-        #: Causal deliveries deferred while a state transfer is in flight
-        #: (message, envelope), replayed in :meth:`on_recovery_complete`.
-        #: Processing them live would race the snapshot: conflict resolution
-        #: against the stale pre-crash store could NACK transactions the
-        #: rest of the group is about to commit, and any write applied now
-        #: would be clobbered by the install.
-        self._recovery_backlog: list[tuple[BroadcastMessage, CausalEnvelope]] = []
         self._last_broadcast = 0.0
         self.nacks_sent = 0
         if heartbeat_interval is not None:
@@ -176,9 +169,6 @@ class CausalBroadcastReplica(Replica):
     # -- causal delivery --------------------------------------------------------
 
     def _on_deliver(self, message: BroadcastMessage, envelope: CausalEnvelope) -> None:
-        if self.recovering:
-            self._recovery_backlog.append((message, envelope))
-            return
         sender = message.sender
         clock = envelope.vc
         payload = envelope.payload
@@ -434,7 +424,6 @@ class CausalBroadcastReplica(Replica):
     def on_crash(self) -> None:
         super().on_crash()
         self._nacked_by_me.clear()
-        self._recovery_backlog.clear()
 
     def export_protocol_state(self) -> Optional[dict]:
         """Serialize in-flight transaction state for a state transfer.
@@ -546,31 +535,7 @@ class CausalBroadcastReplica(Replica):
                 self._kill(adopted.tx)
 
     def on_recovery_complete(self) -> None:
-        """Replay the deliveries deferred during the state transfer.
-
-        The donor's exported causal clock is the cut: a deferred message the
-        donor had already delivered at export time is *covered* — its
-        effects are in the snapshot and the adopted in-flight books — and is
-        dropped; everything past the cut is replayed in delivery order, so
-        the replica continues from a state identical to the donor's at the
-        export instant.
-        """
-        backlog, self._recovery_backlog = self._recovery_backlog, []
-        cut = self.cbcast.clock
-        replayed = 0
-        for message, envelope in backlog:
-            if envelope.vc[message.sender] <= cut[message.sender]:
-                continue
-            replayed += 1
-            self._on_deliver(message, envelope)
-        if backlog:
-            self.trace.emit(
-                self.now,
-                self.name,
-                "cbp.recovery_replay",
-                deferred=len(backlog),
-                replayed=replayed,
-            )
+        """An adopted in-flight transaction may already be committable."""
         for state in list(self._live.values()):
             self._check_commit(state)
 

@@ -447,30 +447,30 @@ class Cluster:
         for tx in list(replica.local.values()):
             replica._complete_abort(tx, AbortReason.SITE_FAILURE)
         replica.crash()
+        self.recovery_agents[site].crash()
         if self.detectors:
             self.detectors[site].crash()
             self.memberships[site].crash()
 
     def recover_site(self, site: int, at: Optional[float] = None) -> None:
-        """Recover a crashed site via a message-based state transfer.
-
-        The site comes back up, requests a snapshot from the lowest live
-        primary-component member, loads it, fast-forwards its broadcast
-        stack, and only then rejoins the failure detector and membership
-        (so peers keep it out of acknowledgment sets until it is ready).
+        """Recover a crashed site via a message-based state transfer
+        (:mod:`repro.core.recovery`): the site comes back up holding its
+        protocol traffic, loads a snapshot from the lowest live
+        primary-component member, fast-forwards its broadcast stack, and
+        only then replays the held traffic and accepts transactions.
         """
         if at is not None:
             self.engine.schedule_at(at, self.recover_site, site)
             return
-        replica = self.replicas[site]
+        agent = self.recovery_agents[site]
         self.network.set_site_up(site, True)
         self.transports[site].reset()
         if self.batchers[site] is not None:
             self.batchers[site].reset()
         if self.totals:
             self.totals[site].recover()
-        replica.recover()
-        replica.recovering = True
+        self.replicas[site].recover()
+        agent.begin()
         if self.detectors:
             # Rejoin first: once the coordinator reinstates us in the view,
             # peers broadcast to us again and the view listener requests
@@ -489,9 +489,9 @@ class Cluster:
             None,
         )
         if donor is None:
-            replica.recovering = False
+            agent.end()
             return
-        self.recovery_agents[site].request_from(donor)
+        agent.request_from(donor)
 
     def partition(self, groups: list[list[int]]) -> None:
         self.network.partitions.split(groups)

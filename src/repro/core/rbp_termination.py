@@ -2,7 +2,7 @@
 
 A cohort that voted YES holds exclusive locks it may not release until it
 learns the outcome; when the home departs the view mid-2PC the vote path
-can no longer deliver one.  The cohort then broadcasts a
+can no longer deliver one.  The cohort then sends the view a
 :class:`RbpDecisionQuery` and adopts the first authoritative answer from
 the surviving members' decision logs, falling back to presumed abort only
 when a commit tally is provably impossible (see :meth:`_check_query`).
@@ -45,8 +45,8 @@ class InDoubtTermination:
 
     site: int
     num_sites: int
-    #: Reliable broadcast to the view / point-to-point ``send(site, payload)``.
-    broadcast: Callable[[Any], Any]
+    #: Send to the other view members / point-to-point ``send(site, payload)``.
+    multicast: Callable[[Any], Any]
     send: Callable[[int, Any], Any]
     #: The installed view: (member set, is it a majority of all sites).
     view: Callable[[], tuple[frozenset[int], bool]]
@@ -189,7 +189,7 @@ class InDoubtTermination:
         query.answers = {self.site: ("unknown", True)}
         self.metrics.rbp_decision_queries += 1
         self.emit("rbp.decision_query", tx=tx_id, attempt=query.attempt)
-        self.broadcast(RbpDecisionQuery(tx_id, self.site, query.attempt))
+        self.multicast(RbpDecisionQuery(tx_id, self.site, query.attempt))
         delay = self.query_timeout * min(query.attempt, 4)
         self.schedule(delay, self._query_timeout, tx_id, query.epoch, query.attempt)
         self._check_query(tx_id)  # a single-member view resolves immediately
@@ -288,7 +288,7 @@ class InDoubtTermination:
 
     def on_query(self, query: RbpDecisionQuery) -> None:
         if query.site == self.site:
-            return  # broadcast self-delivery; the querier seeded its answer
+            return  # our own query; the querier seeded its answer
         outcome, voted_yes = self._answer(query.tx)
         if outcome == "pending" or query.tx in self._queries:
             # A live tally that can still decide, or in doubt ourselves: the

@@ -15,8 +15,17 @@ simulation shortcut:
    (the snapshot is the new recovery point), and only then starts
    accepting transactions and announces itself to the membership service.
 
-While the transfer is in flight the replica is marked ``recovering`` and
-refuses submissions.
+From :meth:`RecoveryAgent.begin` to :meth:`~RecoveryAgent.end` the replica
+is ``recovering`` (it refuses submissions) and its router holds every
+channel not registered ``during_transfer``.  Holding is necessary for
+safety — the donor exports its store, a write commits at both donor and
+rejoiner, then the stale snapshot lands and silently rolls the rejoiner
+back; a causal delivery or conflict test against pre-crash state is as
+wrong — and safe for liveness: any commit the rejoiner's silence blocks
+needs its answer (the sender's view included it), so the sender waits for
+the replay.  A replayed delivery may assume the snapshot base; what the
+snapshot already covers the layers drop (the causal cut, RBP's
+decision-log guard).  A crash mid-transfer loses the parked traffic.
 
 Fidelity note (DESIGN.md): survivors' causal layers stay consistent across
 a sender crash only if partially-disseminated messages reach either all or
@@ -99,11 +108,34 @@ class RecoveryAgent:
         self.requested = False
         self.transfers_served = 0
         self.transfers_completed = 0
-        router.register(CHANNEL, self._on_message)
+        router.register(CHANNEL, self._on_message, during_transfer=True)
+
+    def begin(self) -> None:
+        """The site is back up: refuse submissions, hold protocol traffic."""
+        self.replica.recovering = True
+        self.router.hold()
+
+    def end(self) -> None:
+        """After the install (or at once, with no donor): accept submissions
+        and replay the parked traffic in arrival order — after the
+        protocol's ``on_recovery_complete``, since ABP's total-order index
+        must be set before a parked commit request arrives."""
+        self.replica.recovering = self.requested = False
+        self.replica.on_recovery_complete()
+        if self.router.parked:
+            self.trace.emit(
+                self.engine.now, self.replica.name, "recovery.replay",
+                deferred=len(self.router.parked),
+            )
+        self.router.release()
+
+    def crash(self) -> None:
+        """Parked traffic dies with the site; the next recovery asks anew."""
+        self.requested = False
+        self.router.drop()
 
     def request_from(self, donor: int) -> None:
-        """Begin recovery: ask ``donor`` for a state snapshot."""
-        self.replica.recovering = True
+        """Ask ``donor`` for a state snapshot (after :meth:`begin`)."""
         self.requested = True
         self.trace.emit(
             self.engine.now, self.replica.name, "recovery.requested", donor=donor
@@ -156,13 +188,7 @@ class RecoveryAgent:
         self.stack.adopt_state(reply)
         if reply.protocol_state is not None:
             replica.adopt_protocol_state(reply.protocol_state)
-        replica.recovering = False
-        # The snapshot (plus adopted protocol state) is now the store
-        # base: let the protocol replay whatever it deferred while the
-        # transfer was in flight, so live traffic delivered between the
-        # donor's export and this install is not clobbered by it.
-        replica.on_recovery_complete()
-        self.requested = False
+        self.end()
         self.transfers_completed += 1
         self.trace.emit(
             self.engine.now,

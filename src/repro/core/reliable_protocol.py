@@ -160,7 +160,13 @@ class ReliableBroadcastReplica(Replica):
         #: linearly in the write count at unchanged message cost.
         self.pipeline_writes = pipeline_writes
         rbcast.set_deliver(self._on_broadcast)
-        router.register(DIRECT_CHANNEL, self._on_direct)
+        # Served during a state transfer: decision queries read only the
+        # durable decision log (which survived the crash and the install
+        # never clobbers), and parked in-doubt survivors may be waiting on
+        # precisely this rejoiner's log — holding them would stall their
+        # adoption past the donor's export, recreating the stale-snapshot
+        # race for them.
+        router.register(DIRECT_CHANNEL, self._on_direct, during_transfer=True)
         #: Transactions aborted or renounced here: late writes draw a
         #: negative ack, late commit requests a NO vote.  A transaction
         #: with a ``_live`` record is neither in here nor in the decision log.
@@ -170,7 +176,9 @@ class ReliableBroadcastReplica(Replica):
         self.termination = InDoubtTermination(
             site,
             num_sites,
-            broadcast=rbcast.broadcast,
+            multicast=lambda query: router.multicast(
+                self.view_members, DIRECT_CHANNEL, query, query.kind
+            ),
             send=self._send_direct,
             view=lambda: (self.view_member_set, self.has_quorum),
             schedule=engine.schedule,
@@ -182,10 +190,6 @@ class ReliableBroadcastReplica(Replica):
             query_attempts=self.decision_query_attempts,
             log_capacity=self.decision_log_capacity,
         )
-        #: Broadcast deliveries deferred while a state transfer is in
-        #: flight (:meth:`_on_broadcast` says why), replayed in delivery
-        #: order from :meth:`on_recovery_complete`.
-        self._recovery_backlog: list[BroadcastMessage] = []
 
     def _emit(self, event: str, **fields: Any) -> None:
         self.trace.emit(self.now, self.name, event, **fields)
@@ -298,23 +302,6 @@ class ReliableBroadcastReplica(Replica):
     # -- broadcast deliveries (every site, including the home) ---------------------
 
     def _on_broadcast(self, message: BroadcastMessage) -> None:
-        if self.recovering:
-            # Defer store-touching traffic until the snapshot is installed.
-            # This is safe for liveness: any commit this site's silence
-            # blocks needs our write ack (the home's view included us when
-            # it broadcast), so the home simply stays blocked until the
-            # replay acks — and necessary for safety: the donor exports its
-            # store, a write commits at both donor and rejoiner, then the
-            # (stale) snapshot lands and silently rolls the rejoiner back,
-            # diverging it for good.  Decision queries are the exception: they
-            # read only the durable decision log (which survived the crash
-            # and is never clobbered by the install), and parked in-doubt
-            # survivors may be waiting on precisely this rejoiner's log —
-            # deferring them would stall their adoption past the donor's
-            # snapshot export, recreating the stale-snapshot race for them.
-            if not isinstance(message.payload, RbpDecisionQuery):
-                self._recovery_backlog.append(message)
-                return
         payload = message.payload
         if isinstance(payload, RbpWrite):
             self._on_write(payload)
@@ -329,8 +316,6 @@ class ReliableBroadcastReplica(Replica):
         elif isinstance(payload, RbpAbort):
             # Initiator-driven: an authoritative outcome, not a presumption.
             self._purge(payload.tx, authoritative=True)
-        elif isinstance(payload, RbpDecisionQuery):
-            self.termination.on_query(payload)
         else:
             raise RuntimeError(f"site {self.site}: unexpected RBP payload {payload!r}")
 
@@ -340,9 +325,9 @@ class ReliableBroadcastReplica(Replica):
             write.tx in self._finished or write.tx in self.termination.decisions
         ):
             # Already locally aborted (abort broadcast, or the presumed-abort
-            # watchdog below), or already decided — a replayed post-recovery
-            # backlog can hold writes of transactions whose outcome arrived
-            # with the snapshot's decision log: negative-ack instead of
+            # watchdog below), or already decided — traffic held during a
+            # state transfer can hold writes of transactions whose outcome
+            # arrived with the snapshot's decision log: negative-ack instead of
             # staying silent so a home that is still alive aborts rather
             # than blocking on us.
             self._send_ack(write, ok=False)
@@ -610,12 +595,6 @@ class ReliableBroadcastReplica(Replica):
 
     # -- direct (point-to-point) deliveries ----------------------------------------
 
-    # Direct acks/answers only mutate per-transaction tallies; the durable
-    # installs they can reach run after decision resolution, and RBP's
-    # broadcast path already defers deliveries while ``recovering`` (the
-    # one protocol that needs it — see ROADMAP).  Query/ack books are reset
-    # on recovery, so no stale tally can reach an install.
-    # detcheck: ignore[H403]
     def _on_direct(self, src: int, payload: Any) -> None:
         if isinstance(payload, RbpWriteAck):
             self._on_ack(payload)
@@ -623,6 +602,8 @@ class ReliableBroadcastReplica(Replica):
             # Group commit: tally each constituent as if it arrived alone.
             for ack in payload.acks:
                 self._on_ack(ack)
+        elif isinstance(payload, RbpDecisionQuery):
+            self.termination.on_query(payload)
         elif isinstance(payload, RbpDecisionAnswer):
             self.termination.on_answer(payload)
         else:
@@ -643,7 +624,6 @@ class ReliableBroadcastReplica(Replica):
         self._vote_outbox.clear()
         self._ack_outbox.clear()
         self.termination.crash()
-        self._recovery_backlog.clear()
 
     def export_protocol_state(self) -> Optional[dict]:
         """The decision log (tx -> committed?), so a rejoiner can answer —
@@ -678,24 +658,6 @@ class ReliableBroadcastReplica(Replica):
                     self.commit_home(tx, {})
                 else:
                     self.abort_home(tx, AbortReason.VIEW_LOSS)
-
-    def on_recovery_complete(self) -> None:
-        """Replay the broadcasts deferred during the state transfer.
-
-        Runs after the snapshot install and the decision-log fast-forward,
-        so the replay applies on the post-transfer store base.  Replay goes
-        back through :meth:`_on_broadcast` in original delivery order: the
-        reliable-broadcast layer already fixed that order, and re-entering
-        at the top keeps one code path for live and replayed deliveries.
-        Writes of transactions the snapshot already decided hit the
-        decision-log guard in :meth:`_on_write` and get a negative ack
-        (harmless: their homes are finished with them).
-        """
-        backlog, self._recovery_backlog = self._recovery_backlog, []
-        if backlog:
-            self._emit("rbp.recovery_replay", deferred=len(backlog))
-        for message in backlog:
-            self._on_broadcast(message)
 
     # -- view changes ----------------------------------------------------------------
 

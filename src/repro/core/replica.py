@@ -310,11 +310,10 @@ class Replica(Process):
 
     def on_recovery_complete(self) -> None:
         """Hook invoked by the recovery agent right after the state-transfer
-        snapshot is installed and ``recovering`` is cleared.  Protocols that
-        defer live deliveries during the transfer (RBP buffers broadcasts,
-        since a delivery applied *before* the snapshot install would be
-        clobbered by it) replay them here; the base replica has nothing to
-        replay."""
+        snapshot is installed and ``recovering`` is cleared, *before* the
+        router replays the traffic it held during the transfer: whatever a
+        replayed delivery must find in place (ABP's total-order index) is
+        set here.  The base replica has nothing to set."""
 
     def export_protocol_state(self) -> Optional[dict]:
         """Protocol-private state a state-transfer donor ships alongside

@@ -65,16 +65,6 @@ class VersionedStore:
                 return candidate
         raise StorageError(f"version {version} of {key!r} not retained")
 
-    def read_at_or_before(self, key: str, version: int) -> VersionedValue:
-        """Latest retained version with number <= ``version`` (snapshots)."""
-        versions = self._objects.get(key)
-        if not versions:
-            raise StorageError(f"unknown object {key!r}")
-        for candidate in reversed(versions):
-            if candidate.version <= version:
-                return candidate
-        raise StorageError(f"no version of {key!r} at or before {version}")
-
     def version(self, key: str) -> int:
         return self.read(key).version
 
@@ -89,20 +79,6 @@ class VersionedStore:
             del versions[: len(versions) - self.history_limit]
         self.install_count += 1
         return new_version
-
-    def force_version(self, key: str, version: int, value: Any, writer: str) -> None:
-        """Install a version with an explicit number (state transfer only)."""
-        versions = self._objects.setdefault(key, [])
-        if versions and versions[-1].version >= version:
-            raise StorageError(
-                f"cannot force {key!r} version {version} at or below "
-                f"current {versions[-1].version}"
-            )
-        versions.append(VersionedValue(version, value, writer))
-
-    def latest_snapshot(self) -> dict[str, VersionedValue]:
-        """Latest version of every object (convergence checking)."""
-        return {key: versions[-1] for key, versions in self._objects.items()}
 
     def digest(self) -> tuple:
         """Hashable summary of the latest committed state of every object."""
@@ -139,12 +115,6 @@ class VersionedStore:
         self._objects = {
             key: [VersionedValue(version, value, writer if version > 0 else None)]
             for key, version, value in snapshot
-        }
-
-    def clone_from(self, other: "VersionedStore") -> None:
-        """Replace our state with a copy of ``other`` (state transfer)."""
-        self._objects = {
-            key: list(versions) for key, versions in other._objects.items()
         }
 
     def __len__(self) -> int:

@@ -4,6 +4,12 @@ A site runs several message-consuming components (broadcast stack, failure
 detector, membership, protocol point-to-point traffic).  The router tags
 payloads with a channel name at the sender and dispatches by channel at the
 receiver, so the components stay decoupled.
+
+It is also where a site in state transfer holds its protocol traffic: each
+channel declares at registration whether it is served during a transfer
+(the transfer itself, failure detection, membership); :meth:`hold` parks
+every other channel's arrivals until :meth:`release` dispatches them in
+arrival order, on top of the installed snapshot.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from typing import Any, Callable, Iterable, Optional
 from repro.net.batching import BatchEnvelope
 from repro.net.sizes import kind_of, register_payload
 from repro.net.transport import ReliableTransport
+
+Handler = Callable[[int, Any], None]
 
 
 @dataclass(slots=True)
@@ -43,14 +51,40 @@ class ChannelRouter:
         #: historical wire traffic bit-identical.
         self.batcher = batcher
         self._sender = batcher if batcher is not None else transport
-        self._handlers: dict[str, Callable[[int, Any], None]] = {}
+        #: One handler table per state; ``_dispatch`` reads whichever
+        #: ``_handlers`` names, so holding costs the receive path nothing.
+        self._served: dict[str, Handler] = {}
+        self._holding: dict[str, Handler] = {}
+        self._handlers = self._served
+        #: (channel, src, payload) parked while held, in arrival order.
+        self.parked: list[tuple[str, int, Any]] = []
         transport.set_receiver(self._dispatch)
 
-    def register(self, channel: str, handler: Callable[[int, Any], None]) -> None:
-        """Register ``handler(src_site, payload)`` for ``channel``."""
-        if channel in self._handlers:
+    def register(self, channel: str, handler: Handler, during_transfer: bool = False) -> None:
+        """Register ``handler(src_site, payload)`` for ``channel``; with
+        ``during_transfer`` it is also served while the site is held."""
+        if channel in self._served:
             raise ValueError(f"channel {channel!r} already registered")
-        self._handlers[channel] = handler
+        self._served[channel] = handler
+        self._holding[channel] = handler if during_transfer else (
+            lambda src, payload: self.parked.append((channel, src, payload))
+        )
+
+    def hold(self) -> None:
+        """Park arrivals on every channel not served during a transfer."""
+        self._handlers = self._holding
+
+    def release(self) -> None:
+        """Serve every channel again, first the parked arrivals in order."""
+        self._handlers = self._served
+        parked, self.parked = self.parked, []
+        for channel, src, payload in parked:
+            self._served[channel](src, payload)
+
+    def drop(self) -> None:
+        """Fail-stop while held: the parked arrivals are lost."""
+        self.parked = []
+        self.release()
 
     def send(self, dst: int, channel: str, payload: Any, kind: Optional[str] = None) -> None:
         self._sender.send(dst, Tagged(channel, payload, kind or ""), kind)

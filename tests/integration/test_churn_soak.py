@@ -23,15 +23,18 @@ pinned so the bug cannot quietly return:
   on view change, so a voter crashing post-prepare wedged the home
   forever.  Fixed by ``PointToPointReplica.on_view_change``.
 
-One cell is pinned *open*: **rbp / 12 sites / seed 564**, the property
+Two cells are pinned *open*: **rbp / 12 sites / seed 564**, the property
 test's own configuration, ends with live replicas disagreeing on committed
-state (the RBP join-view defect, ROADMAP item 1a).  It is a strict
-``xfail``, so the fix for 1a flips it loudly.
+state (the RBP join-view defect, ROADMAP item 1a), and so does the same
+defect at 4 sites with one crash and recovery under a steady update
+stream.  Both are strict ``xfail``s, so the fix for 1a flips them loudly.
 """
 
 import pytest
 
 from repro.analysis.experiment import run_sweep
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.core.transaction import TransactionSpec
 from repro.sim.oracles import OracleViolation
 from repro.workload.soak import SoakConfig, e13_smoke_cell, e13_tiny_cell, run_churn_soak
 
@@ -63,6 +66,28 @@ def test_rbp_join_view_divergence_cell():
     run_churn_soak(
         "rbp", SoakConfig(sites=12, duration=8_000.0, trace=True, trace_capacity=2_000), 564
     )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1a")
+def test_rbp_join_view_divergence_at_four_sites():
+    """Site 3 crashes and rejoins mid-stream; t231 ends up installed twice
+    (attempts 1 and 4), breaking 1SR and convergence."""
+    cluster = Cluster(ClusterConfig(
+        protocol="rbp", num_sites=4, num_objects=32, seed=3,
+        enable_failure_detector=True, fd_interval=20, fd_timeout=80,
+    ))
+    cluster.crash_site(3, at=50)
+    cluster.recover_site(3, at=303)
+    for i in range(400):
+        cluster.submit(
+            TransactionSpec.make(
+                f"t{i}", i % 3, read_keys=[f"x{7 * i % 32}"], writes={f"x{(5 * i + 3) % 32}": i}
+            ),
+            at=1.3 * i,
+        )
+    result = cluster.run(max_time=100_000, stop_when=cluster.await_specs(400))
+    assert result.serialization.ok, result.serialization.explain()
+    assert result.converged
 
 
 def test_e13_sharded_sweep_digest_matches_serial():

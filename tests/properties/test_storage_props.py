@@ -56,35 +56,8 @@ def test_snapshot_roundtrip_preserves_digest(ops):
     assert copy.digest() == store.digest()
 
 
-@settings(max_examples=100, deadline=None)
-@given(operations, operations)
-def test_clone_then_diverge(ops_a, ops_b):
-    store = build(ops_a)
-    clone = VersionedStore()
-    clone.clone_from(store)
-    assert clone.digest() == store.digest()
-    for index, (key, value) in enumerate(ops_b):
-        clone.install(key, value, f"X{index}")
-    # The original never changes underneath the clone.
-    assert store.digest() == build(ops_a).digest()
-
-
-@settings(max_examples=100, deadline=None)
-@given(operations)
-def test_read_at_or_before_is_floor(ops):
-    store = build(ops, history_limit=64)
-    for key in KEYS:
-        latest = store.read(key).version
-        for probe in range(latest + 2):
-            got = store.read_at_or_before(key, probe).version
-            assert got <= probe
-            assert got <= latest
-            if probe <= latest:
-                assert got == probe
-
-
 #: Small domains so equal and unequal stores are both common; key sets vary
-#: (force_version creates keys), and NaN exercises tuple comparison's
+#: (each store initializes only its own keys), and NaN exercises tuple comparison's
 #: identity-before-equality rule, which the shared-payload simulator hits.
 NAN = float("nan")
 store_specs = st.lists(
@@ -106,9 +79,12 @@ def test_replicas_converged_agrees_with_digest_comparison(specs):
     stores = []
     for spec in specs:
         store = VersionedStore()
+        store.initialize(spec)
         for key, (version, value) in spec.items():
             # Distinct writers: the digest (and convergence) ignore them.
-            store.force_version(key, version, value, f"w{len(stores)}")
+            for _ in range(version - 1):
+                store.install(key, 0, f"w{len(stores)}")
+            store.install(key, value, f"w{len(stores)}")
         stores.append(store)
     digests = [store.digest() for store in stores]
     assert replicas_converged(stores) == all(d == digests[0] for d in digests[1:])

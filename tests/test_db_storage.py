@@ -30,6 +30,8 @@ def test_initialize_is_idempotent(store):
     store.install("x", 5, "T1")
     store.initialize(["x"])  # must not reset
     assert store.read("x").value == 5
+    assert len(store) == 2
+    assert store.keys() == ["x", "y"]
 
 
 def test_read_unknown_key_raises(store):
@@ -49,13 +51,6 @@ def test_read_specific_version(store):
     assert store.read_version("x", 0).value == 0
     with pytest.raises(StorageError):
         store.read_version("x", 9)
-
-
-def test_read_at_or_before(store):
-    store.install("x", 10, "T1")
-    store.install("x", 20, "T2")
-    assert store.read_at_or_before("x", 1).value == 10
-    assert store.read_at_or_before("x", 99).value == 20
 
 
 def test_history_limit_prunes_old_versions():
@@ -79,31 +74,6 @@ def test_digest_equality_tracks_content():
     assert a.digest() != b.digest()
     b.install("x", 1, "T1")
     assert a.digest() == b.digest()
-
-
-def test_clone_from_copies_state(store):
-    store.install("x", 42, "T1")
-    other = VersionedStore()
-    other.clone_from(store)
-    assert other.digest() == store.digest()
-    other.install("x", 43, "T2")
-    assert store.read("x").value == 42  # deep enough copy
-
-
-def test_force_version_for_state_transfer():
-    store = VersionedStore()
-    store.force_version("x", 5, "hello", "T9")
-    assert store.read("x").version == 5
-    with pytest.raises(StorageError):
-        store.force_version("x", 5, "again", "T10")
-
-
-def test_latest_snapshot_and_len(store):
-    store.install("y", 7, "T1")
-    snapshot = store.latest_snapshot()
-    assert snapshot["y"].value == 7
-    assert len(store) == 2
-    assert store.keys() == ["x", "y"]
 
 
 def test_install_count(store):

@@ -93,6 +93,36 @@ def test_passthrough_delivery_chain_is_network_then_router():
     assert chains == [["ChannelRouter._dispatch", "Network._deliver"]] * 4
 
 
+def test_hold_parks_held_channels_until_release_and_drop_loses_them():
+    """A site in state transfer: ``fd`` is served, ``data`` is parked and
+    dispatched in arrival order on release; a crash while held drops it."""
+    engine, network, routers = build()
+    got = []
+    routers[1].register("fd", lambda src, p: got.append(("fd", p.text)), during_transfer=True)
+    routers[1].register("data", lambda src, p: got.append(("data", p.text)))
+    routers[1].hold()
+    for text in ("d1", "d2"):
+        routers[0].send(1, "data", Note(text))
+    routers[0].send(1, "fd", Note("beat"))
+    engine.run()
+    assert got == [("fd", "beat")]
+    assert [(channel, p.text) for channel, _, p in routers[1].parked] == [
+        ("data", "d1"), ("data", "d2")
+    ]
+    routers[1].release()
+    assert got == [("fd", "beat"), ("data", "d1"), ("data", "d2")]
+    assert routers[1].parked == []
+
+    routers[1].hold()
+    routers[0].send(1, "data", Note("lost"))
+    engine.run()
+    routers[1].drop()
+    routers[0].send(1, "data", Note("after"))
+    engine.run()
+    routers[1].release()
+    assert got[3:] == [("data", "after")]
+
+
 @pytest.mark.parametrize("reliable", [None, True], ids=["passthrough", "arq"])
 def test_multicast_reaches_each_destination_once(reliable):
     engine = SimulationEngine()

@@ -204,7 +204,9 @@ def test_fanout_by_multicast_equals_the_per_destination_send_loop(monkeypatch):
                 at=8.0 * n,
             )
         cluster.crash_site(4, at=50.0)
-        cluster.recover_site(4, at=120.0)
+        # Late enough that a 2PC round is open when the joiner's view
+        # installs: the joiner withholds its acks until its snapshot lands.
+        cluster.recover_site(4, at=300.0)
         cluster.run(max_time=1500.0)
         return (
             cluster.trace.records,

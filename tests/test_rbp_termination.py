@@ -20,7 +20,7 @@ def fake_host(num_sites=5, view=(0, 1, 2, 3, 4), has_quorum=True, log_capacity=1
         view=frozenset(view),
         has_quorum=has_quorum,
         known={},
-        broadcasts=[],
+        multicasts=[],
         sent=[],
         timers=[],
         resolved=[],
@@ -29,7 +29,7 @@ def fake_host(num_sites=5, view=(0, 1, 2, 3, 4), has_quorum=True, log_capacity=1
     host.termination = InDoubtTermination(
         0,
         num_sites,
-        broadcast=host.broadcasts.append,
+        multicast=host.multicasts.append,
         send=lambda site, payload: host.sent.append((site, payload)),
         view=lambda: (host.view, host.has_quorum),
         schedule=lambda delay, fn, *args: host.timers.append((delay, fn, args)),
@@ -113,7 +113,7 @@ def test_termination_against_a_fake_host():
     for shows, shape, answers, expected in RESOLUTION_TABLE:
         host = fake_host(**shape)
         host.termination.hand_over(TX)
-        assert host.broadcasts == [RbpDecisionQuery(TX, 0, 1)], shows
+        assert host.multicasts == [RbpDecisionQuery(TX, 0, 1)], shows
         for site, outcome, voted_yes in answers:
             host.termination.on_answer(RbpDecisionAnswer(TX, site, outcome, voted_yes))
         if expected in ("commit", "abort", "presumed"):
@@ -135,19 +135,19 @@ def test_termination_against_a_fake_host():
     (_, fire, stale), (_, _, current) = host.timers
     assert stale == (TX, 0, 1) and current == (TX, 1, 1)
     fire(*stale)
-    assert len(host.broadcasts) == 2
+    assert len(host.multicasts) == 2
     fire(*current)
-    assert host.broadcasts[-1] == RbpDecisionQuery(TX, 0, 2)
+    assert host.multicasts[-1] == RbpDecisionQuery(TX, 0, 2)
     assert [delay for delay, _, _ in host.timers] == [60.0, 60.0, 120.0]
     while not parked(host):
         delay, fire, args = host.timers[-1]
         fire(*args)
-    assert host.broadcasts[-1].attempt == 8 and delay == 240.0
+    assert host.multicasts[-1].attempt == 8 and delay == 240.0
     # A view change restarts a parked query, except one just sent against it.
     host.termination.view_changed(skip={TX})
-    assert host.broadcasts[-1].attempt == 8
+    assert host.multicasts[-1].attempt == 8
     host.termination.view_changed()
-    assert host.broadcasts[-1].attempt == 1
+    assert host.multicasts[-1].attempt == 1
 
     # Answerer side: the log answers first; an evicted outcome is "unknown"
     # (and, with nothing known, a binding never-voted promise), a surviving

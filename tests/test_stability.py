@@ -56,6 +56,11 @@ def test_restrict_to_drops_departed_members():
     # ...until a view change removes it.
     tracker.restrict_to([0, 1])
     assert list(tracker.stable_vector()) == [5, 5, 5]
+    # Stability keeps advancing with the members' rows: site 2's last row
+    # does not freeze the minimum at the view change.
+    tracker.observe(0, VectorClock([9, 7, 5]))
+    tracker.observe(1, VectorClock([8, 9, 5]))
+    assert list(tracker.stable_vector()) == [8, 7, 5]
 
 
 def test_uniform_total_order_waits_for_stability(harness_factory):

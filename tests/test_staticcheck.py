@@ -875,7 +875,7 @@ def test_h403_flags_install_without_deferral():
         """
         class Proto:
             def __init__(self, router):
-                router.register("c", self._on_msg)
+                router.register("c", self._on_msg, during_transfer=True)
 
             def _on_msg(self, src, msg):
                 self._apply(msg)
@@ -890,7 +890,7 @@ def test_h403_flags_install_without_deferral():
         """
         class Proto:
             def __init__(self, router):
-                router.register("c", self._on_msg)
+                router.register("c", self._on_msg, during_transfer=True)
                 self._handlers = {Decision: self._apply}
 
             def _on_msg(self, src, msg):
@@ -902,12 +902,31 @@ def test_h403_flags_install_without_deferral():
     )
 
 
+_H403_HANDLER = """
+    class Proto:
+        def __init__(self, router):
+            router.register("c", self._on_msg{served})
+
+        def _on_msg(self, src, msg):
+            self._certify(msg)
+
+        def _certify(self, msg):
+            self.install_writes(msg.tx, msg.writes)
+    """
+
+
+def test_h403_checks_only_channels_served_during_transfer():
+    # The router holds every other channel until the snapshot lands.
+    assert "H403" in run_rules(_H403_HANDLER.format(served=", during_transfer=True"))
+    assert "H403" not in run_rules(_H403_HANDLER.format(served=""))
+
+
 def test_h403_allows_recovering_deferral():
     assert "H403" not in run_rules(
         """
         class Proto:
             def __init__(self, router):
-                router.register("c", self._on_msg)
+                router.register("c", self._on_msg, during_transfer=True)
 
             def _on_msg(self, src, msg):
                 if self.recovering:
@@ -926,7 +945,7 @@ def test_h403_ignores_handlers_without_installs():
         """
         class Proto:
             def __init__(self, router):
-                router.register("c", self._on_msg)
+                router.register("c", self._on_msg, during_transfer=True)
 
             def _on_msg(self, src, msg):
                 self.seen.add(msg.id)
