@@ -48,10 +48,13 @@ bench-check:
 # the parent revision and this tree, workload by workload, e.g.
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=rbp_wide
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=p2p_steady
-# (the claimed workload must read GAIN, the others only not SLOWER).
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=rbp_wide METRIC=peak_rss_mb
+# (the claimed workload must read GAIN, the others only not SLOWER; METRIC
+# is a host end-to-end metric of BENCHMARK.json, wall_s when unset).
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) \
-		$(foreach w,$(WORKLOAD),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM))
+		$(foreach w,$(WORKLOAD),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM)) \
+		$(if $(METRIC),--metric $(METRIC))
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

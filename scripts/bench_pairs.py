@@ -10,11 +10,14 @@ runs its own copy of ``bench/`` (identical by the benchmark's rule), exactly
 as the driver does.
 
 Within a pair everything the simulation computes must be equal -- a change
-that claims a host-time gain may not move a simulated metric.  The verdict
-on ``wall_s`` is the rule of the choosing-metrics guide, section 8: a gain
-only when the change wins at least nine tenths of the pairs (ties count for
-neither side) and the medians differ by more than the distance between the
-quartiles of the parent's own runs.
+that claims a host-side gain may not move a simulated metric.  The verdict
+is on one host metric of ``BENCHMARK.json``'s ``end_to_end`` list,
+``--metric`` (default ``wall_s``; ``setup_s`` and ``peak_rss_mb`` are the
+others), in the direction its ``better`` names.  It is the rule of the
+choosing-metrics guide, section 8: a gain only when the change wins at
+least nine tenths of the pairs (ties count for neither side) and the
+medians differ by more than the distance between the quartiles of the
+parent's own runs.
 
 ``--workload`` may be repeated, and ``all`` stands for every workload named
 in ``BENCHMARK.json``: each gets its own pairs and verdict block, and a
@@ -26,6 +29,7 @@ Usage:
     python scripts/bench_pairs.py --parent HEAD~1 --workload rbp_wide
     python scripts/bench_pairs.py --parent 882a987 --workload abp_lossy --pairs 12 --seed-base 100
     python scripts/bench_pairs.py --parent HEAD~1 --workload all --claim p2p_steady
+    python scripts/bench_pairs.py --parent HEAD~1 --workload all --claim rbp_wide --metric peak_rss_mb
 
 Exit status: 0 gain (without a claim: nothing slower), 1 a run was incorrect
 or the sides' simulations differ, 2 no gain shown on the claimed workload,
@@ -49,6 +53,15 @@ VERDICT_WORDS = {GAIN: "GAIN", INVALID: "INVALID", NO_GAIN: "NO GAIN SHOWN", SLO
 sys.path.insert(0, str(ROOT / "bench"))
 
 import metrics  # noqa: E402  (the benchmark's own table: which metrics are host-side)
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: The ``end_to_end`` metrics a pair can be judged on: the host-side ones.
+HOST_METRICS = {
+    entry["name"]: entry
+    for entry in BENCHMARK["end_to_end"]
+    if metrics.BY_NAME[entry["name"]].kind == "host"
+}
+WALL_S = HOST_METRICS["wall_s"]
 
 
 def checkout(revision: str) -> pathlib.Path:
@@ -91,27 +104,32 @@ def run_side(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def verdict(parent: list[float], change: list[float]) -> tuple[int, list[str]]:
-    """Section 8's rule on paired ``wall_s`` samples: exit status and report."""
+def verdict(
+    parent: list[float], change: list[float], metric: dict = WALL_S
+) -> tuple[int, list[str]]:
+    """Section 8's rule on paired samples of ``metric`` (a ``BENCHMARK.json``
+    ``end_to_end`` entry): exit status and report."""
+    name, unit = metric["name"], metric["unit"]
+    sign = 1 if metric["better"] == "lower" else -1  # > 0: the change is better
     p_q1, p_median, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
     c_q1, c_median, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
     spread = p_q3 - p_q1
-    won = sum(c < p for p, c in zip(parent, change))
-    lost = sum(c > p for p, c in zip(parent, change))
+    won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    lost = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     needed = -(-9 * len(parent) // 10)  # nine tenths, rounded up
     lines = [
-        f"parent wall_s: median {p_median:.3f}  quartiles {p_q1:.3f} .. {p_q3:.3f}  "
+        f"parent {name}: median {p_median:.3f}  quartiles {p_q1:.3f} .. {p_q3:.3f}  "
         f"(distance {spread:.3f})",
-        f"change wall_s: median {c_median:.3f}  quartiles {c_q1:.3f} .. {c_q3:.3f}  "
+        f"change {name}: median {c_median:.3f}  quartiles {c_q1:.3f} .. {c_q3:.3f}  "
         f"(distance {c_q3 - c_q1:.3f})",
-        f"change/parent medians: {c_median / p_median:.3f}x of {p_median:.3f} s; "
+        f"change/parent medians: {c_median / p_median:.3f}x of {p_median:.3f} {unit}; "
         f"pairs won {won}, lost {lost}, of {len(parent)} (need {needed})",
     ]
-    if won >= needed and p_median - c_median > spread:
+    if won >= needed and sign * (p_median - c_median) > spread:
         return GAIN, lines + [
             "verdict: GAIN -- enough pairs won, medians apart by more than the parent's quartiles"
         ]
-    if lost >= needed and c_median - p_median > spread:
+    if lost >= needed and sign * (c_median - p_median) > spread:
         return SLOWER, lines + ["verdict: SLOWER -- the change loses by the same rule"]
     return NO_GAIN, lines + [
         "verdict: NO GAIN SHOWN -- too few pairs won, or medians within the parent's spread"
@@ -138,13 +156,17 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="a workload named in BENCHMARK.json, or 'all'; may be repeated",
     )
     parser.add_argument("--claim", metavar="NAME", help="the workload that must read GAIN")
+    parser.add_argument(
+        "--metric", default="wall_s", choices=sorted(HOST_METRICS),
+        help="the host end-to-end metric judged (default wall_s)",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1, help="pair i runs seed base+i")
     parser.add_argument("--seconds", type=float, default=12.0, help="bench/run.py --seconds")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
-    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    declared = [w["name"] for w in BENCHMARK["workloads"]]
     names = [name for asked in args.workloads for name in (declared if asked == "all" else [asked])]
     args.workloads = list(dict.fromkeys(names))  # first mention keeps its place
     unknown = sorted(set(args.workloads) - set(declared))
@@ -154,19 +176,23 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         args.claim = args.workloads[0]
     if args.claim is not None and args.claim not in args.workloads:
         parser.error(f"--claim {args.claim} is not among the workloads to run")
+    args.metric = HOST_METRICS[args.metric]
     return args
 
 
 def run_pairs(
-    trees: dict[str, pathlib.Path], workload: str, pairs: int, seed_base: int, seconds: float
+    trees: dict[str, pathlib.Path], workload: str, pairs: int, seed_base: int, seconds: float,
+    metric: dict,
 ) -> tuple[int, list[str]]:
     """All pairs of one workload, printed as they finish: status and report."""
-    walls: dict[str, list[float]] = {"parent": [], "change": []}
+    judged = metric["name"]
+    samples: dict[str, list[float]] = {"parent": [], "change": []}
     broken = []
     print(f"\n{workload}: {pairs} pairs, parent = {trees['parent'].name}")
+    width = max(14, len(judged) + 7)
     print(
-        f"{'pair':>4} {'seed':>6} {'first':<7} {'parent wall_s':>14} {'change wall_s':>14} "
-        f"{'ratio':>7}"
+        f"{'pair':>4} {'seed':>6} {'first':<7} {'parent ' + judged:>{width}} "
+        f"{'change ' + judged:>{width}} {'ratio':>7}"
     )
     for pair in range(pairs):
         seed = seed_base + pair
@@ -183,13 +209,14 @@ def run_pairs(
                 other = change["metrics"][name]["value"]
                 broken.append(f"seed {seed}: {name} {entry['value']!r} -> {other!r}")
         for side in order:
-            walls[side].append(reports[side]["metrics"]["wall_s"]["value"])
+            samples[side].append(reports[side]["metrics"][judged]["value"])
         print(
-            f"{pair + 1:>4} {seed:>6} {order[0]:<7} {walls['parent'][-1]:>14.3f} "
-            f"{walls['change'][-1]:>14.3f} {walls['change'][-1] / walls['parent'][-1]:>7.3f}"
+            f"{pair + 1:>4} {seed:>6} {order[0]:<7} {samples['parent'][-1]:>{width}.3f} "
+            f"{samples['change'][-1]:>{width}.3f} "
+            f"{samples['change'][-1] / samples['parent'][-1]:>7.3f}"
         )
 
-    status, lines = verdict(walls["parent"], walls["change"])
+    status, lines = verdict(samples["parent"], samples["change"], metric)
     lines += [f"PROBLEM {problem}" for problem in broken]
     if broken:
         lines.append("verdict: INVALID -- the two sides did not run the same simulation correctly")
@@ -204,7 +231,7 @@ def main() -> int:
     statuses, summary = {}, []
     for workload in args.workloads:
         statuses[workload], lines = run_pairs(
-            trees, workload, args.pairs, args.seed_base, args.seconds
+            trees, workload, args.pairs, args.seed_base, args.seconds, args.metric
         )
         role = "claim" if workload == args.claim else ""
         word = VERDICT_WORDS[statuses[workload]]

@@ -134,20 +134,16 @@ class CausalBroadcast:
         self.deltas_parked = 0
         reliable.set_deliver(self._on_reliable_deliver)
 
-    def enable_stability(self, gc: bool = False):
+    def enable_stability(self):
         """Attach a :class:`repro.broadcast.stability.StabilityTracker`.
 
         Every delivered envelope's clock feeds the tracker (it states what
         the sender had delivered), as does our own clock after each local
-        delivery.  With ``gc=True``, stability advances also reclaim the
-        reliable layer's deduplication entries for messages everyone has
-        long delivered.  Returns the tracker.
+        delivery.  Returns the tracker.
         """
         from repro.broadcast.stability import StabilityTracker
 
         self.stability = StabilityTracker(self.num_sites, self.site)
-        if gc:
-            self.stability.on_advance(self.reliable.garbage_collect)
         return self.stability
 
     def enable_delta_clocks(self) -> None:

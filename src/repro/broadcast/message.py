@@ -5,23 +5,25 @@ Every broadcast primitive wraps application payloads in a
 unique because each site numbers its own broadcasts.
 
 These headers are allocated once per broadcast and touched on every
-delivery, so both classes are ``__slots__`` dataclasses and the ``kind``
-label is interned: the accounting layer compares kinds millions of times
-per run, and interning makes those comparisons pointer checks while
-deduplicating the strings across every message of a run.
+delivery.  :class:`MessageId` is a ``NamedTuple``, so hashing, equality and
+ordering are the tuple's own, in C; ``hash(id) == hash((sender, seq))``, as
+it was for the frozen dataclass it replaces, so no set or dict order moves.
+:class:`BroadcastMessage` is a ``__slots__`` dataclass whose ``kind`` label
+is interned: the accounting layer compares kinds millions of times per run,
+and interning makes those comparisons pointer checks while deduplicating the
+strings across every message of a run.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.net.sizes import kind_of, register_payload
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Globally unique broadcast message identity."""
 
     sender: int

@@ -32,6 +32,57 @@ from repro.sim.engine import SimulationEngine
 CHANNEL = "rbcast"
 
 
+class SeenIds:
+    """The broadcast ids one site has admitted, kept as a per-sender
+    watermark plus the holes below it.
+
+    What a site has admitted from ``sender`` is every ``seq`` below
+    ``top[sender]`` except the ones in ``holes[sender]``: the set of every
+    admitted id, exactly, whatever the arrival order.  Each sender numbers
+    its broadcasts 0, 1, 2, ... and links are FIFO, which keeps the state
+    at one int per sender plus one per hole: an in-order stream -- every
+    passthrough and ARQ delivery -- never opens one, a relayed copy that
+    overtakes a lost predecessor opens holes that later copies fill, and a
+    rejoiner's gap costs at most what it missed.
+    """
+
+    __slots__ = ("_top", "_holes")
+
+    def __init__(self, num_sites: int):
+        self._top = [0] * num_sites
+        self._holes: dict[int, set[int]] = {}
+
+    def admit(self, msg_id: MessageId) -> bool:
+        """Record ``msg_id``; False when it was admitted before."""
+        sender, seq = msg_id
+        top = self._top[sender]
+        if seq == top:
+            self._top[sender] = seq + 1
+            return True
+        if seq > top:
+            self._holes.setdefault(sender, set()).update(range(top, seq))
+            self._top[sender] = seq + 1
+            return True
+        holes = self._holes.get(sender)
+        if holes is None or seq not in holes:
+            return False
+        holes.remove(seq)
+        if not holes:
+            del self._holes[sender]
+        return True
+
+    def __contains__(self, msg_id: MessageId) -> bool:
+        sender, seq = msg_id
+        return seq < self._top[sender] and seq not in self._holes.get(sender, ())
+
+    def footprint(self) -> int:
+        """Ints held: one watermark per sender plus one per open hole."""
+        held = len(self._top)
+        for holes in self._holes.values():
+            held += len(holes)
+        return held
+
+
 class ReliableBroadcast:
     """Reliable broadcast endpoint for one site."""
 
@@ -50,10 +101,9 @@ class ReliableBroadcast:
         self.relay = relay
         self.group: list[int] = list(range(num_sites))
         self._next_seq = 0
-        self._seen: set[MessageId] = set()
+        self.seen = SeenIds(num_sites)
         self._deliver: Optional[Callable[[BroadcastMessage], None]] = None
         self.delivered_count = 0
-        self.gc_reclaimed = 0
         router.register(CHANNEL, self._on_receive)
 
     def set_deliver(self, fn: Callable[[BroadcastMessage], None]) -> None:
@@ -82,7 +132,7 @@ class ReliableBroadcast:
         msg_id = MessageId(self.site, self._next_seq)
         self._next_seq += 1
         message = BroadcastMessage(msg_id, payload, kind or "")
-        self._seen.add(msg_id)
+        self.seen.admit(msg_id)
         # Single shared envelope for the whole fan-out; multicast skips the
         # sending site itself (local delivery goes through the event loop).
         self.router.multicast(self.group, CHANNEL, message, message.kind)
@@ -93,9 +143,8 @@ class ReliableBroadcast:
         self._handoff(message)
 
     def _on_receive(self, src: int, message: BroadcastMessage) -> None:
-        if message.id in self._seen:
+        if not self.seen.admit(message.id):
             return
-        self._seen.add(message.id)
         if self.relay:
             # multicast skips our own site; one envelope for the fan-out.
             self.router.multicast(
@@ -111,23 +160,3 @@ class ReliableBroadcast:
             raise RuntimeError(f"site {self.site}: reliable broadcast has no deliver callback")
         self.delivered_count += 1
         self._deliver(message)
-
-    def garbage_collect(self, stable, lag: int = 128) -> int:
-        """Drop dedup entries for messages stable at every site.
-
-        ``stable`` is a vector (per-origin delivered-everywhere counts,
-        from :class:`repro.broadcast.stability.StabilityTracker`).  A
-        ``lag`` margin is kept because relayed duplicates of a stable
-        message can still be in flight for a short while; by the time a
-        message is ``lag`` broadcasts below the stability frontier, any
-        straggler copy has long been delivered or dropped.  Returns the
-        number of entries reclaimed.
-        """
-        removable = {
-            msg_id
-            for msg_id in self._seen
-            if stable[msg_id.sender] - lag >= msg_id.seq
-        }
-        self._seen -= removable
-        self.gc_reclaimed += len(removable)
-        return len(removable)

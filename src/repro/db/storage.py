@@ -5,6 +5,14 @@ version; version numbers are per-object and dense (0 is the initial
 version).  Old versions are retained (bounded by ``history_limit``) so that
 read-only transactions can be served a consistent snapshot and so the 1SR
 checker can resolve exactly which version every read observed.
+
+A key's history is a tuple until this store first writes it: every key
+:meth:`VersionedStore.initialize` creates shares one immutable
+``(VersionedValue(0, value, None),)``, and a snapshot load gives each key a
+one-version tuple.  :meth:`VersionedStore.install` turns the history into a
+list on the key's first write.  The readers only index and iterate, so they
+answer alike for both, and a key this store never writes costs it no
+history of its own after ``initialize``.
 """
 
 from __future__ import annotations
@@ -33,14 +41,16 @@ class VersionedStore:
         if history_limit < 1:
             raise ValueError("history_limit must be at least 1")
         self.history_limit = history_limit
-        self._objects: dict[str, list[VersionedValue]] = {}
+        self._objects: dict[str, list[VersionedValue] | tuple[VersionedValue, ...]] = {}
         self.install_count = 0
 
     def initialize(self, keys: Iterable[str], value: Any = 0) -> None:
-        """Create objects at version 0 (the database's initial state)."""
+        """Create objects at version 0 (the database's initial state), all
+        sharing one initial history."""
+        initial = (VersionedValue(0, value, None),)
         for key in keys:
             if key not in self._objects:
-                self._objects[key] = [VersionedValue(0, value, None)]
+                self._objects[key] = initial
 
     def contains(self, key: str) -> bool:
         return key in self._objects
@@ -73,6 +83,8 @@ class VersionedStore:
         versions = self._objects.get(key)
         if versions is None:
             raise StorageError(f"unknown object {key!r}")
+        if isinstance(versions, tuple):  # first write here: own the history
+            versions = self._objects[key] = list(versions)
         new_version = versions[-1].version + 1
         versions.append(VersionedValue(new_version, value, writer))
         if len(versions) > self.history_limit:
@@ -113,7 +125,7 @@ class VersionedStore:
     ) -> None:
         """Replace our state with a received snapshot (state transfer)."""
         self._objects = {
-            key: [VersionedValue(version, value, writer if version > 0 else None)]
+            key: (VersionedValue(version, value, writer if version > 0 else None),)
             for key, version, value in snapshot
         }
 

@@ -26,7 +26,7 @@ class LogRecordType(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One WAL entry."""
 

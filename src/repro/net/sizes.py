@@ -112,14 +112,17 @@ _CONTAINERS = (str, bytes, dict, list, tuple, set, frozenset)
 
 def _resolve(cls: type) -> Sizer:
     """First sight of a class outside the table: pick its sizer, once."""
-    for base in _CONTAINERS:
-        if issubclass(cls, base):
-            sizer = _SIZERS[base]
-            break
-    else:
-        sizer = _own_sizer(cls) or _size_object
+    sizer = _container_sizer(cls) or _own_sizer(cls) or _size_object
     _SIZERS[cls] = sizer
     return sizer
+
+
+def _container_sizer(cls: type) -> Sizer | None:
+    """The sizer of the builtin container ``cls`` subclasses, if any."""
+    for base in _CONTAINERS:
+        if issubclass(cls, base):
+            return _SIZERS[base]
+    return None
 
 
 def _own_sizer(cls: type) -> Sizer | None:
@@ -190,7 +193,11 @@ def register_payload(*classes: type) -> None:
       datagram of every transport/batching/relay mode) and no wire class
       carries size arithmetic of its own.  The exception is a class that
       defines ``__wire_size__(self)``: its method is used as is
-      (``VectorClock`` turns an O(n) walk into arithmetic).
+      (``VectorClock`` turns an O(n) walk into arithmetic).  A class that
+      subclasses a builtin container (a ``NamedTuple`` such as
+      ``MessageId``) is sized as that container, as the plain traversal
+      sizes it: its ``__slots__`` is empty, and a sizer derived from it
+      would count no fields.
     - **Memo.**  A class that declares a ``_size`` slot (``-1`` = not yet
       sized) has its size computed once per instance and stored there;
       the slot is bookkeeping, never wire content.  Declaring the slot is
@@ -204,7 +211,7 @@ def register_payload(*classes: type) -> None:
       no other class declares one.
     """
     for cls in classes:
-        own = _own_sizer(cls)
+        own = _container_sizer(cls) or _own_sizer(cls)
         if own is None and "__slots__" not in cls.__dict__:
             raise TypeError(
                 f"wire payload {cls.__name__} must declare __slots__ "

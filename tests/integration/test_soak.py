@@ -11,7 +11,7 @@ import pytest
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.sim.faults import FaultSchedule
 from repro.workload.generator import WorkloadConfig
-from repro.workload.runner import ClosedLoopRunner
+from repro.workload.runner import ClosedLoopRunner, run_standard_mix
 
 
 @pytest.mark.parametrize("protocol", ["rbp", "cbp"])
@@ -113,3 +113,26 @@ def test_soak_open_loop_abp():
     commits = {r.certified_commits for r in cluster.replicas}
     aborts = {r.certified_aborts for r in cluster.replicas}
     assert len(commits) == 1 and len(aborts) == 1
+
+
+def retained_state(transactions):
+    """Per-site dedup ints and the longest per-key history a 4-site RBP
+    cluster holds once ``transactions`` updates have run."""
+    cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=4, num_objects=8, seed=17))
+    workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
+    assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
+    dedup = [reliable.seen.footprint() for reliable in cluster.reliables]
+    history = max(
+        len(replica.store._objects[key]) for replica in cluster.replicas for key in cluster.keys
+    )
+    return dedup, history
+
+
+def test_retained_state_does_not_grow_with_run_length():
+    """Doubling the run leaves the dedup state and every key's history the
+    same size: one watermark per sender, and histories at ``history_limit``
+    (a run this long writes every key past it).  Structure sizes, not RSS:
+    a per-site structure that grows with the run, as a set of every
+    delivered id did, stays far below any RSS ceiling a test can set."""
+    short, long = retained_state(80), retained_state(160)
+    assert short == long == ([4, 4, 4, 4], 16)

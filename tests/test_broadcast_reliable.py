@@ -46,15 +46,20 @@ def test_relay_costs_more_messages(harness_factory):
 def test_relay_by_multicast_equals_the_per_destination_send_loop(harness_factory, monkeypatch):
     """Relaying with one ``router.multicast`` must be the run the historical
     ``router.send`` loop produced: same loss and latency draws in the same
-    order, so the same delivery times and the same network accounting."""
+    order, so the same delivery times and the same network accounting.  The
+    reference deduplicates with a plain set of every id it received, so the
+    comparison also checks the per-sender watermarks against that set."""
     import dataclasses
 
     from repro.broadcast import reliable
 
+    seen_by_layer = {}
+
     def relay_by_send_loop(self, src, message):
-        if message.id in self._seen:
+        seen = seen_by_layer.setdefault(self, set())
+        if message.id in seen:
             return
-        self._seen.add(message.id)
+        seen.add(message.id)
         for dst in self.group:
             if dst not in (self.site, src, message.sender):
                 self.router.send(dst, reliable.CHANNEL, message, message.kind)
@@ -139,3 +144,47 @@ def test_reliable_broadcast_over_lossy_links(harness_factory):
     h.run(until=100000.0)
     for site in range(3):
         assert len(h.payloads(site)) == 20
+
+
+def lossy_relay_chatter(h, broadcasts=600, every=50):
+    """``broadcasts`` round-robin broadcasts over a lossy passthrough
+    network, which relay mode repairs by flooding, each ``every`` of them
+    left ``every`` ms to settle.  Returns the largest dedup footprint any
+    site held while the settling was still under way."""
+    h.network.loss_rate = 0.1  # after the transports bound: passthrough loses
+    widest = 0
+    for n in range(broadcasts):
+        h.layers[n % h.num_sites].broadcast(Word(f"m{n}"))
+        if n % every == every - 1:
+            for _ in range(4):
+                h.run(until=h.engine.now + 0.5)
+                widest = max(widest, *(layer.seen.footprint() for layer in h.layers))
+            h.run(until=h.engine.now + every)
+    h.run(until=h.engine.now + 200.0)
+    return widest
+
+
+def test_dedup_state_is_bounded_in_relay_mode(harness_factory):
+    """A lost copy overtaken by a relayed successor opens holes below the
+    sender's watermark; later copies fill them, so a long chatter leaves one
+    watermark per sender plus, at most, one hole per message never received
+    -- not one entry per message delivered."""
+    h = harness_factory(num_sites=5, stack="reliable", relay=True, seed=3)
+    widest = lossy_relay_chatter(h)
+    assert widest > h.num_sites  # holes did open mid-flight
+    for site, layer in enumerate(h.layers):
+        missed = 600 - len(h.delivered[site])
+        assert layer.seen.footprint() <= h.num_sites + missed
+
+
+def test_dedup_keeps_integrity_in_relay_mode(harness_factory):
+    """Every message is delivered at most once in relay mode, where
+    duplicates abound, and an id reads as seen exactly when it was
+    delivered."""
+    h = harness_factory(num_sites=5, stack="reliable", relay=True, seed=3)
+    lossy_relay_chatter(h)
+    for site, layer in enumerate(h.layers):
+        numbers = [int(p.text[1:]) for p in h.payloads(site)]
+        assert len(numbers) == len(set(numbers)) > 500
+        delivered = {(n % 5, n // 5) for n in numbers}
+        assert {(s, q) for s in range(5) for q in range(600 // 5 + 1) if (s, q) in layer.seen} == delivered

@@ -64,6 +64,14 @@ def test_containers_sum_recursively():
     assert nested > flat - 8
 
 
+def test_a_registered_named_tuple_is_sized_as_its_tuple():
+    """A NamedTuple's ``__slots__`` is empty: a sizer derived from it would
+    charge a ``MessageId`` 8 bytes, not the 24 its two ints cost."""
+    from repro.broadcast.message import MessageId
+
+    assert estimate_size(MessageId(1, 2)) == estimate_size((1, 2)) == 24
+
+
 def test_dict_counts_keys_and_values():
     assert estimate_size({"k": 1}) == 8 + 1 + 8
 

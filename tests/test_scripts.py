@@ -61,6 +61,16 @@ def test_bench_pairs_verdict_rule():
     status, lines = bench_pairs.verdict(parent, [6.0] + faster[1:])
     assert status == 0 and "won 9, lost 1, of 10 (need 9)" in lines[2]
 
+    # Another host metric: its name and unit in the report, its direction
+    # read from BENCHMARK.json ("higher" is better only for a rate).
+    rss = bench_pairs.HOST_METRICS["peak_rss_mb"]
+    status, lines = bench_pairs.verdict(parent, faster, rss)
+    assert status == 0 and lines[0].startswith("parent peak_rss_mb") and " MiB;" in lines[2]
+    assert bench_pairs.verdict(faster, parent, rss)[0] == 3
+    rate = dict(rss, better="higher")
+    assert bench_pairs.verdict(parent, faster, rate)[0] == 3
+    assert bench_pairs.verdict(faster, parent, rate)[0] == 0
+
     # Several workloads: the claimed one must read GAIN, the rest only not
     # SLOWER; INVALID or SLOWER anywhere outranks the claim's own verdict.
     gain = bench_pairs.verdict(parent, faster)[0]
@@ -85,6 +95,13 @@ def test_bench_pairs_verdict_rule():
     assert args.workloads[0] == "p2p_steady" and len(args.workloads) == 6
     assert args.claim == "p2p_steady"
     assert bench_pairs.parse_args(["--parent", "HEAD", "--workload", "all"]).claim is None
-    for bad in (["--workload", "nope"], ["--workload", "rbp_wide", "--claim", "p2p_steady"]):
+    assert args.metric["name"] == "wall_s"
+    args = bench_pairs.parse_args("--parent HEAD --workload rbp_wide --metric peak_rss_mb".split())
+    assert args.metric == {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}
+    for bad in (
+        ["--workload", "nope"],
+        ["--workload", "rbp_wide", "--claim", "p2p_steady"],
+        ["--workload", "rbp_wide", "--metric", "sim_commits_per_s"],  # not host-side
+    ):
         with pytest.raises(SystemExit):
             bench_pairs.parse_args(["--parent", "HEAD", *bad])
