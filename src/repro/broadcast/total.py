@@ -23,6 +23,12 @@ Two orderers are implemented (ablation experiment E10):
   sequence number circulates; a site stamps its pending ordered messages
   while holding the token.
 
+Every delivery consults :attr:`TotalOrderBroadcast.is_sequencer`, a plain
+attribute that :meth:`~TotalOrderBroadcast.set_group` keeps with the sorted
+group, and numbered messages wait in a heap of ``(epoch, seq)`` keys, so
+recording and delivering one costs a heap push and pop, not a re-sort of
+the queue and a list shift.
+
 Sequencer takeover on view change is best-effort (the new lowest-id member
 assigns the unassigned backlog under a higher epoch).  A production system
 needs a view flush here; the fault-injection experiments in this repository
@@ -31,6 +37,7 @@ crash non-sequencer sites or quiesce first, as documented in DESIGN.md.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -76,7 +83,7 @@ class Token:
     kind: str = "abcast.token"
 
 
-@dataclass
+@dataclass(slots=True)
 class _OrderedPending:
     message: BroadcastMessage
     envelope: CausalEnvelope
@@ -119,6 +126,9 @@ class TotalOrderBroadcast(Process):
         self.uniform = uniform
         self.stability_interval = stability_interval
         self.group: list[int] = list(range(self.num_sites))
+        #: The lowest-id group member orders (``group`` is sorted); kept
+        #: with ``group`` by :meth:`set_group`, read on every delivery.
+        self.is_sequencer = self.site == self.group[0]
         self.epoch = 0
         self._deliver: Optional[DeliverFn] = None
         # Ordered-delivery machinery.
@@ -126,7 +136,9 @@ class TotalOrderBroadcast(Process):
         self._order_of: dict[MessageId, tuple[int, int]] = {}
         self._ready: dict[tuple[int, int], _OrderedPending] = {}
         self._unordered: dict[MessageId, _OrderedPending] = {}
-        self._delivery_order: list[tuple[int, int]] = []  # sorted keys awaiting delivery
+        #: Heap of keys awaiting delivery; a key already delivered or cut
+        #: by a state transfer is stale and skipped when it surfaces.
+        self._delivery_order: list[tuple[int, int]] = []
         # Sequencer state.
         self._next_seq = 0
         #: Group commit: the sequencer accumulates the assignments it issues
@@ -184,6 +196,7 @@ class TotalOrderBroadcast(Process):
         would otherwise pin it for good."""
         self.causal.set_group(members)
         self.group = sorted(members)
+        self.is_sequencer = self.site == self.group[0]
         self.epoch += 1
         if self.uniform:
             self.causal.stability.restrict_to(members)
@@ -204,10 +217,6 @@ class TotalOrderBroadcast(Process):
                     self._next_seq += 1
                 self.causal.broadcast(OrderAssignment(self.epoch, assignments))
 
-    @property
-    def is_sequencer(self) -> bool:
-        return bool(self.group) and self.site == min(self.group)
-
     def export_state(self) -> dict:
         """The lower layers' state-transfer keys plus our ordering position."""
         state = self.causal.export_state()
@@ -221,21 +230,33 @@ class TotalOrderBroadcast(Process):
 
     def adopt_state(self, state: Any) -> None:
         """Rejoiner side: jump past the total-order prefix the transferred
-        snapshot covers (``state``: the reply, keys as attributes)."""
+        snapshot covers (``state``: the reply, keys as attributes).
+
+        Numbered messages from the covered prefix are dropped, and so are
+        unnumbered ones the adopted causal clock covers — the causal layer's
+        own cut.  Those were delivered before this site crashed and still
+        wait for their number, but the message predates the crash, any
+        takeover and the donor's settle window (``RecoveryAgent.serve_delay``),
+        so the snapshot covers its assignment too: the number never reaches
+        this site, and the entry would otherwise stay for good.
+        """
         self.causal.adopt_state(state)
         order = state.total_order_state
         self.next_delivery_index = order["next_delivery_index"]
-        self._last_delivered_key = order["last_delivered_key"]
+        last = self._last_delivered_key = order["last_delivered_key"]
         self._next_seq = max(self._next_seq, order["next_seq"])
         self.epoch = max(self.epoch, order["epoch"])
-        # Drop buffered deliveries from the covered prefix.
-        covered = {
-            key for key in self._ready if self._last_delivered_key is not None
-            and key <= self._last_delivered_key
+        self._ready = {
+            key: pending for key, pending in self._ready.items() if last is None or key > last
         }
-        for key in sorted(covered):
-            del self._ready[key]
-        self._delivery_order = [k for k in self._delivery_order if k not in covered]
+        cut = state.causal_clock
+        self._unordered = {
+            msg_id: pending
+            for msg_id, pending in self._unordered.items()
+            if pending.envelope.vc[msg_id.sender] > cut[msg_id.sender]
+        }
+        self._delivery_order = [key for key in self._delivery_order if key in self._ready]
+        heapq.heapify(self._delivery_order)
 
     # -- causal delivery path ------------------------------------------------
 
@@ -316,8 +337,7 @@ class TotalOrderBroadcast(Process):
     def _record_order(self, msg_id: MessageId, key: tuple[int, int], pending: _OrderedPending) -> None:
         self._order_of[msg_id] = key
         self._ready[key] = pending
-        self._delivery_order.append(key)
-        self._delivery_order.sort()
+        heapq.heappush(self._delivery_order, key)
 
     def _drain(self) -> None:
         """Deliver ready ordered messages in contiguous global order.
@@ -327,10 +347,11 @@ class TotalOrderBroadcast(Process):
         seq) key has been delivered.  Within one epoch, sequence numbers are
         contiguous from the sequencer, so gap-freedom is detectable.
         """
-        while self._delivery_order:
-            key = self._delivery_order[0]
+        queue = self._delivery_order
+        while queue:
+            key = queue[0]
             if key not in self._ready:
-                self._delivery_order.pop(0)
+                heapq.heappop(queue)
                 continue
             epoch, seq = key
             if not self._is_next(epoch, seq):
@@ -338,7 +359,7 @@ class TotalOrderBroadcast(Process):
             pending = self._ready[key]
             if self.uniform and not self._is_stable(pending):
                 break  # stability advance will re-drain
-            self._delivery_order.pop(0)
+            heapq.heappop(queue)
             del self._ready[key]
             index = self.next_delivery_index
             self.next_delivery_index += 1

@@ -42,20 +42,27 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """Append-only redo log."""
+    """Append-only redo log.
+
+    Entries are stored as plain ``(type, tx, key, value)`` rows, the LSN
+    being the row's index; iteration yields a :class:`LogRecord` per row,
+    built on read.  Appends happen on every commit at every site, reads
+    only in recovery and tests, so the log pays for records only there.
+    """
 
     def __init__(self) -> None:
-        self._records: list[LogRecord] = []
+        self._rows: list[tuple[LogRecordType, str, Optional[str], Any]] = []
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
+        for lsn, (type_, tx, key, value) in enumerate(self._rows):
+            yield LogRecord(lsn, type_, tx, key, value)
 
     @property
     def last_lsn(self) -> int:
-        return len(self._records) - 1
+        return len(self._rows) - 1
 
     def log_begin(self, tx: str) -> int:
         return self._append(LogRecordType.BEGIN, tx)
@@ -72,13 +79,13 @@ class WriteAheadLog:
     def _append(
         self, type_: LogRecordType, tx: str, key: Optional[str] = None, value: Any = None
     ) -> int:
-        lsn = len(self._records)
-        self._records.append(LogRecord(lsn, type_, tx, key, value))
-        return lsn
+        rows = self._rows
+        rows.append((type_, tx, key, value))
+        return len(rows) - 1
 
     def committed_transactions(self) -> list[str]:
         """Transaction ids with a COMMIT record, in commit order."""
-        return [r.tx for r in self._records if r.type is LogRecordType.COMMIT]
+        return [r.tx for r in self if r.type is LogRecordType.COMMIT]
 
     def replay(self, store: VersionedStore) -> int:
         """Redo committed writes, in commit order, into a fresh store.
@@ -89,7 +96,7 @@ class WriteAheadLog:
         """
         pending: dict[str, list[tuple[str, Any]]] = {}
         applied = 0
-        for record in self._records:
+        for record in self:
             if record.type is LogRecordType.BEGIN:
                 pending.setdefault(record.tx, [])
             elif record.type is LogRecordType.WRITE:
@@ -105,4 +112,4 @@ class WriteAheadLog:
 
     def truncate(self) -> None:
         """Drop all records (after a checkpoint/state transfer)."""
-        self._records.clear()
+        self._rows.clear()

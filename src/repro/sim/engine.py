@@ -129,7 +129,9 @@ class SimulationEngine:
         #: orders them by comparing floats and ints in C and never reaches
         #: the handle.
         self._heap: list[tuple[float, int, EventHandle]] = []
-        self._now = 0.0
+        #: Current simulation time: the time of the event firing, or of the
+        #: last one fired.  Only the engine writes it.
+        self.now = 0.0
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -137,22 +139,17 @@ class SimulationEngine:
         self.events_processed = 0
         self.compactions = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         seq = self._seq = self._seq + 1
         handle = EventHandle(time, seq, fn, args, self)
@@ -178,7 +175,7 @@ class SimulationEngine:
         """
         if delay < 0:
             raise SimulationError(f"cannot reschedule into the past (delay={delay})")
-        target = self._now + delay
+        target = self.now + delay
         if handle is not None and not handle.cancelled and not handle.fired:
             if target >= handle.time:
                 handle.fire_at = target
@@ -241,7 +238,7 @@ class SimulationEngine:
         return True
 
     def _fire(self, handle: EventHandle) -> None:
-        self._now = handle.time
+        self.now = handle.time
         handle.fired = True
         fn, args = handle.fn, handle.args
         handle.fn = None
@@ -287,10 +284,10 @@ class SimulationEngine:
                 if self._stopped:
                     return RUN_STOPPED
                 if not heap:
-                    if until is not None and until > self._now:
+                    if until is not None and until > self.now:
                         # An empty queue still lets time pass up to the
                         # requested horizon (run_for semantics).
-                        self._now = until
+                        self.now = until
                     return RUN_EXHAUSTED
                 time, _, handle = heap[0]
                 if handle.cancelled:
@@ -301,10 +298,10 @@ class SimulationEngine:
                     self._resort_deferred(handle)
                     continue
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     return RUN_HORIZON
                 heappop(heap)
-                self._now = time
+                self.now = time
                 handle.fired = True
                 fn, args = handle.fn, handle.args
                 handle.fn = None
@@ -350,4 +347,4 @@ class SimulationEngine:
         return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimulationEngine t={self._now:.3f} queued={len(self._heap)}>"
+        return f"<SimulationEngine t={self.now:.3f} queued={len(self._heap)}>"

@@ -44,7 +44,10 @@ class TraceLog:
     """Append-only trace sink with simple filtering helpers.
 
     ``enabled=False`` turns :meth:`emit` into a counter-only fast path so
-    benchmarks don't pay for record construction.
+    benchmarks don't pay for record construction.  Enabled, :meth:`emit`
+    stores a plain ``(time, source, kind, detail)`` row; :attr:`records`
+    builds a fresh list of :class:`TraceRecord` objects from the rows on
+    each read, so a caller that reads it repeatedly should keep the list.
     """
 
     def __init__(
@@ -62,7 +65,7 @@ class TraceLog:
         self.enabled = enabled
         self.capacity = capacity
         self.mode = mode
-        self._buffer: list[TraceRecord] = []
+        self._buffer: list[tuple[float, str, str, dict[str, Any]]] = []
         #: Next slot to overwrite once the ring is full (ring mode only).
         self._ring_head = 0
         self.counts: Counter[str] = Counter()
@@ -86,19 +89,18 @@ class TraceLog:
             # Ring wraparound: overwrite the oldest slot in place, so the
             # buffer always holds the newest ``capacity`` records.
             head = self._ring_head
-            buffer[head] = TraceRecord(time, source, kind, detail)
+            buffer[head] = (time, source, kind, detail)
             self._ring_head = head + 1 if head + 1 < self.capacity else 0
             return
-        buffer.append(TraceRecord(time, source, kind, detail))
+        buffer.append((time, source, kind, detail))
 
     @property
     def records(self) -> list[TraceRecord]:
-        """Retained records in emission (chronological) order.
+        """Retained records in emission (chronological) order: a fresh
+        list, built from the rows, oldest to newest in a wrapped ring too."""
+        return [TraceRecord(*row) for row in self._rows()]
 
-        Unbounded and head-bounded logs expose the underlying list itself
-        (identical to the historical attribute); a wrapped ring returns a
-        rotated copy so iteration order is still oldest-to-newest.
-        """
+    def _rows(self) -> list[tuple[float, str, str, dict[str, Any]]]:
         if self.mode == "ring" and self._ring_head:
             head = self._ring_head
             return self._buffer[head:] + self._buffer[:head]
@@ -124,14 +126,15 @@ class TraceLog:
         source: Optional[str] = None,
         **detail: Any,
     ) -> Iterator[TraceRecord]:
-        for record in self.records:
-            if kind is not None and record.kind != kind:
+        for row in self._rows():
+            _, row_source, row_kind, row_detail = row
+            if kind is not None and row_kind != kind:
                 continue
-            if source is not None and record.source != source:
+            if source is not None and row_source != source:
                 continue
-            if any(record.detail.get(k) != v for k, v in detail.items()):
+            if any(row_detail.get(k) != v for k, v in detail.items()):
                 continue
-            yield record
+            yield TraceRecord(*row)
 
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were emitted (works when disabled)."""

@@ -1,8 +1,19 @@
 """Unit tests for atomic (total-order) broadcast, both orderers."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.broadcast.causal import CausalEnvelope
+from repro.broadcast.message import BroadcastMessage, MessageId
+from repro.broadcast.total import OrderAssignment, SequencedEnvelope, TotalOrderBroadcast
+from repro.broadcast.vector_clock import VectorClock
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.sim.engine import SimulationEngine
+from repro.workload.generator import WorkloadConfig
+from repro.workload.runner import ClosedLoopRunner
 
 
 @dataclass
@@ -104,15 +115,213 @@ def test_sequencer_emits_order_assignments(harness_factory):
 
 
 def test_invalid_mode_rejected():
-    from repro.broadcast.total import TotalOrderBroadcast
-
     with pytest.raises(ValueError):
-        TotalOrderBroadcast(None, _FakeCausal(), mode="quantum")
+        TotalOrderBroadcast(None, _StubCausal(0, 1), mode="quantum")
 
 
-class _FakeCausal:
-    site = 0
-    num_sites = 1
+# -- the delivery queue against a sorted-list reference -----------------------------
+
+NUM_SITES = 4
+#: The site under test: neither the first sequencer nor its successor.
+SITE = 2
+
+
+class _StubCausal:
+    """The causal layer's surface the total order uses: deliveries are
+    handed in by the test, broadcasts are captured."""
+
+    def __init__(self, site, num_sites):
+        self.site = site
+        self.num_sites = num_sites
+        self.sent = []
 
     def set_deliver(self, fn):
         pass
+
+    def broadcast(self, payload, kind=None):
+        self.sent.append(payload)
+
+    def set_group(self, members):
+        pass
+
+    def adopt_state(self, state):
+        pass
+
+
+class _SortedListQueue:
+    """The reference: every numbered message in a list re-sorted on each
+    insert, delivered from its front while the front key is the next."""
+
+    def __init__(self):
+        self.keys = []
+        self.labels = {}
+        self.last = None
+        self.delivered = []
+
+    def record(self, key, label):
+        self.labels[key] = label
+        self.keys.append(key)
+        self.keys.sort()
+        self.drain()
+
+    def drain(self):
+        while self.keys and self._is_next(self.keys[0]):
+            key = self.keys.pop(0)
+            self.last = key
+            self.delivered.append(self.labels.pop(key))
+
+    def _is_next(self, key):
+        if self.last is None:
+            return key[1] == 0
+        return key[0] >= self.last[0] and key[1] == self.last[1] + 1
+
+    def adopt(self, last):
+        self.last = last
+        self.keys = [key for key in self.keys if key > last]
+
+
+def _layer():
+    layer = TotalOrderBroadcast(SimulationEngine(), _StubCausal(SITE, NUM_SITES))
+    delivered = []
+    layer.set_deliver(lambda payload, envelope, index: delivered.append((payload.label, index)))
+    return layer, delivered
+
+
+def _deliver_data(layer, msg_id, clock=None):
+    vc = VectorClock(clock or [0] * NUM_SITES)
+    envelope = CausalEnvelope(vc, SequencedEnvelope(Op(str(msg_id)), True))
+    layer._on_causal_deliver(BroadcastMessage(msg_id, envelope), envelope)
+
+
+@st.composite
+def _ordering_histories(draw):
+    """Ordered messages numbered by site 0 in its own delivery order (the
+    first ``assigned`` of them), then by site 1 under epoch 1 after a
+    takeover, as a non-sequencer receives them: each data message before
+    its number, everything else in any order, epoch-1 assignments split
+    into frames that may arrive out of order."""
+    ids = draw(st.lists(
+        st.tuples(st.sampled_from([0, 1, 3]), st.integers(0, 6)),
+        min_size=1, max_size=10, unique=True,
+    ))
+    ids = [MessageId(sender, seq) for sender, seq in ids]
+    numbering = draw(st.permutations(ids))
+    assigned = draw(st.integers(0, len(ids)))
+    pending = [("data", msg_id) for msg_id in ids]
+    events = []
+    while pending:
+        event = pending.pop(draw(st.integers(0, len(pending) - 1)))
+        events.append(event)
+        if event[0] == "data" and event[1] in numbering[:assigned]:
+            pending.append(("assign", event[1]))
+    backlog = sorted(numbering[assigned:])
+    frames = [
+        OrderAssignment(1, [(msg_id, assigned + i)]) for i, msg_id in enumerate(backlog)
+    ]
+    return events, numbering, frames, draw(st.permutations(range(len(frames))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ordering_histories())
+def test_heap_queue_delivers_what_a_sorted_list_delivers(history):
+    events, numbering, frames, frame_order = history
+    layer, delivered = _layer()
+    reference = _SortedListQueue()
+
+    def note(msg_id, key):
+        reference.record(key, str(msg_id))
+        assert [label for label, _ in delivered] == reference.delivered
+        assert [index for _, index in delivered] == list(range(len(delivered)))
+
+    for kind, msg_id in events:
+        if kind == "data":
+            _deliver_data(layer, msg_id)
+            continue
+        seq = numbering.index(msg_id)
+        layer._on_order_assignment(OrderAssignment(0, [(msg_id, seq)]))
+        note(msg_id, (0, seq))
+    # Site 0 departs: site 1 takes over, not us.
+    layer.set_group([1, 2, 3])
+    assert not layer.is_sequencer and layer.epoch == 1
+    for index in frame_order:
+        frame = frames[index]
+        layer._on_order_assignment(frame)
+        ((msg_id, seq),) = frame.assignments
+        note(msg_id, (1, seq))
+    assert len(delivered) == len(numbering)
+    assert not layer._unordered and not layer._ready and not layer._delivery_order
+
+
+def test_is_sequencer_follows_set_group():
+    layer, _ = _layer()
+    assert not layer.is_sequencer
+    for members, expected in (([1, 2, 3], False), ([3, 2], True), ([0, 2], False), ([2], True)):
+        layer.set_group(members)
+        assert layer.is_sequencer is expected
+        assert layer.group == sorted(members)
+
+
+def test_takeover_numbers_the_backlog_from_the_counter():
+    """A site that becomes sequencer numbers the messages still waiting,
+    in id order, continuing the old sequencer's counter under a new epoch;
+    later ordered messages it numbers as they arrive."""
+    layer, delivered = _layer()
+    first, late, early = MessageId(0, 0), MessageId(3, 1), MessageId(1, 4)
+    for msg_id in (first, late, early):
+        _deliver_data(layer, msg_id)
+    layer._on_order_assignment(OrderAssignment(0, [(first, 0)]))
+    assert delivered == [(str(first), 0)]
+    layer.set_group([2, 3])
+    assert layer.is_sequencer
+    (takeover,) = layer.causal.sent
+    assert (takeover.epoch, takeover.assignments) == (1, [(early, 1), (late, 2)])
+    layer._on_order_assignment(takeover)
+    fresh = MessageId(3, 2)
+    _deliver_data(layer, fresh)
+    assert layer.causal.sent[-1].assignments == [(fresh, 3)]
+    assert [label for label, _ in delivered] == [str(m) for m in (first, early, late, fresh)]
+
+
+def test_adopt_state_drops_the_covered_prefix_and_resumes_after_it():
+    """Numbered messages at or below the adopted last key are dropped, the
+    ones beyond it deliver from the adopted position, and unnumbered ones
+    the adopted causal clock covers are dropped with them."""
+    layer, delivered = _layer()
+    reference = _SortedListQueue()
+    ids = [MessageId(0, seq) for seq in range(6)]
+    for seq, msg_id in enumerate(ids):
+        _deliver_data(layer, msg_id, [seq + 1, 0, 0, 0])
+        if seq not in (1, 5):  # number 1 is lost; message 5 is never numbered
+            layer._on_order_assignment(OrderAssignment(0, [(msg_id, seq)]))
+            reference.record((0, seq), str(msg_id))
+    assert [label for label, _ in delivered] == reference.delivered == [str(ids[0])]
+    covered = SimpleNamespace(
+        causal_clock=[6, 0, 0, 0],
+        total_order_state={
+            "next_delivery_index": 3, "last_delivered_key": (0, 2), "next_seq": 6, "epoch": 0,
+        },
+    )
+    layer.adopt_state(covered)
+    reference.adopt((0, 2))
+    assert sorted(layer._ready) == sorted(layer._delivery_order) == reference.keys
+    assert not layer._unordered  # message 5: covered, its number never coming
+    layer._on_order_assignment(OrderAssignment(0, []))  # any delivery drains
+    reference.drain()
+    assert [label for label, _ in delivered] == reference.delivered
+    assert [index for _, index in delivered] == [0, 3, 4]
+
+
+def test_recovered_abp_site_keeps_no_covered_unnumbered_message():
+    """ABP, 4 sites, site 3 down from 50 to 300 under a closed loop: the
+    rejoiner keeps no pre-crash commit request the snapshot covered in its
+    unnumbered queue (its number is covered too, so it would wait for good)."""
+    cluster = Cluster(ClusterConfig(protocol="abp", num_sites=4, num_objects=32, seed=12))
+    cluster.crash_site(3, at=50)
+    cluster.recover_site(3, at=300)
+    ClosedLoopRunner(
+        cluster, WorkloadConfig(num_objects=32, num_sites=4), mpl=4, transactions=400
+    ).start()
+    result = cluster.run(max_time=100_000)
+    assert result.ok, result.serialization.explain()
+    assert cluster.recovery_agents[3].transfers_completed == 1
+    assert [len(total._unordered) for total in cluster.totals] == [0, 0, 0, 0]

@@ -1,7 +1,7 @@
 """Unit tests for the write-ahead log."""
 
 from repro.db.storage import VersionedStore
-from repro.db.wal import LogRecordType, WriteAheadLog
+from repro.db.wal import LogRecord, LogRecordType, WriteAheadLog
 
 
 def test_append_assigns_dense_lsns():
@@ -92,3 +92,41 @@ def test_record_rendering():
     record = next(iter(wal))
     assert record.type is LogRecordType.WRITE
     assert "x" in str(record) and "T1" in str(record)
+
+
+def test_rows_read_back_as_the_records_they_were_logged_as():
+    """The log keeps plain rows; iteration rebuilds each ``LogRecord`` with
+    its row index as the LSN, the one each append returned."""
+    wal = WriteAheadLog()
+    lsns = [
+        wal.log_begin("T1"),
+        wal.log_write("T1", "x", 5),
+        wal.log_write("T1", "y", ("tuple", 1)),
+        wal.log_abort("T2"),
+        wal.log_commit("T1"),
+    ]
+    expected = [
+        LogRecord(0, LogRecordType.BEGIN, "T1"),
+        LogRecord(1, LogRecordType.WRITE, "T1", "x", 5),
+        LogRecord(2, LogRecordType.WRITE, "T1", "y", ("tuple", 1)),
+        LogRecord(3, LogRecordType.ABORT, "T2"),
+        LogRecord(4, LogRecordType.COMMIT, "T1"),
+    ]
+    assert lsns == [0, 1, 2, 3, 4]
+    assert list(wal) == list(wal) == expected
+    assert [str(record) for record in wal] == [
+        "lsn=0 begin T1",
+        "lsn=1 write T1 x=5",
+        "lsn=2 write T1 y=('tuple', 1)",
+        "lsn=3 abort T2",
+        "lsn=4 commit T1",
+    ]
+    assert wal.committed_transactions() == ["T1"]
+    store = VersionedStore()
+    store.initialize(["x", "y"])
+    assert wal.replay(store) == 2
+    assert store.read("y").value == ("tuple", 1)
+    wal.truncate()
+    assert wal.last_lsn == -1 and list(wal) == []
+    assert wal.log_commit("T3") == 0
+    assert list(wal) == [LogRecord(0, LogRecordType.COMMIT, "T3")]

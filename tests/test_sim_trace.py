@@ -1,6 +1,8 @@
 """Unit tests for the trace log."""
 
-from repro.sim.trace import TraceLog
+import pytest
+
+from repro.sim.trace import TraceLog, TraceRecord
 
 
 def test_emit_and_filter():
@@ -136,11 +138,57 @@ def test_ring_clear_resets_head():
 
 
 def test_ring_requires_capacity():
-    import pytest
-
     with pytest.raises(ValueError):
         TraceLog(mode="ring")
     with pytest.raises(ValueError):
         TraceLog(capacity=0, mode="ring")
     with pytest.raises(ValueError):
         TraceLog(capacity=5, mode="sideways")
+
+
+# -- rows against the record-per-emit reference ------------------------------------
+
+
+class _RecordLog:
+    """The reference: one ``TraceRecord`` built per emit, a ring rotated on
+    read."""
+
+    def __init__(self, capacity=None, mode="head"):
+        self.capacity, self.mode = capacity, mode
+        self.buffer, self.head = [], 0
+
+    def emit(self, time, source, kind, **detail):
+        record = TraceRecord(time, source, kind, detail)
+        if self.capacity is not None and len(self.buffer) >= self.capacity:
+            if self.mode == "ring":
+                self.buffer[self.head] = record
+                self.head = (self.head + 1) % self.capacity
+            return
+        self.buffer.append(record)
+
+    @property
+    def records(self):
+        return self.buffer[self.head:] + self.buffer[:self.head]
+
+
+@pytest.mark.parametrize(
+    "capacity, mode", [(None, "head"), (7, "head"), (7, "ring"), (40, "ring")]
+)
+def test_rows_read_back_as_the_records_emitted(capacity, mode):
+    log, reference = TraceLog(capacity=capacity, mode=mode), _RecordLog(capacity, mode)
+    for i in range(23):  # overwrites a 7-slot ring twice over, ending mid-buffer
+        args = (i * 0.5, f"site{i % 3}", ("tx.commit", "tx.abort", "net")[i % 3])
+        detail = {"tx": f"T{i % 4}", "n": i} if i % 5 else {}
+        log.emit(*args, **detail)
+        reference.emit(*args, **detail)
+    assert log.records == reference.records
+    assert log.records is not log.records  # a fresh list per read
+    assert log.dump() == "\n".join(str(record) for record in reference.records)
+    queries = ({"kind": "tx.abort"}, {"source": "site0"}, {"tx": "T1"}, {"kind": "net", "n": 17})
+    for criteria in queries:
+        expected = [
+            r for r in reference.records
+            if all(getattr(r, k, r.detail.get(k)) == v for k, v in criteria.items())
+        ]
+        assert log.filter(**criteria) == expected
+    assert len(log) == len(reference.buffer)
