@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-check bench-pairs experiments experiments-fast docs examples clean all lint lint-fast detcheck scorecard
+.PHONY: install test bench bench-check bench-pairs retained experiments experiments-fast docs examples clean all lint lint-fast detcheck scorecard
 
 # Keep in sync with .github/workflows/ci.yml and .pre-commit-config.yaml:
 # an unpinned ruff turns toolchain releases into surprise CI failures.
@@ -55,6 +55,13 @@ bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) \
 		$(foreach w,$(WORKLOAD),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM)) \
 		$(if $(METRIC),--metric $(METRIC))
+
+# Per-site memory census (scripts/retained.py): the allocation sites still
+# live at the end of one benchmark workload, at half and at full length,
+# with the ones that grow with the run marked, e.g.
+#   make retained WORKLOAD=abp_hot_mix
+retained:
+	$(PYTHON) scripts/retained.py --workload $(WORKLOAD)
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""What a benchmark workload still holds at its end, and what of it grows
+with the run.
+
+Runs one workload of the repository benchmark (``bench/workloads.py``,
+imported read-only) at half and at full length, each in a fresh child
+process under ``tracemalloc``, and prints the allocation sites still live
+once the run has finished: ``file:line``, live bytes at each length and
+blocks at full length.  A site whose live bytes at full length are at least
+:data:`GROWS` times those at half length (a term linear in run length reads
+2) is marked ``GROWS``: it holds something per operation ever made, not per
+operation in flight.
+
+Usage:
+    python scripts/retained.py --workload abp_hot_mix
+    python scripts/retained.py --workload abp_churn --seed 2
+    make retained WORKLOAD=abp_hot_mix
+
+Tracing allocations slows a run about threefold; ``abp_hot_mix`` takes
+about half a minute for both lengths on a 2-core box.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCALES = (0.5, 1.0)
+#: Full-length over half-length live bytes from which a site reads GROWS.
+GROWS = 1.5
+#: Allocation sites printed, largest first.
+TOP = 25
+
+
+def census(workload_name: str, seed: int, scale: float) -> dict:
+    """Run the workload once and return its live allocation sites."""
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    tracemalloc.start()
+    session = workloads.build(workloads.BY_NAME[workload_name], seed, scale)
+    session.start()
+    result = session.finish()
+    if not result.serialization.ok:
+        raise SystemExit(f"{workload_name} at scale {scale}: 1SR violated")
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    stats = snapshot.statistics("lineno")
+    sites = {}
+    for stat in stats:
+        frame = stat.traceback[0]
+        path = pathlib.Path(frame.filename)
+        if path.is_relative_to(ROOT):
+            path = path.relative_to(ROOT)
+        sites[f"{path}:{frame.lineno}"] = (stat.size, stat.count)
+    return {
+        "commits": session.log.commits,
+        "total": sum(stat.size for stat in stats),
+        "sites": sites,
+    }
+
+
+def run_child(workload: str, seed: int, scale: float) -> dict:
+    command = [
+        sys.executable, __file__, "--workload", workload, "--seed", str(seed),
+        "--child-scale", str(scale),
+    ]
+    out = subprocess.run(command, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def report(workload: str, half: dict, full: dict, top: int) -> list[str]:
+    mib = 1024 * 1024
+    lines = [
+        f"{workload}: {half['commits']} → {full['commits']} commits; "
+        f"live {half['total'] / mib:.1f} → {full['total'] / mib:.1f} MiB traced",
+        f"{'allocation site':<52} {'MiB @0.5':>9} {'MiB @1.0':>9} {'blocks':>9}",
+    ]
+    ranked = sorted(full["sites"].items(), key=lambda item: -item[1][0])[:top]
+    for site, (size, count) in ranked:
+        before = half["sites"].get(site, (0, 0))[0]
+        mark = "  GROWS" if size >= GROWS * before else ""
+        lines.append(f"{site:<52} {before / mib:>9.2f} {size / mib:>9.2f} {count:>9}{mark}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--child-scale", type=float, default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child_scale is not None:
+        print(json.dumps(census(args.workload, args.seed, args.child_scale)))
+        return 0
+    half, full = (run_child(args.workload, args.seed, scale) for scale in SCALES)
+    print("\n".join(report(args.workload, half, full, TOP)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

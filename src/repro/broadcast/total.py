@@ -133,7 +133,6 @@ class TotalOrderBroadcast(Process):
         self._deliver: Optional[DeliverFn] = None
         # Ordered-delivery machinery.
         self.next_delivery_index = 0
-        self._order_of: dict[MessageId, tuple[int, int]] = {}
         self._ready: dict[tuple[int, int], _OrderedPending] = {}
         self._unordered: dict[MessageId, _OrderedPending] = {}
         #: Heap of keys awaiting delivery; a key already delivered or cut
@@ -205,11 +204,7 @@ class TotalOrderBroadcast(Process):
             # Best-effort takeover: number the unassigned backlog.
             # Canonical (sorted) takeover order: the backlog dict reflects
             # this site's arrival order, which other sites need not share.
-            backlog = sorted(
-                pending.message.id
-                for pending in self._unordered.values()
-                if pending.message.id not in self._order_of
-            )
+            backlog = sorted(self._unordered)
             if backlog:
                 assignments = []
                 for msg_id in backlog:
@@ -274,20 +269,16 @@ class TotalOrderBroadcast(Process):
             return
         pending = _OrderedPending(message, envelope)
         if inner.preassigned is not None:
-            self._record_order(message.id, inner.preassigned, pending)
+            self._record_order(inner.preassigned, pending)
+        elif self.mode == "sequencer" and self.is_sequencer:
+            key = (self.epoch, self._next_seq)
+            self._next_seq += 1
+            # Record before broadcasting (detcheck H402): the message is never
+            # unordered here, so its assignment coming back is a duplicate.
+            self._record_order(key, pending)
+            self._issue_assignment(key[0], message.id, key[1])
         else:
             self._unordered[message.id] = pending
-            known = self._order_of.get(message.id)
-            if known is not None:
-                self._record_order(message.id, known, self._unordered.pop(message.id))
-            elif self.mode == "sequencer" and self.is_sequencer:
-                key = (self.epoch, self._next_seq)
-                self._next_seq += 1
-                # Record before broadcasting (detcheck H402): were the
-                # assignment delivered back synchronously, the handler above
-                # would pop _unordered itself and this pop would KeyError.
-                self._record_order(message.id, key, self._unordered.pop(message.id))
-                self._issue_assignment(key[0], message.id, key[1])
         self._drain()
 
     def _issue_assignment(self, epoch: int, msg_id: MessageId, seq: int) -> None:
@@ -322,20 +313,19 @@ class TotalOrderBroadcast(Process):
 
     def _on_order_assignment(self, order: OrderAssignment) -> None:
         for msg_id, seq in order.assignments:
-            if msg_id in self._order_of:
-                continue  # first assignment wins (takeover duplicates)
-            key = (order.epoch, seq)
-            self._order_of[msg_id] = key
+            # An assignment is causally after the message it numbers, so
+            # the message is here: numbered already (first assignment wins:
+            # the sequencer's own, takeover duplicates) or still unordered.
+            pending = self._unordered.pop(msg_id, None)
+            if pending is None:
+                continue
             if self.mode == "sequencer" and not self.is_sequencer:
                 # Track the orderer's counter so a takeover continues from it.
                 self._next_seq = max(self._next_seq, seq + 1)
-            pending = self._unordered.pop(msg_id, None)
-            if pending is not None:
-                self._record_order(msg_id, key, pending)
+            self._record_order((order.epoch, seq), pending)
         self._drain()
 
-    def _record_order(self, msg_id: MessageId, key: tuple[int, int], pending: _OrderedPending) -> None:
-        self._order_of[msg_id] = key
+    def _record_order(self, key: tuple[int, int], pending: _OrderedPending) -> None:
         self._ready[key] = pending
         heapq.heappush(self._delivery_order, key)
 

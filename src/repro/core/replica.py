@@ -85,8 +85,9 @@ class Replica(Process):
         self.has_quorum = True
         #: True while a post-crash state transfer is in flight.
         self.recovering = False
-        #: Last checkpoint snapshot (None until the first checkpoint).
-        self._checkpoint: Optional[tuple] = None
+        #: Last state-transfer snapshot (None: the initial state), the base
+        #: the WAL's image and rows apply to.
+        self._snapshot: Optional[tuple] = None
         self.checkpoints_taken = 0
 
     # -- submission and the read phase -------------------------------------------
@@ -266,34 +267,41 @@ class Replica(Process):
     # -- checkpointing ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Truncate the redo log: the current store is the recovery point.
+        """Fold the redo log now (:meth:`WriteAheadLog.checkpoint`).
 
-        Without checkpoints the WAL grows without bound; with them, local
-        crash recovery is "load the checkpoint snapshot, replay the (short)
-        log tail" — verified by :meth:`rebuild_from_local_log`.
+        The log folds itself every :data:`~repro.db.wal.CHUNK` rows, so it
+        stays bounded without this; an explicit checkpoint only empties it
+        sooner, at a cost of the rows logged since the last fold.  Local
+        crash recovery is "load the last snapshot, apply the log's image,
+        replay the (short) row tail" — verified by
+        :meth:`rebuild_from_local_log`.
         """
-        if self.recovering:
-            return  # the state transfer's snapshot becomes the recovery point
-        self._checkpoint = self.store.export_snapshot()
-        self.wal.truncate()
+        self.wal.checkpoint()
         self.checkpoints_taken += 1
 
     def install_snapshot(self, objects) -> None:
         """Adopt a received state-transfer snapshot as committed state and
-        as the new local recovery point (checkpoint + empty log)."""
+        as the new local recovery point (snapshot + empty log and image)."""
         self.store.load_snapshot(objects)
-        self._checkpoint = tuple(objects)
+        self._snapshot = tuple(objects)
         self.wal.truncate()
         self.checkpoints_taken += 1
 
     def rebuild_from_local_log(self) -> VersionedStore:
-        """Reconstruct committed state from checkpoint + WAL (recovery
-        fidelity check: the result must equal the live store)."""
+        """Reconstruct committed state from the recovery point — the last
+        snapshot or the initial state, the WAL's image applied on top — and
+        the WAL's rows (recovery fidelity check: the result must equal the
+        live store)."""
         rebuilt = VersionedStore()
-        if self._checkpoint is not None:
-            rebuilt.load_snapshot(self._checkpoint)
+        if self._snapshot is not None:
+            rebuilt.load_snapshot(self._snapshot)
         else:
             rebuilt.initialize(self.store.keys())
+        image = self.wal.image
+        rebuilt.load_snapshot(
+            (key, version + image[key][0], image[key][1]) if key in image else (key, version, value)
+            for key, version, value in rebuilt.export_snapshot()
+        )
         self.wal.replay(rebuilt)
         return rebuilt
 

@@ -98,10 +98,12 @@ class Transaction:
     writes_installed: dict[str, int] = field(default_factory=dict)
     commit_time: Optional[float] = None
     abort_reason: Optional[AbortReason] = None
+    #: ``"<spec name>#<attempt>"``, formatted once: every layer keys its
+    #: books by it, and neither ``spec`` nor ``attempt`` changes.
+    tx_id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def tx_id(self) -> str:
-        return f"{self.spec.name}#{self.attempt}"
+    def __post_init__(self) -> None:
+        self.tx_id = f"{self.spec.name}#{self.attempt}"
 
     @property
     def home(self) -> int:

@@ -9,6 +9,7 @@ system must have made progress through every phase.
 import pytest
 
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.db.wal import CHUNK
 from repro.sim.faults import FaultSchedule
 from repro.workload.generator import WorkloadConfig
 from repro.workload.runner import ClosedLoopRunner, run_standard_mix
@@ -115,24 +116,43 @@ def test_soak_open_loop_abp():
     assert len(commits) == 1 and len(aborts) == 1
 
 
-def retained_state(transactions):
-    """Per-site dedup ints and the longest per-key history a 4-site RBP
-    cluster holds once ``transactions`` updates have run."""
-    cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=4, num_objects=8, seed=17))
+def retained_state(protocol, transactions):
+    """What each site of a 4-site ``protocol`` cluster holds once
+    ``transactions`` updates have run: dedup ints, the longest per-key
+    history, WAL rows (and whether the log has crossed its chunk), WAL
+    image entries, and the total order's queues (ABP only)."""
+    cluster = Cluster(ClusterConfig(protocol=protocol, num_sites=4, num_objects=8, seed=17))
     workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
     assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
-    dedup = [reliable.seen.footprint() for reliable in cluster.reliables]
-    history = max(
-        len(replica.store._objects[key]) for replica in cluster.replicas for key in cluster.keys
-    )
-    return dedup, history
+    wals = [replica.wal for replica in cluster.replicas]
+    return {
+        "dedup": [reliable.seen.footprint() for reliable in cluster.reliables],
+        "history": max(
+            len(replica.store._objects[key]) for replica in cluster.replicas for key in cluster.keys
+        ),
+        "wal rows": max(len(wal) for wal in wals) < CHUNK <= min(wal.last_lsn for wal in wals),
+        "wal image": [len(wal.image) for wal in wals],
+        "total order": [
+            len(total._unordered) + len(total._ready) + len(total._delivery_order)
+            for total in cluster.totals
+        ],
+    }
 
 
 def test_retained_state_does_not_grow_with_run_length():
-    """Doubling the run leaves the dedup state and every key's history the
-    same size: one watermark per sender, and histories at ``history_limit``
-    (a run this long writes every key past it).  Structure sizes, not RSS:
-    a per-site structure that grows with the run, as a set of every
-    delivered id did, stays far below any RSS ceiling a test can set."""
-    short, long = retained_state(80), retained_state(160)
-    assert short == long == ([4, 4, 4, 4], 16)
+    """Doubling the run leaves every per-site structure the same size: one
+    dedup watermark per sender, histories at ``history_limit`` (a run this
+    long writes every key past it), less than a chunk of WAL rows after
+    more than a chunk was logged, one image entry per key, and, under ABP,
+    empty total-order queues.  Structure sizes, not RSS: a per-site
+    structure that grows with the run, as a set of every delivered id did,
+    stays far below any RSS ceiling a test can set."""
+    for protocol, total_order in (("rbp", []), ("abp", [0, 0, 0, 0])):
+        short, long = retained_state(protocol, 400), retained_state(protocol, 800)
+        assert short == long == {
+            "dedup": [4, 4, 4, 4],
+            "history": 16,
+            "wal rows": True,
+            "wal image": [8, 8, 8, 8],
+            "total order": total_order,
+        }

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.broadcast.causal import CausalEnvelope
 from repro.broadcast.message import BroadcastMessage, MessageId
@@ -150,13 +150,23 @@ class _StubCausal:
 
 class _SortedListQueue:
     """The reference: every numbered message in a list re-sorted on each
-    insert, delivered from its front while the front key is the next."""
+    insert, delivered from its front while the front key is the next; the
+    first number a message gets wins, and the counter a takeover would
+    continue from is one past the highest winning number."""
 
     def __init__(self):
         self.keys = []
         self.labels = {}
+        self.order_of = {}
+        self.next_seq = 0
         self.last = None
         self.delivered = []
+
+    def assign(self, msg_id, key):
+        if msg_id not in self.order_of:
+            self.order_of[msg_id] = key
+            self.next_seq = max(self.next_seq, key[1] + 1)
+            self.record(key, str(msg_id))
 
     def record(self, key, label):
         self.labels[key] = label
@@ -195,11 +205,17 @@ def _deliver_data(layer, msg_id, clock=None):
 
 @st.composite
 def _ordering_histories(draw):
-    """Ordered messages numbered by site 0 in its own delivery order (the
-    first ``assigned`` of them), then by site 1 under epoch 1 after a
-    takeover, as a non-sequencer receives them: each data message before
-    its number, everything else in any order, epoch-1 assignments split
-    into frames that may arrive out of order."""
+    """Ordered messages numbered by site 0 in its own delivery order, then
+    by site 1 under epoch 1 after a takeover, as a non-sequencer receives
+    them: each number after its data message, site 1's after the takeover,
+    everything else in any order.
+
+    Site 1 saw site 0's first ``assigned`` numbers and numbers the rest,
+    in id order, from there.  Site 0 also numbered the next ``late``
+    messages, but those frames missed site 1, so each of those messages
+    gets two numbers: one from each epoch, reaching this site in either
+    order, before or after the message is delivered.  The first wins.
+    """
     ids = draw(st.lists(
         st.tuples(st.sampled_from([0, 1, 3]), st.integers(0, 6)),
         min_size=1, max_size=10, unique=True,
@@ -207,49 +223,72 @@ def _ordering_histories(draw):
     ids = [MessageId(sender, seq) for sender, seq in ids]
     numbering = draw(st.permutations(ids))
     assigned = draw(st.integers(0, len(ids)))
-    pending = [("data", msg_id) for msg_id in ids]
-    events = []
-    while pending:
-        event = pending.pop(draw(st.integers(0, len(pending) - 1)))
+    late = draw(st.integers(0, len(ids) - assigned))
+    old = {msg_id: seq for seq, msg_id in enumerate(numbering[: assigned + late])}
+    new = {msg_id: assigned + i for i, msg_id in enumerate(sorted(numbering[assigned:]))}
+    pool = [("data", msg_id) for msg_id in ids] + [("takeover",)]
+    events, arrived, took_over = [], [], False
+    while pool:
+        event = pool.pop(draw(st.integers(0, len(pool) - 1)))
         events.append(event)
-        if event[0] == "data" and event[1] in numbering[:assigned]:
-            pending.append(("assign", event[1]))
-    backlog = sorted(numbering[assigned:])
-    frames = [
-        OrderAssignment(1, [(msg_id, assigned + i)]) for i, msg_id in enumerate(backlog)
-    ]
-    return events, numbering, frames, draw(st.permutations(range(len(frames))))
+        if event[0] == "takeover":
+            took_over, numbered = True, arrived
+        elif event[0] == "data":
+            arrived.append(event[1])
+            numbered = [event[1]] if took_over else []
+            if event[1] in old:
+                pool.append(("assign", 0, event[1], old[event[1]]))
+        else:
+            numbered = []
+        pool.extend(("assign", 1, msg_id, new[msg_id]) for msg_id in numbered if msg_id in new)
+    return events
+
+
+# The four duplicate orders, before and after delivery, for a = (0, 0) and
+# b = (1, 0): site 0 numbered both, site 1 saw only a's number and numbers b.
+_A, _B = MessageId(0, 0), MessageId(1, 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ordering_histories())
-def test_heap_queue_delivers_what_a_sorted_list_delivers(history):
-    events, numbering, frames, frame_order = history
+@example([  # takeover's number first, old one after b is delivered
+    ("data", _A), ("data", _B), ("assign", 0, _A, 0), ("takeover",),
+    ("assign", 1, _B, 1), ("assign", 0, _B, 1),
+])
+@example([  # takeover's number first, old one while b still waits for a
+    ("data", _A), ("data", _B), ("takeover",), ("assign", 1, _B, 1),
+    ("assign", 0, _B, 1), ("assign", 0, _A, 0),
+])
+@example([  # old number first, takeover's after b is delivered
+    ("data", _A), ("data", _B), ("assign", 0, _A, 0), ("assign", 0, _B, 1),
+    ("takeover",), ("assign", 1, _B, 1),
+])
+@example([  # old number first, takeover's while b still waits for a
+    ("data", _A), ("data", _B), ("takeover",), ("assign", 0, _B, 1),
+    ("assign", 1, _B, 1), ("assign", 0, _A, 0),
+])
+def test_heap_queue_delivers_what_a_sorted_list_delivers(events):
     layer, delivered = _layer()
     reference = _SortedListQueue()
-
-    def note(msg_id, key):
-        reference.record(key, str(msg_id))
+    for event in events:
+        if event[0] == "data":
+            _deliver_data(layer, event[1])
+            continue
+        if event[0] == "takeover":
+            # Site 0 departs: site 1 takes over, not us.
+            layer.set_group([1, 2, 3])
+            assert not layer.is_sequencer and layer.epoch == 1
+            continue
+        _, epoch, msg_id, seq = event
+        layer._on_order_assignment(OrderAssignment(epoch, [(msg_id, seq)]))
+        reference.assign(msg_id, (epoch, seq))
         assert [label for label, _ in delivered] == reference.delivered
         assert [index for _, index in delivered] == list(range(len(delivered)))
-
-    for kind, msg_id in events:
-        if kind == "data":
-            _deliver_data(layer, msg_id)
-            continue
-        seq = numbering.index(msg_id)
-        layer._on_order_assignment(OrderAssignment(0, [(msg_id, seq)]))
-        note(msg_id, (0, seq))
-    # Site 0 departs: site 1 takes over, not us.
-    layer.set_group([1, 2, 3])
-    assert not layer.is_sequencer and layer.epoch == 1
-    for index in frame_order:
-        frame = frames[index]
-        layer._on_order_assignment(frame)
-        ((msg_id, seq),) = frame.assignments
-        note(msg_id, (1, seq))
-    assert len(delivered) == len(numbering)
-    assert not layer._unordered and not layer._ready and not layer._delivery_order
+        assert layer._next_seq == reference.next_seq
+    # Every message got a number, so none waits for one; the numbered ones
+    # not delivered wait where the reference's do.
+    assert not layer._unordered
+    assert sorted(layer._ready) == sorted(layer._delivery_order) == reference.keys
 
 
 def test_is_sequencer_follows_set_group():

@@ -105,3 +105,24 @@ def test_bench_pairs_verdict_rule():
     ):
         with pytest.raises(SystemExit):
             bench_pairs.parse_args(["--parent", "HEAD", *bad])
+
+
+def test_retained_marks_the_sites_that_grow_with_the_run():
+    """A site at least ``GROWS`` times larger at full length than at half
+    reads GROWS; one that stays put does not, and ``top`` cuts the list."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("retained", ROOT / "scripts" / "retained.py")
+    retained = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(retained)
+    mib = 1024 * 1024
+    store = (2 * mib, 5)
+    half = {"commits": 50, "total": 3 * mib, "sites": {"wal.py:1": (mib, 10), "store.py:2": store}}
+    full = {
+        "commits": 100, "total": 4 * mib, "sites": {"wal.py:1": (2 * mib, 20), "store.py:2": store}
+    }
+    lines = retained.report("w", half, full, top=5)
+    assert lines[0] == "w: 50 → 100 commits; live 3.0 → 4.0 MiB traced"
+    rows = {line.split()[0]: line for line in lines[2:]}
+    assert rows["wal.py:1"].endswith("GROWS") and not rows["store.py:2"].endswith("GROWS")
+    assert len(retained.report("w", half, full, top=1)) == 3
