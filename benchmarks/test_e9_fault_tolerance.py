@@ -26,6 +26,12 @@ def crash_recovery_run(protocol: str):
     cluster = make_cluster(protocol, num_sites=5, seed=66, cbp_heartbeat=20.0, **FD)
     phases = {"before": 0, "during": 0, "after": 0}
 
+    def count_commit(status):
+        if status.committed:
+            phases[next(tag for tag in phases if status.spec.name.startswith(tag))] += 1
+
+    cluster.add_spec_listener(count_commit)
+
     def batch(tag, count, homes, start):
         for n in range(count):
             cluster.submit(
@@ -49,12 +55,6 @@ def crash_recovery_run(protocol: str):
     )
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
-    for tag in phases:
-        phases[tag] = sum(
-            1
-            for name, status in sorted(cluster._specs.items())
-            if name.startswith(tag) and status.committed
-        )
     return result, phases
 
 
@@ -79,6 +79,8 @@ def test_e9_partition_majority_rule(benchmark):
         cluster = make_cluster("rbp", num_sites=5, seed=67, retry_aborted=False, **FD)
         cluster.engine.schedule_at(50.0, cluster.partition, [[0, 1, 2], [3, 4]])
         outcomes = {}
+        statuses = {}
+        cluster.add_spec_listener(lambda status: statuses.setdefault(status.spec.name, status))
         cluster.submit(
             TransactionSpec.make("maj", 0, read_keys=["x0"], writes={"x0": 1}),
             at=600.0,
@@ -97,10 +99,10 @@ def test_e9_partition_majority_rule(benchmark):
             at=cluster.engine.now + 1000.0,
         )
         result = cluster.run(max_time=300000.0, stop_when=cluster.await_specs(4))
-        outcomes["maj"] = cluster.spec_status("maj").committed
-        outcomes["min"] = cluster.spec_status("min").last_outcome
-        outcomes["min_ro"] = cluster.spec_status("min_ro").committed
-        outcomes["healed"] = cluster.spec_status("healed").committed
+        outcomes["maj"] = statuses["maj"].committed
+        outcomes["min"] = statuses["min"].last_outcome
+        outcomes["min_ro"] = statuses["min_ro"].committed
+        outcomes["healed"] = statuses["healed"].committed
         return result, outcomes
 
     result, outcomes = bench_once(benchmark, partition_run)
@@ -130,6 +132,10 @@ def test_e9_view_change_cost(benchmark):
     def measure():
         cluster = make_cluster("rbp", num_sites=5, seed=68, **FD)
         cluster.crash_site(4, at=500.0)
+        commits = []
+        cluster.add_spec_listener(
+            lambda status: status.committed and commits.append(cluster.engine.now)
+        )
         # Submit a stream of updates through the crash window.
         for n in range(40):
             cluster.submit(
@@ -138,7 +144,7 @@ def test_e9_view_change_cost(benchmark):
             )
         result = cluster.run(max_time=100000.0, stop_when=cluster.await_specs(40))
         assert result.serialization.ok and result.converged
-        commits = sorted(o.end_time for o in result.metrics.committed)
+        commits.sort()
         # Largest commit gap in the stream = the unavailability window.
         gaps = [b - a for a, b in zip(commits, commits[1:])]
         return max(gaps)

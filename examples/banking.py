@@ -128,7 +128,7 @@ def main() -> None:
     metrics = result.metrics
     table.add_row("committed transfers", metrics.committed_update_count() - 1)
     table.add_row("audits (read-only)", metrics.committed_readonly_count())
-    table.add_row("aborted attempts (retried)", len(metrics.aborted))
+    table.add_row("aborted attempts (retried)", metrics.aborts)
     table.add_row("attempts per commit", metrics.attempts_per_commit())
     table.add_row("update latency p50 (ms)", metrics.commit_latency(read_only=False).p50)
     table.add_row("update latency p99 (ms)", metrics.commit_latency(read_only=False).p99)

@@ -37,6 +37,8 @@ def main() -> None:
         )
     )
     counter = [0]
+    finals = []  # every spec's final status, as the cluster reports it
+    cluster.add_spec_listener(finals.append)
 
     def submit_round(label, homes, at):
         for home in homes:
@@ -80,13 +82,12 @@ def main() -> None:
     print()
     print("outcomes:")
     refused = committed = 0
-    for name in sorted(cluster._specs):
-        status = cluster.spec_status(name)
+    for status in sorted(finals, key=lambda status: status.spec.name):
         if status.committed:
             committed += 1
         elif status.last_outcome is AbortReason.NO_QUORUM:
             refused += 1
-            print(f"  {name:14s} refused: submitted in a minority view")
+            print(f"  {status.spec.name:14s} refused: submitted in a minority view")
     print(f"  {committed} committed, {refused} refused by quorum check")
 
     views = sorted({(m.view.view_id, tuple(m.view.members)) for m in cluster.memberships})

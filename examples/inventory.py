@@ -54,6 +54,10 @@ def run(protocol: str) -> dict:
         )
     )
     cluster.run(max_time=100000)
+    committed_orders = []
+    cluster.add_spec_listener(
+        lambda status: status.committed and committed_orders.append(status.spec.name)
+    )
 
     sampler = ZipfSampler(NUM_PRODUCTS, HOT_SKEW)
     rng = cluster.rng.stream("orders")
@@ -101,11 +105,7 @@ def run(protocol: str) -> dict:
             remaining.setdefault(i, set()).add(value)
     assert all(len(values) == 1 for values in remaining.values())
 
-    committed_orders = sum(
-        1
-        for name in (f"order{n}" for n in range(ORDERS))
-        if cluster.spec_status(name).committed
-    )
+    committed_orders = len(committed_orders)
     sold = ORDERS and sum(
         INITIAL_STOCK - next(iter(remaining[i])) for i in range(NUM_PRODUCTS)
     )

@@ -40,9 +40,8 @@ def _cell(protocol: str, parameter: int, seed: int) -> dict:
     )
     assert result.ok, f"{protocol} seed {seed} failed its invariants"
     latency = QuantileAccumulator()
-    for outcome in result.metrics.committed:
-        if not outcome.read_only:
-            latency.observe(outcome.latency)
+    for value in result.metrics.commit_latencies(read_only=False):
+        latency.observe(value)
     return {
         "commits": float(result.committed_specs),
         "messages": float(result.network_stats["sent"]),

@@ -11,9 +11,14 @@ blocks at full length.  A site whose live bytes at full length are at least
 2) is marked ``GROWS``: it holds something per operation ever made, not per
 operation in flight.
 
+With ``--fail-grows MIB`` it also exits non-zero when an allocation site
+under ``src/`` marked ``GROWS`` holds more than ``MIB`` MiB at full length
+(the CI gate on ``abp_churn``), listing every such site.
+
 Usage:
     python scripts/retained.py --workload abp_hot_mix
     python scripts/retained.py --workload abp_churn --seed 2
+    python scripts/retained.py --workload abp_churn --fail-grows 0.25
     make retained WORKLOAD=abp_hot_mix
 
 Tracing allocations slows a run about threefold; ``abp_hot_mix`` takes
@@ -77,8 +82,15 @@ def run_child(workload: str, seed: int, scale: float) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+MIB = 1024 * 1024
+
+
+def grows(half: dict, full: dict, site: str) -> bool:
+    return full["sites"][site][0] >= GROWS * half["sites"].get(site, (0, 0))[0]
+
+
 def report(workload: str, half: dict, full: dict, top: int) -> list[str]:
-    mib = 1024 * 1024
+    mib = MIB
     lines = [
         f"{workload}: {half['commits']} → {full['commits']} commits; "
         f"live {half['total'] / mib:.1f} → {full['total'] / mib:.1f} MiB traced",
@@ -87,15 +99,30 @@ def report(workload: str, half: dict, full: dict, top: int) -> list[str]:
     ranked = sorted(full["sites"].items(), key=lambda item: -item[1][0])[:top]
     for site, (size, count) in ranked:
         before = half["sites"].get(site, (0, 0))[0]
-        mark = "  GROWS" if size >= GROWS * before else ""
+        mark = "  GROWS" if grows(half, full, site) else ""
         lines.append(f"{site:<52} {before / mib:>9.2f} {size / mib:>9.2f} {count:>9}{mark}")
     return lines
+
+
+def over_budget(half: dict, full: dict, budget_mib: float) -> list[str]:
+    """The ``src/`` sites marked GROWS that hold more than ``budget_mib``
+    MiB at full length, largest first."""
+    sites = [
+        (size, site)
+        for site, (size, _) in sorted(full["sites"].items())
+        if site.startswith("src/") and size > budget_mib * MIB and grows(half, full, site)
+    ]
+    return [f"{site}: {size / MIB:.2f} MiB, GROWS" for size, site in sorted(sites, reverse=True)]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--fail-grows", type=float, default=None, metavar="MIB",
+        help="exit 1 if a src/ site marked GROWS holds more than MIB at full length",
+    )
     parser.add_argument("--child-scale", type=float, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child_scale is not None:
@@ -103,6 +130,12 @@ def main() -> int:
         return 0
     half, full = (run_child(args.workload, args.seed, scale) for scale in SCALES)
     print("\n".join(report(args.workload, half, full, TOP)))
+    if args.fail_grows is not None:
+        offenders = over_budget(half, full, args.fail_grows)
+        if offenders:
+            print(f"over {args.fail_grows:g} MiB and growing with the run:")
+            print("\n".join(f"  {line}" for line in offenders))
+            return 1
     return 0
 
 

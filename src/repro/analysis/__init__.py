@@ -6,7 +6,6 @@ from repro.analysis.experiment import ExperimentSweep, run_sweep
 from repro.analysis.metrics import (
     MetricsCollector,
     QuantileAccumulator,
-    TxOutcome,
     WelfordAccumulator,
     measurement_digest,
     merge_seed_measurements,
@@ -27,7 +26,6 @@ __all__ = [
     "Summary",
     "Table",
     "TimelineBuilder",
-    "TxOutcome",
     "WelfordAccumulator",
     "confidence_interval",
     "measurement_digest",

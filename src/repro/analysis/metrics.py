@@ -1,9 +1,9 @@
 """Per-run metrics collection and the order-canonical merge layer.
 
 One :class:`MetricsCollector` is shared by all replicas of a cluster.  It
-records transaction outcomes and exposes the derived quantities the
-experiments report: throughput, commit latency distribution, abort taxonomy
-and restart counts.  Message accounting lives in
+folds transaction outcomes into counters and latency samples and exposes
+the derived quantities the experiments report: throughput, commit latency
+distribution, abort taxonomy and restart counts.  Message accounting lives in
 :class:`repro.net.network.NetworkStats`; the cluster result object joins the
 two.
 
@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections import Counter
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
@@ -43,28 +45,29 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
 
 
 @dataclass
-class TxOutcome:
-    """Final fate of one transaction attempt."""
-
-    tx_id: str
-    spec_name: str
-    home: int
-    read_only: bool
-    committed: bool
-    submit_time: float
-    end_time: float
-    abort_reason: Optional[AbortReason] = None
-
-    @property
-    def latency(self) -> float:
-        return self.end_time - self.submit_time
-
-
-@dataclass
 class MetricsCollector:
-    """Shared sink for transaction outcomes."""
+    """Shared sink for transaction outcomes.
 
-    outcomes: list[TxOutcome] = field(default_factory=list)
+    Each outcome folds into counters, plus one latency sample per committed
+    attempt (in outcome order, so every summary sees the input a list of
+    outcomes would give it).  No per-outcome row is kept: a reader that
+    wants one takes it from a spec listener (``Cluster.add_spec_listener``)
+    or from the ``tx.commit`` / ``tx.abort`` trace rows.
+    """
+
+    committed_updates: int = 0
+    committed_readonly: int = 0
+    aborted_updates: int = 0
+    aborted_readonly: int = 0
+    #: Read-only attempts lost with their home (not a protocol abort).
+    readonly_site_failures: int = 0
+    #: Attempt number of each committed attempt, summed: the attempts its
+    #: spec took, as attempts are numbered from 1 and retried one at a time.
+    committed_attempts: int = 0
+    #: Commit latency of each committed attempt, in outcome order, and
+    #: whether the attempt was read-only (1) or an update (0).
+    latencies: array = field(default_factory=lambda: array("d"))
+    latency_read_only: bytearray = field(default_factory=bytearray)
     aborts_by_reason: Counter = field(default_factory=Counter)
     deadlocks_detected: int = 0
     local_reader_preemptions: int = 0
@@ -84,60 +87,56 @@ class MetricsCollector:
     rbp_vote_retries: int = 0
 
     def tx_committed(self, tx: Transaction, end_time: float) -> None:
-        self.outcomes.append(
-            TxOutcome(
-                tx_id=tx.tx_id,
-                spec_name=tx.spec.name,
-                home=tx.home,
-                read_only=tx.read_only,
-                committed=True,
-                submit_time=tx.submit_time,
-                end_time=end_time,
-            )
-        )
+        read_only = tx.read_only
+        if read_only:
+            self.committed_readonly += 1
+        else:
+            self.committed_updates += 1
+        self.committed_attempts += tx.attempt
+        self.latencies.append(end_time - tx.submit_time)
+        self.latency_read_only.append(read_only)
 
     def tx_aborted(self, tx: Transaction, reason: AbortReason, end_time: float) -> None:
+        from repro.core.transaction import AbortReason
+
         self.aborts_by_reason[reason] += 1
-        self.outcomes.append(
-            TxOutcome(
-                tx_id=tx.tx_id,
-                spec_name=tx.spec.name,
-                home=tx.home,
-                read_only=tx.read_only,
-                committed=False,
-                submit_time=tx.submit_time,
-                end_time=end_time,
-                abort_reason=reason,
-            )
-        )
+        if not tx.read_only:
+            self.aborted_updates += 1
+        elif reason is AbortReason.SITE_FAILURE:
+            self.readonly_site_failures += 1
+        else:
+            self.aborted_readonly += 1
 
     # -- derived quantities ----------------------------------------------------
 
     @property
-    def committed(self) -> list[TxOutcome]:
-        return [o for o in self.outcomes if o.committed]
+    def commits(self) -> int:
+        """Committed attempts."""
+        return self.committed_updates + self.committed_readonly
 
     @property
-    def aborted(self) -> list[TxOutcome]:
-        return [o for o in self.outcomes if not o.committed]
+    def aborts(self) -> int:
+        """Aborted attempts."""
+        return self.aborted_updates + self.aborted_readonly + self.readonly_site_failures
 
     def committed_update_count(self) -> int:
-        return sum(1 for o in self.committed if not o.read_only)
+        return self.committed_updates
 
     def committed_readonly_count(self) -> int:
-        return sum(1 for o in self.committed if o.read_only)
+        return self.committed_readonly
 
     def abort_rate(self) -> float:
         """Aborted attempts / all attempts (update and read-only alike)."""
-        if not self.outcomes:
+        attempts = self.commits + self.aborts
+        if not attempts:
             return 0.0
-        return len(self.aborted) / len(self.outcomes)
+        return self.aborts / attempts
 
     def update_abort_rate(self) -> float:
-        updates = [o for o in self.outcomes if not o.read_only]
+        updates = self.committed_updates + self.aborted_updates
         if not updates:
             return 0.0
-        return sum(1 for o in updates if not o.committed) / len(updates)
+        return self.aborted_updates / updates
 
     def readonly_abort_count(self, include_environmental: bool = False) -> int:
         """Protocol-level read-only aborts — the paper's claim: zero, in
@@ -148,41 +147,31 @@ class MetricsCollector:
         ``site_failure`` outcomes are excluded unless
         ``include_environmental`` is set.
         """
-        from repro.core.transaction import AbortReason
+        if include_environmental:
+            return self.aborted_readonly + self.readonly_site_failures
+        return self.aborted_readonly
 
-        return sum(
-            1
-            for o in self.aborted
-            if o.read_only
-            and (include_environmental or o.abort_reason is not AbortReason.SITE_FAILURE)
-        )
+    def commit_latencies(self, read_only: Optional[bool] = None) -> list[float]:
+        """Latency of each committed attempt (updates, read-only ones, or
+        both), in outcome order."""
+        if read_only is None:
+            return list(self.latencies)
+        return list(compress(self.latencies, (ro == read_only for ro in self.latency_read_only)))
 
     def commit_latency(self, read_only: Optional[bool] = None) -> Summary:
-        values = [
-            o.latency
-            for o in self.committed
-            if read_only is None or o.read_only == read_only
-        ]
-        return summarize(values)
+        return summarize(self.commit_latencies(read_only))
 
     def throughput(self, duration: float) -> float:
         """Committed transactions per unit time."""
         if duration <= 0:
             return 0.0
-        return len(self.committed) / duration
+        return self.commits / duration
 
     def attempts_per_commit(self) -> float:
         """Average attempts needed per committed spec (restart overhead)."""
-        attempts: Counter = Counter()
-        committed_specs: set[str] = set()
-        for outcome in self.outcomes:
-            attempts[outcome.spec_name] += 1
-            if outcome.committed:
-                committed_specs.add(outcome.spec_name)
-        if not committed_specs:
+        if not self.commits:
             return 0.0
-        total = sum(attempts[name] for name in sorted(committed_specs))
-        return total / len(committed_specs)
+        return self.committed_attempts / self.commits
 
 
 # -- order-canonical merge layer (seed-sharded sweeps) --------------------------

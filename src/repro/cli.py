@@ -193,7 +193,7 @@ def _summary_row(protocol: str, result: ClusterResult) -> list[Any]:
     return [
         protocol,
         result.committed_specs,
-        len(metrics.aborted),
+        metrics.aborts,
         metrics.attempts_per_commit(),
         metrics.commit_latency(read_only=False).p50,
         metrics.commit_latency(read_only=False).p99,

@@ -104,8 +104,7 @@ class ReplicatedDatabase:
             writes=writes,
         )
         start = self.cluster.engine.now
-        self.cluster.submit(spec, at=start)
-        status = self.cluster.spec_status(spec_name)
+        status = self.cluster.submit(spec, at=start)
         # Drain after completion so a subsequent read at ANY site sees the
         # settled state (remote applies land before execute() returns).
         self.cluster.run(
@@ -179,17 +178,9 @@ class ReplicatedDatabase:
     def _outcome_of(self, status: SpecStatus, reads, start: float) -> Outcome:
         values: dict[str, Any] = {}
         if status.committed:
-            committed = {r.tx: r for r in self.cluster.recorder.committed}
-            record = committed.get(f"{status.spec.name}#{status.attempts}")
-            if record is not None:
-                versions = dict(record.reads)
-                for key in reads:
-                    if key in versions:
-                        store = self.cluster.replicas[status.spec.home].store
-                        try:
-                            values[key] = store.read_version(key, versions[key]).value
-                        except KeyError:
-                            values[key] = store.read(key).value
+            # What the committing attempt read at its home, as it read it.
+            observed = status.last_attempt.reads_observed
+            values = {key: observed[key][0] for key in reads if key in observed}
         return Outcome(
             name=status.spec.name,
             committed=status.committed,

@@ -20,7 +20,7 @@ timestamp) after a jittered backoff, until it commits or exhausts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.baselines.p2p_2pc import PointToPointReplica
@@ -142,6 +142,8 @@ class SpecStatus:
     final: bool = False
     first_submit_time: float = 0.0
     last_outcome: Optional[AbortReason] = None
+    #: The newest attempt; once committed, the one that committed.
+    last_attempt: Optional[Transaction] = None
 
 
 @dataclass
@@ -182,7 +184,7 @@ class Cluster:
             capacity=config.trace_capacity,
             mode="head" if config.trace_capacity is None else "ring",
         )
-        self.recorder = HistoryRecorder()
+        self.recorder = HistoryRecorder(horizon=self._record_horizon)
         self.metrics = MetricsCollector()
         latency = config.latency if config.latency is not None else UniformLatency(0.5, 1.5)
         self.network = Network(
@@ -207,8 +209,13 @@ class Cluster:
         self.detectors: list[FailureDetector] = []
         self.memberships: list[MembershipService] = []
         self.recovery_agents: list[RecoveryAgent] = []
+        #: The specs not final yet; a final one leaves for the counters.
         self._specs: dict[str, SpecStatus] = {}
-        self._unfinished_specs = 0
+        #: Every name ever submitted: an attempt's id is ``name#attempt``,
+        #: and the protocols and the recorder hold ids past a spec's end.
+        self._names: set[str] = set()
+        self._committed_specs = 0
+        self._failed_specs = 0
         self._spec_listeners: list[Callable[[SpecStatus], None]] = []
         self._build()
 
@@ -375,16 +382,21 @@ class Cluster:
 
     # -- client API ------------------------------------------------------------------
 
-    def submit(self, spec: TransactionSpec, at: float = 0.0) -> None:
-        """Schedule the first attempt of ``spec`` at simulation time ``at``."""
-        if spec.name in self._specs:
+    def submit(self, spec: TransactionSpec, at: float = 0.0) -> SpecStatus:
+        """Schedule the first attempt of ``spec`` at simulation time ``at``.
+
+        Returns the spec's status, updated in place until it is final.  The
+        cluster keeps it only that long (a spec listener, or the caller
+        holding the status, sees the final outcome); a name is used once."""
+        if spec.name in self._names:
             raise ValueError(f"spec {spec.name} already submitted")
+        self._names.add(spec.name)
         status = SpecStatus(spec=spec, first_submit_time=at)
         self._specs[spec.name] = status
-        self._unfinished_specs += 1
         # detcheck: ignore[P203] — the SpecStatus argument is the staleness
         # token: _attempt re-checks status.final before acting.
         self.engine.schedule_at(at, self._attempt, status)
+        return status
 
     def add_spec_listener(self, listener: Callable[[SpecStatus], None]) -> None:
         """``listener(status)`` fires when a spec reaches its final outcome."""
@@ -392,7 +404,7 @@ class Cluster:
 
     def _attempt(self, status: SpecStatus) -> None:
         status.attempts += 1
-        tx = Transaction(
+        tx = status.last_attempt = Transaction(
             spec=status.spec,
             attempt=status.attempts,
             submit_time=self.engine.now,
@@ -406,9 +418,8 @@ class Cluster:
             return
         if committed:
             status.committed = True
-            status.final = True
-            self._unfinished_specs -= 1
-            self._notify_final(status)
+            self._committed_specs += 1
+            self._finish(status)
             return
         status.last_outcome = tx.abort_reason
         retryable = self.config.retry_aborted and tx.abort_reason not in (
@@ -422,11 +433,12 @@ class Cluster:
             # detcheck: ignore[P203] — retry with the same SpecStatus token.
             self.engine.schedule(delay, self._attempt, status)
         else:
-            status.final = True
-            self._unfinished_specs -= 1
-            self._notify_final(status)
+            self._failed_specs += 1
+            self._finish(status)
 
-    def _notify_final(self, status: SpecStatus) -> None:
+    def _finish(self, status: SpecStatus) -> None:
+        status.final = True
+        del self._specs[status.spec.name]
         for listener in self._spec_listeners:
             listener(status)
 
@@ -502,13 +514,11 @@ class Cluster:
     # -- running ----------------------------------------------------------------------
 
     def all_final(self) -> bool:
-        """O(1): ``run`` evaluates this after *every* event, so a scan over
-        the spec table would make the whole simulation quadratic in the
-        number of submitted transactions."""
-        return self._unfinished_specs == 0
+        """O(1): ``run`` evaluates this after *every* event."""
+        return not self._specs
 
     def specs_submitted(self) -> int:
-        return len(self._specs)
+        return len(self._names)
 
     def work_started_and_unfinished(self) -> bool:
         """True when some submitted spec has actually *begun* (its first
@@ -516,21 +526,16 @@ class Cluster:
         registers specs eagerly so ``all_final`` can gate ``run`` on
         future-scheduled arrivals; liveness oracles must not treat those
         not-yet-started arrivals as stalled work, so they use this
-        instead of ``not all_final()``."""
-        if self._unfinished_specs == 0:
-            return False
+        instead of ``not all_final()``.  Scans only the specs not final."""
         now = self.engine.now
-        return any(
-            not status.final and status.first_submit_time <= now
-            for status in self._specs.values()
-        )
+        return any(status.first_submit_time <= now for status in self._specs.values())
 
     def await_specs(self, count: int) -> Callable[[], bool]:
         """A ``stop_when`` predicate: at least ``count`` specs submitted and
         all of them final.  Use when submissions are scheduled into the
         future (a plain ``all_final`` would stop in the lull between
         batches)."""
-        return lambda: len(self._specs) >= count and self.all_final()
+        return lambda: len(self._names) >= count and self.all_final()
 
     def run(
         self,
@@ -576,23 +581,31 @@ class Cluster:
         serialization = self.recorder.check()
         live_stores = [r.store for r in self.replicas if r.alive]
         converged = replicas_converged(live_stores)
-        # detcheck: ignore[D106] — integer counts, order-insensitive
-        committed = sum(1 for s in self._specs.values() if s.final and s.committed)
-        failed = sum(  # detcheck: ignore[D106] — integer count
-            1 for s in self._specs.values() if s.final and not s.committed)
-        incomplete = sum(  # detcheck: ignore[D106] — integer count
-            1 for s in self._specs.values() if not s.final)
         return ClusterResult(
             duration=self.engine.now,
             metrics=self.metrics,
             network_stats=self.network.stats.snapshot(),
             serialization=serialization,
             converged=converged,
-            committed_specs=committed,
-            failed_specs=failed,
-            incomplete_specs=incomplete,
+            committed_specs=self._committed_specs,
+            failed_specs=self._failed_specs,
+            incomplete_specs=len(self._specs),
             messages_by_kind=dict(self.network.stats.by_kind),
         )
 
-    def spec_status(self, name: str) -> SpecStatus:
-        return self._specs[name]
+    def _record_horizon(self, keys: Iterable[str]) -> tuple[dict[str, int], set[str]]:
+        """What the 1SR recorder may retire behind: the floor of each of
+        ``keys`` — the lowest latest version any store holds, up or down,
+        lowered to any version a live home attempt read — and the ids of
+        those attempts (``repro.db.serialization``)."""
+        keys = list(keys)
+        columns = zip(*(replica.store._latest_versions(keys) for replica in self.replicas))
+        floor = dict(zip(keys, map(min, columns)))
+        live: set[str] = set()
+        for replica in self.replicas:
+            for tx_id, tx in replica.local.items():
+                live.add(tx_id)
+                for key, (_, version) in tx.reads_observed.items():
+                    if version < floor.get(key, version):
+                        floor[key] = version
+        return floor, live

@@ -78,6 +78,12 @@ class VersionedStore:
     def version(self, key: str) -> int:
         return self.read(key).version
 
+    def _latest_versions(self, keys: Iterable[str]) -> list[int]:
+        """The latest version of each of ``keys``, 0 for a key not here.
+        Private: the 1SR recorder's horizon reads it, not a protocol."""
+        objects = self._objects
+        return [objects[key][-1].version if key in objects else 0 for key in keys]
+
     def install(self, key: str, value: Any, writer: str) -> int:
         """Install a new committed version; returns its version number."""
         versions = self._objects.get(key)

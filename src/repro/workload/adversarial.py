@@ -196,8 +196,6 @@ def required_objects(schedule: Schedule) -> int:
     return highest + 1
 
 
-def submit_all(cluster, schedule: Schedule) -> int:
-    """Submit a schedule into a cluster; returns the spec count."""
-    for spec, at in schedule:
-        cluster.submit(spec, at=at)
-    return len(schedule)
+def submit_all(cluster, schedule: Schedule) -> dict:
+    """Submit a schedule into a cluster; returns each spec's status by name."""
+    return {spec.name: cluster.submit(spec, at=at) for spec, at in schedule}

@@ -63,45 +63,30 @@ def run_cell(protocol, loss, **overrides):
         readonly_fraction=0.0,
     )
     runner = ClosedLoopRunner(cluster, workload, mpl=6, transactions=60)
+    committed = []
+    cluster.add_spec_listener(
+        lambda status: committed.append(status.spec.name) if status.committed else None
+    )
     runner.start()
     result = cluster.run(max_time=5_000_000.0)
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
-    return cluster, result
+    return cluster, result, tuple(sorted(committed))
 
 
-def outcome_digest(cluster, result):
+def outcome_digest(cluster, result, committed):
     """sha256 over every replica's final store snapshot, the per-kind
     message counts, the committed set and the total messages/bytes."""
     material = repr(
         (
             tuple(replica.store.digest() for replica in cluster.replicas),
             tuple(sorted(result.messages_by_kind.items())),
-            tuple(
-                sorted(
-                    name
-                    for name, status in cluster._specs.items()
-                    if status.committed
-                )
-            ),
+            committed,
             result.network_stats["sent"],
             result.network_stats["bytes_sent"],
         )
     )
     return hashlib.sha256(material.encode()).hexdigest()[:16]
-
-
-def outcome_summary(cluster, result):
-    """The outcome-equivalence projection: the committed set.
-
-    Replica-state agreement *within* each run is asserted by ``run_cell``
-    (``result.converged``); final store contents may differ *between* the
-    runs because batching legitimately reorders commits of concurrent
-    transactions — 1SR admits any serial order.
-    """
-    return tuple(
-        sorted(name for name, status in cluster._specs.items() if status.committed)
-    )
 
 
 #: Base-cell cache so the pinning test and the equivalence tests share one
@@ -119,8 +104,7 @@ def base_cell(protocol, loss):
 @pytest.mark.parametrize("loss", LOSS_RATES)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_passthrough_is_bit_identical(protocol, loss):
-    cluster, result = base_cell(protocol, loss)
-    assert outcome_digest(cluster, result) == PINNED_PASSTHROUGH[(protocol, loss)]
+    assert outcome_digest(*base_cell(protocol, loss)) == PINNED_PASSTHROUGH[(protocol, loss)]
 
 
 @pytest.mark.parametrize("loss", LOSS_RATES)
@@ -128,10 +112,16 @@ def test_passthrough_is_bit_identical(protocol, loss):
 def test_batched_outcome_equivalence(protocol, loss):
     """Flush-window batching (plus group commit and delta clocks) must
     commit the same transactions and converge to the same stores — while
-    actually coalescing: strictly fewer physical datagrams."""
-    base_cluster, base_result = base_cell(protocol, loss)
-    cluster, result = run_cell(protocol, loss, batching=2.0)
-    assert outcome_summary(cluster, result) == outcome_summary(base_cluster, base_result)
+    actually coalescing: strictly fewer physical datagrams.
+
+    The outcome-equivalence projection is the committed set: replica-state
+    agreement *within* each run is asserted by ``run_cell``
+    (``result.converged``); final store contents may differ *between* the
+    runs because batching legitimately reorders commits of concurrent
+    transactions — 1SR admits any serial order."""
+    _, base_result, base_committed = base_cell(protocol, loss)
+    cluster, result, committed = run_cell(protocol, loss, batching=2.0)
+    assert committed == base_committed
     assert result.network_stats["sent"] < base_result.network_stats["sent"]
     assert sum(b.batches_sent for b in cluster.batchers if b is not None) > 0
     # The one switch also turns on group commit and delta clocks.
@@ -144,9 +134,9 @@ def test_batched_outcome_equivalence(protocol, loss):
 def test_zero_window_batching_outcome_equivalence():
     """flush_window=0.0 coalesces same-instant traffic only; outcomes must
     still match the passthrough run (rbp exercises votes + acks + 2PC)."""
-    base_cluster, base_result = base_cell("rbp", 0.0)
-    cluster, result = run_cell("rbp", 0.0, batching=0.0)
-    assert outcome_summary(cluster, result) == outcome_summary(base_cluster, base_result)
+    _, base_result, base_committed = base_cell("rbp", 0.0)
+    cluster, result, committed = run_cell("rbp", 0.0, batching=0.0)
+    assert committed == base_committed
     assert result.network_stats["sent"] < base_result.network_stats["sent"]
 
 
@@ -184,16 +174,17 @@ def test_view_change_mid_window(protocol):
     # Crash inside the busy phase: open windows at the crashed site are
     # lost (fail-stop); survivors re-arm and continue.
     cluster.crash_site(4, at=103.0)
-    for n in range(4):
+    post = [
         cluster.submit(
             TransactionSpec.make(f"post{n}", n, writes={f"x{n + 8}": n}),
             at=2000.0 + n * 50.0,
         )
+        for n in range(4)
+    ]
     result = cluster.run(max_time=100000)
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
-    for n in range(4):
-        assert cluster.spec_status(f"post{n}").committed
+    assert all(status.committed for status in post)
 
 
 @pytest.mark.parametrize("protocol", ["rbp", "cbp"])
@@ -219,12 +210,12 @@ def test_crash_and_recover_with_batching(protocol):
             at=500.0 + n * 50.0,
         )
     cluster.recover_site(4, at=5000.0)
-    cluster.submit(
+    rejoined = cluster.submit(
         TransactionSpec.make("rejoined", 4, writes={"x10": "back"}), at=20000.0
     )
     result = cluster.run(max_time=200000)
     assert result.ok
-    assert cluster.spec_status("rejoined").committed
+    assert rejoined.committed
 
 
 @pytest.mark.parametrize("seed", [70, 77])

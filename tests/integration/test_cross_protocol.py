@@ -49,7 +49,7 @@ def test_conflict_free_workload_is_abort_free_and_predictable(protocol):
     result = cluster.run(max_time=1_000_000)
     assert result.ok
     assert result.committed_specs == len(specs)
-    assert not result.metrics.aborted  # zero conflicts => zero aborts
+    assert result.metrics.aborts == 0  # zero conflicts => zero aborts
     final = expected_state(specs)
     for replica in cluster.replicas:
         for key, value in final.items():

@@ -69,13 +69,13 @@ def test_crash_mid_transaction_does_not_corrupt(protocol):
 def test_minority_partition_blocks_updates_but_not_reads():
     cluster = Cluster(fault_config("rbp", retry_aborted=False))
     cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3, 4]])
-    cluster.submit(spec("maj_upd", 0, "x0", 1), at=500.0)
-    cluster.submit(spec("min_upd", 3, "x1", 2), at=500.0)
-    cluster.submit(spec("min_read", 4, "x2"), at=500.0)
+    maj_upd = cluster.submit(spec("maj_upd", 0, "x0", 1), at=500.0)
+    min_upd = cluster.submit(spec("min_upd", 3, "x1", 2), at=500.0)
+    min_read = cluster.submit(spec("min_read", 4, "x2"), at=500.0)
     result = cluster.run(max_time=50000)
-    assert cluster.spec_status("maj_upd").committed
-    assert cluster.spec_status("min_upd").last_outcome is AbortReason.NO_QUORUM
-    assert cluster.spec_status("min_read").committed
+    assert maj_upd.committed
+    assert min_upd.last_outcome is AbortReason.NO_QUORUM
+    assert min_read.committed
 
 
 def test_heal_rejoins_and_state_transfers():
@@ -84,10 +84,12 @@ def test_heal_rejoins_and_state_transfers():
     cluster.submit(spec("while_split", 1, "x0", "majority-write"), at=500.0)
     cluster.run(max_time=20000)
     cluster.heal_partition()
-    cluster.submit(spec("after_heal", 3, "x1", "rejoined"), at=cluster.engine.now + 1000.0)
+    after_heal = cluster.submit(
+        spec("after_heal", 3, "x1", "rejoined"), at=cluster.engine.now + 1000.0
+    )
     result = cluster.run(max_time=100000)
     assert result.ok
-    assert cluster.spec_status("after_heal").committed
+    assert after_heal.committed
     for replica in cluster.replicas:
         assert replica.store.read("x0").value == "majority-write"
 
@@ -133,12 +135,12 @@ def test_abp_sequencer_takeover_when_quiesced():
     cluster.submit(spec("pre", 1, "x0", "before"), at=100.0)
     cluster.run(max_time=2000)
     cluster.crash_site(0)  # the sequencer
-    cluster.submit(
+    post = cluster.submit(
         spec("post", 2, "x1", "after"), at=cluster.engine.now + 500.0
     )
     result = cluster.run(max_time=100000, stop_when=cluster.await_specs(2))
     assert result.ok
-    assert cluster.spec_status("post").committed
+    assert post.committed
     # The new sequencer is the lowest surviving member.
     survivors = [t for t in cluster.totals if cluster.replicas[t.site].alive]
     assert any(t.is_sequencer and t.site == 1 for t in survivors)

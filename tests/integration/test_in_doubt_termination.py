@@ -81,15 +81,15 @@ def test_home_crash_after_prepare_resolved_by_query_commit():
     # home (4) crashes, so only site 2 becomes in-doubt.
     cluster = in_doubt_cluster(latency=LinkLatency(1.0, slow={(3, 2): 180.0}))
     FaultSchedule(cluster).crash(4, at=110.0)
-    cluster.submit(update("T", 4, "x0", 1), at=100.0)
+    t = cluster.submit(update("T", 4, "x0", 1), at=100.0)
     # Same-key follow-up homed elsewhere: blocks forever if site 2 leaks
     # the exclusive lock.
-    cluster.submit(update("T2", 0, "x0", 2), at=400.0)
+    t2 = cluster.submit(update("T2", 0, "x0", 2), at=400.0)
     result = cluster.run(max_time=50_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    assert cluster.spec_status("T").committed  # home answered before crashing
-    assert cluster.spec_status("T2").committed  # no blocked-transaction tail
+    assert t.committed  # home answered before crashing
+    assert t2.committed  # no blocked-transaction tail
     metrics = cluster.metrics
     assert metrics.rbp_in_doubt == 1
     assert metrics.rbp_decision_queries >= 1
@@ -119,17 +119,17 @@ def test_home_isolated_in_minority_parks_then_adopts_commit():
     # partition at t=103.5 then strands the cohorts' votes (sent t=103,
     # due t=104) on the majority side: they commit, the home cannot.
     FaultSchedule(cluster).partition([[0, 1, 2, 3], [4]], at=103.5).heal(at=1000.0)
-    cluster.submit(update("T", 4, "x0", 1), at=100.0)
-    cluster.submit(update("T2", 0, "x0", 2), at=2000.0)
+    t = cluster.submit(update("T", 4, "x0", 1), at=100.0)
+    t2 = cluster.submit(update("T2", 0, "x0", 2), at=2000.0)
     result = cluster.run(max_time=100_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    status = cluster.spec_status("T")
+    status = t
     # The regression this guards: the isolated home used to answer the
     # client NO_QUORUM while the majority committed the transaction.
     assert status.committed
     assert status.last_outcome is not AbortReason.NO_QUORUM
-    assert cluster.spec_status("T2").committed
+    assert t2.committed
     assert cluster.metrics.rbp_in_doubt >= 1
     # The home's query ran against an empty singleton view and parked until
     # the heal delivered a view with members that knew the outcome.
@@ -154,13 +154,13 @@ def test_query_answered_by_lagging_member_after_retries():
     # t=250: submit at home 4.  Votes cross by t=254 except 3's votes to
     # 0, 1, 2 (due t=433).  The home and site 3 reach the full tally and
     # commit at t=254; the crash at t=258 leaves 0, 1, 2 in doubt.
-    cluster.submit(update("T", 4, "x1", 1), at=250.0)
-    cluster.submit(update("T2", 0, "x1", 2), at=2000.0)
+    t = cluster.submit(update("T", 4, "x1", 1), at=250.0)
+    t2 = cluster.submit(update("T2", 0, "x1", 2), at=2000.0)
     result = cluster.run(max_time=100_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    assert cluster.spec_status("T").committed
-    assert cluster.spec_status("T2").committed
+    assert t.committed
+    assert t2.committed
     metrics = cluster.metrics
     assert metrics.rbp_in_doubt == 3
     # Site 3's answers (180ms) outlive the first query timeout (60ms):
@@ -205,18 +205,17 @@ def test_total_home_loss_falls_back_to_presumed_abort():
     FaultSchedule(cluster).partition([[2, 4], [0, 1, 3]], at=102.5).heal(
         at=115.0
     ).crash(4, at=106.0)
-    cluster.submit(update("T", 4, "x0", 1), at=100.0)
+    t = cluster.submit(update("T", 4, "x0", 1), at=100.0)
     # Same key again: with the old silent wait, site 2's exclusive lock
     # would pin this until the orphan watchdog (t>=1101); the query path
     # frees it within a few hops of the view change (~t=203).
-    cluster.submit(update("T2", 0, "x0", 2), at=400.0)
+    t2 = cluster.submit(update("T2", 0, "x0", 2), at=400.0)
     result = cluster.run(max_time=50_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    status = cluster.spec_status("T")
+    status = t
     assert status.final and not status.committed
     assert status.last_outcome is AbortReason.SITE_FAILURE  # crashed home
-    t2 = cluster.spec_status("T2")
     assert t2.committed
     metrics = cluster.metrics
     assert metrics.rbp_in_doubt == 1
@@ -246,15 +245,15 @@ def test_all_in_doubt_survivors_park_until_committer_recovers():
     slow = {(3, 0): 180.0, (3, 1): 180.0, (3, 2): 180.0}
     cluster = in_doubt_cluster(latency=LinkLatency(1.0, slow=slow))
     FaultSchedule(cluster).crash(3, at=256.0).crash(4, at=258.0).recover(3, at=3000.0)
-    cluster.submit(update("T", 4, "x1", 1), at=250.0)
+    t = cluster.submit(update("T", 4, "x1", 1), at=250.0)
     # Same key, submitted after the recovery settles: proves the adopted
     # commit released the exclusive locks.
-    cluster.submit(update("T2", 0, "x1", 2), at=4000.0)
+    t2 = cluster.submit(update("T2", 0, "x1", 2), at=4000.0)
     result = cluster.run(max_time=100_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    assert cluster.spec_status("T").committed  # home answered before crashing
-    assert cluster.spec_status("T2").committed
+    assert t.committed  # home answered before crashing
+    assert t2.committed
     metrics = cluster.metrics
     assert metrics.rbp_in_doubt == 3
     # The regression this guards: a full quorum of unknown answers used to
@@ -290,14 +289,14 @@ def test_vote_watchdog_recovers_home_from_transient_vote_loss():
     # cohorts 0-3 exchange them and commit at t=104.  The heal at t=150
     # keeps every heartbeat gap under fd_timeout: no view change ever.
     FaultSchedule(cluster).partition([[4], [0, 1, 2, 3]], at=103.5).heal(at=150.0)
-    cluster.submit(update("T", 4, "x0", 1), at=100.0)
-    cluster.submit(update("T2", 0, "x0", 2), at=2000.0)
+    t = cluster.submit(update("T", 4, "x0", 1), at=100.0)
+    t2 = cluster.submit(update("T2", 0, "x0", 2), at=2000.0)
     result = cluster.run(max_time=50_000.0, stop_when=cluster.await_specs(2))
 
     assert result.ok
-    status = cluster.spec_status("T")
+    status = t
     assert status.committed  # the client was answered
-    assert cluster.spec_status("T2").committed
+    assert t2.committed
     metrics = cluster.metrics
     assert metrics.rbp_vote_retries >= 1
     assert metrics.rbp_write_timeouts == 0
@@ -308,8 +307,8 @@ def test_vote_watchdog_recovers_home_from_transient_vote_loss():
     retries = cluster.trace.filter("rbp.vote_retry", tx="T#1")
     assert retries and retries[0].time > 150.0  # after the heal, by design
     # The home committed within one round-trip of the first retry.
-    outcome = next(o for o in metrics.outcomes if o.tx_id == "T#1")
-    assert outcome.end_time <= retries[0].time + 10.0
+    (commit,) = cluster.trace.filter("tx.commit", tx="T#1")
+    assert commit.time <= retries[0].time + 10.0
     assert_no_locks(cluster)
     assert_clean(cluster)
 
@@ -329,18 +328,17 @@ def test_slow_write_rounds_are_not_spuriously_timed_out():
     spec = TransactionSpec.make(
         "T", 4, read_keys=["x0"], writes={"x0": 1, "x1": 2, "x2": 3}
     )
-    cluster.submit(spec, at=100.0)
+    t = cluster.submit(spec, at=100.0)
     result = cluster.run(max_time=50_000.0, stop_when=cluster.await_specs(1))
 
     assert result.ok
-    assert cluster.spec_status("T").committed
+    assert t.committed
     metrics = cluster.metrics
     assert metrics.rbp_write_timeouts == 0
     assert metrics.rbp_vote_retries == 0
-    outcome = next(o for o in metrics.outcomes if o.committed)
     # Three sequential write rounds (~600ms each) plus 2PC: the commit
     # lands far beyond write_grace, proving the watchdog re-armed through
     # the whole phase instead of firing at T+1000 flat.
-    assert outcome.latency > 2000.0
+    assert metrics.commit_latencies()[0] > 2000.0
     assert_no_locks(cluster)
     assert_clean(cluster)

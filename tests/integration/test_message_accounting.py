@@ -106,9 +106,9 @@ def test_readonly_transactions_send_zero_messages_every_protocol():
                 protocol=protocol, num_sites=4, seed=2, cbp_heartbeat=None
             )
         )
-        cluster.submit(TransactionSpec.make("ro", 1, read_keys=["x0", "x1"]))
+        ro = cluster.submit(TransactionSpec.make("ro", 1, read_keys=["x0", "x1"]))
         result = cluster.run(max_time=1000.0)
-        assert cluster.spec_status("ro").committed
+        assert ro.committed
         protocol_msgs = {
             k: v
             for k, v in result.messages_by_kind.items()

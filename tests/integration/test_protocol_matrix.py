@@ -58,7 +58,7 @@ def test_final_state_reflects_some_serial_order(protocol):
     assert result.ok
     order = cluster.recorder.serial_order()
     assert order is not None
-    by_tx = {record.tx: record for record in cluster.recorder.committed}
+    by_tx = {record.tx: record for record in cluster.recorder.held()}
     replay = {}
     values = {}
     for tx in order:
@@ -87,7 +87,7 @@ def test_sequential_transactions_apply_in_submission_order(protocol):
     result = cluster.run(max_time=500000)
     assert result.ok
     assert result.committed_specs == 5
-    assert not result.metrics.aborted
+    assert result.metrics.aborts == 0
     for replica in cluster.replicas:
         assert replica.store.read("x0").value == 4
         assert replica.store.read("x0").version == 5

@@ -6,7 +6,11 @@ and recovers the site.  At the end every invariant must hold and the
 system must have made progress through every phase.
 """
 
+from unittest import mock
+
 import pytest
+
+import repro.db.serialization
 
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.db.wal import CHUNK
@@ -63,6 +67,10 @@ def test_soak_with_fault_timeline(protocol):
         transactions=80,
         think_time=320.0,  # stretch the run across the fault timeline
     )
+    commit_times = []
+    cluster.add_spec_listener(
+        lambda status: status.committed and commit_times.append(cluster.engine.now)
+    )
     runner.start()
     result = cluster.run(
         max_time=2_000_000.0, stop_when=cluster.await_specs(80)
@@ -81,7 +89,7 @@ def test_soak_with_fault_timeline(protocol):
     ] == expected_actions
     # Commits happened after the final fault event: the system recovered.
     last_fault = max(e.time for e in schedule.log)
-    last_commit = max(o.end_time for o in result.metrics.committed)
+    last_commit = max(commit_times)
     assert last_commit > last_fault
     # Checkpoints kept running through the faults on the surviving sites,
     # and the recovered site's loop was re-armed by its recovery.
@@ -116,15 +124,25 @@ def test_soak_open_loop_abp():
     assert len(commits) == 1 and len(aborts) == 1
 
 
+#: The 1SR recorder's retirement cadence in :func:`retained_state`, shorter
+#: than the 1024 records of a run, so the shorter run retires too.
+RECORDER_CHUNK = 128
+
+
 def retained_state(protocol, transactions):
     """What each site of a 4-site ``protocol`` cluster holds once
     ``transactions`` updates have run: dedup ints, the longest per-key
     history, WAL rows (and whether the log has crossed its chunk), WAL
-    image entries, and the total order's queues (ABP only)."""
+    image entries, and the total order's queues (ABP only); and what the
+    run's own record holds: the 1SR recorder's records (fewer than a chunk
+    once more than a chunk came in), the cluster's unfinished specs, and
+    the metrics' per-outcome rows (none: counters and latency samples)."""
     cluster = Cluster(ClusterConfig(protocol=protocol, num_sites=4, num_objects=8, seed=17))
     workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
-    assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
+    with mock.patch.object(repro.db.serialization, "CHUNK", RECORDER_CHUNK):
+        assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
     wals = [replica.wal for replica in cluster.replicas]
+    recorder = cluster.recorder
     return {
         "dedup": [reliable.seen.footprint() for reliable in cluster.reliables],
         "history": max(
@@ -136,6 +154,11 @@ def retained_state(protocol, transactions):
             len(total._unordered) + len(total._ready) + len(total._delivery_order)
             for total in cluster.totals
         ],
+        "records held": len(recorder.held()) < RECORDER_CHUNK < len(recorder),
+        "unfinished specs": len(cluster._specs),
+        "outcome rows": [
+            name for name, value in vars(cluster.metrics).items() if isinstance(value, list)
+        ],
     }
 
 
@@ -144,7 +167,10 @@ def test_retained_state_does_not_grow_with_run_length():
     dedup watermark per sender, histories at ``history_limit`` (a run this
     long writes every key past it), less than a chunk of WAL rows after
     more than a chunk was logged, one image entry per key, and, under ABP,
-    empty total-order queues.  Structure sizes, not RSS: a per-site
+    empty total-order queues; and the run's own record likewise: the 1SR
+    recorder holds less than its chunk, no spec is left in the cluster's
+    table, and the metrics keep no row per outcome.  Structure sizes, not
+    RSS: a per-site
     structure that grows with the run, as a set of every delivered id did,
     stays far below any RSS ceiling a test can set."""
     for protocol, total_order in (("rbp", []), ("abp", [0, 0, 0, 0])):
@@ -155,4 +181,7 @@ def test_retained_state_does_not_grow_with_run_length():
             "wal rows": True,
             "wal image": [8, 8, 8, 8],
             "total order": total_order,
+            "records held": True,
+            "unfinished specs": 0,
+            "outcome rows": [],
         }

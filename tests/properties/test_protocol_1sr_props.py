@@ -160,6 +160,34 @@ def test_faults_at_random_2pc_stages_preserve_1sr_and_terminate(workload, fault)
     assert_clean(cluster)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2(d)")
+def test_rbp_site_dropped_from_the_primary_never_learns_it():
+    """Three transactions and one partition, in the fault property's own
+    configuration: at the heal site 1 installs ``view#2[1, 2]`` while site 0
+    installs ``view#2[0, 1, 2, 3]``; sites 0-2 go on to ``view#4[0, 1, 2]``
+    and site 3, excluded, keeps ``view#2`` for good, so it never installs
+    ``T2#2`` and the live replicas diverge."""
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="rbp", num_sites=4, num_objects=len(KEYS), seed=5,
+            max_attempts=10, retry_backoff=5.0, enable_failure_detector=True,
+            fd_interval=20, fd_timeout=80, relay=True,
+        )
+    )
+    FaultSchedule(cluster).partition([[1], [0, 2, 3]], at=18.4).heal(at=218.4)
+    for name, home, reads, key, at in (
+        ("T0", 1, ["x0", "x5"], "x0", 0.4),
+        ("T1", 0, ["x1", "x2", "x4"], "x4", 10.3),
+        ("T2", 1, ["x1"], "x1", 15.8),
+    ):
+        cluster.submit(TransactionSpec.make(name, home, read_keys=reads, writes={key: f"{name}v"}), at=at)
+    result = cluster.run(max_time=1_000_000.0, stop_when=cluster.await_specs(3))
+    cluster.run_for(3000.0)
+    result = cluster.result()
+    assert result.serialization.ok, result.serialization.explain()
+    assert result.converged, [str(m.view) for m in cluster.memberships]
+
+
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(workload=workload_strategy)
 def test_lossy_network_preserves_1sr(workload):

@@ -48,11 +48,11 @@ def test_certification_aborts_stale_reader(make_spec):
     from tests.conftest import quick_cluster
 
     cluster = quick_cluster("abp", retry_aborted=False, num_sites=3)
-    cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x0": "new"}), at=0.0)
-    cluster.submit(make_spec("t2", 1, reads=["x0"], writes={"x1": "stale"}), at=0.1)
+    t1 = cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x0": "new"}), at=0.0)
+    t2 = cluster.submit(make_spec("t2", 1, reads=["x0"], writes={"x1": "stale"}), at=0.1)
     result = cluster.run()
     assert result.ok
-    statuses = [cluster.spec_status(n).committed for n in ("t1", "t2")]
+    statuses = [t1.committed, t2.committed]
     assert statuses.count(True) == 1
     assert result.metrics.aborts_by_reason[AbortReason.CERTIFICATION] == 1
     # Certification decisions are identical at every site.
@@ -67,11 +67,11 @@ def test_write_skew_prevented(make_spec):
     from tests.conftest import quick_cluster
 
     cluster = quick_cluster("abp", retry_aborted=False)
-    cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x1": "a"}), at=0.0)
-    cluster.submit(make_spec("t2", 1, reads=["x1"], writes={"x0": "b"}), at=0.1)
+    t1 = cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x1": "a"}), at=0.0)
+    t2 = cluster.submit(make_spec("t2", 1, reads=["x1"], writes={"x0": "b"}), at=0.1)
     result = cluster.run()
     assert result.ok
-    committed = [cluster.spec_status(n).committed for n in ("t1", "t2")]
+    committed = [t1.committed, t2.committed]
     assert committed.count(True) == 1
 
 
@@ -111,9 +111,9 @@ def test_read_only_commits_locally(make_spec):
     from tests.conftest import quick_cluster
 
     cluster = quick_cluster("abp")
-    cluster.submit(make_spec("r1", 1, reads=["x0", "x1"]))
+    r1 = cluster.submit(make_spec("r1", 1, reads=["x0", "x1"]))
     result = cluster.run(max_time=1000.0)
-    assert cluster.spec_status("r1").committed
+    assert r1.committed
     assert result.messages_by_kind.get("abp.commit_request", 0) == 0
 
 
@@ -159,7 +159,7 @@ def test_locked_variant_gates_readers(make_spec):
     cluster.submit(make_spec("r", 1, reads=["x0"]), at=1.2)
     result = cluster.run()
     assert result.ok
-    record = next(r for r in cluster.recorder.committed if r.tx.startswith("r"))
+    record = next(r for r in cluster.recorder.held() if r.tx.startswith("r"))
     # Whichever way the race went, the read is a committed version; under
     # the locked variant the typical outcome is the fresh one.
     assert dict(record.reads)["x0"] in (0, 1)
@@ -185,7 +185,7 @@ def test_locked_variant_reduces_certification_aborts():
             max_time=1_000_000,
         )
         assert result.ok
-        aborts[variant] = len(result.metrics.aborted)
+        aborts[variant] = result.metrics.aborts
     assert aborts["locked"] <= aborts["bundled"]
 
 

@@ -31,20 +31,20 @@ def run_schedule(protocol, schedule, **overrides):
     )
     defaults.update(overrides)
     cluster = Cluster(ClusterConfig(**defaults))
-    count = submit_all(cluster, schedule)
+    statuses = submit_all(cluster, schedule)
     result = cluster.run(
-        max_time=5_000_000.0, stop_when=cluster.await_specs(count)
+        max_time=5_000_000.0, stop_when=cluster.await_specs(len(statuses))
     )
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
     cluster.run_for(300.0)
     assert_clean(cluster, strict_wal=False)
-    return cluster, result
+    return cluster, result, statuses
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_symmetric_race(protocol):
-    cluster, result = run_schedule(protocol, symmetric_race())
+    cluster, result, _ = run_schedule(protocol, symmetric_race())
     assert result.incomplete_specs == 0
     # Every racing pair leaves exactly one value per key in the end.
     for n in range(6):
@@ -54,7 +54,7 @@ def test_symmetric_race(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_write_skew_web(protocol):
-    cluster, result = run_schedule(protocol, write_skew_web())
+    cluster, result, _ = run_schedule(protocol, write_skew_web())
     assert result.incomplete_specs == 0
     # The 1SR checker (asserted in run_schedule) is the point; additionally
     # the serial order must exist.
@@ -63,7 +63,7 @@ def test_write_skew_web(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_opposed_lock_orders(protocol):
-    cluster, result = run_schedule(protocol, opposed_lock_orders())
+    cluster, result, _ = run_schedule(protocol, opposed_lock_orders())
     assert result.incomplete_specs == 0
     if protocol == "p2p":
         # The factory worked: the baseline actually deadlocked/timed out.
@@ -78,16 +78,16 @@ def test_opposed_lock_orders(protocol):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_reader_gauntlet(protocol):
-    cluster, result = run_schedule(protocol, reader_gauntlet())
+    cluster, result, statuses = run_schedule(protocol, reader_gauntlet())
     assert result.incomplete_specs == 0
     assert result.metrics.readonly_abort_count() == 0
     for reader in range(4):
-        assert cluster.spec_status(f"gauntlet{reader}").committed
+        assert statuses[f"gauntlet{reader}"].committed
 
 
 def test_per_op_cross_causality_cbp():
     schedule = per_op_cross_causality()
-    cluster, result = run_schedule(
+    cluster, result, _ = run_schedule(
         "cbp", schedule, cbp_per_op=True, cbp_heartbeat=15.0
     )
     assert result.incomplete_specs == 0

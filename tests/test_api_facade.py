@@ -93,6 +93,15 @@ def test_sequential_transfers_conserve_money():
     db.close()
 
 
+def test_execute_rejects_a_name_already_used():
+    db = ReplicatedDatabase(protocol="rbp", sites=2, seed=13)
+    assert db.execute(writes={"x": 1}, name="x").committed
+    with pytest.raises(ValueError, match="already submitted"):
+        db.execute(writes={"x": 2}, name="x")
+    assert db.read("x") == 1
+    db.close()
+
+
 def test_unknown_site_rejected_with_friendly_error():
     db = ReplicatedDatabase(protocol="rbp", sites=2, seed=13)
     with pytest.raises(ValueError, match="unknown site"):

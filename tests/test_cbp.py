@@ -41,7 +41,7 @@ def test_traffic_from_other_sites_serves_as_implicit_ack(cluster_factory, make_s
     """Even without heartbeats, ordinary traffic from every site lets the
     transaction commit — acknowledgments are truly implicit."""
     cluster = cluster_factory("cbp", cbp_heartbeat=None, num_sites=3)
-    cluster.submit(make_spec("t1", 0, writes={"x0": 1}), at=0.0)
+    t1 = cluster.submit(make_spec("t1", 0, writes={"x0": 1}), at=0.0)
     # Other sites each run their own (non-conflicting) update later, whose
     # messages causally follow t1's commit request.
     cluster.submit(make_spec("t2", 1, writes={"x1": 2}), at=10.0)
@@ -50,7 +50,7 @@ def test_traffic_from_other_sites_serves_as_implicit_ack(cluster_factory, make_s
     # t1 commits thanks to t2/t3's messages; t3 itself gets echoes from the
     # earlier traffic of sites 0 and 1?  No — nothing follows t3, so the
     # last transactions may stall: assert precisely what the paper says.
-    assert cluster.spec_status("t1").committed
+    assert t1.committed
 
 
 def test_heartbeats_bound_the_wait(cluster_factory, make_spec):
@@ -102,9 +102,9 @@ def test_causally_ordered_writers_both_commit(cluster_factory, make_spec):
 
 def test_read_only_never_aborts_and_sends_nothing(cluster_factory, make_spec):
     cluster = cluster_factory("cbp", cbp_heartbeat=None)
-    cluster.submit(make_spec("r1", 2, reads=["x0", "x3"]))
+    r1 = cluster.submit(make_spec("r1", 2, reads=["x0", "x3"]))
     result = cluster.run(max_time=1000.0)
-    assert cluster.spec_status("r1").committed
+    assert r1.committed
     assert result.metrics.readonly_abort_count() == 0
     protocol_msgs = {
         k: v for k, v in result.messages_by_kind.items() if k.startswith("cbp.")

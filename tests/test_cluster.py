@@ -50,6 +50,17 @@ def test_duplicate_spec_rejected(cluster_factory, make_spec):
         cluster.submit(make_spec("t1", 0, writes={"x0": 2}))
 
 
+def test_name_of_a_finished_spec_is_not_reused(cluster_factory, make_spec):
+    """Attempt ids are ``name#attempt``: a finished spec's name stays taken."""
+    cluster = cluster_factory("rbp")
+    status = cluster.submit(make_spec("t1", 0, writes={"x0": 1}))
+    cluster.run()
+    assert status.final and status.committed
+    with pytest.raises(ValueError, match="already submitted"):
+        cluster.submit(make_spec("t1", 0, writes={"x0": 2}))
+    assert cluster.specs_submitted() == 1
+
+
 def test_deterministic_given_seed(make_spec):
     """Two identical clusters produce byte-identical outcomes."""
     from repro.workload import WorkloadConfig
@@ -57,7 +68,9 @@ def test_deterministic_given_seed(make_spec):
 
     results = []
     for _ in range(2):
-        cluster = Cluster(ClusterConfig(protocol="cbp", num_sites=3, num_objects=8, seed=77))
+        cluster = Cluster(
+            ClusterConfig(protocol="cbp", num_sites=3, num_objects=8, seed=77, trace=True)
+        )
         result = run_standard_mix(
             cluster,
             WorkloadConfig(num_objects=8, num_sites=3, zipf_theta=0.6),
@@ -69,7 +82,12 @@ def test_deterministic_given_seed(make_spec):
                 result.duration,
                 result.committed_specs,
                 sorted(result.messages_by_kind.items()),
-                [(o.tx_id, o.committed, o.end_time) for o in result.metrics.outcomes],
+                # Every attempt's outcome, from the trace rows it leaves.
+                [
+                    (r.time, r.kind, r.detail["tx"])
+                    for r in cluster.trace.records
+                    if r.kind in ("tx.commit", "tx.commit_readonly", "tx.abort")
+                ],
             )
         )
     assert results[0] == results[1]
@@ -93,19 +111,18 @@ def test_retry_respects_max_attempts(cluster_factory, make_spec):
     cluster = cluster_factory("rbp", max_attempts=2, retry_backoff=1.0)
     # Perpetual conflict is hard to arrange; instead verify the accounting
     # path: a transaction that conflicts once retries and then commits.
-    cluster.submit(make_spec("a", 0, writes={"x0": 1}), at=0.0)
-    cluster.submit(make_spec("b", 1, writes={"x0": 2}), at=0.1)
+    a = cluster.submit(make_spec("a", 0, writes={"x0": 1}), at=0.0)
+    b = cluster.submit(make_spec("b", 1, writes={"x0": 2}), at=0.1)
     result = cluster.run()
-    for name in ("a", "b"):
-        assert cluster.spec_status(name).attempts <= 2
+    for status in (a, b):
+        assert status.attempts <= 2
 
 
 def test_crash_site_aborts_its_local_transactions(cluster_factory, make_spec):
     cluster = cluster_factory("rbp", retry_aborted=False)
-    cluster.submit(make_spec("doomed", 1, writes={"x0": 1}), at=0.0)
+    status = cluster.submit(make_spec("doomed", 1, writes={"x0": 1}), at=0.0)
     cluster.crash_site(1, at=0.05)  # before any ack can arrive
     result = cluster.run(max_time=5000)
-    status = cluster.spec_status("doomed")
     assert not status.committed
     assert status.last_outcome is AbortReason.SITE_FAILURE
 
@@ -113,9 +130,9 @@ def test_crash_site_aborts_its_local_transactions(cluster_factory, make_spec):
 def test_crashed_site_excluded_from_convergence_check(cluster_factory, make_spec):
     cluster = cluster_factory("rbp", num_sites=3, enable_failure_detector=True)
     cluster.crash_site(2, at=0.0)
-    cluster.submit(make_spec("t1", 0, writes={"x0": 9}), at=500.0)
+    t1 = cluster.submit(make_spec("t1", 0, writes={"x0": 9}), at=500.0)
     result = cluster.run(max_time=100000)
-    assert cluster.spec_status("t1").committed
+    assert t1.committed
     assert result.ok  # only live replicas must agree
 
 
@@ -132,11 +149,11 @@ def test_minority_view_refuses_updates_allows_reads(make_spec):
         )
     )
     cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3, 4]])
-    cluster.submit(make_spec("upd", 3, writes={"x0": 1}), at=500.0)
-    cluster.submit(make_spec("ro", 4, reads=["x0"]), at=500.0)
+    upd = cluster.submit(make_spec("upd", 3, writes={"x0": 1}), at=500.0)
+    ro = cluster.submit(make_spec("ro", 4, reads=["x0"]), at=500.0)
     cluster.run(max_time=10000)
-    assert cluster.spec_status("upd").last_outcome is AbortReason.NO_QUORUM
-    assert cluster.spec_status("ro").committed
+    assert upd.last_outcome is AbortReason.NO_QUORUM
+    assert ro.committed
 
 
 def test_recovery_rejoins_and_catches_up(make_spec):

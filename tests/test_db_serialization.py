@@ -130,7 +130,7 @@ def test_provisional_record_is_idempotent_across_cohorts():
     recorder.record_commit_provisional("T1", 2, writes={"x": 1}, commit_time=5.0)
     recorder.record_commit_provisional("T1", 3, writes={"x": 1}, commit_time=5.5)
     assert len(recorder) == 1
-    assert recorder.committed[0].site == 2  # first cohort wins
+    assert recorder.held()[0].site == 2  # first cohort wins
 
 
 def test_full_record_upgrades_a_provisional_in_place():
@@ -138,7 +138,7 @@ def test_full_record_upgrades_a_provisional_in_place():
     recorder.record_commit_provisional("T1", 2, writes={"x": 1}, commit_time=5.0)
     recorder.record_commit("T1", 0, reads={"y": 0}, writes={"x": 1}, commit_time=6.0)
     assert len(recorder) == 1
-    record = recorder.committed[0]
+    record = recorder.held()[0]
     assert not record.provisional
     assert record.site == 0
     assert record.reads == (("y", 0),)
@@ -154,7 +154,7 @@ def test_upgrade_with_empty_writes_keeps_cohort_versions():
     recorder = HistoryRecorder()
     recorder.record_commit_provisional("T1", 2, writes={"x": 3}, commit_time=5.0)
     recorder.record_commit("T1", 0, reads={}, writes={}, commit_time=9.0)
-    assert recorder.committed[0].writes == (("x", 3),)
+    assert recorder.held()[0].writes == (("x", 3),)
 
 
 def _ww_chain(length, close=False):

@@ -49,11 +49,11 @@ def test_partition_heal_schedule():
         .partition([[0, 1, 2], [3, 4]], at=50.0)
         .heal(at=3000.0)
     )
-    cluster.submit(spec("minority", 3, "x0", 1), at=800.0)
-    cluster.submit(spec("late", 3, "x1", 2), at=5000.0)
+    minority = cluster.submit(spec("minority", 3, "x0", 1), at=800.0)
+    late = cluster.submit(spec("late", 3, "x1", 2), at=5000.0)
     result = cluster.run(max_time=100000, stop_when=cluster.await_specs(2))
-    assert cluster.spec_status("minority").last_outcome is AbortReason.NO_QUORUM
-    assert cluster.spec_status("late").committed
+    assert minority.last_outcome is AbortReason.NO_QUORUM
+    assert late.committed
     assert len(schedule.events("partition")) == 1
     assert len(schedule.events("heal")) == 1
 
@@ -72,16 +72,14 @@ def test_stranded_home_cannot_commit_in_singleton_view():
     FaultSchedule(cluster).partition([[0], [1, 2, 3]], at=50.0).heal(at=450.0)
     # Both transactions write the same key; T0's home (site 0) is stranded
     # alone mid-write-round, T1 waits on the lock T0's write buffered.
-    cluster.submit(spec("T0", 0, "x0", 0), at=48.0)
-    cluster.submit(spec("T1", 1, "x0", 1), at=49.0)
+    t0 = cluster.submit(spec("T0", 0, "x0", 0), at=48.0)
+    t1 = cluster.submit(spec("T1", 1, "x0", 1), at=49.0)
     result = cluster.run(max_time=300_000.0, stop_when=cluster.await_specs(2))
     assert result.serialization.ok
     assert result.converged
     assert result.incomplete_specs == 0
-    t0 = cluster.spec_status("T0")
     assert t0.final and not t0.committed
     assert t0.last_outcome is AbortReason.NO_QUORUM
-    t1 = cluster.spec_status("T1")
     assert t1.final and t1.committed
 
 

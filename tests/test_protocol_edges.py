@@ -49,13 +49,13 @@ def test_cbp_duplicate_nacks_cause_single_abort(make_spec):
     """Several sites may NACK the same victim; the client sees exactly one
     abort per attempt."""
     cluster = quick_cluster("cbp", num_sites=5, retry_aborted=False, seed=8)
-    cluster.submit(make_spec("a", 0, writes={"x0": "a"}), at=0.0)
-    cluster.submit(make_spec("b", 2, writes={"x0": "b"}), at=0.1)
+    a = cluster.submit(make_spec("a", 0, writes={"x0": "a"}), at=0.0)
+    b = cluster.submit(make_spec("b", 2, writes={"x0": "b"}), at=0.1)
     result = cluster.run()
     assert result.ok
-    attempts = [o for o in result.metrics.outcomes]
-    # One outcome record per attempt, despite multiple NACK broadcasts.
-    assert len(attempts) == len({o.tx_id for o in attempts})
+    # One outcome per attempt, despite multiple NACK broadcasts.
+    attempts = a.attempts + b.attempts
+    assert result.metrics.commits + result.metrics.aborts == attempts
 
 
 def test_cbp_heartbeats_suppressed_under_traffic():
@@ -88,13 +88,13 @@ def test_preempted_reader_retries_and_commits(make_spec):
             spec(f"w{n}", 0, writes={"x0": f"w{n}"}), at=n * 60.0
         )
     # ...while site 1 keeps trying to read x0 and write x1.
-    cluster.submit(
+    reader = cluster.submit(
         TransactionSpec.make("reader", 1, read_keys=["x0"], writes={"x1": "r"}),
         at=30.0,
     )
     result = cluster.run(max_time=200000, stop_when=cluster.await_specs(7))
     assert result.ok
-    assert cluster.spec_status("reader").committed
+    assert reader.committed
 
 
 def test_p2p_prepare_for_unknown_tx_votes_no():
@@ -124,13 +124,12 @@ def test_rbp_view_change_mid_round_completes(make_spec):
     )
     # Crash site 3 just before the transaction's write broadcast reaches it.
     cluster.crash_site(3, at=0.2)
-    cluster.submit(make_spec("t", 0, writes={"x0": 1}), at=0.0)
+    t = cluster.submit(make_spec("t", 0, writes={"x0": 1}), at=0.0)
     result = cluster.run(max_time=50000)
     assert result.ok
-    assert cluster.spec_status("t").committed
+    assert t.committed
     # The commit had to wait for the failure detector + view change.
-    outcome = result.metrics.committed[0]
-    assert outcome.latency > 50.0
+    assert result.metrics.commit_latencies()[0] > 50.0
 
 
 def test_same_key_read_and_write_single_tx(make_spec):
@@ -140,7 +139,7 @@ def test_same_key_read_and_write_single_tx(make_spec):
         cluster.submit(make_spec("t", 0, reads=["x0"], writes={"x0": "new"}))
         result = cluster.run()
         assert result.ok, protocol
-        record = cluster.recorder.committed[0]
+        record = cluster.recorder.held()[0]
         assert dict(record.reads) == {"x0": 0}
         assert dict(record.writes) == {"x0": 1}
 

@@ -47,9 +47,9 @@ def test_recovering_site_refuses_transactions():
     # Start recovery but submit before the transfer reply can possibly
     # arrive (same instant).
     cluster.recover_site(3)
-    cluster.submit(spec("too_soon", 3, "x0", 1), at=cluster.engine.now)
+    too_soon = cluster.submit(spec("too_soon", 3, "x0", 1), at=cluster.engine.now)
     result = cluster.run(max_time=60000)
-    assert cluster.spec_status("too_soon").last_outcome is AbortReason.SITE_FAILURE
+    assert too_soon.last_outcome is AbortReason.SITE_FAILURE
 
 
 def test_recovered_site_participates_again():
@@ -59,10 +59,10 @@ def test_recovered_site_participates_again():
     cluster.recover_site(2)
     cluster.run_for(2000)  # view rejoin + settle window + transfer
     assert not cluster.replicas[2].recovering
-    cluster.submit(spec("post", 2, "x1", "back"), at=cluster.engine.now + 500.0)
+    post = cluster.submit(spec("post", 2, "x1", "back"), at=cluster.engine.now + 500.0)
     result = cluster.run(max_time=60000)
     assert result.ok
-    assert cluster.spec_status("post").committed
+    assert post.committed
     for replica in cluster.replicas:
         assert replica.store.read("x1").value == "back"
 
@@ -79,12 +79,12 @@ def test_broadcast_stack_fast_forward(protocol):
     cluster.run(max_time=30000)
     cluster.recover_site(3)
     cluster.run(max_time=30000)
-    cluster.submit(spec("after", 3, "x2", "v2"), at=cluster.engine.now + 500.0)
-    cluster.submit(spec("toward", 0, "x3", "v3"), at=cluster.engine.now + 600.0)
+    after = cluster.submit(spec("after", 3, "x2", "v2"), at=cluster.engine.now + 500.0)
+    toward = cluster.submit(spec("toward", 0, "x3", "v3"), at=cluster.engine.now + 600.0)
     result = cluster.run(max_time=120000)
     assert result.ok, result.serialization.explain()
-    assert cluster.spec_status("after").committed
-    assert cluster.spec_status("toward").committed
+    assert after.committed
+    assert toward.committed
     assert cluster.replicas[3].store.read("x1").value == "v1"
 
 
@@ -148,14 +148,14 @@ def test_live_write_during_state_transfer_survives_snapshot_install():
     )
     cluster.crash_site(1, at=281.0)
     cluster.recover_site(1, at=281.0 + 1127.0)
-    cluster.submit(
+    t0 = cluster.submit(
         TransactionSpec.make("T0", 0, read_keys=["x0"], writes={"x0": 0}), at=1508.0
     )
     result = cluster.run(max_time=300_000.0, stop_when=cluster.await_specs(1))
     assert result.serialization.ok, result.serialization.explain()
     assert result.converged
     assert result.incomplete_specs == 0
-    assert cluster.spec_status("T0").committed
+    assert t0.committed
     # The hold actually engaged: site 1 replayed parked traffic.
     replays = [
         record

@@ -17,7 +17,7 @@ def test_read_only_fast_path_records_versions(cluster_factory, make_spec):
     cluster = cluster_factory("rbp")
     cluster.submit(make_spec("r", 0, reads=["x0", "x1"]))
     cluster.run()
-    committed = cluster.recorder.committed
+    committed = cluster.recorder.held()
     assert len(committed) == 1
     assert committed[0].reads == (("x0", 0), ("x1", 0))
     assert committed[0].writes == ()
@@ -28,7 +28,7 @@ def test_reads_observe_committed_values(cluster_factory, make_spec):
     cluster.submit(make_spec("w", 0, writes={"x0": "fresh"}), at=0.0)
     cluster.submit(make_spec("r", 1, reads=["x0"]), at=200.0)
     cluster.run()
-    record = next(r for r in cluster.recorder.committed if r.tx.startswith("r"))
+    record = next(r for r in cluster.recorder.held() if r.tx.startswith("r"))
     assert record.reads == (("x0", 1),)
 
 
@@ -39,7 +39,7 @@ def test_read_locks_block_until_writer_finishes(cluster_factory, make_spec):
     cluster.submit(make_spec("w", 0, writes={"x0": "v1", "x1": "v1"}), at=0.0)
     cluster.submit(make_spec("r", 0, reads=["x0", "x1"]), at=1.0)
     cluster.run()
-    record = next(r for r in cluster.recorder.committed if r.tx.startswith("r"))
+    record = next(r for r in cluster.recorder.held() if r.tx.startswith("r"))
     versions = dict(record.reads)
     # Atomic snapshot: both keys at version 0 (before) or both at 1 (after).
     assert versions in ({"x0": 0, "x1": 0}, {"x0": 1, "x1": 1})
@@ -49,9 +49,9 @@ def test_submit_to_crashed_replica_aborts(cluster_factory, make_spec):
     cluster = cluster_factory("rbp", retry_aborted=False)
     cluster.replicas[0].crash()
     cluster.network.set_site_up(0, False)
-    cluster.submit(make_spec("t", 0, writes={"x0": 1}))
+    t = cluster.submit(make_spec("t", 0, writes={"x0": 1}))
     cluster.run(max_time=100)
-    assert cluster.spec_status("t").last_outcome is AbortReason.SITE_FAILURE
+    assert t.last_outcome is AbortReason.SITE_FAILURE
 
 
 def test_install_writes_is_sorted_and_logged(cluster_factory):
@@ -128,7 +128,7 @@ def test_transaction_lifecycle_without_a_cluster(make_spec):
     # Anywhere else (a cohort, or a home that lost the client in a crash).
     open_record("cohort", "x0")
     replica._install_commit("cohort", replica._live["cohort"])
-    home, cohort = recorder.committed
+    home, cohort = recorder.held()
     assert (home.provisional, home.reads, home.writes) == (False, (("x1", 0),), (("x0", 1),))
     assert (cohort.provisional, cohort.reads, cohort.writes) == (True, (), (("x0", 2),))
     assert not replica._live and not replica.locks.holders_of("x0")

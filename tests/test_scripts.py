@@ -126,3 +126,25 @@ def test_retained_marks_the_sites_that_grow_with_the_run():
     rows = {line.split()[0]: line for line in lines[2:]}
     assert rows["wal.py:1"].endswith("GROWS") and not rows["store.py:2"].endswith("GROWS")
     assert len(retained.report("w", half, full, top=1)) == 3
+
+
+def test_retained_fail_grows_names_growing_src_sites_over_the_budget():
+    """``--fail-grows``: only a ``src/`` site that both grows and holds more
+    than the budget at full length fails the gate."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("retained", ROOT / "scripts" / "retained.py")
+    retained = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(retained)
+    mib = 1024 * 1024
+    half = {"sites": {"src/a.py:1": (mib, 1), "src/b.py:2": (mib, 1), "bench/c.py:3": (0, 1)}}
+    full = {
+        "sites": {
+            "src/a.py:1": (2 * mib, 2),  # grows, over budget
+            "src/b.py:2": (mib, 1),  # over budget, flat
+            "src/d.py:4": (mib // 8, 1),  # grows (new), under budget
+            "bench/c.py:3": (2 * mib, 2),  # grows, not src/
+        }
+    }
+    assert retained.over_budget(half, full, 0.25) == ["src/a.py:1: 2.00 MiB, GROWS"]
+    assert retained.over_budget(half, full, 4.0) == []
