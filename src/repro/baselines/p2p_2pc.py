@@ -93,9 +93,6 @@ class PointToPointReplica(Replica):
             P2pVote: self._on_vote,
             P2pDecision: self._on_decision,
         }
-        #: Transactions committed or aborted here: late writes draw a
-        #: negative ack, a repeated decision is ignored.
-        self._finished: set[str] = set()
         self.timeouts_fired = 0
         self.every(deadlock_check_interval, self._deadlock_check)
 
@@ -158,7 +155,8 @@ class PointToPointReplica(Replica):
         self.router.multicast(self.view_members, CHANNEL, payload, payload.kind)
 
     def _on_write(self, src: int, write: P2pWrite) -> None:
-        if write.tx in self._finished:
+        if self._ended(write.tx):
+            self._tombstones[write.tx] = src  # the coordinator, now known
             self._send_ack(src, write, ok=False)
             return
         rec = self._live.get(write.tx)
@@ -238,10 +236,11 @@ class PointToPointReplica(Replica):
         self._on_decision(self.site, decision)  # our own copy: the local path
 
     def _on_decision(self, src: int, decision: P2pDecision) -> None:
-        if decision.commit:
-            self._commit(decision.tx)
-        else:
-            self._purge(decision.tx)
+        if decision.commit and not self._ended(decision.tx):
+            rec = self._live.get(decision.tx)
+            self._install_commit(decision.tx, rec.writes if rec is not None else {})
+        else:  # an abort, or the commit of one purged here first: it stays aborted
+            self._purge(decision.tx, src)
 
     # -- the terminal paths -----------------------------------------------------------------
 
@@ -252,21 +251,23 @@ class PointToPointReplica(Replica):
             rec.timeout.cancel()
         super()._discharge(tx_id)
 
-    def _commit(self, tx_id: str) -> None:
-        if tx_id in self._finished:
-            return
-        self._finished.add(tx_id)
-        rec = self._live.get(tx_id)
-        self._install_commit(tx_id, rec.writes if rec is not None else {})
-
     def _abort_everywhere(self, tx: Transaction, reason: AbortReason) -> None:
         self._to_others(P2pDecision(tx.tx_id, False))
-        self._purge(tx.tx_id, local_reason=reason)
+        self._purge(tx.tx_id, self.site, local_reason=reason)
 
-    def _purge(self, tx_id: str, local_reason: AbortReason = AbortReason.DEADLOCK) -> None:
-        if tx_id in self._finished:
-            return
-        self._finished.add(tx_id)
+    def _purge(
+        self, tx_id: str, decider: int, local_reason: AbortReason = AbortReason.DEADLOCK
+    ) -> None:
+        """Abort cleanup on ``decider``'s decision.  The tombstone holds the
+        coordinator (``None`` until known), whose decision retires it; the
+        coordinator needs none (DESIGN.md, "Tombstones")."""
+        rec = self._live.get(tx_id)
+        # A priority is (first submit time, home, name).
+        home = rec.priority[1] if rec is not None else self._tombstones.get(tx_id)
+        if home == decider or home == self.site:
+            self._tombstones.pop(tx_id, None)
+        else:
+            self._tombstones[tx_id] = home
         self._discharge(tx_id)
         tx = self.local.get(tx_id)
         if tx is not None and not tx.terminal:
@@ -338,7 +339,7 @@ class PointToPointReplica(Replica):
         # release can grant a queued writer, whose ack goes out ahead of
         # the decline) and send the abort decision to every other member,
         # its home among them.
-        self._purge(victim)
+        self._purge(victim, self.site)
         self._to_others(P2pDecision(victim, False))
 
     # -- message dispatch ---------------------------------------------------------------------

@@ -43,6 +43,7 @@ The paper's stated drawback — commitment stalls when sites broadcast rarely
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -82,6 +83,17 @@ class _TxState:
     committed: bool = False
 
 
+@dataclass(slots=True)
+class _Killed:
+    """A killed transaction's tombstone: it retires once every site, member
+    or not, has been heard from with a clock at or past ``entry`` of
+    ``site`` (DESIGN.md, "Tombstones"); an ``entry`` of ``inf`` never does."""
+
+    site: int
+    entry: float
+    echoes: Tally = field(default_factory=Tally)
+
+
 class CausalBroadcastReplica(Replica):
     """One site running CBP."""
 
@@ -104,9 +116,6 @@ class CausalBroadcastReplica(Replica):
         self.heartbeat_interval = heartbeat_interval
         self.per_op = per_op
         cbcast.set_deliver(self._on_deliver)
-        self._dead: set[str] = set()
-        self._finished: set[str] = set()
-        self._nacked_by_me: set[str] = set()
         self._last_broadcast = 0.0
         self.nacks_sent = 0
         if heartbeat_interval is not None:
@@ -172,33 +181,54 @@ class CausalBroadcastReplica(Replica):
         sender = message.sender
         clock = envelope.vc
         payload = envelope.payload
-        if isinstance(payload, CbpNack):
-            self._on_nack(payload)
-        elif isinstance(payload, CbpWriteSet):
-            self._on_write_set(payload, clock)
-        elif isinstance(payload, CbpCommitRequest):
-            self._on_commit_request(payload, clock)
-        elif isinstance(payload, CbpNull):
+        kind = type(payload)
+        if kind is CbpNull:
             pass  # pure implicit-acknowledgment carrier
+        elif kind is CbpWriteSet:
+            self._on_write_set(payload, clock)
+        elif kind is CbpCommitRequest:
+            self._on_commit_request(payload, clock)
+        elif kind is CbpNack:
+            self._kill(payload.tx, (sender, clock.entries[sender]))
         else:
             raise RuntimeError(f"site {self.site}: unexpected CBP payload {payload!r}")
         # Every delivered message is a potential implicit acknowledgment for
-        # every pending commit request (including this very message).
+        # every pending commit request (including this very message), and
+        # for every killed transaction's retirement.
         self._update_echoes(sender, clock)
 
     def _update_echoes(self, sender: int, clock: VectorClock) -> None:
+        entries = clock.entries
+        members = len(self.view_member_set)
         for state in list(self._live.values()):
-            if state.cr_entry is None or state.committed or state.tx in self._dead:
+            cr_entry = state.cr_entry
+            if cr_entry is None or state.committed:
                 continue
-            if sender not in state.echoes and clock.dominates_entry(state.home, state.cr_entry):
-                state.echoes[sender] = True
-                self._check_commit(state)
+            echoes = state.echoes
+            if sender not in echoes and entries[state.home] >= cr_entry:
+                echoes[sender] = True
+                if len(echoes) >= members:
+                    self._check_commit(state)
+        tombstones = self._tombstones
+        if tombstones:
+            # Echoes come from sites only, so ``num_sites`` of them is all.
+            everyone = self.num_sites
+            retiring = False
+            for killed in tombstones.values():
+                if sender in killed.echoes or entries[killed.site] < killed.entry:
+                    continue
+                killed.echoes[sender] = True
+                retiring = retiring or len(killed.echoes) == everyone
+            if retiring:
+                self._tombstones = {
+                    tx: killed for tx, killed in tombstones.items() if len(killed.echoes) < everyone
+                }
 
     # -- write delivery and conflict resolution ------------------------------------
 
     def _on_write_set(self, write_set: CbpWriteSet, clock: VectorClock) -> None:
         tx_id = write_set.tx
-        if tx_id in self._dead or tx_id in self._finished:
+        if self._ended(tx_id):
             return
         if write_set.home == self.site:
             # Our own broadcast looping back: locks were taken synchronously
@@ -215,7 +245,7 @@ class CausalBroadcastReplica(Replica):
             state.all_writes_seen = True
         for key, _ in write_set.writes:
             self._admit_write(state, key, clock)
-            if tx_id in self._dead:
+            if self._ended(tx_id):
                 return  # a NACK we just issued killed it
         self._check_commit(state)
 
@@ -229,10 +259,10 @@ class CausalBroadcastReplica(Replica):
             if request.tx != tx_id
         ]
         for opponent_id in blockers:
-            if tx_id in self._dead:
+            if self._ended(tx_id):
                 return
             self._resolve_conflict(state, key, clock, opponent_id)
-        if tx_id in self._dead:
+        if self._ended(tx_id):
             return
         granted = self.locks.acquire(tx_id, key, LockMode.EXCLUSIVE, self._write_granted)
         if granted:
@@ -293,7 +323,7 @@ class CausalBroadcastReplica(Replica):
 
     def _write_granted(self, tx_id: str, key: str) -> None:
         state = self._live.get(tx_id)
-        if state is None or tx_id in self._dead:
+        if state is None:
             return
         state.waiting.discard(key)
         state.granted.add(key)
@@ -307,11 +337,7 @@ class CausalBroadcastReplica(Replica):
         cycle = self.locks.find_cycle()
         if not cycle:
             return
-        candidates = [
-            self._live[tx_id]
-            for tx_id in cycle
-            if tx_id in self._live and tx_id not in self._dead
-        ]
+        candidates = [self._live[tx_id] for tx_id in cycle if tx_id in self._live]
         if not candidates:
             return
         victim = max(candidates, key=lambda s: s.priority)
@@ -325,34 +351,32 @@ class CausalBroadcastReplica(Replica):
     # -- NACK handling ------------------------------------------------------------
 
     def _nack(self, tx_id: str, reason: str, force: bool = False) -> None:
-        if tx_id in self._nacked_by_me or tx_id in self._dead:
+        if self._ended(tx_id):
             return
         state = self._live.get(tx_id)
         if not force and state is not None and state.endorsed and state.home == self.site:
             raise ProtocolInvariantError(
                 f"site {self.site} attempted to NACK its own endorsed {tx_id}"
             )
-        self._nacked_by_me.add(tx_id)
         self.nacks_sent += 1
         self.trace.emit(self.now, self.name, "cbp.nack_sent", tx=tx_id, reason=reason)
-        self._broadcast(CbpNack(tx_id, self.site, reason))
+        envelope = self._broadcast(CbpNack(tx_id, self.site, reason))
         # Apply locally at once: the self-delivery would do the same, but
         # later deliveries in this event must already see the victim dead.
-        self._kill(tx_id)
+        self._kill(tx_id, (self.site, envelope.vc[self.site]))
 
-    def _on_nack(self, nack: CbpNack) -> None:
-        self._kill(nack.tx)
-
-    def _kill(self, tx_id: str) -> None:
-        if tx_id in self._dead:
+    def _kill(self, tx_id: str, past: tuple[int, float]) -> None:
+        """Kill a live transaction; its tombstone retires once every site is
+        heard from past ``past``, a (site, clock entry)."""
+        if self._ended(tx_id):
             return
-        if tx_id in self._finished:
-            # The endorsement rule makes this unreachable: no site can NACK
-            # a transaction once an echo chain allowed anyone to commit it.
+        if tx_id not in self._live:
+            # Committed here (unreachable by the endorsement rule), or never
+            # seen (unreachable: a NACK follows the victim's write set).
             raise ProtocolInvariantError(
-                f"site {self.site}: NACK arrived for committed transaction {tx_id}"
+                f"site {self.site}: NACK arrived for {tx_id}, neither live nor killed here"
             )
-        self._dead.add(tx_id)
+        self._tombstones[tx_id] = _Killed(*past)
         self._discharge(tx_id)
         tx = self.local.get(tx_id)
         if tx is not None and not tx.terminal:
@@ -362,7 +386,7 @@ class CausalBroadcastReplica(Replica):
 
     def _on_commit_request(self, request: CbpCommitRequest, clock: VectorClock) -> None:
         tx_id = request.tx
-        if tx_id in self._dead or tx_id in self._finished:
+        if self._ended(tx_id):
             return
         state = self._live.get(tx_id)
         if state is None:
@@ -384,24 +408,17 @@ class CausalBroadcastReplica(Replica):
     def _check_commit(self, state: _TxState) -> None:
         if (
             state.committed
-            or state.tx in self._dead
+            or self._ended(state.tx)
             or state.cr_entry is None
             or not state.all_writes_seen
+            or state.waiting
+            or state.granted != state.writes.keys()
+            or not state.echoes.complete(self.view_member_set)
         ):
             return
-        if state.waiting:
-            return
-        # Length guard first: this check runs on every grant and every
-        # echo.  ``granted`` is a set and ``writes`` is keyed by object, so
-        # equal length is necessary — the comparison remains authoritative.
-        if len(state.granted) != len(state.writes) or set(state.granted) != set(
-            state.writes
-        ):
-            return
-        if not state.echoes.complete(self.view_member_set):
-            return
+        # No tombstone: causal delivery drops any copy of its messages, and
+        # no NACK can follow a commit (DESIGN.md, "Tombstones").
         state.committed = True
-        self._finished.add(state.tx)
         self._install_commit(state.tx, state.writes)
         self.trace.emit(self.now, self.name, "cbp.applied", tx=state.tx)
 
@@ -421,10 +438,6 @@ class CausalBroadcastReplica(Replica):
 
     # -- crash / recovery ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        super().on_crash()
-        self._nacked_by_me.clear()
-
     def export_protocol_state(self) -> Optional[dict]:
         """Serialize in-flight transaction state for a state transfer.
 
@@ -433,7 +446,7 @@ class CausalBroadcastReplica(Replica):
         site's store, only in the group's ``_TxState`` books — and once the
         rejoiner's fast-forwarded clock starts implicitly acknowledging it,
         the survivors *will* commit it.  Shipping the donor's in-flight
-        books (plus its finished/dead sets and per-key lock-queue order, so
+        books (plus its killed tombstones and per-key lock-queue order, so
         the rejoiner grants locks in the same causal-delivery order every
         other site uses) closes the gap; without it the rejoined replica
         permanently misses every transaction that was in flight during the
@@ -473,8 +486,9 @@ class CausalBroadcastReplica(Replica):
             for key in sorted(keys)
         }
         return {
-            "finished": tuple(sorted(self._finished)),
-            "dead": tuple(sorted(self._dead)),
+            "dead": tuple(
+                (tx_id, killed.site, killed.entry) for tx_id, killed in sorted(self._tombstones.items())
+            ),
             "states": tuple(states),
             "lock_queues": lock_queues,
         }
@@ -485,8 +499,7 @@ class CausalBroadcastReplica(Replica):
         stale pre-crash state is released and dropped."""
         for tx_id in sorted(self._live):
             self._discharge(tx_id)
-        self._finished = set(state["finished"])
-        self._dead = set(state["dead"])
+        self._tombstones = {tx_id: _Killed(site, entry) for tx_id, site, entry in state["dead"]}
         for exported in state["states"]:
             adopted = _TxState(
                 exported["tx"], exported["home"], tuple(exported["priority"])
@@ -532,7 +545,7 @@ class CausalBroadcastReplica(Replica):
         # stall with every site up).
         for adopted in list(self._live.values()):
             if adopted.home not in self.view_members:
-                self._kill(adopted.tx)
+                self._kill(adopted.tx, self._home_done(adopted))
 
     def on_recovery_complete(self) -> None:
         """An adopted in-flight transaction may already be committable."""
@@ -547,6 +560,14 @@ class CausalBroadcastReplica(Replica):
             if state.home not in members:
                 # The initiator left: its transaction cannot be completed
                 # (no further messages from it); drop it everywhere.
-                self._kill(state.tx)
+                self._kill(state.tx, self._home_done(state))
             else:
                 self._check_commit(state)
+
+    def _home_done(self, state: _TxState) -> tuple[int, float]:
+        """(home, entry) of the commit request, which the home broadcasts
+        right after the write set; never reached in per-op mode, where a
+        site past it may still NACK a waits-for cycle member."""
+        if self.per_op or not state.write_clocks:
+            return state.home, math.inf
+        return state.home, max(clock[state.home] for clock in state.write_clocks.values()) + 1

@@ -167,10 +167,6 @@ class ReliableBroadcastReplica(Replica):
         # adoption past the donor's export, recreating the stale-snapshot
         # race for them.
         router.register(DIRECT_CHANNEL, self._on_direct, during_transfer=True)
-        #: Transactions aborted or renounced here: late writes draw a
-        #: negative ack, late commit requests a NO vote.  A transaction
-        #: with a ``_live`` record is neither in here nor in the decision log.
-        self._finished: set[str] = set()
         #: In-doubt termination (decision queries, see PROTOCOLS.md), owner
         #: of the durable decision log and prepare records.
         self.termination = InDoubtTermination(
@@ -275,7 +271,7 @@ class ReliableBroadcastReplica(Replica):
         swallow votes without ever changing the view; the home's tally then
         stalls forever, it answers every decision query "pending", and the
         client is never answered.  Re-broadcast the commit request — the
-        decision-log / ``_finished`` short-circuits in
+        decision-log / tombstone short-circuits in
         :meth:`_on_commit_request` make re-delivery idempotent: decided
         sites re-broadcast their decided vote, undecided sites re-vote
         exactly as before — and keep watching until the tally resolves or a
@@ -322,7 +318,7 @@ class ReliableBroadcastReplica(Replica):
     def _on_write(self, write: RbpWrite) -> None:
         rec = self._live.get(write.tx)
         if rec is None and (
-            write.tx in self._finished or write.tx in self.termination.decisions
+            self._ended(write.tx) or write.tx in self.termination.decisions
         ):
             # Already locally aborted (abort broadcast, or the presumed-abort
             # watchdog below), or already decided — traffic held during a
@@ -439,7 +435,7 @@ class ReliableBroadcastReplica(Replica):
         rec = self._live.get(request.tx)
         if rec is None:
             decided = self.termination.decisions.get(request.tx)
-            if decided is not None or request.tx in self._finished:
+            if decided is not None or self._ended(request.tx):
                 # The outcome is already logged here (a duplicate or delayed
                 # request): re-broadcast the decided vote so a still-tallying
                 # site converges, but do not reopen any local state.  Or it
@@ -469,7 +465,7 @@ class ReliableBroadcastReplica(Replica):
     def _on_vote(self, vote: RbpVote) -> None:
         rec = self._live.get(vote.tx)
         if rec is None:
-            if vote.tx in self._finished or vote.tx in self.termination.decisions:
+            if self._ended(vote.tx) or vote.tx in self.termination.decisions:
                 # Terminated here already (committed via votes or an adopted
                 # decision, or aborted).  A straggler vote — e.g. one that
                 # crawled over a slow link after a decision query resolved
@@ -528,7 +524,7 @@ class ReliableBroadcastReplica(Replica):
             self.abort_home(tx, AbortReason.VIEW_LOSS)
         if authoritative:
             self.termination.record(tx_id, committed=False)
-        self._finished.add(tx_id)
+        self._tombstones[tx_id] = None  # kept for good (DESIGN.md, "Tombstones")
         self._discharge(tx_id)
         self.termination.close(tx_id)
 
@@ -574,7 +570,7 @@ class ReliableBroadcastReplica(Replica):
             return "pending", True
         rec = self._live.get(tx_id)
         if rec is None or not (rec.request_seen or rec.writes):
-            return ("presumed", False) if tx_id in self._finished else None
+            return ("presumed", False) if self._ended(tx_id) else None
         if rec.home in self.view_member_set:
             # Live tally (or write phase) that can still decide; push the
             # outcome later.

@@ -73,9 +73,12 @@ class Replica(Process):
         self.public: set[str] = set()
         #: tx -> the protocol's record, for every transaction with volatile
         #: protocol state here, in first-touch order.  A transaction with a
-        #: record is not in the protocol's finished/dead books: every
-        #: terminal path enters it there and leaves through ``_discharge``.
+        #: record has no tombstone: every terminal path leaves through
+        #: ``_discharge``.
         self._live: dict[str, Any] = {}
+        #: tx -> tombstone: it ended here, and a message naming it may still
+        #: arrive.  Each protocol fills and retires it (DESIGN.md, "Tombstones").
+        self._tombstones: dict[str, Any] = {}
         #: View membership hook; protocols read this for "all sites".
         self.view_members: list[int] = list(range(num_sites))
         #: Same membership as a frozenset, maintained by on_view_change so
@@ -336,6 +339,11 @@ class Replica(Process):
         side, between the snapshot install and :meth:`on_recovery_complete`)."""
 
     # -- introspection --------------------------------------------------------------
+
+    def _ended(self, tx_id: str) -> bool:
+        """True while ``tx_id`` has a tombstone: a late message naming it must
+        find it ended.  Private: the benchmark tracer counts no lookup."""
+        return tx_id in self._tombstones
 
     def in_flight(self) -> dict[str, list[str]]:
         """Per-transaction protocol state that must drain by quiescence, as

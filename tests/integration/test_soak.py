@@ -13,7 +13,10 @@ import pytest
 import repro.db.serialization
 
 from repro.core.cluster import Cluster, ClusterConfig
+from repro.core.recovery import StateTransferReply
+from repro.db.storage import VersionedValue
 from repro.db.wal import CHUNK
+from repro.net.sizes import estimate_size
 from repro.sim.faults import FaultSchedule
 from repro.workload.generator import WorkloadConfig
 from repro.workload.runner import ClosedLoopRunner, run_standard_mix
@@ -131,12 +134,15 @@ RECORDER_CHUNK = 128
 
 def retained_state(protocol, transactions):
     """What each site of a 4-site ``protocol`` cluster holds once
-    ``transactions`` updates have run: dedup ints, the longest per-key
-    history, WAL rows (and whether the log has crossed its chunk), WAL
-    image entries, and the total order's queues (ABP only); and what the
-    run's own record holds: the 1SR recorder's records (fewer than a chunk
-    once more than a chunk came in), the cluster's unfinished specs, and
-    the metrics' per-outcome rows (none: counters and latency samples)."""
+    ``transactions`` updates have run: dedup ints, the store's entries (one
+    version per key), WAL rows (and whether the log has crossed its chunk),
+    WAL image entries, the total order's queues (ABP only) and tombstones
+    (CBP only: P2P's and RBP's are bounded otherwise, see
+    :func:`test_p2p_tombstones_only_outlive_aborts_decided_away_from_home`);
+    and what the run's own record holds: the 1SR recorder's records (fewer
+    than a chunk once more than a chunk came in), the cluster's unfinished
+    specs, and the metrics' per-outcome rows (none: counters and latency
+    samples)."""
     cluster = Cluster(ClusterConfig(protocol=protocol, num_sites=4, num_objects=8, seed=17))
     workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
     with mock.patch.object(repro.db.serialization, "CHUNK", RECORDER_CHUNK):
@@ -145,14 +151,18 @@ def retained_state(protocol, transactions):
     recorder = cluster.recorder
     return {
         "dedup": [reliable.seen.footprint() for reliable in cluster.reliables],
-        "history": max(
-            len(replica.store._objects[key]) for replica in cluster.replicas for key in cluster.keys
-        ),
+        "versions": [
+            sum(isinstance(latest, VersionedValue) for latest in replica.store._objects.values())
+            for replica in cluster.replicas
+        ],
         "wal rows": max(len(wal) for wal in wals) < CHUNK <= min(wal.last_lsn for wal in wals),
         "wal image": [len(wal.image) for wal in wals],
         "total order": [
             len(total._unordered) + len(total._ready) + len(total._delivery_order)
             for total in cluster.totals
+        ],
+        "tombstones": [
+            len(replica._tombstones) for replica in cluster.replicas if protocol == "cbp"
         ],
         "records held": len(recorder.held()) < RECORDER_CHUNK < len(recorder),
         "unfinished specs": len(cluster._specs),
@@ -164,24 +174,77 @@ def retained_state(protocol, transactions):
 
 def test_retained_state_does_not_grow_with_run_length():
     """Doubling the run leaves every per-site structure the same size: one
-    dedup watermark per sender, histories at ``history_limit`` (a run this
-    long writes every key past it), less than a chunk of WAL rows after
-    more than a chunk was logged, one image entry per key, and, under ABP,
-    empty total-order queues; and the run's own record likewise: the 1SR
+    dedup watermark per sender, one version per key, less than a chunk of
+    WAL rows after more than a chunk was logged, one image entry per key,
+    under ABP empty total-order queues, and under CBP no tombstone (a
+    committed transaction leaves none, a killed one's retires once every
+    site is heard from past it); and the run's own record likewise: the 1SR
     recorder holds less than its chunk, no spec is left in the cluster's
     table, and the metrics keep no row per outcome.  Structure sizes, not
-    RSS: a per-site
-    structure that grows with the run, as a set of every delivered id did,
-    stays far below any RSS ceiling a test can set."""
-    for protocol, total_order in (("rbp", []), ("abp", [0, 0, 0, 0])):
+    RSS: a per-site structure that grows with the run, as a set of every
+    delivered id did, stays far below any RSS ceiling a test can set."""
+    for protocol, total_order, tombstones in (
+        ("rbp", [], []),
+        ("abp", [0, 0, 0, 0], []),
+        ("cbp", [], [0, 0, 0, 0]),
+        ("p2p", [], []),
+    ):
         short, long = retained_state(protocol, 400), retained_state(protocol, 800)
         assert short == long == {
             "dedup": [4, 4, 4, 4],
-            "history": 16,
+            "versions": [8, 8, 8, 8],
             "wal rows": True,
             "wal image": [8, 8, 8, 8],
             "total order": total_order,
+            "tombstones": tombstones,
             "records held": True,
             "unfinished specs": 0,
             "outcome rows": [],
-        }
+        }, protocol
+
+
+def test_p2p_tombstones_only_outlive_aborts_decided_away_from_home():
+    """P2P keeps no tombstone for a commit, nor for an abort its home
+    decided: the home's decision is the last message it sends naming the
+    transaction down each FIFO link.  What is left at the end of a run
+    belongs to transactions another site's deadlock resolution aborted
+    (their home purges silently, so no decision from it ever retires the
+    tombstone): at most one per site per resolution, however many
+    transactions committed."""
+    for transactions in (400, 800):
+        cluster = Cluster(ClusterConfig(protocol="p2p", num_sites=4, num_objects=8, seed=17))
+        workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
+        assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
+        resolutions = cluster.metrics.deadlocks_detected
+        assert cluster.metrics.commits > 20 * resolutions > 0
+        for replica in cluster.replicas:
+            assert len(replica._tombstones) <= resolutions
+
+
+def cbp_reply_bytes(transactions):
+    """Wire bytes of the state-transfer reply each site of a 4-site CBP
+    cluster would send once ``transactions`` updates have run, less its
+    store snapshot: the workload writes strings whose digits grow with the
+    run, which is the database's content, not what the donor remembers."""
+    cluster = Cluster(ClusterConfig(protocol="cbp", num_sites=4, num_objects=8, seed=17))
+    workload = WorkloadConfig(num_objects=8, num_sites=4, read_ops=1, write_ops=2)
+    assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
+    assert cluster.metrics.aborts > 0  # NACKs killed transactions
+    sizes = []
+    for replica in cluster.replicas:
+        snapshot = replica.store.export_snapshot()
+        reply = StateTransferReply(
+            replica.site,
+            snapshot,
+            protocol_state=replica.export_protocol_state(),
+            **cluster.stacks[replica.site].export_state(),
+        )
+        sizes.append(estimate_size(reply) - estimate_size(snapshot))
+    return sizes
+
+
+def test_cbp_state_transfer_reply_does_not_grow_with_run_length():
+    """A CBP donor ships its killed tombstones, not every transaction that
+    ever ended, so at quiescence its reply is the same size at half and at
+    full length."""
+    assert cbp_reply_bytes(400) == cbp_reply_bytes(800)

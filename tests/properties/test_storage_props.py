@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.db.storage import StorageError, VersionedStore, VersionedValue
+from repro.db.storage import VersionedStore, VersionedValue
 
 KEYS = ("a", "b", "c")
 
@@ -13,8 +13,8 @@ operations = st.lists(
 )
 
 
-def build(ops, history_limit=16):
-    store = VersionedStore(history_limit=history_limit)
+def build(ops):
+    store = VersionedStore()
     store.initialize(KEYS, value=0)
     for index, (key, value) in enumerate(ops):
         store.install(key, value, f"T{index}")
@@ -35,16 +35,11 @@ def test_versions_dense_and_latest_wins(ops):
 
 @settings(max_examples=200, deadline=None)
 @given(operations)
-def test_retained_versions_readable_in_order(ops):
-    store = build(ops, history_limit=8)
+def test_latest_version_names_its_last_writer(ops):
+    store = build(ops)
     for key in KEYS:
-        latest = store.read(key).version
-        lowest_retained = max(0, latest - 7)
-        values = [
-            store.read_version(key, v).version
-            for v in range(lowest_retained, latest + 1)
-        ]
-        assert values == list(range(lowest_retained, latest + 1))
+        writers = [f"T{index}" for index, (k, _) in enumerate(ops) if k == key]
+        assert store.read(key).writer == (writers[-1] if writers else None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,13 +88,29 @@ def test_replicas_converged_agrees_with_digest_comparison(specs):
 
 class ListStore(VersionedStore):
     """The reference representation: a fresh one-version list per key on
-    initialize and on snapshot load, as the store kept before keys shared
-    one initial history."""
+    initialize and on snapshot load, appended to on every install, whose
+    last entry is the latest version."""
 
     def initialize(self, keys, value=0):
         for key in keys:
             if key not in self._objects:
                 self._objects[key] = [VersionedValue(0, value, None)]
+
+    def read(self, key):
+        return self._objects[key][-1]
+
+    def install(self, key, value, writer):
+        history = self._objects[key]
+        history.append(VersionedValue(history[-1].version + 1, value, writer))
+        return history[-1].version
+
+    def digest(self):
+        return tuple((key, h[-1].version, h[-1].value) for key, h in sorted(self._objects.items()))
+
+    def same_state(self, other):
+        return self.digest() == other.digest()
+
+    export_snapshot = digest
 
     def load_snapshot(self, snapshot, writer="state-transfer"):
         self._objects = {
@@ -119,17 +130,13 @@ store_ops = st.lists(
 )
 
 
-def read_or_missing(store, key, version):
-    try:
-        return store.read_version(key, version)
-    except StorageError:
-        return "not retained"
-
-
 @settings(max_examples=300, deadline=None)
-@given(store_ops, st.integers(1, 4))
-def test_shared_initial_histories_read_as_per_key_lists(ops, history_limit):
-    stores = [VersionedStore(history_limit), ListStore(history_limit)]
+@given(store_ops)
+def test_shared_initial_histories_read_as_per_key_lists(ops):
+    """The store that keeps one version per key, its unwritten keys sharing
+    one initial version, answers every read as the last entry of a full
+    per-key history does: latest version wins."""
+    stores = [VersionedStore(), ListStore()]
     for store in stores:
         store.initialize(KEYS, value=7)
     for index, op in enumerate(ops):
@@ -138,16 +145,13 @@ def test_shared_initial_histories_read_as_per_key_lists(ops, history_limit):
                 store.install(op[1], op[2], f"T{index}")
             else:
                 store.load_snapshot(store.export_snapshot())
-        shared, reference = stores
-        assert shared.digest() == reference.digest()
-        assert shared.same_state(reference) and reference.same_state(shared)
-        assert shared.export_snapshot() == reference.export_snapshot()
+        latest, reference = stores
+        assert latest.digest() == reference.digest()
+        assert reference.same_state(latest)
+        assert latest.export_snapshot() == reference.export_snapshot()
         for key in KEYS:
-            assert shared.read(key) == reference.read(key)
-            for version in range(shared.version(key) + 2):
-                assert read_or_missing(shared, key, version) == read_or_missing(
-                    reference, key, version
-                )
+            assert latest.read(key) == reference.read(key)
+            assert latest.version(key) == reference.version(key)
 
 
 def test_initialize_allocates_one_initial_version():

@@ -174,8 +174,8 @@ def test_update_takes_longer_than_rbp_without_traffic(make_spec):
 
 def test_protocol_state_round_trips_through_export(cluster_factory, make_spec):
     """The in-flight books a state transfer ships must survive the
-    export/adopt round trip wholesale: per-transaction state, finished
-    and dead sets, and the lock holders (in the donor's grant order)."""
+    export/adopt round trip wholesale: per-transaction state, killed
+    tombstones, and the lock holders (in the donor's grant order)."""
     cluster = cluster_factory("cbp", num_sites=3)
     cluster.submit(make_spec("T1", 0, writes={"x0": 1, "x1": 2}))
     donor = cluster.replicas[0]
@@ -197,8 +197,7 @@ def test_protocol_state_round_trips_through_export(cluster_factory, make_spec):
         assert adopted.granted == state.granted
         assert adopted.echoes == state.echoes
         assert adopted.cr_entry == state.cr_entry
-    assert rejoiner._finished == donor._finished
-    assert rejoiner._dead == donor._dead
+    assert rejoiner.export_protocol_state()["dead"] == exported["dead"]
 
 
 def test_adopt_reaps_states_whose_home_left_the_view(cluster_factory, make_spec):
@@ -219,3 +218,26 @@ def test_adopt_reaps_states_whose_home_left_the_view(cluster_factory, make_spec)
     rejoiner.adopt_protocol_state(exported)
     assert "T1" not in rejoiner._live
     assert not rejoiner.locks.queued("x0")
+
+
+def test_a_killed_transaction_is_remembered_until_every_site_is_past_its_nack(
+    cluster_factory, make_spec
+):
+    """A NACK kills a transaction everywhere and leaves a tombstone that
+    drops any late message naming it; the tombstone retires once every
+    site has been heard from with a clock past the NACK.  A commit leaves
+    none."""
+    cluster = cluster_factory("cbp", retry_aborted=False)
+    cluster.submit(make_spec("w1", 0, writes={"x0": "a"}), at=0.0)
+    cluster.submit(make_spec("w2", 1, writes={"x0": "b"}), at=0.1)
+    tombstones_seen = set()
+    while cluster.engine.now < 200.0:
+        cluster.run_for(0.5)
+        for replica in cluster.replicas:
+            for tx_id, killed in replica._tombstones.items():
+                tombstones_seen.add(tx_id)
+                assert killed.echoes.keys() < set(range(3))  # not yet heard from all
+    result = cluster.run()
+    assert result.ok and result.metrics.aborts >= 1
+    assert tombstones_seen
+    assert all(not replica._tombstones for replica in cluster.replicas)

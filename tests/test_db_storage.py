@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.storage import StorageError, VersionedStore
+from repro.db.storage import StorageError, VersionedStore, VersionedValue
 
 
 @pytest.fixture
@@ -44,24 +44,21 @@ def test_install_unknown_key_raises(store):
         store.install("nope", 1, "T1")
 
 
-def test_read_specific_version(store):
+def test_install_replaces_the_latest_version(store):
     store.install("x", 10, "T1")
     store.install("x", 20, "T2")
-    assert store.read_version("x", 1).value == 10
-    assert store.read_version("x", 0).value == 0
-    with pytest.raises(StorageError):
-        store.read_version("x", 9)
+    assert store.read("x") == VersionedValue(2, 20, "T2")
+    assert store.version("x") == 2
+    assert store.read("y") == VersionedValue(0, 0, None)
 
 
-def test_history_limit_prunes_old_versions():
-    store = VersionedStore(history_limit=3)
+def test_a_store_keeps_one_version_per_key():
+    store = VersionedStore()
     store.initialize(["x"])
     for n in range(10):
         store.install("x", n, f"T{n}")
-    assert store.read("x").version == 10
-    with pytest.raises(StorageError):
-        store.read_version("x", 0)
-    assert store.read_version("x", 10).value == 9
+    assert store.read("x") == VersionedValue(10, 9, "T9")
+    assert store._objects == {"x": VersionedValue(10, 9, "T9")}
 
 
 def test_digest_equality_tracks_content():

@@ -1,6 +1,6 @@
 """Protocol tests for the point-to-point ROWA + centralized 2PC baseline."""
 
-from repro.core.events import P2pPrepare, P2pWrite
+from repro.core.events import P2pDecision, P2pPrepare, P2pWrite, P2pWriteAck
 from repro.core.transaction import AbortReason
 
 
@@ -252,3 +252,55 @@ def test_one_sizing_per_fanout_not_per_datagram(cluster_factory, make_spec, monk
     assert result.ok and result.committed_specs == 3
     assert cluster.network.stats.sent == 3 * 49
     assert len(sized) == 3 * 25
+
+
+class _Outbox:
+    """Stands in for a replica's router: records what it sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, channel, payload, kind):
+        self.sent.append((dst, payload))
+
+    def multicast(self, dsts, channel, payload, kind):
+        self.sent.extend((dst, payload) for dst in dsts)
+
+
+def test_tombstone_refuses_the_homes_late_write_until_the_homes_decision(cluster_factory):
+    """Site 1's deadlock resolution aborts T, homed at site 0, and its
+    decision reaches site 2 before T's write does: the late write draws a
+    negative ack, and only the home's own decision — its last message
+    naming T down the FIFO link — retires site 2's tombstone."""
+    cohort = cluster_factory("p2p").replicas[2]
+    cohort.router = _Outbox()
+    cohort._on_decision(1, P2pDecision("T#1", False))
+    assert cohort._ended("T#1")
+    cohort._on_write(0, P2pWrite("T#1", "x0", 5, (0.0, 0, "T")))
+    assert cohort.router.sent == [(0, P2pWriteAck("T#1", "x0", 2, False))]
+    assert "T#1" not in cohort._live and not cohort.locks.holders_of("x0")
+    cohort._on_decision(1, P2pDecision("T#1", False))  # a second resolver's copy
+    assert cohort._ended("T#1")
+    cohort._on_decision(0, P2pDecision("T#1", False))
+    assert not cohort._ended("T#1") and not cohort._tombstones
+
+
+def test_a_commit_after_a_local_purge_stays_aborted_and_retires_the_tombstone(
+    cluster_factory,
+):
+    """A cohort purged U on another site's deadlock decision after granting
+    its write; the home's commit decision, crossing that abort, is not
+    applied here (as before tombstones could retire), and is the home's
+    last word on U.  A commit decided by the home leaves no tombstone."""
+    cohort = cluster_factory("p2p").replicas[2]
+    cohort.router = _Outbox()
+    cohort._on_write(0, P2pWrite("U#1", "x1", 7, (0.0, 0, "U")))
+    cohort._on_decision(1, P2pDecision("U#1", False))
+    assert cohort._tombstones == {"U#1": 0}
+    cohort._on_decision(0, P2pDecision("U#1", True))
+    assert cohort.store.read("x1").version == 0
+    assert not cohort._tombstones
+    cohort._on_write(0, P2pWrite("V#1", "x2", 8, (0.0, 0, "V")))
+    cohort._on_decision(0, P2pDecision("V#1", True))
+    assert cohort.store.read("x2").value == 8
+    assert not cohort._tombstones
