@@ -9,7 +9,10 @@ once the run has finished: ``file:line``, live bytes at each length and
 blocks at full length.  A site whose live bytes at full length are at least
 :data:`GROWS` times those at half length (a term linear in run length reads
 2) is marked ``GROWS``: it holds something per operation ever made, not per
-operation in flight.
+operation in flight.  Below the table it counts the events still pending in
+the engine at each length by callback name (a timer scheduled through
+``Process.schedule`` by the function its epoch guard wraps), so a timer term
+is named, not only shown as the engine's own allocation site.
 
 With ``--fail-grows MIB`` it also exits non-zero when an allocation site
 under ``src/`` marked ``GROWS`` holds more than ``MIB`` MiB at full length
@@ -19,6 +22,7 @@ Usage:
     python scripts/retained.py --workload abp_hot_mix
     python scripts/retained.py --workload abp_churn --seed 2
     python scripts/retained.py --workload abp_churn --fail-grows 0.25
+    python scripts/retained.py --workload rbp_wide --fail-grows 0.8
     make retained WORKLOAD=abp_hot_mix
 
 Tracing allocations slows a run about threefold; ``abp_hot_mix`` takes
@@ -28,6 +32,7 @@ about half a minute for both lengths on a 2-core box.
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import json
 import pathlib
@@ -43,8 +48,25 @@ GROWS = 1.5
 TOP = 25
 
 
+def pending_callbacks(engine) -> dict[str, int]:
+    """The events still queued in ``engine`` (cancelled ones left out), by
+    the qualified name of the callback each will run."""
+    from repro.sim.process import Process
+
+    counts: collections.Counter[str] = collections.Counter()
+    for _, _, handle in engine._heap:
+        if handle.cancelled:
+            continue
+        fn = handle.fn
+        if getattr(fn, "__func__", None) is Process._guarded:
+            fn = handle.args[1]  # (epoch, fn, args): the guarded callback
+        counts[getattr(fn, "__qualname__", type(fn).__name__)] += 1
+    return dict(counts)
+
+
 def census(workload_name: str, seed: int, scale: float) -> dict:
-    """Run the workload once and return its live allocation sites."""
+    """Run the workload once and return its live allocation sites and the
+    events still pending in its engine."""
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -70,6 +92,7 @@ def census(workload_name: str, seed: int, scale: float) -> dict:
         "commits": session.log.commits,
         "total": sum(stat.size for stat in stats),
         "sites": sites,
+        "pending": pending_callbacks(session.cluster.engine),
     }
 
 
@@ -101,6 +124,14 @@ def report(workload: str, half: dict, full: dict, top: int) -> list[str]:
         before = half["sites"].get(site, (0, 0))[0]
         mark = "  GROWS" if grows(half, full, site) else ""
         lines.append(f"{site:<52} {before / mib:>9.2f} {size / mib:>9.2f} {count:>9}{mark}")
+    lines.append(f"{'pending engine events, by callback':<52} {'@0.5':>9} {'@1.0':>9}")
+    names = half["pending"].keys() | full["pending"].keys()
+    if not names:
+        lines.append("(none)")
+    for name in sorted(names, key=lambda name: (-full["pending"].get(name, 0), name)):
+        lines.append(
+            f"{name:<52} {half['pending'].get(name, 0):>9} {full['pending'].get(name, 0):>9}"
+        )
     return lines
 
 

@@ -51,12 +51,12 @@ class _TxRecord:
     #: each holding or queued for its exclusive lock.
     writes: dict[str, Any] = field(default_factory=dict)
     #: Home side: the writes not yet sent, the one open acknowledgment round
-    #: (its key, acks and timeout, all ``None`` between rounds) and, once
-    #: 2PC starts, the vote tally.
+    #: (its key, acks and write timeout, all ``None`` between rounds) and,
+    #: once 2PC starts, the vote tally.  ``_discharge`` cancels the timer.
     unsent: list[tuple[str, Any]] = field(default_factory=list)
     round_key: Optional[str] = None
     acks: Optional[Tally] = None
-    timeout: Optional[EventHandle] = None
+    timer: Optional[EventHandle] = None
     votes: Optional[Tally] = None
 
 
@@ -143,7 +143,7 @@ class PointToPointReplica(Replica):
             return
         key, value = rec.unsent.pop(0)
         rec.round_key, rec.acks = key, Tally()
-        rec.timeout = self.schedule(self.write_timeout, self._write_timed_out, tx.tx_id, key)
+        rec.timer = self.schedule(self.write_timeout, self._write_timed_out, tx.tx_id, key)
         write = P2pWrite(tx.tx_id, key, value, tx.priority)
         self._to_others(write)
         # Our own copy takes the local path: it draws nothing from the
@@ -192,8 +192,8 @@ class PointToPointReplica(Replica):
 
     def _check_round(self, tx: Transaction, rec: _TxRecord) -> None:
         if rec.acks.complete(self.view_member_set):
-            rec.timeout.cancel()
-            rec.round_key = rec.acks = rec.timeout = None
+            rec.timer.cancel()
+            rec.round_key = rec.acks = rec.timer = None
             self._send_next_write(tx, rec)
 
     def _write_timed_out(self, tx_id: str, key: str) -> None:
@@ -243,13 +243,6 @@ class PointToPointReplica(Replica):
             self._purge(decision.tx, src)
 
     # -- the terminal paths -----------------------------------------------------------------
-
-    def _discharge(self, tx_id: str) -> None:
-        """Also disarms the write timeout of a round still open."""
-        rec = self._live.get(tx_id)
-        if rec is not None and rec.timeout is not None:
-            rec.timeout.cancel()
-        super()._discharge(tx_id)
 
     def _abort_everywhere(self, tx: Transaction, reason: AbortReason) -> None:
         self._to_others(P2pDecision(tx.tx_id, False))

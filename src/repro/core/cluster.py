@@ -40,6 +40,7 @@ from repro.db.serialization import (
     SerializationResult,
     replicas_converged,
 )
+from repro.db.storage import VersionedStore, VersionedValue
 from repro.net.batching import BroadcastBatcher
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import Network
@@ -223,6 +224,12 @@ class Cluster:
 
     def _build(self) -> None:
         config = self.config
+        # The database's initial state (every key at one shared version 0)
+        # and a table of the latest version installed per key, each built
+        # once and shared by every site's store: a site holds only the keys
+        # it wrote (repro.db.storage).
+        initial = dict.fromkeys(self.keys, VersionedValue(0, 0, None))
+        versions: dict[str, VersionedValue] = {}
         for site in range(config.num_sites):
             transport = ReliableTransport(
                 self.engine,
@@ -247,7 +254,7 @@ class Cluster:
 
             replica = self._build_replica(site, router, reliable)
             replica.on_complete = self._on_complete
-            replica.store.initialize(self.keys)
+            replica.store = VersionedStore(initial, versions)
             self.replicas.append(replica)
             # The highest layer the protocol put on the reliable one.
             self.stacks.append((self.totals or self.causals or self.reliables)[site])

@@ -58,7 +58,7 @@ from repro.core.transaction import AbortReason, Transaction, TxPhase
 from repro.db.locks import LockMode
 from repro.db.serialization import HistoryRecorder
 from repro.net.router import ChannelRouter
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import EventHandle, SimulationEngine
 from repro.sim.outbox import Outbox, by_destination
 from repro.sim.trace import TraceLog
 
@@ -94,6 +94,10 @@ class _TxRecord:
     rounds: dict[str, Tally] = field(default_factory=dict)
     unsent: list[tuple[str, Any]] = field(default_factory=list)
     progress: float = 0.0
+    #: The record's watchdog, last armed: the home's write- then
+    #: vote-progress check, a cohort's orphan check.  It ends with the
+    #: record (``Replica._discharge`` cancels it).
+    timer: Optional[EventHandle] = None
 
 
 class ReliableBroadcastReplica(Replica):
@@ -198,7 +202,7 @@ class ReliableBroadcastReplica(Replica):
     def start_update(self, tx: Transaction) -> None:
         self.public.add(tx.tx_id)
         rec = self._live[tx.tx_id] = _TxRecord(home=self.site, unsent=list(tx.spec.writes))
-        self.engine.schedule(self.write_grace, self._check_write_progress, tx.tx_id)
+        rec.timer = self.engine.schedule(self.write_grace, self._check_write_progress, tx.tx_id)
         self._advance(tx, rec)
 
     def _advance(self, tx: Transaction, rec: _TxRecord) -> None:
@@ -218,7 +222,10 @@ class ReliableBroadcastReplica(Replica):
         # All writes acknowledged everywhere: start decentralized 2PC.
         tx.phase = TxPhase.COMMITTING
         self.rbcast.broadcast(RbpCommitRequest(tx.tx_id, self.site))
-        self.engine.schedule(self.write_grace, self._check_vote_progress, tx.tx_id)
+        # No round is open or left to send, and none ever will be: the
+        # write-phase watchdog could only return from here on.
+        rec.timer.cancel()
+        rec.timer = self.engine.schedule(self.write_grace, self._check_vote_progress, tx.tx_id)
 
     def _on_ack(self, ack: RbpWriteAck) -> None:
         tx = self.local.get(ack.tx)
@@ -258,7 +265,7 @@ class ReliableBroadcastReplica(Replica):
             return  # answered, or write phase finished: 2PC owns termination now
         due = rec.progress + self.write_grace
         if self.now < due - 1e-9:
-            self.engine.schedule(due - self.now, self._check_write_progress, tx_id)
+            rec.timer = self.engine.schedule(due - self.now, self._check_write_progress, tx_id)
             return
         self.metrics.rbp_write_timeouts += 1
         self._emit("rbp.write_timeout", tx=tx_id)
@@ -286,7 +293,7 @@ class ReliableBroadcastReplica(Replica):
         self.metrics.rbp_vote_retries += 1
         self._emit("rbp.vote_retry", tx=tx_id)
         self.rbcast.broadcast(RbpCommitRequest(tx_id, self.site))
-        self.engine.schedule(self.write_grace, self._check_vote_progress, tx_id)
+        rec.timer = self.engine.schedule(self.write_grace, self._check_vote_progress, tx_id)
 
     def _abort_everywhere(self, tx: Transaction, reason: AbortReason) -> None:
         self.rbcast.broadcast(RbpAbort(tx.tx_id))
@@ -338,7 +345,9 @@ class ReliableBroadcastReplica(Replica):
             rec.writes[write.key] = write.value
             if write.home != self.site:
                 if rec.heard is None:
-                    self.engine.schedule(self.orphan_grace, self._check_orphan, write.tx)
+                    rec.timer = self.engine.schedule(
+                        self.orphan_grace, self._check_orphan, write.tx
+                    )
                 rec.heard = self.now
         self._send_ack(write, ok=granted)
 
@@ -374,11 +383,11 @@ class ReliableBroadcastReplica(Replica):
                 self._enter_in_doubt(tx_id, rec)
                 return
             rec.stalled_waits += 1
-            self.engine.schedule(self.orphan_grace, self._check_orphan, tx_id)
+            rec.timer = self.engine.schedule(self.orphan_grace, self._check_orphan, tx_id)
             return
         due = rec.heard + self.orphan_grace
         if self.now < due - 1e-9:
-            self.engine.schedule(due - self.now, self._check_orphan, tx_id)
+            rec.timer = self.engine.schedule(due - self.now, self._check_orphan, tx_id)
             return
         self._emit("rbp.presume_abort", tx=tx_id)
         self._purge(tx_id)

@@ -180,8 +180,13 @@ class Replica(Process):
     def _discharge(self, tx_id: str) -> None:
         """Drop the record and the locks of ``tx_id``: the one exit every
         terminal path takes (commit, purge, read-only commit; a crash drops
-        them all at once)."""
-        self._live.pop(tx_id, None)
+        them all at once).  A record's watchdog ends with it: the record's
+        ``timer`` slot, where its protocol keeps one (ABP's, a plain write
+        dict, keeps none), is cancelled here."""
+        rec = self._live.pop(tx_id, None)
+        timer = getattr(rec, "timer", None)
+        if timer is not None:
+            timer.cancel()
         self.locks.release_all(tx_id)
 
     def _install_commit(self, tx_id: str, writes: dict[str, Any], adopted: bool = False) -> None:

@@ -5,9 +5,14 @@ version; version numbers are per-object and dense (0 is the initial
 version).  Only the latest is kept: sites run strict 2PL on the latest copy,
 and the 1SR checker resolves each read by the version its reader recorded.
 
-Every key :meth:`VersionedStore.initialize` creates shares one immutable
-``VersionedValue(0, value, None)`` until its first write, so a key this
-store never writes costs it nothing of its own.
+A store holds of its own only the keys it has written: its map has a key
+iff the key's version is above 0.  Every other key reads through the
+*initial mapping* (key -> its version 0), which the stores of one cluster
+share, so a key no site writes costs no site anything.  The stores of a
+cluster also share one table of the latest version any of them installed
+per key: a replica installing the commit another replica already installed
+(same version, same value object, same writer) keeps that replica's
+``VersionedValue`` rather than building its own copy.
 """
 
 from __future__ import annotations
@@ -30,31 +35,47 @@ class StorageError(KeyError):
 
 
 class VersionedStore:
-    """The committed state of one replica."""
+    """The committed state of one replica.
 
-    def __init__(self) -> None:
+    ``initial`` (key -> version 0) and ``versions`` (key -> the latest
+    version installed through this table) may be shared with other stores;
+    a store left to its own gets fresh ones.
+    """
+
+    def __init__(
+        self,
+        initial: Optional[dict[str, VersionedValue]] = None,
+        versions: Optional[dict[str, VersionedValue]] = None,
+    ) -> None:
+        self._initial: dict[str, VersionedValue] = {} if initial is None else initial
+        self._versions: dict[str, VersionedValue] = {} if versions is None else versions
+        #: key -> latest version, for the keys written here (version > 0).
         self._objects: dict[str, VersionedValue] = {}
         self.install_count = 0
 
     def initialize(self, keys: Iterable[str], value: Any = 0) -> None:
         """Create objects at version 0 (the database's initial state), all
-        sharing one initial version."""
+        sharing one initial version.  A key already here is left as it is,
+        so every store over one shared initial mapping may call this."""
         initial = VersionedValue(0, value, None)
+        base, objects = self._initial, self._objects
         for key in keys:
-            if key not in self._objects:
-                self._objects[key] = initial
+            if key not in base and key not in objects:
+                base[key] = initial
 
     def contains(self, key: str) -> bool:
-        return key in self._objects
+        return key in self._objects or key in self._initial
 
     def keys(self) -> list[str]:
-        return sorted(self._objects)
+        return sorted(self._initial.keys() | self._objects.keys())
 
     def read(self, key: str) -> VersionedValue:
         """Latest committed version of ``key``."""
         latest = self._objects.get(key)
         if latest is None:
-            raise StorageError(f"unknown object {key!r}")
+            latest = self._initial.get(key)
+            if latest is None:
+                raise StorageError(f"unknown object {key!r}")
         return latest
 
     def version(self, key: str) -> int:
@@ -69,10 +90,21 @@ class VersionedStore:
     def install(self, key: str, value: Any, writer: str) -> int:
         """Install a new committed version; returns its version number."""
         latest = self._objects.get(key)
-        if latest is None:
+        if latest is not None:
+            new_version = latest.version + 1
+        elif key in self._initial:
+            new_version = 1
+        else:
             raise StorageError(f"unknown object {key!r}")
-        new_version = latest.version + 1
-        self._objects[key] = VersionedValue(new_version, value, writer)
+        made = self._versions.get(key)
+        if (
+            made is None
+            or made.version != new_version
+            or made.value is not value
+            or made.writer != writer
+        ):
+            made = self._versions[key] = VersionedValue(new_version, value, writer)
+        self._objects[key] = made
         self.install_count += 1
         return new_version
 
@@ -80,33 +112,60 @@ class VersionedStore:
         """Every object as (key, version, value), sorted: a hashable summary
         of the committed state, and (as :meth:`export_snapshot`) the
         wire-friendly payload of a state transfer."""
-        return tuple(
-            (key, latest.version, latest.value) for key, latest in sorted(self._objects.items())
-        )
+        objects, initial = self._objects, self._initial
+        rows = []
+        for key in sorted(initial.keys() | objects.keys()):
+            latest = objects[key] if key in objects else initial[key]
+            rows.append((key, latest.version, latest.value))
+        return tuple(rows)
 
     export_snapshot = digest
 
     def same_state(self, other: "VersionedStore") -> bool:
         """``self.digest() == other.digest()`` without building or sorting
-        either: ``(version, value)`` compared key by key, stopping at the
-        first difference."""
-        theirs = other._objects
-        return len(self._objects) == len(theirs) and all(
+        either.  Over one shared initial mapping two stores can differ only
+        in the keys written, so only those are compared: ``(version,
+        value)`` key by key, stopping at the first difference."""
+        if self._initial is not other._initial:
+            return self.digest() == other.digest()
+        mine, theirs = self._objects, other._objects
+        return len(mine) == len(theirs) and all(
             (others := theirs.get(key)) is not None
             and latest.version == others.version
             # Identity first, as tuple comparison does (a shared NaN is equal).
             and (latest.value is others.value or latest.value == others.value)
-            for key, latest in self._objects.items()
+            for key, latest in mine.items()
         )
 
     def load_snapshot(
         self, snapshot: Iterable[tuple[str, int, Any]], writer: str = "state-transfer"
     ) -> None:
-        """Replace our state with a received snapshot (state transfer)."""
-        self._objects = {
-            key: VersionedValue(version, value, writer if version > 0 else None)
-            for key, version, value in snapshot
-        }
+        """Replace our state with a received snapshot (state transfer).
+
+        The written keys become this store's own; the keys at version 0 keep
+        reading through the initial mapping when the snapshot agrees with it
+        (every key of it present, each version-0 value the very object it
+        holds), as a snapshot between stores of one cluster does.  Otherwise
+        the store takes a mapping of its own, built from the snapshot.
+        """
+        objects: dict[str, VersionedValue] = {}
+        unwritten: dict[str, Any] = {}
+        for key, version, value in snapshot:
+            if version > 0:
+                objects[key] = VersionedValue(version, value, writer)
+            else:
+                unwritten[key] = value
+        initial = self._initial
+        agrees = all(
+            (base := initial.get(key)) is not None and base.value is value
+            for key, value in unwritten.items()
+        ) and all(key in objects or key in unwritten for key in initial)
+        if not agrees:
+            self._initial = {
+                key: VersionedValue(0, value, None) for key, value in unwritten.items()
+            }
+        self._objects = objects
 
     def __len__(self) -> int:
-        return len(self._objects)
+        initial = self._initial
+        return len(initial) + sum(key not in initial for key in self._objects)

@@ -1,9 +1,10 @@
 """Base class for simulated entities (sites, detectors, clients).
 
-A :class:`Process` owns a set of timers; crashing a process cancels all of
-its timers and makes subsequent ``schedule`` calls inert, which models a
-fail-stop site [SS82]: a crashed site performs no further actions until it is
-explicitly recovered.  Periodic work is registered once, with
+Every timer a :class:`Process` schedules carries the process's crash epoch;
+crashing the process bumps the epoch, so each timer armed before the crash
+fires as a no-op, and nothing scheduled while it is down runs either.  That
+models a fail-stop site [SS82]: a crashed site performs no further actions
+until it is explicitly recovered.  Periodic work is registered once, with
 :meth:`Process.every`; no subclass re-arms a tick loop by hand.
 """
 
@@ -17,20 +18,15 @@ from repro.sim.engine import EventHandle, SimulationEngine
 class Process:
     """A simulated entity attached to an engine.
 
-    Subclasses schedule work through :meth:`schedule`, which (a) tags the
-    callback so it silently drops if the process crashed in the meantime and
-    (b) tracks pending timers so :meth:`crash` can cancel them.
+    Subclasses schedule work through :meth:`schedule`, which tags the
+    callback so it silently drops if the process crashed in the meantime
+    (the process keeps no list of its timers).
     """
 
     def __init__(self, engine: SimulationEngine, name: str):
         self.engine = engine
         self.name = name
         self.alive = True
-        self._timers: list[EventHandle] = []
-        #: Drop fired/cancelled handles from ``_timers`` once it outgrows
-        #: this; reset to twice the survivors, so pruning is amortised O(1)
-        #: however many timers are genuinely pending.
-        self._prune_at = 256
         self._crash_count = 0
         #: ``(interval, tick)`` per unended :meth:`every` loop, for :meth:`recover`.
         self._loops: list[tuple[float, Callable[[], None]]] = []
@@ -41,13 +37,7 @@ class Process:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay``, dropped if we crash first."""
-        epoch = self._crash_count
-        handle = self.engine.schedule(delay, self._guarded, epoch, fn, args)
-        self._timers.append(handle)
-        if len(self._timers) > self._prune_at:
-            self._timers = [h for h in self._timers if h.pending]
-            self._prune_at = max(256, 2 * len(self._timers))
-        return handle
+        return self.engine.schedule(delay, self._guarded, self._crash_count, fn, args)
 
     def _guarded(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
         if self.alive and epoch == self._crash_count:
@@ -74,14 +64,12 @@ class Process:
             self.schedule(interval, tick)
 
     def crash(self) -> None:
-        """Fail-stop: cancel all pending timers and stop reacting to events."""
+        """Fail-stop: stop reacting to events; every timer armed so far
+        fires as a no-op (the epoch guard of :meth:`schedule`)."""
         if not self.alive:
             return
         self.alive = False
         self._crash_count += 1
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
         self.on_crash()
 
     def recover(self) -> None:

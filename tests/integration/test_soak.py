@@ -248,3 +248,38 @@ def test_cbp_state_transfer_reply_does_not_grow_with_run_length():
     ever ended, so at quiescence its reply is the same size at half and at
     full length."""
     assert cbp_reply_bytes(400) == cbp_reply_bytes(800)
+
+
+def rbp_end_state(transactions):
+    """An 8-site RBP cluster once ``transactions`` updates have run, with
+    far more keys than the run writes: the events still pending in the
+    engine, the records still live at the sites, the keys committed
+    transactions wrote, and the keys each store holds of its own."""
+    cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=8, num_objects=1024, seed=17))
+    written: set[str] = set()
+    cluster.add_spec_listener(
+        lambda status: status.committed and written.update(status.spec.write_keys)
+    )
+    workload = WorkloadConfig(num_objects=1024, num_sites=8, read_ops=1, write_ops=2)
+    assert run_standard_mix(cluster, workload, transactions=transactions, mpl=4).ok
+    return (
+        cluster.engine.pending_count(),
+        sum(len(replica._live) for replica in cluster.replicas),
+        written,
+        [set(replica.store._objects) for replica in cluster.replicas],
+    )
+
+
+def test_rbp_timers_and_stores_do_not_grow_with_run_length():
+    """RBP's watchdogs end with their record, so what the engine still
+    holds at the end is bounded by the records still live (none: the run
+    is over), not by the transactions that ran -- before, every remote
+    write left a presumed-abort timer at every site, 1,350 events pending
+    after 150 transactions and 2,700 after 300.  And a store holds of its
+    own only the keys the run wrote; every other key reads through the
+    cluster's one initial mapping."""
+    for transactions in (150, 300):
+        pending, live, written, own = rbp_end_state(transactions)
+        assert pending <= live == 0, transactions
+        assert 0 < len(written) < 1024 // 2, transactions
+        assert own == [written] * 8, transactions

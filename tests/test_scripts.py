@@ -117,15 +117,29 @@ def test_retained_marks_the_sites_that_grow_with_the_run():
     spec.loader.exec_module(retained)
     mib = 1024 * 1024
     store = (2 * mib, 5)
-    half = {"commits": 50, "total": 3 * mib, "sites": {"wal.py:1": (mib, 10), "store.py:2": store}}
+    half = {
+        "commits": 50,
+        "total": 3 * mib,
+        "sites": {"wal.py:1": (mib, 10), "store.py:2": store},
+        "pending": {"Site._watchdog": 40, "Process.every.<locals>.tick": 2},
+    }
     full = {
-        "commits": 100, "total": 4 * mib, "sites": {"wal.py:1": (2 * mib, 20), "store.py:2": store}
+        "commits": 100,
+        "total": 4 * mib,
+        "sites": {"wal.py:1": (2 * mib, 20), "store.py:2": store},
+        "pending": {"Site._watchdog": 80, "Process.every.<locals>.tick": 2, "Link._retry": 1},
     }
     lines = retained.report("w", half, full, top=5)
     assert lines[0] == "w: 50 → 100 commits; live 3.0 → 4.0 MiB traced"
     rows = {line.split()[0]: line for line in lines[2:]}
     assert rows["wal.py:1"].endswith("GROWS") and not rows["store.py:2"].endswith("GROWS")
-    assert len(retained.report("w", half, full, top=1)) == 3
+    # Pending events by callback, most at full length first, at both lengths.
+    assert [line.split() for line in lines[-3:]] == [
+        ["Site._watchdog", "40", "80"],
+        ["Process.every.<locals>.tick", "2", "2"],
+        ["Link._retry", "0", "1"],
+    ]
+    assert len(retained.report("w", half, full, top=1)) == 3 + 1 + 3
 
 
 def test_retained_fail_grows_names_growing_src_sites_over_the_budget():

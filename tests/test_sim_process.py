@@ -33,6 +33,7 @@ def test_scheduled_work_runs_while_alive():
 
 
 def test_crash_cancels_pending_timers():
+    """A crash stops the tick chain: each timer armed before it is inert."""
     engine = SimulationEngine()
     ticker = Ticker(engine)
     ticker.schedule(1.0, ticker.tick)
@@ -59,7 +60,7 @@ def test_timers_from_before_crash_do_not_fire_after_recover():
     engine.schedule(1.0, ticker.crash)
     engine.schedule(2.0, ticker.recover)
     engine.run(until=50.0)
-    # The pre-crash timer was cancelled; recovery does not resurrect it.
+    # The pre-crash timer is inert; recovery does not resurrect it.
     assert ticker.ticks == 0
     assert ticker.recoveries == 1
     assert ticker.alive
@@ -90,28 +91,25 @@ def test_double_crash_and_double_recover_are_idempotent():
     assert ticker.recoveries == 1
 
 
-def test_pruning_is_amortised_and_crash_still_cancels_everything():
-    """With more than 256 timers genuinely pending, schedule() used to rebuild
-    the timer list on every call; now only when the list has doubled."""
+def test_after_a_crash_no_timer_runs_and_recover_restarts_each_loop_once():
+    """The process keeps no list of its timers, and a crash cancels none of
+    them: the epoch guard makes every timer armed before the crash inert,
+    however many are pending, and each recovery starts an ``every`` loop
+    once -- the stale tick of the loop's old epoch never adds a second."""
     engine = SimulationEngine()
     ticker = Ticker(engine)
-    handles, rebuilds = [], 0
-    for n in range(1000):
-        before = ticker._timers
-        handles.append(ticker.schedule(1000.0 + n, ticker.tick))
-        rebuilds += ticker._timers is not before
-    assert rebuilds == 2  # on outgrowing 256, then on doubling to 514
-    for handle in handles[:900]:
-        handle.cancel()
-    while len(ticker._timers) >= len(handles):  # until the next doubling
-        handles.append(ticker.schedule(5000.0, ticker.tick))
-    assert len(handles) < 1100
-    assert len(ticker._timers) == len(handles) - 900  # the dead are gone
-    ticker.crash()
-    assert not any(handle.pending for handle in handles)
-    assert engine.pending_count() == 0
-    engine.run()
+    handles = [ticker.schedule(10.0 + n, ticker.tick) for n in range(1000)]
+    looped = []
+    ticker.every(5.0, lambda: looped.append(engine.now))
+    for at, action in [(7.0, ticker.crash), (8.0, ticker.recover),
+                       (14.0, ticker.crash), (16.0, ticker.recover)]:
+        engine.schedule_at(at, action)
+    engine.run(until=40.0)
     assert ticker.ticks == 0
+    assert looped == [5.0, 13.0, 21.0, 26.0, 31.0, 36.0]
+    assert not any(handle.cancelled for handle in handles)
+    engine.run(until=1100.0)
+    assert ticker.ticks == 0 and all(handle.fired for handle in handles)
 
 
 def test_every_fires_while_alive_is_rearmed_once_and_ends_on_false():
