@@ -3,7 +3,7 @@
 The paper's protocols pay a fixed per-datagram price — framing bytes on
 the wire, one loss trial per datagram on a lossy link.  E14 measures what
 coalescing a flush window's traffic into shared envelopes (plus group
-commit and delta vector clocks) buys along both axes, sweeping the flush
+commit) buys along both axes, sweeping the flush
 window for all four protocols on lossy links, where the per-datagram loss
 trials make the price visible:
 
@@ -94,7 +94,7 @@ def test_e14_batching_sweep(benchmark):
         )
         assert best_txn_s > base["txn_s"]
         # ...and the moderate window is cheaper on the wire: shared
-        # headers + delta clocks + group commit.
+        # headers + group commit.
         assert measured[(protocol, 2.0)]["bytes_per_update"] < base["bytes_per_update"]
     # The step change the batching layer exists for: ABP (the paper's
     # throughput winner) gains at least 1.5x committed txn/s.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every experiment table (E1..E13) in one run.
+"""Regenerate every experiment table (E1..E14) in one run.
 
 This is the reproduction entry point referenced by EXPERIMENTS.md: it
 invokes the benchmark suite with output capture disabled so all result

@@ -16,7 +16,7 @@ views [Bv94, SS94].
 from repro.broadcast.message import BroadcastMessage, MessageId
 from repro.broadcast.vector_clock import VectorClock
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.causal import CausalBroadcast, CausalEnvelope, DeltaCausalEnvelope
+from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
 from repro.broadcast.total import SequencedEnvelope, TotalOrderBroadcast
 from repro.broadcast.failure_detector import FailureDetector
 from repro.broadcast.membership import MembershipService, View
@@ -26,7 +26,6 @@ __all__ = [
     "BroadcastMessage",
     "CausalBroadcast",
     "CausalEnvelope",
-    "DeltaCausalEnvelope",
     "FailureDetector",
     "MembershipService",
     "MessageId",

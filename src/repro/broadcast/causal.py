@@ -40,19 +40,6 @@ As the paper requires for the CBP protocol, the message clocks are exposed
 to the application layer: the upward callback receives the stamped envelope,
 and :meth:`clock` reports the site's current delivered-vector, so protocols
 can test causal precedence and concurrency between operations.
-
-**Delta clocks** (:meth:`CausalBroadcast.enable_delta_clocks`): with the
-batching feature on, a broadcast may ship a :class:`DeltaCausalEnvelope`
-carrying only the clock entries that changed since the sender's previous
-broadcast, instead of the full O(n) vector.  Every receiver reconstructs
-the full stamp from its record of that previous stamp; a delta arriving
-before its base (relay and retransmission reorder across links) is parked
-until the base reconstructs.  The sender falls back to a full clock
-whenever continuity is in doubt — first broadcast, view change
-(:meth:`set_group`, which also covers ARQ epoch bumps: link incarnations
-only change through the crash/recovery path that announces a view change)
-or recovery (:meth:`adopt_state`) — and whenever the delta would not
-actually be smaller on the wire.
 """
 
 from __future__ import annotations
@@ -66,7 +53,7 @@ from typing import Any, Callable, Optional
 from repro.broadcast.message import BroadcastMessage
 from repro.broadcast.reliable import ReliableBroadcast
 from repro.broadcast.vector_clock import VectorClock
-from repro.net.sizes import estimate_size, kind_of, register_payload
+from repro.net.sizes import kind_of, register_payload
 
 
 @dataclass(slots=True)
@@ -74,27 +61,6 @@ class CausalEnvelope:
     """A payload stamped with the sender's vector clock at broadcast time."""
 
     vc: VectorClock
-    payload: Any
-    kind: str = ""
-
-    def __post_init__(self) -> None:
-        self.kind = sys.intern(self.kind or kind_of(self.payload))
-
-
-@dataclass(slots=True)
-class DeltaCausalEnvelope:
-    """A payload stamped with only the clock entries that changed.
-
-    ``delta`` holds ``(site, value)`` pairs — the output of
-    :meth:`VectorClock.delta_since` against the sender's previous stamp.
-    The sender's own entry always appears (each broadcast increments it),
-    so the receiver reads the sender's sequence number straight from the
-    delta to order reconstruction.  Receivers rebuild the full
-    :class:`CausalEnvelope` before the holdback queue ever sees the
-    message; the rest of the stack is delta-agnostic.
-    """
-
-    delta: tuple[tuple[int, int], ...]
     payload: Any
     kind: str = ""
 
@@ -135,18 +101,6 @@ class CausalBroadcast:
         self.delivered_count = 0
         #: Optional matrix-clock stability tracking (see enable_stability).
         self.stability = None
-        #: Delta-clock state (enable_delta_clocks): the stamp of our own
-        #: previous broadcast, whether the next broadcast must ship a full
-        #: clock, each peer's last reconstructed stamp, and deltas parked
-        #: waiting for their reconstruction base, per sender by sequence.
-        self._delta_enabled = False
-        self._last_stamp: Optional[VectorClock] = None
-        self._full_due = True
-        self._recon: dict[int, VectorClock] = {}
-        self._recon_pending: dict[int, dict[int, BroadcastMessage]] = {}
-        self.deltas_sent = 0
-        self.fulls_sent = 0
-        self.deltas_parked = 0
         reliable.set_deliver(self._on_reliable_deliver)
 
     def enable_stability(self):
@@ -160,13 +114,6 @@ class CausalBroadcast:
 
         self.stability = StabilityTracker(self.num_sites, self.site)
         return self.stability
-
-    def enable_delta_clocks(self) -> None:
-        """Ship vector clocks as deltas against the previous broadcast
-        whenever that is smaller on the wire (see the module docstring).
-        Cluster-wide: every site of a group must agree, since receivers
-        only reconstruct what senders encode."""
-        self._delta_enabled = True
 
     @property
     def clock(self) -> VectorClock:
@@ -187,99 +134,19 @@ class CausalBroadcast:
         own *send* counter, so back-to-back broadcasts issued before our own
         first message loops back through delivery still get distinct,
         FIFO-ordered stamps.
-
-        With delta clocks enabled the wire form may be a
-        :class:`DeltaCausalEnvelope`; the returned envelope is always the
-        full stamp regardless.
         """
         self._send_seq += 1
         stamp = self._clock.copy()
         stamp.entries[self.site] = self._send_seq
         envelope = CausalEnvelope(stamp, payload, kind or "")
-        wire: Any = envelope
-        if self._delta_enabled:
-            wire = self._encode(envelope)
-        self._last_stamp = stamp
-        self.reliable.broadcast(wire, envelope.kind)
+        self.reliable.broadcast(envelope, envelope.kind)
         return envelope
 
-    def _encode(self, envelope: CausalEnvelope) -> Any:
-        """Pick the wire form: delta when safe and strictly smaller."""
-        if self._full_due or self._last_stamp is None:
-            self._full_due = False
-            self.fulls_sent += 1
-            return envelope
-        delta = envelope.vc.delta_since(self._last_stamp)
-        # Payload and kind are common to both forms: compare the encodings.
-        if estimate_size(delta) < estimate_size(envelope.vc):
-            self.deltas_sent += 1
-            return DeltaCausalEnvelope(delta, envelope.payload, envelope.kind)
-        self.fulls_sent += 1
-        return envelope
-
-    # -- receive path: reconstruction, admission, delivery ------------------------
+    # -- receive path: admission, delivery -----------------------------------------
 
     def _on_reliable_deliver(self, message: BroadcastMessage) -> None:
-        payload = message.payload
-        if type(payload) is DeltaCausalEnvelope:
-            envelope = self._decode_delta(message)
-            if envelope is None:
-                return  # parked until its base reconstructs, or stale
-        else:
-            envelope = payload
-            if self._delta_enabled:
-                self._note_recon(message.sender, envelope.vc)
-        self._admit(message, envelope)
-        if self._recon_pending:
-            self._drain_recon(message.sender)
+        self._admit(message, message.payload)
         self._pump()
-
-    def _decode_delta(self, message: BroadcastMessage) -> Optional[CausalEnvelope]:
-        wire: DeltaCausalEnvelope = message.payload
-        sender = message.sender
-        seq = -1
-        for site, value in wire.delta:
-            if site == sender:
-                seq = value
-                break
-        if seq < 0:
-            raise RuntimeError(
-                f"site {self.site}: delta from {sender} lacks the sender's own entry"
-            )
-        prev = self._recon.get(sender)
-        if prev is None or seq > prev.entries[sender] + 1:
-            # Base not reconstructed yet (relay/retransmit reorder): park.
-            self._recon_pending.setdefault(sender, {})[seq] = message
-            self.deltas_parked += 1
-            return None
-        if seq <= prev.entries[sender]:
-            return None  # stale duplicate of an already-reconstructed stamp
-        vc = prev.apply_delta(wire.delta)
-        self._recon[sender] = vc
-        return CausalEnvelope(vc, wire.payload, wire.kind)
-
-    def _note_recon(self, sender: int, vc: VectorClock) -> None:
-        """A full stamp re-seeds the reconstruction chain for ``sender``."""
-        prev = self._recon.get(sender)
-        if prev is None or vc.entries[sender] > prev.entries[sender]:
-            self._recon[sender] = vc
-
-    def _drain_recon(self, sender: int) -> None:
-        """Admit parked deltas from ``sender`` whose base just arrived."""
-        parked = self._recon_pending.get(sender)
-        if not parked:
-            return
-        while True:
-            prev = self._recon[sender]
-            message = parked.pop(prev.entries[sender] + 1, None)
-            if message is None:
-                break
-            wire: DeltaCausalEnvelope = message.payload
-            vc = prev.apply_delta(wire.delta)
-            self._recon[sender] = vc
-            self._admit(message, CausalEnvelope(vc, wire.payload, wire.kind))
-        if not parked:
-            del self._recon_pending[sender]
 
     def _admit(self, message: BroadcastMessage, envelope: CausalEnvelope) -> None:
         """Deliver a message at once when it is the next in causal order,
@@ -352,32 +219,20 @@ class CausalBroadcast:
         self._deliver(message, envelope)
 
     def pending_count(self) -> int:
-        """Messages held back waiting for causal predecessors (including
-        deltas parked for reconstruction)."""
-        parked = sum(
-            len(self._recon_pending[sender]) for sender in sorted(self._recon_pending)
-        )
-        return len(self._held) + parked
+        """Messages held back waiting for causal predecessors."""
+        return len(self._held)
 
     # -- the stack's chain: view changes and state transfer ------------------------
 
     def set_group(self, members: list[int]) -> None:
-        """Adopt a new view, bottom-up.  Some receiver may have lost our
-        reconstruction chain (this also covers ARQ link-epoch bumps): the
-        next broadcast ships a full clock."""
+        """Adopt a new view: the reliable layer below keeps the group."""
         self.reliable.set_group(members)
-        self._full_due = True
 
     def export_state(self) -> dict:
         """The lower layers' state-transfer keys plus ours: the delivered
-        clock and, with delta clocks on (``None`` costs no wire bytes), the
-        last reconstructed stamp per sender, so a rejoiner can decode deltas
-        that straddle the transfer — under static membership no view change
-        makes the senders go full, so this is the only defense."""
+        clock."""
         state = self.reliable.export_state()
         state["causal_clock"] = list(self._clock)
-        if self._delta_enabled:
-            state["causal_recon"] = {s: list(vc) for s, vc in self._recon.items()}
         return state
 
     def adopt_state(self, state: Any) -> None:
@@ -405,11 +260,6 @@ class CausalBroadcast:
         for held in survivors:
             self._held[held.order] = held
             self._register(held)
-        # Receivers may have lost our reconstruction chain while we were
-        # away; ship a full clock first.
-        self._full_due = True
-        for sender, entries in sorted((state.causal_recon or {}).items()):
-            self._note_recon(sender, VectorClock(entries))
 
     def _deliverable_in_future(self, held: _Held) -> bool:
         return held.envelope.vc[held.message.sender] > self._clock[held.message.sender]
@@ -417,4 +267,3 @@ class CausalBroadcast:
 
 # Import-time shape check for the size model (detcheck P201/P202).
 register_payload(CausalEnvelope)
-register_payload(DeltaCausalEnvelope)

@@ -135,35 +135,6 @@ class VectorClock:
         """Neither clock happened before the other."""
         return self.compare(other) == CONCURRENT
 
-    def delta_since(self, other: "VectorClock") -> tuple[tuple[int, int], ...]:
-        """Changed entries of ``self`` relative to ``other``, as ``(site,
-        value)`` pairs in site order.
-
-        This is the wire encoding behind delta clocks (see
-        ``CausalBroadcast.enable_delta_clocks``): a sender that knows the
-        receiver reconstructed ``other`` ships only the entries that differ.
-        Any difference is reported — including entries that went *down* —
-        so ``other.apply_delta(self.delta_since(other)) == self`` holds for
-        arbitrary clock pairs, not only monotone successors.
-        """
-        self._check_compatible(other)
-        return tuple(
-            (site, a)
-            for site, (a, b) in enumerate(zip(self.entries, other.entries))
-            if a != b
-        )
-
-    def apply_delta(self, changes: Iterable[tuple[int, int]]) -> "VectorClock":
-        """New clock: ``self`` with each ``(site, value)`` entry replaced.
-
-        Inverse of :meth:`delta_since` — the receiver applies the shipped
-        changes to its reconstruction of the sender's previous stamp.
-        """
-        clock = self.copy()
-        for site, value in changes:
-            clock.entries[site] = value
-        return clock
-
     def dominates_entry(self, site: int, value: int) -> bool:
         """True when this clock has seen at least ``value`` events of ``site``.
 

@@ -64,17 +64,16 @@ class ClusterConfig:
     latency: Optional[LatencyModel] = None  # default: UniformLatency(0.5, 1.5)
     loss_rate: float = 0.0
     bandwidth: Optional[float] = None  # bytes/ms per link; None = infinite
-    # Transport mode: None = ARQ exactly when loss_rate > 0 (lossless runs
-    # stay passthrough and bit-identical to the analytical cost model);
-    # True = ARQ always, required before FaultSchedule.flaky_links can
-    # inject loss mid-run on a lossless build; False = passthrough always
-    # (rejected when loss_rate > 0).
-    reliable_links: Optional[bool] = None
+    # Transport mode: ARQ whenever loss_rate > 0; on a lossless network
+    # passthrough (bit-identical to the analytical cost model) unless True,
+    # which forces ARQ — required before FaultSchedule.flaky_links can
+    # inject loss mid-run on a lossless build.
+    reliable_links: bool = False
     # Batching: None = passthrough, bit-identical to historical traffic.
     # A number is the flush window in ms (0.0 = same-instant coalescing)
     # and enables the flush-window coalescer together with protocol group
-    # commit and delta-encoded vector clocks.  With batching on, runs are
-    # outcome-equivalent, not trace-identical.
+    # commit.  With batching on, runs are outcome-equivalent, not
+    # trace-identical.
     batching: Optional[float] = None
     relay: bool = False
     trace: bool = False
@@ -110,11 +109,6 @@ class ClusterConfig:
             raise ValueError("num_sites must be at least 1")
         if self.num_objects < 1:
             raise ValueError("num_objects must be at least 1")
-        if self.reliable_links is False and self.loss_rate > 0:
-            raise ValueError(
-                "reliable_links=False with loss_rate > 0 would break the "
-                "reliable-FIFO-link assumption the protocols are built on"
-            )
         if self.batching is not None:
             if (
                 isinstance(self.batching, bool)
@@ -285,7 +279,7 @@ class Cluster:
         self, site: int, router: ChannelRouter, reliable: ReliableBroadcast
     ) -> Replica:
         config = self.config
-        # Batching on implies group commit and delta clocks.
+        # Batching on implies group commit.
         batched = config.batching is not None
         common = (
             self.engine,
@@ -312,8 +306,6 @@ class Cluster:
                 deadlock_check_interval=config.p2p_deadlock_interval,
             )
         causal = CausalBroadcast(reliable)
-        if batched:
-            causal.enable_delta_clocks()
         self.causals.append(causal)
         if config.protocol == "cbp":
             return CausalBroadcastReplica(

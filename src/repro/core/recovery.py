@@ -9,7 +9,7 @@ simulation shortcut:
 1. the recovering site sends a :class:`StateTransferRequest` to a donor
    (the lowest live member of the primary component);
 2. the donor replies with a full object snapshot plus what its broadcast
-   stack exports (causal clock, delta bases, total-order position);
+   stack exports (causal clock, total-order position);
 3. the recovering site loads the snapshot, has its broadcast stack adopt
    that state (past everything the snapshot covers), truncates its WAL
    (the snapshot is the new recovery point), and only then starts
@@ -68,7 +68,6 @@ class StateTransferReply:
     from_site: int
     objects: tuple[tuple[str, int, Any], ...]
     causal_clock: Optional[list[int]] = None
-    causal_recon: Optional[dict] = None
     total_order_state: Optional[dict] = None
     #: Protocol-private state (``Replica.export_protocol_state``): CBP's
     #: in-flight transaction books, ABP's pre-shipped write sets — the

@@ -23,8 +23,7 @@ passthrough path: no batcher is constructed at all and the wire traffic is
 bit-identical to previous releases (the pinned digests in
 ``tests/integration/test_batching_equivalence.py`` prove it).  Batching on
 also turns on protocol group commit (RBP votes/acks, ABP order assignments
-packed per instant) and delta-encoded vector clocks (see
-``CausalBroadcast.enable_delta_clocks``).  With batching enabled,
+packed per instant), and nothing else.  With batching enabled,
 correctness is *outcome equivalence* — same committed set, same converged
 stores, 1SR — not trace identity: coalescing reorders event timing by up
 to one flush window.

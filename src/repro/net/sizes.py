@@ -11,9 +11,8 @@ plus per-object framing overhead, recursing through containers and the
 fields of objects.  ``Network`` calls :func:`wire_size` once per fan-out
 (one multicast sizes its payload once, however many destinations), and
 every envelope layer in between -- ``Tagged`` -> ``Frame`` /
-``BatchEnvelope`` -> ``BroadcastMessage`` -> ``CausalEnvelope`` /
-``DeltaCausalEnvelope`` -> ``SequencedEnvelope`` -> protocol payload --
-is sized by this module alone:
+``BatchEnvelope`` -> ``BroadcastMessage`` -> ``CausalEnvelope`` ->
+``SequencedEnvelope`` -> protocol payload -- is sized by this module alone:
 
 - one **dispatch table** (``_SIZERS``) maps an exact type to its sizer:
   the primitives, ``str``, ``bytes``, the containers, and every wire

@@ -129,14 +129,13 @@ class ReliableTransport:
     Exactly one transport is attached per site; upper layers register a
     delivery callback with :meth:`set_receiver` and send with :meth:`send`.
 
-    ``reliable=None`` (the default) picks ARQ exactly when the network is
-    lossy, keeping lossless runs passthrough (and bit-identical to the
-    analytical cost model).  ``reliable=True`` forces ARQ on a lossless
-    network — required before ``FaultSchedule.flaky_links`` can inject loss
-    mid-run, and for partitions whose dropped datagrams should be repaired
-    rather than retried at the protocol layer.  ``reliable=False`` on a
-    lossy network is an error: it would silently break the reliable-link
-    assumption every protocol in this library is built on.
+    A lossy network always gets ARQ, since every protocol in this library
+    is built on reliable links.  On a lossless network the transport is
+    passthrough (bit-identical to the analytical cost model) unless
+    ``reliable=True``, which forces ARQ — required before
+    ``FaultSchedule.flaky_links`` can inject loss mid-run, and for
+    partitions whose dropped datagrams should be repaired rather than
+    retried at the protocol layer.
     """
 
     def __init__(
@@ -145,7 +144,7 @@ class ReliableTransport:
         network: Network,
         site: int,
         retransmit_interval: Optional[float] = None,
-        reliable: Optional[bool] = None,
+        reliable: bool = False,
         window: int = 32,
         max_backoff: float = 64.0,
         trace: Optional[TraceLog] = None,
@@ -154,16 +153,10 @@ class ReliableTransport:
             raise ValueError("window must be at least 1")
         if max_backoff < 1:
             raise ValueError("max_backoff must be at least 1 (a multiplier)")
-        if reliable is False and network.loss_rate > 0:
-            raise ValueError(
-                "reliable=False (passthrough) on a lossy network would break "
-                "the reliable-FIFO-link assumption; drop reliable_links=False "
-                "or build the network with loss_rate=0"
-            )
         self.engine = engine
         self.network = network
         self.site = site
-        self.passthrough = (network.loss_rate == 0) if reliable is None else not reliable
+        self.passthrough = network.loss_rate == 0 and not reliable
         self.window = window
         self.max_backoff = max_backoff
         self.trace = trace

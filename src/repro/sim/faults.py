@@ -117,10 +117,10 @@ class FaultSchedule:
         declaration time — the historical declaration-time capture made
         overlapping windows restore to stale rates).
 
-        Only meaningful when the cluster's transports run in ARQ mode
-        (``reliable_links=True``, or any construction-time ``loss_rate`` >
-        0); raising loss on passthrough transports would break the
-        reliable-link assumption, so this guards against it.
+        Only meaningful when the cluster's transports run in ARQ mode (any
+        construction-time ``loss_rate`` > 0, or ``reliable_links=True`` on
+        a lossless build); raising loss on passthrough transports would
+        break the reliable-link assumption, so this guards against it.
         """
         if until is not None and until <= at:
             raise ValueError(f"loss window must end after it starts ({at} .. {until})")
@@ -128,7 +128,7 @@ class FaultSchedule:
         if loss_rate > 0 and any(t.passthrough for t in self.cluster.transports):
             raise ValueError(
                 "flaky_links needs the ARQ transport on every site: build "
-                "the cluster with reliable_links=True (or loss_rate > 0)"
+                "the cluster with loss_rate > 0 or reliable_links=True"
             )
         token = object()
 

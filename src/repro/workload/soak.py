@@ -72,7 +72,7 @@ def scaled_cluster_config(
         # crashing sender cannot occur (loss windows are the exception and
         # require ARQ, forced below).
         relay=False,
-        reliable_links=True if flap_loss is not None else None,
+        reliable_links=flap_loss is not None,
         trace=trace,
         trace_capacity=trace_capacity if trace else None,
     )

@@ -43,6 +43,21 @@ PINNED_PASSTHROUGH = {
     ("p2p", 0.05): "3857fa96e61e54e0",
 }
 
+#: Physical datagrams and engine events of each batched (2 ms window) cell.
+#: Batching changes how traffic is packed, so these are pinned beside the
+#: digests: a change to the batched path that moves only bytes (a stamp's
+#: wire form, say) leaves them equal.
+PINNED_BATCHED = {
+    ("rbp", 0.0): (1131, 2768),
+    ("rbp", 0.05): (2695, 4890),
+    ("cbp", 0.0): (459, 1068),
+    ("cbp", 0.05): (974, 1815),
+    ("abp", 0.0): (267, 658),
+    ("abp", 0.05): (558, 1045),
+    ("p2p", 0.0): (1213, 3023),
+    ("p2p", 0.05): (2489, 5513),
+}
+
 
 def run_cell(protocol, loss, **overrides):
     config = ClusterConfig(
@@ -110,9 +125,9 @@ def test_passthrough_is_bit_identical(protocol, loss):
 @pytest.mark.parametrize("loss", LOSS_RATES)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_batched_outcome_equivalence(protocol, loss):
-    """Flush-window batching (plus group commit and delta clocks) must
-    commit the same transactions and converge to the same stores — while
-    actually coalescing: strictly fewer physical datagrams.
+    """Flush-window batching (plus group commit) must commit the same
+    transactions and converge to the same stores — while actually
+    coalescing: strictly fewer physical datagrams.
 
     The outcome-equivalence projection is the committed set: replica-state
     agreement *within* each run is asserted by ``run_cell``
@@ -124,11 +139,13 @@ def test_batched_outcome_equivalence(protocol, loss):
     assert committed == base_committed
     assert result.network_stats["sent"] < base_result.network_stats["sent"]
     assert sum(b.batches_sent for b in cluster.batchers if b is not None) > 0
-    # The one switch also turns on group commit and delta clocks.
+    assert (
+        result.network_stats["sent"],
+        cluster.engine.events_processed,
+    ) == PINNED_BATCHED[(protocol, loss)]
+    # The one switch also turns on group commit.
     if protocol == "rbp":
         assert result.messages_by_kind.get("rbp.vote_batch", 0) > 0
-    if protocol in ("cbp", "abp"):
-        assert sum(c.deltas_sent for c in cluster.causals) > 0
 
 
 def test_zero_window_batching_outcome_equivalence():
@@ -153,8 +170,7 @@ def test_batching_is_one_flush_window():
 @pytest.mark.parametrize("protocol", ["rbp", "cbp", "abp"])
 def test_view_change_mid_window(protocol):
     """Crash a site while flush windows are open: the survivors' batched
-    traffic and the causal layer's full-clock fallback must keep the
-    majority live and consistent."""
+    traffic must keep the majority live and consistent."""
     cluster = Cluster(
         ClusterConfig(
             protocol=protocol,
@@ -190,7 +206,7 @@ def test_view_change_mid_window(protocol):
 @pytest.mark.parametrize("protocol", ["rbp", "cbp"])
 def test_crash_and_recover_with_batching(protocol):
     """Round-trip a crash through recovery with batching on: the rejoiner
-    must catch up (state transfer + full-clock refresh) and commit."""
+    must catch up (state transfer) and commit."""
     cluster = Cluster(
         ClusterConfig(
             protocol=protocol,

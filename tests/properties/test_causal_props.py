@@ -124,7 +124,7 @@ def test_delivers_what_the_scan_and_restart_loop_delivers(history):
         if transfer is not None and transfer[0] == position:
             # A peer's delivered clock, past ours: what a snapshot covers.
             cut = [max(a, b) for a, b in zip(reference.clock, transfer[1])]
-            causal.adopt_state(SimpleNamespace(causal_clock=cut, causal_recon=None))
+            causal.adopt_state(SimpleNamespace(causal_clock=cut))
             reference.adopt(cut)
             assert causal.pending_count() == len(reference.held)
         envelope = CausalEnvelope(VectorClock(stamp), None, "test")

@@ -123,7 +123,7 @@ def test_hold_parks_held_channels_until_release_and_drop_loses_them():
     assert got[3:] == [("data", "after")]
 
 
-@pytest.mark.parametrize("reliable", [None, True], ids=["passthrough", "arq"])
+@pytest.mark.parametrize("reliable", [False, True], ids=["passthrough", "arq"])
 def test_multicast_reaches_each_destination_once(reliable):
     engine = SimulationEngine()
     network = Network(engine, 3)

@@ -217,15 +217,6 @@ def test_mixed_passthrough_arq_is_an_error():
     assert trace.counts["transport.unframed"] == 1
 
 
-def test_passthrough_on_lossy_network_rejected():
-    engine = SimulationEngine()
-    network = Network(
-        engine, 2, latency=UniformLatency(0.5, 1.5), rng=RngRegistry(3), loss_rate=0.1
-    )
-    with pytest.raises(ValueError, match="reliable"):
-        ReliableTransport(engine, network, 0, reliable=False)
-
-
 def test_forced_arq_on_lossless_network():
     engine, network, transports, inboxes = build(loss_rate=0.0, reliable=True)
     assert not transports[0].passthrough
@@ -242,7 +233,7 @@ class Numbered:
     kind: int = 7
 
 
-@pytest.mark.parametrize("reliable", [None, True], ids=["passthrough", "arq"])
+@pytest.mark.parametrize("reliable", [False, True], ids=["passthrough", "arq"])
 def test_non_string_kind_is_labelled_by_type_name_in_both_modes(reliable):
     """One ``kind_of`` rule: ARQ used to label such a payload ``7`` while
     passthrough labelled it ``Numbered``."""

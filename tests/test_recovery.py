@@ -1,5 +1,7 @@
 """Tests for the message-based state-transfer recovery protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cluster import Cluster, ClusterConfig
@@ -216,9 +218,10 @@ LIFECYCLE_RECIPES = {
         (2, ((100, 500),)),
         _waves(("a", 0, EVERY_SITE, 8), ("c", 1200, EVERY_SITE, 8)),
     ),
-    # The reply carries the delta-clock reconstruction bases (static
-    # membership: no view change makes the senders go full).
-    "recon_bases": (
+    # Batched ABP under static membership: group-committed order
+    # assignments and coalesced traffic straddle the transfer, and the
+    # rejoiner still catches up from the same reply an unbatched one gets.
+    "batched_abp": (
         dict(protocol="abp", seed=5, batching=0.0),
         (2, ((100, 400),)),
         _waves(("a", 0, EVERY_SITE, 12), ("b", 120, SURVIVORS, 12), ("c", 900, EVERY_SITE, 12)),
@@ -285,3 +288,43 @@ def test_reply_rejects_a_stack_key_it_cannot_carry():
     agent.stack.export_state = lambda: {**export(), "token_position": 3}
     with pytest.raises(TypeError, match="token_position"):
         agent._send_reply(1)
+
+
+def _reply_shape(protocol, batching):
+    """The fields a rejoiner's ``StateTransferReply`` carries (those not
+    ``None``) and its protocol-state keys."""
+    cluster = Cluster(
+        ClusterConfig(
+            protocol=protocol, num_sites=4, num_objects=16, seed=5, batching=batching
+        )
+    )
+    replies = []
+    stack = cluster.recovery_agents[2].stack
+    adopt = stack.adopt_state
+    stack.adopt_state = lambda reply: (replies.append(reply), adopt(reply))
+    cluster.crash_site(2, at=100.0)
+    cluster.recover_site(2, at=400.0)
+    submissions = _waves(
+        ("a", 0, EVERY_SITE, 8), ("b", 120, SURVIVORS, 8), ("c", 900, EVERY_SITE, 8)
+    )
+    for at, tx in submissions:
+        cluster.submit(tx, at=at)
+    result = cluster.run(max_time=20_000, stop_when=cluster.await_specs(len(submissions)))
+    assert result.ok, result.serialization.explain()
+    (reply,) = replies
+    fields = {
+        field.name
+        for field in dataclasses.fields(reply)
+        if getattr(reply, field.name) is not None
+    }
+    return fields, set(reply.protocol_state or ())
+
+
+@pytest.mark.parametrize("protocol", ["cbp", "abp"])
+def test_batched_reply_carries_the_unbatched_fields(protocol):
+    """Batching changes how traffic is packed, not what a state transfer
+    ships: the batched rejoiner's reply has the unbatched one's fields and
+    protocol keys."""
+    fields, keys = _reply_shape(protocol, None)
+    assert "causal_clock" in fields
+    assert _reply_shape(protocol, 2.0) == (fields, keys)

@@ -124,32 +124,3 @@ def test_copy_is_independent():
     b.increment_inplace(0)
     assert list(a) == [1, 2]
     assert list(b) == [2, 2]
-
-
-def test_delta_since_lists_changed_entries_in_site_order():
-    new = VectorClock([3, 0, 7, 2])
-    old = VectorClock([3, 0, 5, 1])
-    assert new.delta_since(old) == ((2, 7), (3, 2))
-    assert new.delta_since(new) == ()
-
-
-def test_delta_since_includes_regressions():
-    """delta_since is a raw diff, not a monotone one: a receiver replaying
-    deltas against the sender's previous stamp needs every differing entry,
-    including ones the reference clock is ahead on."""
-    new = VectorClock([1, 4])
-    old = VectorClock([2, 4])
-    assert new.delta_since(old) == ((0, 1),)
-
-
-def test_apply_delta_round_trips():
-    old = VectorClock([3, 0, 5, 1])
-    new = VectorClock([3, 2, 5, 9])
-    rebuilt = old.apply_delta(new.delta_since(old))
-    assert rebuilt == new
-    assert list(old) == [3, 0, 5, 1]  # apply_delta copies
-
-
-def test_delta_since_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        VectorClock([1]).delta_since(VectorClock([1, 2]))
