@@ -49,8 +49,11 @@ bench-check:
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=rbp_wide
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=p2p_steady
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=rbp_wide METRIC=peak_rss_mb
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=all CLAIM=cbp_steady METRIC=sim_commit_p50_ms
 # (the claimed workload must read GAIN, the others only not SLOWER; METRIC
-# is a host end-to-end metric of BENCHMARK.json, wall_s when unset).
+# is an end-to-end metric of BENCHMARK.json, wall_s when unset: a host one,
+# or sim_commit_p50_ms / sim_commit_p99_ms / sim_commits_per_s, which let
+# the claimed workload's simulation differ and every other one must match).
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) \
 		$(foreach w,$(WORKLOAD),--workload $(w)) $(if $(CLAIM),--claim $(CLAIM)) \

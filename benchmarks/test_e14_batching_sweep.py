@@ -10,10 +10,11 @@ trials make the price visible:
 - **physical datagrams per committed update** fall for every protocol as
   the window widens (the headline: each datagram that never exists is a
   loss trial that never happens and a header never paid);
-- **throughput** (committed txns per simulated second) *rises* for the
-  broadcast protocols at moderate windows — fewer datagrams mean fewer
-  loss-repair round trips, which shortens the commit-latency tail more
-  than the window delays commits;
+- **throughput** (committed txns per simulated second) *rises* for RBP
+  and ABP at moderate windows — fewer datagrams mean fewer loss-repair
+  round trips, which shortens the commit-latency tail more than the
+  window delays commits; CBP's commit waits for a null-message period
+  either way, so its throughput moves by no more than run noise;
 - past the sweet spot the window delay itself dominates and throughput
   falls again: batching is a knob, not a free lunch.
 
@@ -83,19 +84,30 @@ def test_e14_batching_sweep(benchmark):
         # for every protocol at the moderate window.
         assert swept["datagrams_per_update"] < base["datagrams_per_update"]
     for protocol in ("rbp", "cbp", "abp"):
+        # The moderate window is cheaper on the wire: shared headers +
+        # group commit.
         base = measured[(protocol, None)]
-        # Fewer datagrams = fewer loss-repair rounds: each broadcast
-        # protocol has a window setting that commits *faster* than
-        # passthrough despite the added delay (the sweet spot differs —
-        # RBP's vote storms coalesce best at zero window, ABP's sequencer
-        # traffic tolerates a wider one)...
+        assert measured[(protocol, 2.0)]["bytes_per_update"] < base["bytes_per_update"]
+    for protocol in ("rbp", "abp"):
+        # Fewer datagrams = fewer loss-repair rounds: RBP and ABP have a
+        # window setting that commits *faster* than passthrough despite the
+        # added delay (the sweet spot differs — RBP's vote storms coalesce
+        # best at zero window, ABP's sequencer traffic tolerates a wider
+        # one).
         best_txn_s = max(
             measured[(protocol, window)]["txn_s"] for window in WINDOWS[1:]
         )
-        assert best_txn_s > base["txn_s"]
-        # ...and the moderate window is cheaper on the wire: shared
-        # headers + group commit.
-        assert measured[(protocol, 2.0)]["bytes_per_update"] < base["bytes_per_update"]
+        assert best_txn_s > measured[(protocol, None)]["txn_s"]
+    # CBP commits one null-message period after its commit request whatever
+    # the window, so the window moves its throughput by no more than run
+    # noise (a window wins at 7 of 11 seeds, passthrough at 4, seed 21 among
+    # them; EXPERIMENTS.md, E14).  What batching reliably buys CBP is the
+    # wire: every window sends fewer datagrams per update than passthrough.
+    for window in WINDOWS[1:]:
+        assert (
+            measured[("cbp", window)]["datagrams_per_update"]
+            < measured[("cbp", None)]["datagrams_per_update"]
+        )
     # The step change the batching layer exists for: ABP (the paper's
     # throughput winner) gains at least 1.5x committed txn/s.
     assert measured[("abp", 2.0)]["txn_s"] >= 1.5 * measured[("abp", None)]["txn_s"]

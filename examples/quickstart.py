@@ -34,8 +34,9 @@ def run_protocol(protocol: str) -> dict:
     assert result.ok, "one-copy serializability or convergence violated!"
     assert result.committed_specs == 2
 
-    # Separate per-transaction protocol messages from amortized background
-    # traffic (CBP null messages / heartbeats exist regardless of load).
+    # Separate per-transaction protocol messages from background traffic
+    # (CBP null messages: the implicit acknowledgments a site owes after
+    # delivering a commit request, sent at its next tick; heartbeats).
     background = {"cbp.null", "fd.heartbeat", "abcast.token"}
     protocol_msgs = sum(
         count

@@ -41,8 +41,9 @@ def anatomize(protocol: str) -> None:
             seed=99,
             trace=True,
             # A slow heartbeat keeps null messages out of the anatomy
-            # transaction's part of the trace; the late cbp.null lines are
-            # what lets the last echo collect its implicit acknowledgments.
+            # transaction's part of the trace; the cbp.null lines at the
+            # first tick come from the one site still owing the last echo
+            # update its implicit acknowledgment.
             cbp_heartbeat=500.0,
         )
     )

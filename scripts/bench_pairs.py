@@ -11,10 +11,15 @@ as the driver does.
 
 Within a pair everything the simulation computes must be equal -- a change
 that claims a host-side gain may not move a simulated metric.  The verdict
-is on one host metric of ``BENCHMARK.json``'s ``end_to_end`` list,
-``--metric`` (default ``wall_s``; ``setup_s`` and ``peak_rss_mb`` are the
-others), in the direction its ``better`` names.  It is the rule of the
-choosing-metrics guide, section 8: a gain only when the change wins at
+is on one metric of ``BENCHMARK.json``'s ``end_to_end`` list, ``--metric``
+(default ``wall_s``; ``setup_s`` and ``peak_rss_mb`` are the other host
+ones), in the direction its ``better`` names.  A simulated-time claim
+(``sim_commit_p50_ms``, ``sim_commit_p99_ms``, ``sim_commits_per_s``) is
+judged the same way, and then the claimed workload's simulation may differ
+between the sides -- its runs must still be correct and fail no larger
+share of operations, and its ``wall_s`` and ``peak_rss_mb`` are printed per
+pair -- while every other workload must still match exactly.  The verdict is
+the rule of the choosing-metrics guide, section 8: a gain only when the change wins at
 least nine tenths of the pairs (ties count for neither side) and the
 medians differ by more than the distance between the quartiles of the
 parent's own runs.
@@ -30,6 +35,7 @@ Usage:
     python scripts/bench_pairs.py --parent 882a987 --workload abp_lossy --pairs 12 --seed-base 100
     python scripts/bench_pairs.py --parent HEAD~1 --workload all --claim p2p_steady
     python scripts/bench_pairs.py --parent HEAD~1 --workload all --claim rbp_wide --metric peak_rss_mb
+    python scripts/bench_pairs.py --parent HEAD~1 --workload all --claim cbp_steady --metric sim_commit_p50_ms
 
 Exit status: 0 gain (without a claim: nothing slower), 1 a run was incorrect
 or the sides' simulations differ, 2 no gain shown on the claimed workload,
@@ -55,13 +61,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 import metrics  # noqa: E402  (the benchmark's own table: which metrics are host-side)
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: The ``end_to_end`` metrics a pair can be judged on: the host-side ones.
-HOST_METRICS = {
+#: Simulated ``end_to_end`` metrics a claim may be judged on; with one of
+#: them, the claimed workload's simulation is allowed to change.
+SIM_CLAIMS = ("sim_commit_p50_ms", "sim_commit_p99_ms", "sim_commits_per_s")
+#: The ``end_to_end`` metrics a pair can be judged on.
+JUDGED_METRICS = {
     entry["name"]: entry
     for entry in BENCHMARK["end_to_end"]
-    if metrics.BY_NAME[entry["name"]].kind == "host"
+    if metrics.BY_NAME[entry["name"]].kind == "host" or entry["name"] in SIM_CLAIMS
 }
-WALL_S = HOST_METRICS["wall_s"]
+WALL_S = JUDGED_METRICS["wall_s"]
+#: Host metrics shown per pair beside a simulated-time claim.
+SHOWN_BESIDE = ("wall_s", "peak_rss_mb")
 
 
 def checkout(revision: str) -> pathlib.Path:
@@ -136,6 +147,25 @@ def verdict(
     ]
 
 
+def problems(seed: int, parent: dict, change: dict, sim_may_differ: bool) -> list[str]:
+    """What makes one pair invalid: an incorrect run, a larger failed share
+    on the change, or -- unless ``sim_may_differ`` -- any simulated metric
+    that differs between the sides."""
+    found = [
+        f"seed {seed}: {side} run is incorrect"
+        for side, report in (("parent", parent), ("change", change))
+        if not report["correct"]
+    ]
+    if change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]:
+        found.append(f"seed {seed}: a larger share of operations fails on the change")
+    if not sim_may_differ:
+        for name, entry in sorted(parent["metrics"].items()):
+            if metrics.BY_NAME[name].kind != "host" and change["metrics"][name] != entry:
+                other = change["metrics"][name]["value"]
+                found.append(f"seed {seed}: {name} {entry['value']!r} -> {other!r}")
+    return found
+
+
 def overall(statuses: dict[str, int], claim: str | None) -> int:
     """The exit status for per-workload verdicts: INVALID or SLOWER anywhere
     outranks the claimed workload's own verdict; a workload that is not the
@@ -157,8 +187,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     )
     parser.add_argument("--claim", metavar="NAME", help="the workload that must read GAIN")
     parser.add_argument(
-        "--metric", default="wall_s", choices=sorted(HOST_METRICS),
-        help="the host end-to-end metric judged (default wall_s)",
+        "--metric", default="wall_s", choices=sorted(JUDGED_METRICS),
+        help="the end-to-end metric judged (default wall_s); a simulated one lets "
+        "the claimed workload's simulation differ",
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1, help="pair i runs seed base+i")
@@ -176,43 +207,40 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         args.claim = args.workloads[0]
     if args.claim is not None and args.claim not in args.workloads:
         parser.error(f"--claim {args.claim} is not among the workloads to run")
-    args.metric = HOST_METRICS[args.metric]
+    args.metric = JUDGED_METRICS[args.metric]
     return args
 
 
 def run_pairs(
     trees: dict[str, pathlib.Path], workload: str, pairs: int, seed_base: int, seconds: float,
-    metric: dict,
+    metric: dict, sim_may_differ: bool = False,
 ) -> tuple[int, list[str]]:
     """All pairs of one workload, printed as they finish: status and report."""
     judged = metric["name"]
+    shown = [judged] + (list(SHOWN_BESIDE) if sim_may_differ else [])
     samples: dict[str, list[float]] = {"parent": [], "change": []}
     broken = []
     print(f"\n{workload}: {pairs} pairs, parent = {trees['parent'].name}")
     width = max(14, len(judged) + 7)
     print(
-        f"{'pair':>4} {'seed':>6} {'first':<7} {'parent ' + judged:>{width}} "
-        f"{'change ' + judged:>{width}} {'ratio':>7}"
+        f"{'pair':>4} {'seed':>6} {'first':<7} "
+        + "".join(f"{'parent ' + n:>{width}} {'change ' + n:>{width}} " for n in shown)
+        + f"{'ratio':>7}"
     )
     for pair in range(pairs):
         seed = seed_base + pair
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         reports = {side: run_side(trees[side], workload, seed, seconds) for side in order}
-        for side in order:
-            if not reports[side]["correct"]:
-                broken.append(f"seed {seed}: {side} run is incorrect")
-        parent, change = reports["parent"], reports["change"]
-        if change["failed"] * parent["attempted"] > parent["failed"] * change["attempted"]:
-            broken.append(f"seed {seed}: a larger share of operations fails on the change")
-        for name, entry in sorted(parent["metrics"].items()):
-            if metrics.BY_NAME[name].kind != "host" and change["metrics"][name] != entry:
-                other = change["metrics"][name]["value"]
-                broken.append(f"seed {seed}: {name} {entry['value']!r} -> {other!r}")
+        broken += problems(seed, reports["parent"], reports["change"], sim_may_differ)
         for side in order:
             samples[side].append(reports[side]["metrics"][judged]["value"])
+        values = "".join(
+            f"{reports[side]['metrics'][n]['value']:>{width}.3f} "
+            for n in shown
+            for side in ("parent", "change")
+        )
         print(
-            f"{pair + 1:>4} {seed:>6} {order[0]:<7} {samples['parent'][-1]:>{width}.3f} "
-            f"{samples['change'][-1]:>{width}.3f} "
+            f"{pair + 1:>4} {seed:>6} {order[0]:<7} {values}"
             f"{samples['change'][-1] / samples['parent'][-1]:>7.3f}"
         )
 
@@ -229,9 +257,11 @@ def main() -> int:
     args = parse_args()
     trees = {"parent": checkout(args.parent), "change": ROOT}
     statuses, summary = {}, []
+    simulated = args.metric["name"] in SIM_CLAIMS
     for workload in args.workloads:
         statuses[workload], lines = run_pairs(
-            trees, workload, args.pairs, args.seed_base, args.seconds, args.metric
+            trees, workload, args.pairs, args.seed_base, args.seconds, args.metric,
+            sim_may_differ=simulated and workload == args.claim,
         )
         role = "claim" if workload == args.claim else ""
         word = VERDICT_WORDS[statuses[workload]]

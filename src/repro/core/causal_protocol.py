@@ -38,7 +38,12 @@ anywhere, and are resolved by a deterministic youngest-victim NACK
 
 The paper's stated drawback — commitment stalls when sites broadcast rarely
 — is measured in experiment E3 and bounded by optional **null messages**
-(heartbeats) broadcast through the causal layer.
+(heartbeats) broadcast through the causal layer.  A site *owes* an implicit
+acknowledgment from delivering a remote commit request or NACK until its
+next broadcast of any payload; its periodic tick sends a null iff it owes.
+A view change with work in flight and the end of a state transfer put it in
+debt too (a rejoiner's adopted books need fresh echoes both ways).  An idle
+cluster sends nothing.
 """
 
 from __future__ import annotations
@@ -113,13 +118,14 @@ class CausalBroadcastReplica(Replica):
     ):
         super().__init__(engine, site, num_sites, recorder, metrics, trace)
         self.cbcast = cbcast
-        self.heartbeat_interval = heartbeat_interval
         self.per_op = per_op
         cbcast.set_deliver(self._on_deliver)
-        self._last_broadcast = 0.0
+        #: True from delivering a remote commit request or NACK until this
+        #: site's next broadcast, which acknowledges it implicitly.
+        self._owes = False
         self.nacks_sent = 0
         if heartbeat_interval is not None:
-            # Null messages: an idle site's implicit acknowledgments.
+            # Null messages: the implicit acknowledgments a site owes.
             self.every(heartbeat_interval, self._heartbeat)
 
     # -- home side --------------------------------------------------------------
@@ -172,7 +178,9 @@ class CausalBroadcastReplica(Replica):
         state.cr_entry = envelope.vc[self.site]
 
     def _broadcast(self, payload: Any) -> CausalEnvelope:
-        self._last_broadcast = self.now
+        # Any broadcast is causally after everything delivered so far, so
+        # it pays every implicit acknowledgment this site owes.
+        self._owes = False
         return self.cbcast.broadcast(payload)
 
     # -- causal delivery --------------------------------------------------------
@@ -187,8 +195,10 @@ class CausalBroadcastReplica(Replica):
         elif kind is CbpWriteSet:
             self._on_write_set(payload, clock)
         elif kind is CbpCommitRequest:
+            self._owes |= sender != self.site
             self._on_commit_request(payload, clock)
         elif kind is CbpNack:
+            self._owes |= sender != self.site
             self._kill(payload.tx, (sender, clock.entries[sender]))
         else:
             raise RuntimeError(f"site {self.site}: unexpected CBP payload {payload!r}")
@@ -425,7 +435,10 @@ class CausalBroadcastReplica(Replica):
     # -- heartbeats (null messages) ---------------------------------------------------
 
     def _heartbeat(self) -> None:
-        assert self.heartbeat_interval is not None
+        # A null only when this site owes an implicit acknowledgment: a
+        # broadcast made *before* a commit request was delivered
+        # acknowledges nothing for it.  An idle site sends nothing.
+        #
         # No broadcasts while a state transfer is in flight: a null message
         # stamped with our stale pre-crash clock can dominate an *old*
         # commit request's entry and hand the group an implicit yes for a
@@ -433,7 +446,7 @@ class CausalBroadcastReplica(Replica):
         # silent instead is safe: our first post-install broadcast carries
         # the donor's clock, so every transaction it implicitly acknowledges
         # is covered by the snapshot or the adopted in-flight state.
-        if not self.recovering and self.now - self._last_broadcast >= self.heartbeat_interval:
+        if self._owes and not self.recovering:
             self._broadcast(CbpNull(self.site))
 
     # -- crash / recovery ------------------------------------------------------------------
@@ -548,9 +561,15 @@ class CausalBroadcastReplica(Replica):
                 self._kill(adopted.tx, self._home_done(adopted))
 
     def on_recovery_complete(self) -> None:
-        """An adopted in-flight transaction may already be committable."""
+        """An adopted in-flight transaction may already be committable.
+
+        The group may wait on this site's echo for any transaction the
+        snapshot covers, adopted or already committed at the donor: no
+        delivery here will put it in this site's debt, the cut dropped its
+        commit request.  So a rejoiner owes one echo, whatever it adopted."""
         for state in list(self._live.values()):
             self._check_commit(state)
+        self._owes = True
 
     # -- view changes -------------------------------------------------------------------
 
@@ -563,6 +582,9 @@ class CausalBroadcastReplica(Replica):
                 self._kill(state.tx, self._home_done(state))
             else:
                 self._check_commit(state)
+        # A rejoiner waits on every member's echo for its adopted states,
+        # and may have missed the ones sent before it joined: echo again.
+        self._owes |= bool(self._live)
 
     def _home_done(self, state: _TxState) -> tuple[int, float]:
         """(home, entry) of the commit request, which the home broadcasts

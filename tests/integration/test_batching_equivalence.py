@@ -35,8 +35,8 @@ LOSS_RATES = [0.0, 0.05]
 PINNED_PASSTHROUGH = {
     ("rbp", 0.0): "7dad9ce394a91692",
     ("rbp", 0.05): "8497de0396461104",
-    ("cbp", 0.0): "32ad4707236a257f",
-    ("cbp", 0.05): "3778cb6e0770d1b4",
+    ("cbp", 0.0): "1fce9984faddd809",
+    ("cbp", 0.05): "f2ebef93f4e10adf",
     ("abp", 0.0): "808c347762b4dc64",
     ("abp", 0.05): "6d9661765974e859",
     ("p2p", 0.0): "486895b99c27ad43",
@@ -50,8 +50,8 @@ PINNED_PASSTHROUGH = {
 PINNED_BATCHED = {
     ("rbp", 0.0): (1131, 2768),
     ("rbp", 0.05): (2695, 4890),
-    ("cbp", 0.0): (459, 1068),
-    ("cbp", 0.05): (974, 1815),
+    ("cbp", 0.0): (468, 1064),
+    ("cbp", 0.05): (984, 1810),
     ("abp", 0.0): (267, 658),
     ("abp", 0.05): (558, 1045),
     ("p2p", 0.0): (1213, 3023),

@@ -1,7 +1,8 @@
 """Protocol tests for CBP (causal broadcast + implicit acknowledgments)."""
 
 
-from repro.core.transaction import AbortReason
+from repro.core.events import CbpCommitRequest, CbpNull
+from repro.core.transaction import AbortReason, TransactionSpec
 
 
 def test_single_update_commits_everywhere(cluster_factory, make_spec):
@@ -241,3 +242,126 @@ def test_a_killed_transaction_is_remembered_until_every_site_is_past_its_nack(
     assert result.ok and result.metrics.aborts >= 1
     assert tombstones_seen
     assert all(not replica._tombstones for replica in cluster.replicas)
+
+
+# -- null messages: the implicit acknowledgments a site owes ---------------------
+
+
+def record_broadcasts(cluster):
+    """Per site, the (time, payload type) of every CBP broadcast it makes."""
+    sent = [[] for _ in cluster.replicas]
+    for replica in cluster.replicas:
+        broadcast = replica._broadcast
+
+        def wrapped(payload, replica=replica, broadcast=broadcast):
+            sent[replica.site].append((replica.now, type(payload)))
+            return broadcast(payload)
+
+        replica._broadcast = wrapped
+    return sent
+
+
+def null_times(sent, site):
+    return [at for at, kind in sent[site] if kind is CbpNull]
+
+
+def test_a_busy_closed_loop_commits_within_one_heartbeat():
+    """Under load every site broadcasts right after each tick, so nulls
+    must not be skipped for a broadcast that predates the commit request it
+    would acknowledge: a commit waits one period, not two."""
+    from tests.conftest import quick_cluster
+    from repro.workload import WorkloadConfig
+    from repro.workload.runner import run_standard_mix
+
+    period = 20.0
+    cluster = quick_cluster("cbp", num_sites=4, num_objects=64, cbp_heartbeat=period, seed=5)
+    result = run_standard_mix(
+        cluster,
+        WorkloadConfig(num_objects=64, num_sites=4, read_ops=2, write_ops=2),
+        transactions=120,
+        mpl=4,
+    )
+    assert result.ok
+    assert result.metrics.commit_latency(read_only=False).p50 <= 1.25 * period
+
+
+def test_an_idle_cluster_sends_no_nulls(cluster_factory, make_spec):
+    cluster = cluster_factory("cbp", cbp_heartbeat=20.0)
+    sent = record_broadcasts(cluster)
+    cluster.submit(make_spec("t1", 0, writes={"x0": 1}))
+    assert cluster.run().committed_specs == 1
+    last_commit = cluster.engine.now
+    cluster.run_for(1000.0)
+    assert all(at <= last_commit for site in range(3) for at in null_times(sent, site))
+
+
+def test_a_broadcast_before_a_commit_request_does_not_acknowledge_it(
+    cluster_factory, make_spec
+):
+    """Site 1 broadcasts its own transaction just after a tick and then
+    delivers site 0's commit request: it still owes an echo and sends a
+    null at its very next tick."""
+    cluster = cluster_factory("cbp", cbp_heartbeat=20.0)
+    sent = record_broadcasts(cluster)
+    delivered = []
+    causal = cluster.causals[1]
+    deliver = causal._deliver
+
+    def on_deliver(message, envelope):
+        if type(envelope.payload) is CbpCommitRequest and message.sender == 0:
+            delivered.append(cluster.engine.now)
+        deliver(message, envelope)
+
+    causal.set_deliver(on_deliver)
+    cluster.submit(make_spec("t2", 1, writes={"x2": 2}), at=20.5)
+    t1 = cluster.submit(make_spec("t1", 0, writes={"x1": 1}), at=21.0)
+    cluster.run()
+    (cr_delivered,) = delivered
+    assert any(20.0 < at < cr_delivered for at, _ in sent[1])
+    assert 40.0 in null_times(sent, 1)
+    assert t1.committed and t1.last_attempt.commit_time < 45.0
+
+
+def test_a_view_change_with_work_in_flight_is_echoed_again(cluster_factory, make_spec):
+    """A member that already paid its echo for an in-flight transaction
+    echoes again at its next tick after a view change: a rejoiner that
+    adopted the transaction may not have heard the first one."""
+    cluster = cluster_factory("cbp", cbp_heartbeat=20.0)
+    sent = record_broadcasts(cluster)
+    cluster.submit(make_spec("t1", 0, writes={"x0": 1}), at=1.0)
+    member = cluster.replicas[1]
+    while not null_times(sent, 1):
+        cluster.run_for(0.05)
+    assert "t1#1" in member._live
+    member.on_view_change(list(member.view_members), True)
+    cluster.run_for(100.0)
+    assert null_times(sent, 1) == [20.0, 40.0]
+
+
+def test_a_rejoiner_echoes_what_it_adopted():
+    """A transaction broadcast while site 3 is in its state transfer reaches
+    site 3 only in the donor's books: no delivery there puts it in site 3's
+    debt, yet every member waits on site 3's echo for it."""
+    from repro.core.cluster import Cluster, ClusterConfig
+
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="cbp", num_sites=4, num_objects=16, seed=17, cbp_heartbeat=20.0,
+            enable_failure_detector=True, fd_interval=20.0, fd_timeout=80.0, relay=True,
+        )
+    )
+    sent = record_broadcasts(cluster)
+    cluster.crash_site(3, at=10.0)
+    cluster.run_for(1000.0)
+    cluster.recover_site(3)
+    agent = cluster.recovery_agents[3]
+    while not agent.requested:
+        cluster.run_for(0.5)
+    during = cluster.submit(
+        TransactionSpec.make("during", 0, read_keys=[], writes={"x0": 1}),
+        at=cluster.engine.now,
+    )
+    result = cluster.run(max_time=20_000.0)
+    assert agent.transfers_completed == 1
+    assert during.committed and result.converged
+    assert any(kind is CbpNull and at > 1000.0 for at, kind in sent[3])

@@ -63,7 +63,7 @@ def test_bench_pairs_verdict_rule():
 
     # Another host metric: its name and unit in the report, its direction
     # read from BENCHMARK.json ("higher" is better only for a rate).
-    rss = bench_pairs.HOST_METRICS["peak_rss_mb"]
+    rss = bench_pairs.JUDGED_METRICS["peak_rss_mb"]
     status, lines = bench_pairs.verdict(parent, faster, rss)
     assert status == 0 and lines[0].startswith("parent peak_rss_mb") and " MiB;" in lines[2]
     assert bench_pairs.verdict(faster, parent, rss)[0] == 3
@@ -101,10 +101,53 @@ def test_bench_pairs_verdict_rule():
     for bad in (
         ["--workload", "nope"],
         ["--workload", "rbp_wide", "--claim", "p2p_steady"],
-        ["--workload", "rbp_wide", "--metric", "sim_commits_per_s"],  # not host-side
+        ["--workload", "rbp_wide", "--metric", "sim_max_commit_gap_ms"],  # not end-to-end
     ):
         with pytest.raises(SystemExit):
             bench_pairs.parse_args(["--parent", "HEAD", *bad])
+
+
+def test_bench_pairs_judges_a_simulated_time_claim():
+    """With a simulated ``--metric`` only the claimed workload's simulation
+    may differ between the sides; correctness and the failed share are
+    checked on it all the same, and every other workload must match."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    args = bench_pairs.parse_args(
+        "--parent HEAD --workload all --claim cbp_steady --metric sim_commit_p50_ms".split()
+    )
+    p50 = args.metric
+    assert p50["name"] == "sim_commit_p50_ms" and p50["better"] == "lower"
+    assert set(bench_pairs.SIM_CLAIMS) <= set(bench_pairs.JUDGED_METRICS)
+    rate = bench_pairs.JUDGED_METRICS["sim_commits_per_s"]
+    assert bench_pairs.verdict([163.0 + i / 10 for i in range(10)], [319.0] * 10, rate)[0] == 0
+
+    def report(p50_ms, wall_s=4.0, correct=True, failed=0):
+        return {
+            "correct": correct, "attempted": 100, "failed": failed,
+            "metrics": {
+                "wall_s": {"value": wall_s, "unit": "s"},
+                "sim_commit_p50_ms": {"value": p50_ms, "unit": "ms"},
+            },
+        }
+
+    parent, change = report(49.98), report(24.98, wall_s=3.9)
+    assert bench_pairs.problems(7, parent, change, sim_may_differ=True) == []
+    assert bench_pairs.problems(7, parent, change, sim_may_differ=False) == [
+        "seed 7: sim_commit_p50_ms 49.98 -> 24.98"
+    ]
+    assert bench_pairs.problems(7, parent, report(49.98, wall_s=3.0), False) == []
+    assert bench_pairs.problems(7, parent, report(24.98, correct=False), True) == [
+        "seed 7: change run is incorrect"
+    ]
+    assert bench_pairs.problems(7, parent, report(24.98, failed=1), True) == [
+        "seed 7: a larger share of operations fails on the change"
+    ]
 
 
 def test_retained_marks_the_sites_that_grow_with_the_run():
