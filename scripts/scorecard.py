@@ -12,6 +12,9 @@ One line, suitable for CHANGES.md::
 - commit tails (``record_commit_provisional(`` call sites under
   ``src/repro`` outside ``db/``) and ``in_flight`` definitions: how many
   copies of the per-transaction lifecycle the protocols keep;
+- view-change defs: ``def on_view_change(`` under ``src/repro`` (how many
+  hand-written rules decide what a view change means for an open
+  transaction; the one walk on ``Replica`` is meant to be the only one);
 - tick loops: functions under ``src/repro`` that re-``schedule`` themselves
   with no argument, so nothing tells one firing from the next (hand-rolled
   periodic work; the one inside ``Process.every`` is meant to be the only
@@ -44,6 +47,7 @@ from repro.core.cluster import ClusterConfig  # noqa: E402
 PRAGMA = r"detcheck: ignore"
 COMMIT_TAIL = r"\.record_commit_provisional\("
 IN_FLIGHT_DEF = r"^\s*def in_flight\("
+VIEW_CHANGE_DEF = r"^\s*def on_view_change\("
 BACKLOG_ATTR = r"\bself\.(\w*backlog\w*)"
 
 
@@ -100,6 +104,7 @@ def main() -> None:
         f"ClusterConfig fields {len(dataclasses.fields(ClusterConfig))}, "
         f"commit tails {matches(COMMIT_TAIL, outside_db)}, "
         f"in_flight defs {matches(IN_FLIGHT_DEF, everything)}, "
+        f"view-change defs {matches(VIEW_CHANGE_DEF, everything)}, "
         f"tick loops {sum(tick_loops(text) for text in everything)}, "
         f"recovery backlogs {sum(len(set(re.findall(BACKLOG_ATTR, t))) for t in everything)}, "
         f"lint rules {len(ALL_RULE_IDS)}, "

@@ -266,33 +266,25 @@ class PointToPointReplica(Replica):
         if tx is not None and not tx.terminal:
             self.abort_home(tx, local_reason)
 
-    # -- view changes ---------------------------------------------------------------------
+    # -- the view-change answer (``Replica.on_view_change``) -------------------------
 
-    def on_view_change(self, members: list[int], has_quorum: bool) -> None:
-        """Re-evaluate rounds that wait on *all* view members.
-
-        Write rounds and 2PC tallies complete only when every view member
-        has answered.  A member that crashed out of the view will never
-        answer, so without this hook a round started before the crash waits
-        forever (its locks wedging every later writer of the same keys).  A
-        member that *joined* mid-2PC never saw the prepare; re-send it —
-        the joiner votes from its current (post-recovery) state, which is a
-        NO for any transaction it does not hold buffered writes for.
-        """
-        super().on_view_change(members, has_quorum)
-        # An earlier step of a pass can end a later transaction: look up anew.
-        for tx_id in sorted(self._live):
-            tx, rec = self.local.get(tx_id), self._live.get(tx_id)
-            if tx is not None and rec is not None and rec.round_key is not None:
-                self._check_round(tx, rec)
+    def _rejudge(self, tx_id: str, rec: _TxRecord) -> None:
+        """Write rounds and 2PC tallies hear from the *current* view: one a
+        crashed member left completes here (else its locks wedge every later
+        writer of its keys).  A member that *joined* mid-2PC never saw the
+        prepare: re-send it; the joiner votes from its post-recovery state,
+        a NO for any transaction it holds no buffered writes for."""
+        tx = self.local.get(tx_id)
+        if tx is None:
+            return
+        if rec.round_key is not None:
+            self._check_round(tx, rec)
             # A joined member missing this round's write never acks; the
             # write timeout aborts and the client retry re-disseminates.
-        for tx_id in sorted(self._live):
-            tx, rec = self.local.get(tx_id), self._live.get(tx_id)
-            if tx is not None and rec is not None and rec.votes is not None:
-                missing = rec.votes.missing(self.view_member_set)
-                self.router.multicast(missing, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
-                self._check_votes(tx, rec)
+        if rec.votes is not None and self._live.get(tx_id) is rec:
+            missing = rec.votes.missing(self.view_member_set)
+            self.router.multicast(missing, CHANNEL, P2pPrepare(tx_id), "p2p.prepare")
+            self._check_votes(tx, rec)
 
     # -- deadlock detection ---------------------------------------------------------------
 

@@ -553,12 +553,10 @@ class CausalBroadcastReplica(Replica):
         # after the donor exported (but before the reply landed here) was
         # killed at every other site by the view change — which this
         # replica's adopted copy never saw, and no *future* view change
-        # re-delivers.  Reap it now, exactly as on_view_change would have;
-        # otherwise its locks wedge the keys forever (a churn-soak liveness
-        # stall with every site up).
-        for adopted in list(self._live.values()):
-            if adopted.home not in self.view_members:
-                self._kill(adopted.tx, self._home_done(adopted))
+        # re-delivers.  Reap it now with the walk's departed-home step, or its
+        # locks wedge the keys forever (a churn-soak stall, every site up).
+        for tx_id, adopted in self._records():
+            self._home_left(tx_id, adopted)
 
     def on_recovery_complete(self) -> None:
         """An adopted in-flight transaction may already be committable.
@@ -571,20 +569,20 @@ class CausalBroadcastReplica(Replica):
             self._check_commit(state)
         self._owes = True
 
-    # -- view changes -------------------------------------------------------------------
+    # -- the view-change answers (``Replica.on_view_change``) ------------------------
 
-    def on_view_change(self, members: list[int], has_quorum: bool) -> None:
-        super().on_view_change(members, has_quorum)
-        for state in list(self._live.values()):
-            if state.home not in members:
-                # The initiator left: its transaction cannot be completed
-                # (no further messages from it); drop it everywhere.
-                self._kill(state.tx, self._home_done(state))
-            else:
-                self._check_commit(state)
-        # A rejoiner waits on every member's echo for its adopted states,
-        # and may have missed the ones sent before it joined: echo again.
-        self._owes |= bool(self._live)
+    def _rejudge(self, tx_id: str, state: _TxState) -> None:
+        """Echoes come from the *current* view (none once the home left: the
+        walk kills it next).  A state left open puts this site in debt: a
+        rejoiner may have missed the echoes sent before it joined."""
+        if state.home in self.view_member_set:
+            self._check_commit(state)
+            self._owes |= tx_id in self._live
+
+    def _home_left(self, tx_id: str, state: _TxState) -> None:
+        """A departed initiator sends no further message: kill its state."""
+        if state.home not in self.view_member_set:
+            self._kill(tx_id, self._home_done(state))
 
     def _home_done(self, state: _TxState) -> tuple[int, float]:
         """(home, entry) of the commit request, which the home broadcasts

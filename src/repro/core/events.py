@@ -40,10 +40,12 @@ class RbpWriteAck:
 
 @dataclass(slots=True)
 class RbpCommitRequest:
-    """Decentralized 2PC round 1: the initiator's commit request."""
+    """Decentralized 2PC round 1: the initiator's commit request, with the
+    sites that vote as a member bitmask (bit *s* for site *s*)."""
 
     tx: str
     home: int
+    electorate: int
     kind: str = "rbp.commit_request"
 
 

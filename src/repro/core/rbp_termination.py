@@ -165,20 +165,14 @@ class InDoubtTermination:
         self.emit("rbp.in_doubt", tx=tx_id)
         self._send_query(tx_id)
 
-    def view_changed(self, skip: Iterable[str] = ()) -> None:
-        """The member (and thus answer) set changed — restart every query,
-        parked ones included, against the new view; ``skip`` names the
-        queries just sent against it."""
-        for tx_id in list(self._queries):
-            query = self._queries.get(tx_id)
-            if query is None or tx_id in skip:
-                continue  # None: resolved by an earlier restart in this loop
-            # New epoch: invalidates timers of the pre-restart attempts,
-            # which would otherwise alias the reset attempt numbers and
-            # burn through the retry budget without the intended backoff.
-            query.epoch += 1
-            query.attempt = 0
-            self._send_query(tx_id)
+    def restart(self, tx_id: str) -> None:
+        """The view changed: restart ``tx_id``'s query, parked or not.  The
+        new epoch keeps the old attempts' timers from aliasing the reset
+        attempt numbers (which would burn the retry budget unbacked-off)."""
+        query = self._queries[tx_id]
+        query.epoch += 1
+        query.attempt = 0
+        self._send_query(tx_id)
 
     def _send_query(self, tx_id: str) -> None:
         query = self._queries[tx_id]
@@ -246,8 +240,9 @@ class InDoubtTermination:
         # abort only when a commit tally is *impossible*:
         #   (a) the members that provably never voted YES (their answers
         #       are never-vote promises) block every possible commit
-        #       quorum of the full site set, so no view anywhere can ever
-        #       have been unanimous; or
+        #       quorum of the full site set, so no electorate anywhere can
+        #       ever have been unanimous (a commit needs a majority
+        #       electorate: ``ReliableBroadcastReplica._check_votes``); or
         #   (b) every site of the cluster is in this view and answered —
         #       no decision exists anywhere, and every answerer has
         #       renounced the vote path, so none can arise.

@@ -72,8 +72,9 @@ class StateTransferReply:
     #: Protocol-private state (``Replica.export_protocol_state``): CBP's
     #: in-flight transaction books, ABP's pre-shipped write sets — the
     #: committed snapshot alone misses transactions in flight at export
-    #: time — and RBP's decision log, so a rejoiner can answer (and
-    #: terminate) decision queries for outcomes reached while it was down.
+    #: time — and RBP's decision log and open records, so a rejoiner can
+    #: answer decision queries for outcomes reached while it was down and
+    #: install the transactions decided after the export.
     protocol_state: Optional[dict] = None
     kind: str = "recovery.reply"
 

@@ -12,8 +12,10 @@ Execution of an update transaction T homed at site *h*:
 3. After all writes are acknowledged everywhere, T commits with a
    **decentralized two-phase commit** [Ske82]: *h* broadcasts a commit
    request; every site broadcasts its vote to every site; each site decides
-   locally (commit iff every view member voted yes) — so all sites reach
-   the decision without a coordinator round-trip.
+   locally (commit iff every member of T's *electorate* voted yes: the
+   sites T was written to, less those that left the view since, and a
+   majority of all sites) — so all sites reach the decision without a
+   coordinator round-trip.
 
 Deadlock freedom: remote writes never wait (conflict => negative ack), and
 read acquisition is all-or-nothing, so no transaction ever waits while
@@ -35,7 +37,7 @@ can no longer compute the outcome — decision log, decision queries — is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.broadcast.message import BroadcastMessage
@@ -71,7 +73,12 @@ class _TxRecord:
     touch: the home's ``start_update``, else the first granted write, vote
     or commit request delivered."""
 
-    #: The initiating site; -1 while only other sites' votes were seen.
+    #: The sites the rounds and tally hear from: the view the record opened
+    #: in, narrowed by the home's (on its commit request) and by every later
+    #: primary view; never grown, so a site that joins later has no say.
+    electorate: frozenset[int]
+    #: The initiating site; -1 while only other sites' votes were seen, or
+    #: (adopted from a donor) when it is this site and a crash lost it.
     home: int = -1
     #: Cohort side (every site, the home included): the granted,
     #: lock-holding writes awaiting the outcome, and the 2PC vote tally,
@@ -163,6 +170,7 @@ class ReliableBroadcastReplica(Replica):
         #: paper's one-blocked-round-per-write; latency stops growing
         #: linearly in the write count at unchanged message cost.
         self.pipeline_writes = pipeline_writes
+        self._all_sites = frozenset(range(num_sites))
         rbcast.set_deliver(self._on_broadcast)
         # Served during a state transfer: decision queries read only the
         # durable decision log (which survived the crash and the install
@@ -197,11 +205,17 @@ class ReliableBroadcastReplica(Replica):
     def _send_direct(self, site: int, payload: Any) -> None:
         self.router.send(site, DIRECT_CHANNEL, payload, payload.kind)
 
+    def _open(self, tx_id: str, **fields: Any) -> _TxRecord:
+        """A record, electorate the view (all sites if quorumless: :meth:`_rejudge`)."""
+        view = self.view_member_set if self.has_quorum else self._all_sites
+        rec = self._live[tx_id] = _TxRecord(view, **fields)
+        return rec
+
     # -- home side --------------------------------------------------------------
 
     def start_update(self, tx: Transaction) -> None:
         self.public.add(tx.tx_id)
-        rec = self._live[tx.tx_id] = _TxRecord(home=self.site, unsent=list(tx.spec.writes))
+        rec = self._open(tx.tx_id, home=self.site, unsent=list(tx.spec.writes))
         rec.timer = self.engine.schedule(self.write_grace, self._check_write_progress, tx.tx_id)
         self._advance(tx, rec)
 
@@ -221,7 +235,7 @@ class ReliableBroadcastReplica(Replica):
             return
         # All writes acknowledged everywhere: start decentralized 2PC.
         tx.phase = TxPhase.COMMITTING
-        self.rbcast.broadcast(RbpCommitRequest(tx.tx_id, self.site))
+        self.rbcast.broadcast(RbpCommitRequest(tx.tx_id, self.site, _mask(rec.electorate)))
         # No round is open or left to send, and none ever will be: the
         # write-phase watchdog could only return from here on.
         rec.timer.cancel()
@@ -241,7 +255,7 @@ class ReliableBroadcastReplica(Replica):
         self._check_round(tx, rec, ack.key)
 
     def _check_round(self, tx: Transaction, rec: _TxRecord, key: str) -> None:
-        if rec.rounds[key].complete(self.view_member_set):
+        if rec.rounds[key].complete(rec.electorate):
             del rec.rounds[key]
             self._advance(tx, rec)
 
@@ -292,7 +306,7 @@ class ReliableBroadcastReplica(Replica):
             return
         self.metrics.rbp_vote_retries += 1
         self._emit("rbp.vote_retry", tx=tx_id)
-        self.rbcast.broadcast(RbpCommitRequest(tx_id, self.site))
+        self.rbcast.broadcast(RbpCommitRequest(tx_id, self.site, _mask(rec.electorate)))
         rec.timer = self.engine.schedule(self.write_grace, self._check_vote_progress, tx_id)
 
     def _abort_everywhere(self, tx: Transaction, reason: AbortReason) -> None:
@@ -340,7 +354,7 @@ class ReliableBroadcastReplica(Replica):
             granted = self.locks.try_acquire(write.tx, write.key, LockMode.EXCLUSIVE)
         if granted:
             if rec is None:
-                rec = self._live[write.tx] = _TxRecord()
+                rec = self._open(write.tx)
             rec.home = write.home
             rec.writes[write.key] = write.value
             if write.home != self.site:
@@ -442,6 +456,8 @@ class ReliableBroadcastReplica(Replica):
 
     def _on_commit_request(self, request: RbpCommitRequest) -> None:
         rec = self._live.get(request.tx)
+        # A site outside the home's electorate (it joined later) never votes.
+        voter = request.electorate >> self.site & 1
         if rec is None:
             decided = self.termination.decisions.get(request.tx)
             if decided is not None or self._ended(request.tx):
@@ -452,23 +468,26 @@ class ReliableBroadcastReplica(Replica):
                 # the presumed-abort watchdog fired): vote no so the home
                 # learns to abort instead of waiting for a vote that will
                 # never arrive.
-                self._cast_vote(request.tx, bool(decided))
+                if voter:
+                    self._cast_vote(request.tx, bool(decided))
                 return
-            rec = self._live[request.tx] = _TxRecord()
+            rec = self._open(request.tx)
         if rec.votes is None:
             rec.votes = Tally()
         rec.request_seen = True
         rec.home = request.home
-        # We acknowledged every write (otherwise an abort would have
-        # arrived), so we hold the locks and vote yes; a site that lost the
-        # transaction's state (e.g. it crashed and recovered) votes no.
-        yes = bool(rec.writes) or request.home == self.site
-        rec.voted_yes = yes
-        if yes:
-            # Durable prepare record, force-written before the vote leaves
-            # (``InDoubtTermination.prepared`` says why).
-            self.termination.prepare(request.tx)
-        self._cast_vote(request.tx, yes)
+        rec.electorate = frozenset(s for s in rec.electorate if request.electorate >> s & 1)
+        if voter:
+            # We acknowledged every write (otherwise an abort would have
+            # arrived), so we hold the locks and vote yes; a site that lost
+            # the transaction's state (e.g. it crashed and recovered) votes no.
+            yes = bool(rec.writes) or request.home == self.site
+            rec.voted_yes = yes
+            if yes:
+                # Durable prepare record, force-written before the vote leaves
+                # (``InDoubtTermination.prepared`` says why).
+                self.termination.prepare(request.tx)
+            self._cast_vote(request.tx, yes)
         self._check_votes(request.tx, rec)
 
     def _on_vote(self, vote: RbpVote) -> None:
@@ -480,7 +499,7 @@ class ReliableBroadcastReplica(Replica):
                 # crawled over a slow link after a decision query resolved
                 # the transaction — must not re-open a tally.
                 return
-            rec = self._live[vote.tx] = _TxRecord()
+            rec = self._open(vote.tx)
         if rec.votes is None:
             rec.votes = Tally()
         rec.votes[vote.site] = vote.yes
@@ -501,13 +520,19 @@ class ReliableBroadcastReplica(Replica):
             # transfer).  Our own transactions are aborted by the view
             # change; remote state waits for the home or the orphan watchdog.
             return
-        if not rec.votes.complete(self.view_member_set):
+        if not rec.votes.complete(rec.electorate):
             return
-        if rec.votes.unanimous(self.view_member_set):
-            self._commit(tx_id)
-        else:
+        if not rec.votes.unanimous(rec.electorate):
             # A quorum tally with a NO vote: an authoritative abort.
             self._purge(tx_id, authoritative=True)
+        elif len(rec.electorate) > self.num_sites // 2:
+            self._commit(tx_id)
+        elif tx_id in self.local:
+            # Views shrank the electorate below a majority: no commit (a
+            # decision query's presumption relies on a majority of YES votes,
+            # ``InDoubtTermination._check_query``).  A cohort waits for this
+            # abort, or its orphan watchdog asks a home that decided earlier.
+            self._abort_everywhere(self.local[tx_id], AbortReason.VIEW_LOSS)
 
     # -- the terminal paths ----------------------------------------------------------
 
@@ -539,18 +564,21 @@ class ReliableBroadcastReplica(Replica):
 
     # -- in-doubt termination: the host side of rbp_termination's seam -------------
 
-    def _lost_home(self, tx_id: str, rec: _TxRecord, trace: bool = True) -> bool:
+    def _lost_home(self, tx_id: str, rec: _TxRecord, trace: str = "rbp.presume_abort") -> bool:
         """The home left the view with its 2PC open here.  A cohort that
-        voted YES becomes in-doubt (True; the outcome may exist at the
-        survivors — query for it; in a minority view the query parks until
-        the heal); anything else is presumed aborted: its initiator can no
-        longer drive 2PC to completion, and without this site's YES no view
-        containing it can have reached a unanimous tally."""
-        if rec.voted_yes and rec.writes and tx_id not in self.local:
+        voted YES, or holds writes outside the electorate (which may commit
+        them without it), becomes in-doubt (True; the outcome may exist at
+        the survivors — query for it; in a minority view the query parks
+        until the heal); anything else is presumed aborted (``trace``: the
+        event to emit, '' for none): its initiator can no longer drive 2PC
+        to completion, and without this site's YES no electorate containing
+        it can have reached a unanimous tally."""
+        unsure = rec.voted_yes or self.site not in rec.electorate
+        if unsure and rec.writes and tx_id not in self.local:
             self._enter_in_doubt(tx_id, rec)
             return True
         if trace:
-            self._emit("rbp.presume_abort", tx=tx_id)
+            self._emit(trace, tx=tx_id)
         self._purge(tx_id)
         return False
 
@@ -633,11 +661,21 @@ class ReliableBroadcastReplica(Replica):
     def export_protocol_state(self) -> Optional[dict]:
         """The decision log (tx -> committed?), so a rejoiner can answer —
         and terminate — decision queries for outcomes reached while it was
-        down."""
-        return {"decision_log": tuple(self.termination.decisions.items())}
+        down; and, as tuples, every open record holding writes: one decided
+        after this export is in no snapshot (:meth:`_adopt_open`)."""
+        return {
+            "decision_log": tuple(self.termination.decisions.items()),
+            "open": tuple(
+                (tx_id, rec.home, _mask(rec.electorate), tuple(sorted(rec.writes.items())),
+                 rec.votes if rec.votes is None else tuple(sorted(rec.votes.items())),
+                 rec.request_seen)
+                for tx_id, rec in sorted(self._live.items()) if rec.writes
+            ),
+        }
 
     def adopt_protocol_state(self, state: dict) -> None:
-        """Replay a donor's decision log after adopting its store snapshot.
+        """Replay a donor's decision log after adopting its store snapshot,
+        then take its open records (:meth:`_adopt_open`).
 
         The snapshot already reflects every decided transaction, so any
         residual in-doubt or buffered state for a logged transaction is
@@ -663,78 +701,81 @@ class ReliableBroadcastReplica(Replica):
                     self.commit_home(tx, {})
                 else:
                     self.abort_home(tx, AbortReason.VIEW_LOSS)
+        self._adopt_open(state["open"])
 
-    # -- view changes ----------------------------------------------------------------
-
-    def _records(self) -> Iterator[tuple[str, _TxRecord]]:
-        """The live records in first-touch order, skipping any that an
-        earlier step of the same pass discharged."""
-        for tx_id, rec in list(self._live.items()):
-            if self._live.get(tx_id) is rec:
-                yield tx_id, rec
-
-    def on_view_change(self, members: list[int], has_quorum: bool) -> None:
-        super().on_view_change(members, has_quorum)
-        view = self.view_member_set
-        if not has_quorum:
-            # Minority view: our in-flight updates can never be decided here
-            # (see _check_votes) and submit() refuses new ones.  Abort them
-            # now so clients get a final NO_QUORUM outcome instead of
-            # waiting on a heal that may never come — EXCEPT transactions
-            # already prepared (commit request broadcast, votes cast): a
-            # majority on the other side of the partition can still commit
-            # those from the votes it holds, so a unilateral abort here
-            # would contradict it.  A prepared home is in doubt like any
-            # other cohort: park a decision query and resolve at the heal.
-            # detcheck: ignore[D104] — self.local is insertion-ordered by tx
-            # begin time (deterministic); a textual tx-id sort would change
-            # the abort/in-doubt processing order the tests pin down.
-            for tx in [t for t in self.local.values() if not t.read_only]:
-                if tx.terminal:
-                    continue
-                rec = self._live.get(tx.tx_id)
-                if rec is not None and rec.request_seen:
-                    self._enter_in_doubt(tx.tx_id, rec)
-                else:
-                    self._abort_everywhere(tx, AbortReason.NO_QUORUM)
-        # Each pass below walks the live records in first-touch order.  The
-        # passes stay separate because the order of their effects is protocol
-        # behaviour: every round and tally settles against the new view
-        # before any departed home is judged, and new queries go out before
-        # the standing ones restart.
-        # 1. Write rounds: acks are now needed only from surviving members.
-        for tx_id, rec in self._records():
-            tx = self.local.get(tx_id)
-            if tx is not None:
-                for key in list(rec.rounds):
-                    self._check_round(tx, rec, key)
-        # 2. Vote tallies: forget departed voters.
-        for tx_id, rec in self._records():
-            if rec.votes is not None:
-                rec.votes.restrict(view)
-                self._check_votes(tx_id, rec)
-        # 3. Transactions in 2PC whose home departed: in doubt, or purged.
-        fresh_queries: set[str] = set()
-        for tx_id, rec in self._records():
-            if not rec.request_seen or rec.home in view:
+    def _adopt_open(self, rows: tuple) -> None:
+        """Open (or merge into) a record for each unlogged transaction whose
+        electorate excludes this site: it missed that transaction's early
+        writes and votes, and commits or aborts it with the electorate, never
+        voting — so a presumed abort here (a never-voted promise) is lifted."""
+        for tx_id, home, electorate, writes, votes, request_seen in rows:
+            if electorate >> self.site & 1 or tx_id in self.termination.decisions:
                 continue
-            if rec.in_doubt:
-                continue  # already querying; restarted below
-            if self._lost_home(tx_id, rec, trace=False):
-                fresh_queries.add(tx_id)
-        # 4. Open queries restart against the new view, except those just
-        # sent against it.
-        self.termination.view_changed(skip=fresh_queries)
-        # 5. Buffered writes with no vote state and no local owner belong
-        # to transactions whose home may have died pre-2PC; drop them if
-        # the home left the view: this site never voted for them, so no
-        # view containing this site can have committed them.
-        for tx_id, rec in self._records():
-            if (
-                rec.votes is None
-                and rec.writes
-                and tx_id not in self.local
-                and rec.home not in view
-            ):
-                self._emit("rbp.drop_orphan", tx=tx_id)
-                self._purge(tx_id)
+            self._tombstones.pop(tx_id, None)
+            rec = self._live.get(tx_id) or self._open(tx_id)
+            # Homed here but lost in a crash: the home is gone (-1).
+            rec.home = home if home != self.site or tx_id in self.local else -1
+            rec.electorate = frozenset(s for s in rec.electorate if electorate >> s & 1)
+            for key, value in writes:
+                # A rejoiner's lock table is empty; a healed site's may hold a
+                # transaction the majority already ended, and gives way.
+                self.locks.try_acquire(tx_id, key, LockMode.EXCLUSIVE)
+                rec.writes[key] = value
+            if votes is not None:
+                rec.votes = Tally({**dict(votes), **(rec.votes or {})})
+            rec.request_seen |= request_seen
+            if rec.heard is None and not rec.in_doubt and rec.home != self.site:
+                rec.heard = self.now
+                rec.timer = self.engine.schedule(self.orphan_grace, self._check_orphan, tx_id)
+
+    def on_recovery_complete(self) -> None:
+        """An adopted record may be decidable already, or its home gone: walk
+        it as the view this site rejoined in would have."""
+        self._walk()
+
+    # -- the view-change answers (``Replica.on_view_change``) ------------------------
+
+    def _quorum_lost(self, tx: Transaction) -> None:
+        """A minority view can never decide ``tx`` (see :meth:`_check_votes`):
+        abort it so its client gets a final NO_QUORUM — unless prepared, as
+        the majority may still commit it from the votes it holds; then the
+        home is in doubt like any cohort and resolves at the heal."""
+        rec = self._live.get(tx.tx_id)
+        if rec is not None and rec.request_seen:
+            self._enter_in_doubt(tx.tx_id, rec)
+        else:
+            self._abort_everywhere(tx, AbortReason.NO_QUORUM)
+
+    def _rejudge(self, tx_id: str, rec: _TxRecord) -> None:
+        """Rounds and the tally hear from the record's electorate, which a
+        primary view narrows.  A quorumless view decides nothing, and
+        narrowing by it would let the heal decide from the minority's votes
+        alone.  A standing decision query restarts against the new view."""
+        if self.has_quorum:
+            rec.electorate &= self.view_member_set
+        tx = self.local.get(tx_id)
+        if tx is not None:
+            for key in list(rec.rounds):
+                self._check_round(tx, rec, key)
+        if rec.votes is not None and self._live.get(tx_id) is rec:
+            self._check_votes(tx_id, rec)
+        if rec.in_doubt:
+            self.termination.restart(tx_id)
+
+    def _home_left(self, tx_id: str, rec: _TxRecord) -> None:
+        """If the home left: in 2PC here (and not yet querying), in doubt or
+        purged.  Only buffered writes: this site never voted, so no
+        electorate holding it committed them — drop them.  Votes but no
+        request yet: left as is (any buffered writes keep their orphan
+        watchdog)."""
+        if rec.home in self.view_member_set:
+            return
+        if rec.request_seen and not rec.in_doubt:
+            self._lost_home(tx_id, rec, trace="")
+        elif rec.votes is None and rec.writes:
+            self._lost_home(tx_id, rec, trace="rbp.drop_orphan")
+
+
+def _mask(electorate: frozenset[int]) -> int:
+    """An electorate's wire form: bit *s* set iff site *s* is in it."""
+    return sum(1 << site for site in sorted(electorate))

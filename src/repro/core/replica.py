@@ -14,7 +14,8 @@ phases every protocol shares:
   ``_live`` (the protocol defines the record class and opens it on first
   touch), one exit (:meth:`_discharge`), one commit tail
   (:meth:`_install_commit`) and :meth:`in_flight`, derived from ``_live``
-  through the protocol's ``residue`` table.
+  through the protocol's ``residue`` table;
+- one view-change walk (:meth:`on_view_change`) over three protocol hooks.
 
 Protocol subclasses implement :meth:`start_update` (what happens once an
 update transaction has its reads) and the message handlers.
@@ -22,7 +23,7 @@ update transaction has its reads) and the message handlers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.core.transaction import AbortReason, Transaction, TxPhase
@@ -368,10 +369,46 @@ class Replica(Process):
         wedged, not merely waiting."""
         return ()
 
-    # -- view plumbing -------------------------------------------------------------
+    # -- view changes: one walk, three answers per protocol -------------------------
 
     def on_view_change(self, members: list[int], has_quorum: bool) -> None:
-        """Adopt a new view (called by the cluster's membership wiring)."""
+        """Adopt a new view (from the cluster's membership wiring), then ask
+        the protocol's three hooks: :meth:`_quorum_lost` for each open update
+        transaction homed here if the view is quorumless, then, per live
+        record in first-touch order, :meth:`_rejudge` and, if the record is
+        still live, :meth:`_home_left` (a tally the view completes decides
+        first)."""
         self.view_members = sorted(members)
         self.view_member_set = frozenset(self.view_members)
         self.has_quorum = has_quorum
+        if not has_quorum:
+            # detcheck: ignore[D104] — self.local is insertion-ordered by tx
+            # begin time (deterministic); a textual tx-id sort would change
+            # the abort/in-doubt processing order the tests pin down.
+            for tx in [t for t in self.local.values() if not (t.read_only or t.terminal)]:
+                self._quorum_lost(tx)
+        self._walk()
+
+    def _walk(self) -> None:
+        """Per live record in first-touch order: :meth:`_rejudge`, then, if
+        the record is still live, :meth:`_home_left`."""
+        for tx_id, rec in self._records():
+            self._rejudge(tx_id, rec)
+            if self._live.get(tx_id) is rec:
+                self._home_left(tx_id, rec)
+
+    def _records(self) -> Iterator[tuple[str, Any]]:
+        """The live records in first-touch order, skipping discharged ones."""
+        for tx_id, rec in list(self._live.items()):
+            if self._live.get(tx_id) is rec:
+                yield tx_id, rec
+
+    def _quorum_lost(self, tx: Transaction) -> None:
+        """``tx``, homed here and open, in a quorumless view.  Base: waits."""
+
+    def _rejudge(self, tx_id: str, rec: Any) -> None:
+        """Re-check ``rec``'s rounds and tallies against whom they hear from."""
+
+    def _home_left(self, tx_id: str, rec: Any) -> None:
+        """End ``rec`` if its home left the view.  Base: P2P and ABP records
+        name no home (the home's own view change ends them)."""

@@ -1,11 +1,11 @@
-"""The one "heard from every member of the view" predicate.
+"""The one "heard from every member of the electorate" predicate.
 
-The protocols differ only in *what* a site waits to hear from every view
-member: RBP explicit write acks and then 2PC votes, CBP implicit acks, the
-point-to-point baseline write acks and then coordinator-collected votes.
-:class:`Tally` is that wait: site -> answer, judged against the frozenset
-the replica already maintains (``Replica.view_member_set``), so no check
-rebuilds a member set.
+The protocols differ only in *what* a site waits to hear, and from whom:
+RBP explicit write acks and then 2PC votes, from its record's electorate;
+CBP implicit acks and the point-to-point baseline write acks and then
+coordinator-collected votes, from the view.  :class:`Tally` is that wait:
+site -> answer, judged against a frozenset the replica already holds, so
+no check rebuilds a member set.
 """
 
 from __future__ import annotations
@@ -37,9 +37,3 @@ class Tally(dict):
     def missing(self, view: frozenset[int]) -> list[int]:
         """The members of ``view`` not yet heard from, sorted."""
         return sorted(view - self.keys())
-
-    def restrict(self, view: frozenset[int]) -> None:
-        """Forget answers from sites outside ``view``: a site that departs
-        and later rejoins must answer afresh."""
-        for site in [s for s in self if s not in view]:
-            del self[site]

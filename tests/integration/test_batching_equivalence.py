@@ -33,8 +33,8 @@ LOSS_RATES = [0.0, 0.05]
 #: Outcome digests of the default (passthrough) configuration, one per
 #: (protocol, loss) cell of the standard closed-loop mix.
 PINNED_PASSTHROUGH = {
-    ("rbp", 0.0): "7dad9ce394a91692",
-    ("rbp", 0.05): "8497de0396461104",
+    ("rbp", 0.0): "effb42af766bbc52",
+    ("rbp", 0.05): "5e3890c3f6dc1a91",
     ("cbp", 0.0): "1fce9984faddd809",
     ("cbp", 0.05): "f2ebef93f4e10adf",
     ("abp", 0.0): "808c347762b4dc64",

@@ -21,13 +21,18 @@ pinned so the bug cannot quietly return:
 - **p2p / 20 sites / seed 3 — all-members vote wedge.**  2PC tallies and
   ROWA write rounds waited on *every* view member with no re-evaluation
   on view change, so a voter crashing post-prepare wedged the home
-  forever.  Fixed by ``PointToPointReplica.on_view_change``.
+  forever.  Fixed by re-judging them at every view change (now
+  ``PointToPointReplica._rejudge``, P2P's answer to the one view-change walk).
 
-Two cells are pinned *open*: **rbp / 12 sites / seed 564**, the property
-test's own configuration, ends with live replicas disagreeing on committed
-state (the RBP join-view defect, ROADMAP item 1a), and so does the same
-defect at 4 sites with one crash and recovery under a steady update
-stream.  Both are strict ``xfail``s, so the fix for 1a flips them loudly.
+Two more cells guard the RBP join-view defect (ROADMAP item 1a, closed):
+a transaction in 2PC while a join view installed committed at the sites
+still in the old view and aborted at the others, whose tally waited on the
+joiner's NO; its retry then committed too.  **rbp / 12 sites / seed 564**
+is the property test's own configuration; the 4-site recipe (one crash and
+recovery under a steady update stream) runs RBP at four seeds that all
+failed before the fix, and the other three protocols at seed 3, since all
+four share the view-change walk.  Each RBP tally now waits only on the
+sites its transaction was written to (its electorate).
 """
 
 import pytest
@@ -35,7 +40,6 @@ import pytest
 from repro.analysis.experiment import run_sweep
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.core.transaction import TransactionSpec
-from repro.sim.oracles import OracleViolation
 from repro.workload.soak import SoakConfig, e13_smoke_cell, e13_tiny_cell, run_churn_soak
 
 
@@ -61,19 +65,22 @@ def test_p2p_vote_wedge_cell():
     assert metrics["unanswered"] == 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=OracleViolation, reason="ROADMAP item 1a")
 def test_rbp_join_view_divergence_cell():
     run_churn_soak(
         "rbp", SoakConfig(sites=12, duration=8_000.0, trace=True, trace_capacity=2_000), 564
     )
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1a")
-def test_rbp_join_view_divergence_at_four_sites():
-    """Site 3 crashes and rejoins mid-stream; t231 ends up installed twice
-    (attempts 1 and 4), breaking 1SR and convergence."""
+@pytest.mark.parametrize(
+    "protocol, seed",
+    [("rbp", 1), ("rbp", 3), ("rbp", 4), ("rbp", 5), ("cbp", 3), ("abp", 3), ("p2p", 3)],
+)
+def test_rbp_join_view_divergence_at_four_sites(protocol, seed):
+    """Site 3 crashes and rejoins mid-stream.  Before the fix, RBP's t231
+    ended up installed twice (attempts 1 and 4), breaking 1SR and
+    convergence."""
     cluster = Cluster(ClusterConfig(
-        protocol="rbp", num_sites=4, num_objects=32, seed=3,
+        protocol=protocol, num_sites=4, num_objects=32, seed=seed,
         enable_failure_detector=True, fd_interval=20, fd_timeout=80,
     ))
     cluster.crash_site(3, at=50)

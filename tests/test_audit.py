@@ -58,6 +58,7 @@ GHOST = "ghost#1"
 #: protocol -> a ``_live`` record held under every residue label.
 GHOSTS = {
     "rbp": lambda: reliable_protocol._TxRecord(
+        frozenset({0, 1, 2}),
         home=1,
         writes={"x0": 1},
         votes=Tally(),

@@ -26,7 +26,7 @@ from repro.core.events import (
 ALL_EVENTS = [
     RbpWrite("T#1", 0, "x", 1, (0.0, 0, "T")),
     RbpWriteAck("T#1", "x", 1, True),
-    RbpCommitRequest("T#1", 0),
+    RbpCommitRequest("T#1", 0, 0b11),
     RbpVote("T#1", 1, True),
     RbpAbort("T#1"),
     CbpWriteSet("T#1", 0, (("x", 1),), (0.0, 0, "T"), True),
@@ -76,7 +76,7 @@ def test_payloads_carry_enough_to_route():
     """Every broadcast payload that the home must collect replies for
     carries the home site id."""
     assert RbpWrite("T#1", 3, "x", 1, ()).home == 3
-    assert RbpCommitRequest("T#1", 3).home == 3
+    assert RbpCommitRequest("T#1", 3, 0b1000).home == 3
     assert CbpWriteSet("T#1", 3, (), (), True).home == 3
     assert CbpCommitRequest("T#1", 3).home == 3
     assert AbpCommitRequest("T#1", 3, (), (), ()).home == 3

@@ -131,7 +131,7 @@ def test_termination_against_a_fake_host():
     # retries, and after the last attempt the query parks.
     host = fake_host()
     host.termination.hand_over(TX)
-    host.termination.view_changed()  # restart: epoch 1, attempt 1 again
+    host.termination.restart(TX)  # a view change: epoch 1, attempt 1 again
     (_, fire, stale), (_, _, current) = host.timers
     assert stale == (TX, 0, 1) and current == (TX, 1, 1)
     fire(*stale)
@@ -143,10 +143,8 @@ def test_termination_against_a_fake_host():
         delay, fire, args = host.timers[-1]
         fire(*args)
     assert host.multicasts[-1].attempt == 8 and delay == 240.0
-    # A view change restarts a parked query, except one just sent against it.
-    host.termination.view_changed(skip={TX})
-    assert host.multicasts[-1].attempt == 8
-    host.termination.view_changed()
+    # A view change restarts a parked query.
+    host.termination.restart(TX)
     assert host.multicasts[-1].attempt == 1
 
     # Answerer side: the log answers first; an evicted outcome is "unknown"

@@ -121,6 +121,30 @@ def test_recovery_preserves_1sr_with_traffic_after_rejoin():
     assert result.committed_specs == 12
 
 
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_rbp_rejoiner_installs_a_transaction_decided_after_the_export(fault):
+    """Site 3 rejoins while T writes 120 keys one round at a time, and T
+    decides only after the donor exported: the snapshot lacks T, and site 3,
+    outside T's electorate, received only the writes sent after it rejoined.
+    It installs the rest from the donor's open record for T (a crashed site
+    through the state transfer, a healed one through the in-place clone);
+    with no such record it committed part of T and never converged."""
+    cluster = fault_cluster(num_objects=120, seed=1, relay=False)
+    if fault == "crash":
+        cluster.crash_site(3, at=10.0)
+        cluster.recover_site(3, at=400.0)
+    else:
+        cluster.engine.schedule_at(10.0, cluster.partition, [[0, 1, 2], [3]])
+        cluster.engine.schedule_at(400.0, cluster.heal_partition)
+    writes = {f"x{i}": 1 for i in range(120)}
+    status = cluster.submit(TransactionSpec.make("T", 0, writes=writes), at=300.0)
+    result = cluster.run(max_time=20_000, stop_when=cluster.await_specs(1))
+    assert status.committed and status.attempts == 1
+    # After the rejoin and the donor's 100 ms settle window.
+    assert status.last_attempt.commit_time > 500.0
+    assert result.converged and result.serialization.ok
+
+
 def test_live_write_during_state_transfer_survives_snapshot_install():
     """Regression (found by the fault property test): a write committing in
     the window between the donor exporting its snapshot and the rejoiner

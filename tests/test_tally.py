@@ -1,6 +1,12 @@
-"""Unit tests for the view-aware tally every protocol waits on."""
+"""Unit tests for the tally every protocol waits on, and the electorate RBP
+judges it against."""
 
+from typing import Optional
+
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.core.events import RbpCommitRequest, RbpVote, RbpWrite
 from repro.core.tally import Tally
+from repro.core.transaction import Transaction, TransactionSpec, TxPhase
 
 VIEW = frozenset({0, 1, 2})
 
@@ -28,17 +34,70 @@ def test_stale_voter_from_departed_site_does_not_complete():
     assert tally.complete(VIEW)  # the straggler does not block either
 
 
-def test_restrict_drops_departed_and_rejoin_needs_a_fresh_vote():
-    """The per-protocol view-change difference is exactly whether
-    ``restrict`` is called: RBP prunes, P2P and CBP do not."""
-    pruned, kept = Tally({0: True, 1: True, 2: False}), Tally({0: True, 1: True, 2: False})
-    pruned.restrict(frozenset({0, 1}))  # site 2 departs
-    assert sorted(pruned) == [0, 1] and sorted(kept) == [0, 1, 2]
-    # Site 2 rejoins: with pruning its pre-departure answer does not count.
-    assert not pruned.complete(VIEW)
-    assert kept.complete(VIEW) and not kept.unanimous(VIEW)
-    pruned[2] = True
-    assert pruned.complete(VIEW) and pruned.unanimous(VIEW)
+def rbp_cohort(view: list[int], electorate: int):
+    """Site 1 of a four-site RBP cluster in ``view``, holding ``T#1``'s
+    write from home 0 and its commit request naming ``electorate``."""
+    cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=4))
+    replica = cluster.replicas[1]
+    replica.on_view_change(view, True)
+    replica._on_write(RbpWrite("T#1", 0, "x0", 1, (0.0, 0, "T")))
+    replica._on_commit_request(RbpCommitRequest("T#1", 0, electorate))
+    return replica
+
+
+def decided(replica) -> Optional[bool]:
+    return replica.termination.decisions.get("T#1")
+
+
+def test_a_joiners_no_does_not_count_against_a_tally_opened_before_it_joined():
+    """Site 3 was down when T#1 went public; it joins mid-2PC, holds none
+    of T#1's writes and votes no.  Its vote is not read: the tally waits on
+    the three sites T#1 was written to, and commits on their yes."""
+    replica = rbp_cohort([0, 1, 2], 0b0111)
+    replica.on_view_change([0, 1, 2, 3], True)
+    for site, yes in ((3, False), (0, True), (1, True)):
+        replica._on_vote(RbpVote("T#1", site, yes))
+        assert decided(replica) is None
+    replica._on_vote(RbpVote("T#1", 2, True))
+    assert decided(replica) is True and "T#1" not in replica._live
+
+
+def test_a_voter_that_departs_and_rejoins_stays_out_of_the_tally():
+    """Site 2 leaves the view before voting and comes back with its state
+    lost (a no).  The view it left narrowed the electorate; the view it
+    rejoins does not grow it back."""
+    replica = rbp_cohort([0, 1, 2, 3], 0b1111)
+    for site in (0, 1):
+        replica._on_vote(RbpVote("T#1", site, True))
+    replica.on_view_change([0, 1, 3], True)
+    replica.on_view_change([0, 1, 2, 3], True)
+    replica._on_vote(RbpVote("T#1", 2, False))
+    assert decided(replica) is None
+    replica._on_vote(RbpVote("T#1", 3, True))
+    assert decided(replica) is True
+
+
+def test_an_electorate_narrowed_below_a_majority_never_commits():
+    """Five sites.  T#1 opens in view {0,1,2}, sites 3 and 4 rejoin, and
+    site 2 leaves before voting: the electorate narrows to {0,1}.  A commit
+    on two YES votes would let an in-doubt site 1 later presume abort (the
+    three others promise they never voted: 5 - 3 is below a majority), so
+    the home aborts and a cohort waits for that abort."""
+    cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=5))
+    home, cohort = cluster.replicas[0], cluster.replicas[1]
+    tx = Transaction(TransactionSpec.make("T", 0, writes={"x0": 1}), 1, 0.0, 0.0)
+    tx.phase = TxPhase.COMMITTING
+    home.local[tx.tx_id] = tx
+    for replica in (home, cohort):
+        replica.on_view_change([0, 1, 2], True)
+        replica._on_write(RbpWrite("T#1", 0, "x0", 1, (0.0, 0, "T")))
+        replica.on_view_change([0, 1, 2, 3, 4], True)
+        replica._on_commit_request(RbpCommitRequest("T#1", 0, 0b00111))
+        replica.on_view_change([0, 1, 3, 4], True)
+        for site in (0, 1):
+            replica._on_vote(RbpVote("T#1", site, True))
+        assert decided(replica) is None
+    assert tx.phase is TxPhase.ABORTED and "T#1" in cohort._live
 
 
 def test_unanimous_reads_only_view_members():
