@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-check bench-pairs retained experiments experiments-fast docs examples clean all lint lint-fast detcheck scorecard
+.PHONY: install test bench bench-check bench-pairs retained reach experiments experiments-fast docs examples clean all lint lint-fast detcheck scorecard
 
 # Keep in sync with .github/workflows/ci.yml and .pre-commit-config.yaml:
 # an unpinned ruff turns toolchain releases into surprise CI failures.
@@ -65,6 +65,14 @@ bench-pairs:
 #   make retained WORKLOAD=abp_hot_mix
 retained:
 	$(PYTHON) scripts/retained.py --workload $(WORKLOAD)
+
+# Reachability census (scripts/reach.py): which src/repro functions the
+# drivers (E1-E14, the six bench workloads at full scale, the examples) and
+# tier-1 enter, per module; fails if DESIGN.md's list of the functions the
+# drivers do not reach is out of date.  `python scripts/reach.py --check`
+# runs the drivers only (CI).
+reach:
+	$(PYTHON) scripts/reach.py
 
 experiments:
 	$(PYTHON) scripts/run_experiments.py

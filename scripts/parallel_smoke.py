@@ -24,7 +24,7 @@ from repro.analysis.experiment import run_sweep  # noqa: E402  (path bootstrap)
 
 
 def _cell(protocol: str, parameter: int, seed: int) -> dict:
-    from repro.analysis.metrics import QuantileAccumulator
+    from repro.analysis.stats import percentile
     from repro.core.cluster import Cluster, ClusterConfig
     from repro.workload import WorkloadConfig
     from repro.workload.runner import run_standard_mix
@@ -39,13 +39,12 @@ def _cell(protocol: str, parameter: int, seed: int) -> dict:
         mpl=2,
     )
     assert result.ok, f"{protocol} seed {seed} failed its invariants"
-    latency = QuantileAccumulator()
-    for value in result.metrics.commit_latencies(read_only=False):
-        latency.observe(value)
+    latencies = result.metrics.commit_latencies(read_only=False)
     return {
         "commits": float(result.committed_specs),
         "messages": float(result.network_stats["sent"]),
-        "latency (ms)": latency,
+        "latency p50 (ms)": percentile(latencies, 0.50),
+        "latency p99 (ms)": percentile(latencies, 0.99),
     }
 
 

@@ -19,7 +19,7 @@ experiment and printed in experiment order once complete.
 ``--sweep-jobs`` reaches *inside* each experiment process: it is exported
 as ``REPRO_SWEEP_JOBS``, which any ``run_sweep``/``ExperimentSweep`` call
 without an explicit ``jobs=`` picks up, sharding each cell's seed list
-across the sweep worker pool.  The order-canonical merge layer keeps the
+across the sweep worker pool.  The order-canonical merge keeps the
 output byte-identical to a serial sweep, so this too changes wall-clock
 only.  The two flags multiply (``--jobs 2 --sweep-jobs 4`` can run 8
 processes); prefer ``--sweep-jobs`` when running a single seed-heavy

@@ -22,6 +22,9 @@ One line, suitable for CHANGES.md::
 - recovery backlogs: distinct ``self.*backlog*`` attributes per module
   under ``src/repro`` (hand-rolled holds of traffic a site in state
   transfer receives; the router's hold is meant to be the only one);
+- test-only lines: body lines of the functions listed in DESIGN.md's
+  "Functions the drivers do not reach" (``scripts/reach.py`` holds the
+  list to the census; this reads the list and does not run it);
 - detcheck rules;
 - collected tier-1 tests.
 """
@@ -43,6 +46,7 @@ sys.path.insert(0, str(SRC))
 
 from repro.analysis.staticcheck.rules import ALL_RULE_IDS  # noqa: E402  (path bootstrap above)
 from repro.core.cluster import ClusterConfig  # noqa: E402
+from reach import listed_lines  # noqa: E402  (scripts/reach.py)
 
 PRAGMA = r"detcheck: ignore"
 COMMIT_TAIL = r"\.record_commit_provisional\("
@@ -107,6 +111,7 @@ def main() -> None:
         f"view-change defs {matches(VIEW_CHANGE_DEF, everything)}, "
         f"tick loops {sum(tick_loops(text) for text in everything)}, "
         f"recovery backlogs {sum(len(set(re.findall(BACKLOG_ATTR, t))) for t in everything)}, "
+        f"test-only lines {listed_lines()}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
         f"tests {collected_tests()}"
     )

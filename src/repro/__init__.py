@@ -31,10 +31,8 @@ from repro.core.transaction import AbortReason, Transaction, TransactionSpec, Tx
 from repro.db.serialization import HistoryRecorder, SerializationResult
 from repro.net.latency import (
     FixedLatency,
-    LanLatency,
     LognormalLatency,
     UniformLatency,
-    WanLatency,
 )
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.runner import ClosedLoopRunner, OpenLoopRunner
@@ -49,7 +47,6 @@ __all__ = [
     "ClusterResult",
     "FixedLatency",
     "HistoryRecorder",
-    "LanLatency",
     "LognormalLatency",
     "MetricsCollector",
     "OpenLoopRunner",
@@ -61,7 +58,6 @@ __all__ = [
     "TransactionSpec",
     "TxPhase",
     "UniformLatency",
-    "WanLatency",
     "WorkloadConfig",
     "WorkloadGenerator",
     "__version__",

@@ -17,11 +17,11 @@ next chunk in that order.
 
 Determinism contract: every cell/seed is an independent, deterministic
 simulation, and per-seed partial results are reduced through the
-order-canonical merge layer (:mod:`repro.analysis.metrics`) — sorted-by-seed
-fold, ``math.fsum`` accumulators, mergeable quantile/Welford
-representations.  ``jobs=1`` and ``jobs=N`` therefore produce
-**byte-identical** points and :meth:`ExperimentSweep.digest` values
-(asserted by the test suite and the CI parallel-determinism smoke).  The
+order-canonical merge, a sorted-by-seed fold with ``math.fsum``
+(:func:`repro.analysis.metrics.merge_seed_measurements`).  ``jobs=1`` and
+``jobs=N`` therefore produce **byte-identical** points and
+:meth:`ExperimentSweep.digest` values (asserted by the test suite and the
+CI parallel-determinism smoke).  The
 only requirement is the usual multiprocessing one: the scenario callable
 must be picklable (a module-level function or a callable object of a
 module-level class — not a closure).
@@ -33,19 +33,13 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.analysis.metrics import measurement_digest, merge_seed_measurements
 from repro.analysis.report import Table
 
 #: One unit of parallel work: every seed of one chunk of one cell.
 _ChunkKey = tuple[int, int]
-
-
-def _run_cell(scenario: Callable[[str, Any, int], dict[str, float]],
-              parameter: Any, protocol: str, seed: int) -> dict[str, float]:
-    """Top-level trampoline so worker processes can unpickle the call."""
-    return scenario(protocol, parameter, seed)
 
 
 def _run_seed_chunk(
@@ -118,8 +112,8 @@ class SweepPoint:
 class ExperimentSweep:
     """Runs ``scenario(protocol, parameter, seed) -> dict[str, float]``
     over ``parameters x protocols x seeds`` and folds the per-seed
-    measurements canonically (sorted-seed merge, fsum means, pooled
-    quantile/Welford expansion — see :mod:`repro.analysis.metrics`)."""
+    measurements canonically (sorted-seed merge, fsum means — see
+    :func:`repro.analysis.metrics.merge_seed_measurements`)."""
 
     name: str
     scenario: Callable[[str, Any, int], dict[str, float]]
@@ -300,11 +294,3 @@ def run_sweep(
         protocols=protocols,
         seeds=seeds,
     ).run(progress=progress, jobs=jobs)
-
-
-def cross_product(**axes: Iterable[Any]) -> list[dict[str, Any]]:
-    """Simple named cross product for multi-axis sweeps."""
-    combos: list[dict[str, Any]] = [{}]
-    for name, values in axes.items():
-        combos = [dict(combo, **{name: value}) for combo in combos for value in values]
-    return combos

@@ -6,7 +6,7 @@ spirit: one row per sweep point, one column per protocol or metric.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 class Table:
@@ -51,15 +51,3 @@ def _format_cell(cell: Any) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_ratio(numerator: float, denominator: float) -> str:
-    """Human-readable ratio like '3.1x' (guarding zero denominators)."""
-    if denominator == 0:
-        return "inf"
-    return f"{numerator / denominator:.1f}x"
-
-
-def bullet_list(items: Iterable[str]) -> str:
-    """Render items as an indented dash list."""
-    return "\n".join(f"  - {item}" for item in items)

@@ -64,9 +64,6 @@ class MessageCapture:
             result.append(message)
         return result
 
-    def __len__(self) -> int:
-        return len(self.messages)
-
 
 def attach_capture(network: Network, capacity: int = 100_000) -> MessageCapture:
     """Record every datagram ``network`` delivers from now on."""

@@ -37,23 +37,6 @@ def mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (0 for fewer than two values)."""
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(math.fsum((v - mu) ** 2 for v in values) / (len(values) - 1))
-
-
-def confidence_interval(values: Sequence[float], z: float = 1.96) -> tuple[float, float]:
-    """Normal-approximation confidence interval for the mean."""
-    if not values:
-        raise ValueError("confidence interval of empty sequence")
-    mu = mean(values)
-    half = z * stddev(values) / math.sqrt(len(values))
-    return (mu - half, mu + half)
-
-
 @dataclass(frozen=True)
 class Summary:
     """Five-number-style summary of a sample."""
@@ -65,13 +48,6 @@ class Summary:
     p99: float
     minimum: float
     maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.3f} p50={self.p50:.3f} "
-            f"p95={self.p95:.3f} p99={self.p99:.3f} "
-            f"min={self.minimum:.3f} max={self.maximum:.3f}"
-        )
 
 
 def summarize(values: Iterable[float]) -> Summary:

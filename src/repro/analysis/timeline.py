@@ -33,10 +33,6 @@ class TxTimeline:
     outcome: Optional[str] = None  # "committed" | "aborted:<reason>" | None
     events: list[tuple[float, str]] = field(default_factory=list)
 
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
 
 class TimelineBuilder:
     """Extracts per-transaction timelines from a trace log."""

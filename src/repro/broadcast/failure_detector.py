@@ -27,9 +27,6 @@ class Heartbeat:
     __slots__ = ()
     kind = "fd.heartbeat"
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Heartbeat()"
-
 
 register_payload(Heartbeat)
 _HEARTBEAT = Heartbeat()

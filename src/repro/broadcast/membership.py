@@ -49,9 +49,6 @@ class View:
         """Majority of *all* sites, not just of the previous view."""
         return len(self.members) * 2 > num_sites
 
-    def coordinator(self) -> int:
-        return min(self.members)
-
     def __contains__(self, site: int) -> bool:
         return site in self.members
 

@@ -29,9 +29,6 @@ class MessageId(NamedTuple):
     sender: int
     seq: int
 
-    def __str__(self) -> str:
-        return f"m{self.sender}.{self.seq}"
-
 
 @dataclass(slots=True)
 class BroadcastMessage:
@@ -51,13 +48,6 @@ class BroadcastMessage:
     @property
     def sender(self) -> int:
         return self.id.sender
-
-    @property
-    def seq(self) -> int:
-        return self.id.seq
-
-    def __str__(self) -> str:
-        return f"{self.id}[{self.kind}]"
 
 
 # Import-time shape check and sizer derivation (detcheck P201/P202).

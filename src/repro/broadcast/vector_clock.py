@@ -157,9 +157,6 @@ class VectorClock:
                 f"vector clock size mismatch: {len(self.entries)} vs {len(other.entries)}"
             )
 
-    def __repr__(self) -> str:
-        return f"VC{self.entries}"
-
 
 # The one wire class that brings its own sizer (see ``register_payload``).
 register_payload(VectorClock)

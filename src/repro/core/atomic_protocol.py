@@ -199,22 +199,6 @@ class AtomicBroadcastReplica(Replica):
             # request, if it ever certifies, comes later in the order).
             for key in writes:
                 self.locks.preempt(key, request.tx)
-        installed = self.install_writes(request.tx, writes)
         self.certified_commits += 1
-        if self.variant == "locked":
-            self.locks.release_all(request.tx)
         self.trace.emit(self.now, self.name, "abp.applied", tx=request.tx)
-        # ABP's own commit tail, not ``Replica._install_commit``: outside the
-        # locked variant a cohort holds no lock for the transaction, and the
-        # shared tail's discharge would add a ``release_all`` (a scan of
-        # every lock queue) to each of its commits.
-        if tx is not None and request.home == self.site:
-            self.locks.release_all(tx.tx_id)
-            self.commit_home(tx, installed)
-        else:
-            # Cohort, or a home whose client context died with a crash:
-            # certification committed the transaction group-wide, so record
-            # a provisional writer for the 1SR version order.
-            self.recorder.record_commit_provisional(
-                request.tx, self.site, installed, self.now
-            )
+        self._install_commit(request.tx, writes)

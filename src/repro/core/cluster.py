@@ -174,11 +174,7 @@ class Cluster:
         self.config = config
         self.engine = SimulationEngine()
         self.rng = RngRegistry(config.seed)
-        self.trace = TraceLog(
-            enabled=config.trace,
-            capacity=config.trace_capacity,
-            mode="head" if config.trace_capacity is None else "ring",
-        )
+        self.trace = TraceLog(enabled=config.trace, capacity=config.trace_capacity)
         self.recorder = HistoryRecorder(horizon=self._record_horizon)
         self.metrics = MetricsCollector()
         latency = config.latency if config.latency is not None else UniformLatency(0.5, 1.5)

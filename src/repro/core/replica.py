@@ -142,10 +142,6 @@ class Replica(Process):
         tx.phase = TxPhase.EXECUTING
         self.start_update(tx)
 
-    def start_update(self, tx: Transaction) -> None:
-        """Protocol-specific dissemination of the write phase."""
-        raise NotImplementedError
-
     # -- read-only fast path -------------------------------------------------------
 
     def _commit_readonly(self, tx: Transaction) -> None:
@@ -337,12 +333,10 @@ class Replica(Process):
         the committed-store snapshot (e.g. CBP's in-flight transaction
         books, ABP's causally pre-shipped write sets).  ``None`` means the
         committed snapshot plus broadcast-layer fast-forward is complete —
-        true for the base replica."""
+        true for the base replica.  A protocol that ships state defines
+        ``adopt_protocol_state(state)``, which installs it on the rejoiner
+        between the snapshot install and :meth:`on_recovery_complete`."""
         return None
-
-    def adopt_protocol_state(self, state: dict) -> None:
-        """Install a donor's :meth:`export_protocol_state` payload (rejoiner
-        side, between the snapshot install and :meth:`on_recovery_complete`)."""
 
     # -- introspection --------------------------------------------------------------
 

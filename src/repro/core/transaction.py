@@ -77,9 +77,6 @@ class TransactionSpec:
     def write_keys(self) -> tuple[str, ...]:
         return tuple(key for key, _ in self.writes)
 
-    def writes_dict(self) -> dict[str, Any]:
-        return dict(self.writes)
-
     def __str__(self) -> str:
         return f"{self.name}@s{self.home}"
 
@@ -106,10 +103,6 @@ class Transaction:
         self.tx_id = f"{self.spec.name}#{self.attempt}"
 
     @property
-    def home(self) -> int:
-        return self.spec.home
-
-    @property
     def read_only(self) -> bool:
         return self.spec.read_only
 
@@ -125,13 +118,5 @@ class Transaction:
     def observed_versions(self) -> dict[str, int]:
         return {key: version for key, (_, version) in self.reads_observed.items()}
 
-    def observed_values(self) -> dict[str, Any]:
-        return {key: value for key, (value, _) in self.reads_observed.items()}
-
     def __str__(self) -> str:
         return self.tx_id
-
-
-def older(priority_a: tuple, priority_b: tuple) -> bool:
-    """True when ``priority_a`` outranks (is older than) ``priority_b``."""
-    return priority_a < priority_b

@@ -225,18 +225,6 @@ class LockManager:
         self._grant(winner, key, LockMode.EXCLUSIVE)
         return losers
 
-    def cancel_request(self, tx: TxId, key: str) -> None:
-        """Withdraw a queued single-key request (e.g. the tx was NACKed)."""
-        queue = self._queues.get(key)
-        if not queue:
-            return
-        remaining = [r for r in queue if r.tx != tx]
-        if remaining:
-            self._queues[key] = remaining
-        else:
-            self._queues.pop(key, None)
-        self._reevaluate({key})
-
     # -- deadlock detection ----------------------------------------------------
 
     def waits_for_edges(self) -> dict[TxId, set[TxId]]:

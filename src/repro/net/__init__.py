@@ -22,11 +22,9 @@ Layering (bottom to top):
 
 from repro.net.latency import (
     FixedLatency,
-    LanLatency,
     LatencyModel,
     LognormalLatency,
     UniformLatency,
-    WanLatency,
 )
 from repro.net.network import Network, NetworkStats
 from repro.net.partition import PartitionManager
@@ -37,7 +35,6 @@ from repro.net.transport import ReliableTransport
 __all__ = [
     "ChannelRouter",
     "FixedLatency",
-    "LanLatency",
     "LatencyModel",
     "LognormalLatency",
     "Network",
@@ -45,7 +42,6 @@ __all__ = [
     "PartitionManager",
     "ReliableTransport",
     "UniformLatency",
-    "WanLatency",
     "estimate_size",
     "wire_size",
 ]

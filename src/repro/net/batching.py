@@ -64,9 +64,6 @@ class BatchEnvelope:
     items: tuple[Any, ...]
     kind: str = BATCH_KIND
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 class BroadcastBatcher:
     """Per-site flush-window coalescer between router and transport.

@@ -19,9 +19,9 @@ class LatencyModel(ABC):
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         """One delay sample for a message from ``src`` to ``dst``."""
 
+    @abstractmethod
     def mean(self) -> float:
         """Approximate mean delay (used by default timeout heuristics)."""
-        return 1.0
 
 
 class FixedLatency(LatencyModel):
@@ -75,33 +75,3 @@ class LognormalLatency(LatencyModel):
 
     def mean(self) -> float:
         return min(self.median * math.exp(self.sigma**2 / 2.0), self.cap)
-
-
-class LanLatency(LognormalLatency):
-    """Preset resembling the paper's era: sub-millisecond to few-ms LAN."""
-
-    def __init__(self) -> None:
-        super().__init__(median=1.0, sigma=0.3, cap=20.0)
-
-
-class WanLatency(LatencyModel):
-    """Site-distance-sensitive WAN: base RTT plus per-hop jitter.
-
-    Delay grows with the (circular) distance between site ids, a cheap
-    stand-in for geographic placement in scaling experiments.
-    """
-
-    def __init__(self, base: float = 10.0, per_hop: float = 5.0, jitter: float = 0.2):
-        if base < 0 or per_hop < 0 or not 0 <= jitter < 1:
-            raise ValueError("invalid WAN parameters")
-        self.base = base
-        self.per_hop = per_hop
-        self.jitter = jitter
-
-    def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        hops = abs(src - dst)
-        nominal = self.base + self.per_hop * hops
-        return nominal * rng.uniform(1 - self.jitter, 1 + self.jitter)
-
-    def mean(self) -> float:
-        return self.base + self.per_hop

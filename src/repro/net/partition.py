@@ -8,7 +8,7 @@ demonstrate majority-view liveness.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class PartitionManager:
@@ -55,9 +55,6 @@ class PartitionManager:
         """Restore full connectivity."""
         self._group = [0] * self.num_sites
 
-    def group_of(self, site: int) -> int:
-        return self._group[site]
-
     def groups(self) -> list[list[int]]:
         """Current groups as sorted lists of site ids."""
         by_gid: dict[int, list[int]] = {}
@@ -67,10 +64,3 @@ class PartitionManager:
 
     def is_fully_connected(self) -> bool:
         return len(set(self._group)) == 1
-
-    def majority_group(self) -> Optional[list[int]]:
-        """The group holding a strict majority of sites, if any."""
-        for members in self.groups():
-            if len(members) * 2 > self.num_sites:
-                return members
-        return None

@@ -3,10 +3,10 @@
 A :class:`ChurnSchedule` layers on :class:`repro.sim.faults.FaultSchedule`
 and *generates* fault timelines instead of hand-placing every event: rolling
 crash/recover (with the cluster's message-based state transfer doing the
-rejoin work), membership cascades (several near-simultaneous crashes, so
-the coordinator installs a cascade of shrinking views), and link-flap loss
-windows — all with seeded inter-event gaps drawn from an injected RNG
-stream, so a churn plan is a pure function of the cluster seed.
+rejoin work) and membership cascades (several near-simultaneous crashes, so
+the coordinator installs a cascade of shrinking views), both with seeded
+inter-event gaps drawn from an injected RNG stream, so a churn plan is a
+pure function of the cluster seed.
 
 Contracts the oracles (:mod:`repro.sim.oracles`) rely on:
 
@@ -47,7 +47,6 @@ class ChurnSchedule:
         churn = ChurnSchedule(cluster)
         t = churn.rolling_restart(start=2_000.0, victims=(1, 2, 3))
         t = churn.cascade(at=t + 1_000.0, victims=(4, 5))
-        churn.link_flaps(0.05, start=t, cycles=3)
 
     The underlying :class:`FaultSchedule` is exposed as :attr:`faults` for
     its audit log; :attr:`plan` records what was *declared* (available
@@ -155,51 +154,6 @@ class ChurnSchedule:
             end = max(end, recover_at)
         return end
 
-    def link_flaps(
-        self,
-        loss_rate: float,
-        start: float,
-        cycles: int,
-        hold: Optional[Span] = None,
-        gap: Optional[Span] = None,
-    ) -> float:
-        """Seeded loss windows: raise the loss rate for a seeded hold,
-        restore, wait a seeded gap, repeat.  Requires the ARQ transport
-        (``reliable_links=True``) — enforced by ``flaky_links``."""
-        if cycles < 1:
-            raise ValueError("cycles must be at least 1")
-        hold = hold if hold is not None else (200.0, 800.0)
-        gap = gap if gap is not None else (500.0, 2_000.0)
-        at = start
-        for _ in range(cycles):
-            window = self.rng.uniform(*hold)
-            self.faults.flaky_links(loss_rate, at=at, until=at + window)
-            self.plan.append((at, "flap", loss_rate))
-            at += window + self.rng.uniform(*gap)
-        return at
-
-    def mixed(
-        self,
-        start: float,
-        duration: float,
-        victims: Optional[Sequence[int]] = None,
-        flap_loss: Optional[float] = None,
-    ) -> float:
-        """The standard E13 soak shape: a rolling restart over seeded
-        victims spanning roughly ``duration``, a two-site cascade once the
-        rolling pass ends (when quorum allows), and — when ``flap_loss`` is
-        given and the transports run ARQ — loss flaps overlapping the
-        churn.  Returns the schedule's end time."""
-        victims = list(victims) if victims is not None else self.default_victims()
-        picks = victims[: max(1, min(len(victims), 4))]
-        end = self.rolling_restart(start, victims=picks)
-        if self.max_concurrent_down >= 2 and len(victims) >= 2:
-            cascade_victims = victims[-2:]
-            end = self.cascade(at=end + self.cluster.config.fd_interval, victims=cascade_victims)
-        if flap_loss is not None:
-            self.link_flaps(flap_loss, start=start + duration * 0.25, cycles=2)
-        return end
-
     # -- internals --------------------------------------------------------------
 
     def _crash(self, site: int, at: float) -> None:
@@ -238,11 +192,3 @@ class ChurnSchedule:
                     count += 1
                     break
         return count
-
-    def describe(self) -> str:
-        """The declared plan, one line per event, in time order."""
-        lines = [
-            f"[{time:10.1f}] {action} {detail}"
-            for time, action, detail in sorted(self.plan)
-        ]
-        return "\n".join(lines)

@@ -99,10 +99,6 @@ class EventHandle:
         """True while the event is scheduled and not yet fired/cancelled."""
         return not self.cancelled and not self.fired
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        return f"<EventHandle t={self.fire_at:.3f} seq={self.seq} {state}>"
-
 
 class SimulationEngine:
     """Single-threaded deterministic discrete-event loop.
@@ -345,6 +341,3 @@ class SimulationEngine:
     def heap_size(self) -> int:
         """Raw heap length including cancelled residents (for tests/metrics)."""
         return len(self._heap)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SimulationEngine t={self.now:.3f} queued={len(self._heap)}>"

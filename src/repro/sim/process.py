@@ -86,7 +86,3 @@ class Process:
 
     def on_recover(self) -> None:
         """Hook for subclasses; called once per recovery."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "down"
-        return f"<{type(self).__name__} {self.name} {state}>"

@@ -37,10 +37,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of this one's."""
-        return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"

@@ -4,26 +4,19 @@ Protocols emit trace records ("site 2 delivered commit request for T7 at
 t=41.2") through a shared :class:`TraceLog`.  Tests assert on traces; the
 benchmark harness keeps tracing disabled for speed.
 
-Bounded modes (long soaks must stay memory-bounded; see E13):
-
-- ``mode="head"`` (the default with a ``capacity``): keep the *oldest*
-  ``capacity`` records and refuse the rest — the historical behaviour,
-  right for tests that assert on a run's opening phase.
-- ``mode="ring"``: keep the *newest* ``capacity`` records in a circular
-  buffer — right for churn soaks, where the interesting records are the
-  ones nearest the failure being diagnosed and memory must not grow with
-  simulated time.
-
-In both modes ``counts`` keeps incrementing past the cap and ``dropped``
-counts exactly the records no longer retained, so ``truncated`` flags any
-incomplete history (the audit checks it).
+A ``capacity`` bounds the log as a ring (long soaks must stay
+memory-bounded; see E13): it keeps the *newest* ``capacity`` records in a
+circular buffer, the ones nearest the failure being diagnosed, and memory
+does not grow with simulated time.  ``counts`` keeps incrementing past the
+cap and ``dropped`` counts exactly the records overwritten, so
+``truncated`` flags any incomplete history (the audit checks it).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -50,27 +43,16 @@ class TraceLog:
     each read, so a caller that reads it repeatedly should keep the list.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        capacity: Optional[int] = None,
-        mode: str = "head",
-    ):
-        if mode not in ("head", "ring"):
-            raise ValueError(f"unknown trace mode {mode!r}; pick 'head' or 'ring'")
-        if mode == "ring" and capacity is None:
-            raise ValueError("mode='ring' requires a capacity")
+    def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.enabled = enabled
         self.capacity = capacity
-        self.mode = mode
         self._buffer: list[tuple[float, str, str, dict[str, Any]]] = []
-        #: Next slot to overwrite once the ring is full (ring mode only).
+        #: Next slot to overwrite once the ring is full.
         self._ring_head = 0
         self.counts: Counter[str] = Counter()
-        #: Records no longer retained because ``capacity`` was reached —
-        #: refused (head mode) or overwritten (ring mode).  ``counts``
+        #: Records overwritten because ``capacity`` was reached.  ``counts``
         #: keeps incrementing past the cap, so a non-zero value here is the
         #: only sign that ``records`` is an incomplete history — consumers
         #: (audit, timeline, tests) must check :attr:`truncated`.
@@ -84,8 +66,6 @@ class TraceLog:
         buffer = self._buffer
         if self.capacity is not None and len(buffer) >= self.capacity:
             self.dropped += 1
-            if self.mode == "head":
-                return
             # Ring wraparound: overwrite the oldest slot in place, so the
             # buffer always holds the newest ``capacity`` records.
             head = self._ring_head
@@ -101,7 +81,7 @@ class TraceLog:
         return [TraceRecord(*row) for row in self._rows()]
 
     def _rows(self) -> list[tuple[float, str, str, dict[str, Any]]]:
-        if self.mode == "ring" and self._ring_head:
+        if self._ring_head:
             head = self._ring_head
             return self._buffer[head:] + self._buffer[:head]
         return self._buffer
@@ -118,23 +98,13 @@ class TraceLog:
         **detail: Any,
     ) -> list[TraceRecord]:
         """Records matching every given criterion."""
-        return list(self.iter_filtered(kind=kind, source=source, **detail))
-
-    def iter_filtered(
-        self,
-        kind: Optional[str] = None,
-        source: Optional[str] = None,
-        **detail: Any,
-    ) -> Iterator[TraceRecord]:
-        for row in self._rows():
-            _, row_source, row_kind, row_detail = row
-            if kind is not None and row_kind != kind:
-                continue
-            if source is not None and row_source != source:
-                continue
-            if any(row_detail.get(k) != v for k, v in detail.items()):
-                continue
-            yield TraceRecord(*row)
+        return [
+            TraceRecord(*row)
+            for row in self._rows()
+            if (kind is None or row[2] == kind)
+            and (source is None or row[1] == source)
+            and all(row[3].get(k) == v for k, v in detail.items())
+        ]
 
     def count(self, kind: str) -> int:
         """How many events of ``kind`` were emitted (works when disabled)."""

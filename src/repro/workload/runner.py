@@ -100,12 +100,6 @@ class ClosedLoopRunner:
         else:
             self._submit_next()
 
-    @property
-    def done(self) -> bool:
-        if self._outstanding:
-            return False
-        return self._stopped or self._submitted >= self.transactions
-
 
 def run_standard_mix(
     cluster: Cluster,

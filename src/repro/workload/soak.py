@@ -7,8 +7,7 @@ Composes the pieces the E13 series needs into one picklable scenario cell:
   drown the run in O(n²)-per-interval heartbeat events — see
   :func:`scaled_cluster_config`),
 - a seeded :class:`repro.sim.churn.ChurnSchedule` plan sized to the soak
-  duration (rolling restarts, a cascade when time and quorum allow, and
-  optional link flaps),
+  duration (rolling restarts, and a cascade when time and quorum allow),
 - a closed-loop workload that submits continuously until the horizon and
   then goes quiet (:meth:`ClosedLoopRunner.stop`),
 - :class:`repro.sim.oracles.SoakOracles` armed for the whole run, and
@@ -37,7 +36,6 @@ def scaled_cluster_config(
     protocol: str,
     sites: int,
     seed: int,
-    flap_loss: Optional[float] = None,
     trace: bool = False,
     trace_capacity: int = 20_000,
 ) -> ClusterConfig:
@@ -69,10 +67,8 @@ def scaled_cluster_config(
         # Eager relay is O(n²) datagrams per broadcast — infeasible on the
         # size axis.  Crash-only churn is safe without it: a multicast's
         # sends are scheduled atomically, so partial dissemination by a
-        # crashing sender cannot occur (loss windows are the exception and
-        # require ARQ, forced below).
+        # crashing sender cannot occur.
         relay=False,
-        reliable_links=flap_loss is not None,
         trace=trace,
         trace_capacity=trace_capacity if trace else None,
     )
@@ -89,9 +85,6 @@ class SoakConfig:
     think_time: float = 1_500.0
     read_ops: int = 2
     write_ops: int = 1
-    #: Loss rate for link-flap windows; ``None`` disables flaps (and the
-    #: ARQ transports they require).
-    flap_loss: Optional[float] = None
     trace: bool = False
     trace_capacity: int = 20_000
     #: ``None`` derives a window from the cluster's scaled fd timeout.
@@ -111,7 +104,7 @@ class SoakConfig:
 def build_churn_plan(cluster: Cluster, config: SoakConfig) -> ChurnSchedule:
     """A seeded plan sized to the soak: as many rolling crash/recover
     cycles as fit the duration at this scale, a two-site cascade when a
-    cycle's budget is left over and quorum allows, plus optional flaps.
+    cycle's budget is left over and quorum allows.
 
     All recoveries are scheduled inside the horizon, so the quiet tail
     starts with every site up and converging.
@@ -135,14 +128,6 @@ def build_churn_plan(cluster: Cluster, config: SoakConfig) -> ChurnSchedule:
         pair = [victims[(cycles * 7 + 3) % len(victims)], victims[(cycles * 7 + 10) % len(victims)]]
         if pair[0] != pair[1]:
             churn.cascade(at=end + 2.0 * cfg.fd_interval, victims=pair, downtime=downtime)
-    if config.flap_loss is not None:
-        churn.link_flaps(
-            config.flap_loss,
-            start=start + 0.3 * config.duration,
-            cycles=2,
-            hold=(cfg.fd_interval, 2.0 * cfg.fd_interval),
-            gap=(2.0 * cfg.fd_interval, 4.0 * cfg.fd_interval),
-        )
     return churn
 
 
@@ -151,7 +136,7 @@ def run_churn_soak(protocol: str, config: SoakConfig, seed: int) -> dict[str, fl
 
     Raises :class:`repro.sim.oracles.OracleViolation` if any oracle fails;
     a completed call certifies the run.  The returned floats fold through
-    the order-canonical merge layer (digest tests compare serial vs
+    the order-canonical merge (digest tests compare serial vs
     ``jobs=N`` sweeps over this function).
     """
     cluster = Cluster(
@@ -159,7 +144,6 @@ def run_churn_soak(protocol: str, config: SoakConfig, seed: int) -> dict[str, fl
             protocol,
             config.sites,
             seed,
-            flap_loss=config.flap_loss,
             trace=config.trace,
             trace_capacity=config.trace_capacity,
         )

@@ -34,7 +34,7 @@ def disjoint_workload(num_txs=24, sites=4):
 def expected_state(specs):
     state = {}
     for spec in specs:
-        state.update(spec.writes_dict())
+        state.update(spec.writes)
     return state
 
 

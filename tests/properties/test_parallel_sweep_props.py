@@ -2,8 +2,8 @@
 sweep across worker processes must produce the byte-identical measurement
 digest the serial runner produces — for every protocol.
 
-This is the contract the whole order-canonical merge layer exists for
-(sorted-by-seed folds, ``math.fsum``, mergeable quantile/Welford partials):
+This is the contract the order-canonical merge exists for
+(sorted-by-seed folds with ``math.fsum``):
 ``jobs`` may only change wall-clock, never a single bit of output.
 Examples are kept small — each one runs real simulated clusters for all
 four protocols, twice (serial and sharded).

@@ -61,6 +61,6 @@ def test_write_values_globally_unique(config, seed):
     values = [
         value
         for spec in generator.stream(25)
-        for value in spec.writes_dict().values()
+        for value in dict(spec.writes).values()
     ]
     assert len(values) == len(set(values))

@@ -126,7 +126,7 @@ def test_envelope_wire_size_matches_field_traversal():
         + estimate_size(envelope.kind)
     )
     assert estimate_size(envelope) == expected
-    assert len(envelope) == 2
+    assert len(envelope.items) == 2
 
 
 def test_batch_bytes_attributed_to_constituent_kinds():

@@ -365,3 +365,42 @@ def test_a_rejoiner_echoes_what_it_adopted():
     assert agent.transfers_completed == 1
     assert during.committed and result.converged
     assert any(kind is CbpNull and at > 1000.0 for at, kind in sent[3])
+
+
+def test_a_departed_home_is_killed_alike_and_its_tombstone_retires():
+    """The home crashes while its transaction waits for implicit
+    acknowledgments.  Nulls come every 400 ms, the detector drops the home
+    within ~100 ms, so the view change reaches every survivor before any
+    echo does: each kills the transaction with a tombstone at the commit
+    request's clock entry (``_home_done``), and the tombstone retires once
+    the recovered home is heard from past it."""
+    from repro.core.cluster import Cluster, ClusterConfig
+
+    cluster = Cluster(
+        ClusterConfig(
+            protocol="cbp", num_sites=4, num_objects=16, seed=5, cbp_heartbeat=400.0,
+            enable_failure_detector=True, fd_interval=20.0, fd_timeout=80.0, relay=True,
+        )
+    )
+    orphan = cluster.submit(
+        TransactionSpec.make("orphan", 0, read_keys=[], writes={"x0": 9}), at=1.0
+    )
+    cluster.crash_site(0, at=5.0)
+    survivors = cluster.replicas[1:]
+    cluster.run_for(4.0)
+    assert all("orphan#1" in r._live for r in survivors)
+    while any(0 in r.view_member_set for r in survivors):
+        cluster.run_for(5.0)
+    killed = ["orphan#1" in r._tombstones for r in survivors]
+    committed = [r.store.read("x0").value == 9 for r in survivors]
+    assert all(killed) or all(committed)
+    assert all(killed), "the view change should reach every survivor before any echo"
+    cluster.recover_site(0, at=cluster.engine.now + 200.0)
+    later = cluster.submit(
+        TransactionSpec.make("later", 1, read_keys=["x0"], writes={"x1": 3}),
+        at=cluster.engine.now + 1_000.0,
+    )
+    result = cluster.run(max_time=cluster.engine.now + 5_000.0)
+    assert later.committed
+    assert all("orphan#1" not in r._tombstones for r in cluster.replicas)
+    assert result.serialization.ok and result.converged

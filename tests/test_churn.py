@@ -113,7 +113,6 @@ def test_plan_is_a_pure_function_of_the_seed():
         churn = ChurnSchedule(churn_cluster(seed=77))
         churn.rolling_restart(start=1_000.0, victims=(1, 2, 3))
         churn.cascade(at=6_000.0, victims=(4, 5))
-        churn.link_flaps  # attribute exists; flaps need ARQ so not drawn here
         plans.append(list(churn.plan))
     assert plans[0] == plans[1]
 
@@ -125,16 +124,6 @@ def test_different_seeds_draw_different_plans():
         return list(churn.plan)
 
     assert plan_for(1) != plan_for(2)
-
-
-def test_mixed_phase_chains_and_describes():
-    churn = ChurnSchedule(churn_cluster(num_sites=9))
-    end = churn.mixed(start=1_000.0, duration=20_000.0)
-    assert end > 1_000.0
-    text = churn.describe()
-    assert "crash" in text and "recover" in text
-    # Declared plan is available before anything fires.
-    assert churn.faults.events() == []
 
 
 def test_churn_plan_actually_drives_the_cluster():

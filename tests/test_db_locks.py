@@ -143,14 +143,6 @@ def test_release_all_clears_queues_and_groups(lm):
     assert lm.holders_of("x") == {}
 
 
-def test_cancel_request(lm):
-    lm.try_acquire("W", "x", X)
-    lm.acquire("T1", "x", X, None)
-    lm.cancel_request("T1", "x")
-    lm.release_all("W")
-    assert lm.holds("T1", "x") is None
-
-
 def test_conflicting_holders(lm):
     lm.try_acquire("R1", "x", S)
     lm.try_acquire("R2", "x", S)

@@ -198,3 +198,24 @@ def test_reported_cycle_is_pinned():
     result = recorder.check()
     assert result.cycle == ["T1", "T3", "T2"]
     assert result.num_edges == 8
+
+
+def test_a_record_below_the_retirement_floor_is_a_violation():
+    """Once retirement has dropped the versions under a key's floor, a late
+    record that reads or writes one of them contradicts the horizon the
+    recorder was given: the check fails and names both."""
+    from unittest import mock
+
+    import repro.db.serialization
+
+    recorder = HistoryRecorder(horizon=lambda keys: ({key: 2 for key in keys}, ()))
+    with mock.patch.object(repro.db.serialization, "CHUNK", 2):
+        recorder.record_commit("T1", 0, reads={"x": 0}, writes={"x": 1}, commit_time=1.0)
+        recorder.record_commit("T2", 0, reads={"x": 1}, writes={"x": 2}, commit_time=2.0)
+        assert recorder.check().ok
+        recorder.record_commit("T3", 1, reads={"x": 1}, writes={}, commit_time=3.0)
+        recorder.record_commit_provisional("T4", 1, {"x": 1}, 4.0)
+    result = recorder.check()
+    assert not result.ok
+    assert "T3 read x version 1, below its retirement floor 2" in result.explain()
+    assert "T4 wrote x version 1, below its retirement floor 2" in result.explain()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.experiment import ExperimentSweep, cross_product
+from repro.analysis.experiment import ExperimentSweep
 
 
 def scenario(protocol, parameter, seed):
@@ -117,10 +117,3 @@ def test_parallel_progress_reports_every_cell():
     lines = []
     make_sweep().run(progress=lines.append, jobs=2)
     assert len(lines) == 6
-
-
-def test_cross_product():
-    combos = cross_product(a=(1, 2), b=("x", "y"))
-    assert len(combos) == 4
-    assert {"a": 1, "b": "y"} in combos
-    assert cross_product() == [{}]

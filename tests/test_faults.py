@@ -164,12 +164,12 @@ def test_equal_timestamp_events_fire_in_declaration_order():
     healed_last = fault_cluster(seed=31)
     FaultSchedule(healed_last).partition([[0, 1, 2], [3, 4]], at=50.0).heal(at=50.0)
     healed_last.run_for(60.0)
-    assert healed_last.network.partitions.group_of(0) == healed_last.network.partitions.group_of(3)
+    assert healed_last.network.partitions.connected(0, 3)
 
     split_last = fault_cluster(seed=31)
     FaultSchedule(split_last).heal(at=50.0).partition([[0, 1, 2], [3, 4]], at=50.0)
     split_last.run_for(60.0)
-    assert split_last.network.partitions.group_of(0) != split_last.network.partitions.group_of(3)
+    assert not split_last.network.partitions.connected(0, 3)
 
 
 def test_flaky_links_rejects_empty_window():

@@ -36,7 +36,6 @@ def test_initial_view_is_everyone():
     assert view.view_id == 0
     assert view.members == (0, 1, 2, 3, 4)
     assert view.has_quorum(5)
-    assert view.coordinator() == 0
 
 
 def test_view_excludes_crashed_site():

@@ -30,7 +30,6 @@ def test_abort_taxonomy():
     metrics.tx_aborted(make_tx("T3"), AbortReason.CERTIFICATION, 3.0)
     assert metrics.aborts_by_reason[AbortReason.DEADLOCK] == 2
     assert metrics.aborts_by_reason[AbortReason.CERTIFICATION] == 1
-    assert metrics.abort_rate() == 1.0
 
 
 def test_update_vs_readonly_separation():
@@ -71,121 +70,6 @@ def test_attempts_per_commit():
 
 def test_empty_collector_defaults():
     metrics = MetricsCollector()
-    assert metrics.abort_rate() == 0.0
     assert metrics.update_abort_rate() == 0.0
     assert metrics.attempts_per_commit() == 0.0
     assert metrics.commit_latency().count == 0
-
-
-# -- order-canonical merge accumulators ---------------------------------------
-
-def _digest_of(acc):
-    """Bit-exact fingerprint of everything an accumulator can report."""
-    from repro.analysis.metrics import QuantileAccumulator
-
-    if isinstance(acc, QuantileAccumulator):
-        reads = [acc.mean, acc.quantile(0.5), acc.quantile(0.95), acc.quantile(0.99)]
-    else:
-        reads = [acc.mean, acc.variance, acc.stddev]
-    return (acc.count, tuple(float(v).hex() for v in reads))
-
-
-def _quantile_parts():
-    from repro.analysis.metrics import QuantileAccumulator
-
-    parts = []
-    for source in range(4):
-        acc = QuantileAccumulator()
-        for i in range(5):
-            acc.observe(0.1 * (source + 1) * (i + 1) + 1 / 3, source=source)
-        parts.append(acc)
-    return parts
-
-
-def _welford_parts():
-    from repro.analysis.metrics import WelfordAccumulator
-
-    parts = []
-    for source in range(4):
-        acc = WelfordAccumulator()
-        for i in range(5):
-            acc.observe(0.7 * (source + 1) + i / 7, source=source)
-        parts.append(acc)
-    return parts
-
-
-def test_quantile_accumulator_merge_is_associative_and_order_free():
-    import itertools
-
-    a, b, c, d = _quantile_parts()
-    reference = _digest_of(a.merge(b).merge(c).merge(d))
-    assert _digest_of(a.merge(b.merge(c.merge(d)))) == reference  # associativity
-    for order in itertools.permutations((a, b, c, d)):
-        merged = order[0]
-        for part in order[1:]:
-            merged = merged.merge(part)
-        assert _digest_of(merged) == reference  # permutation invariance
-
-
-def test_welford_accumulator_merge_is_associative_and_order_free():
-    import itertools
-
-    a, b, c, d = _welford_parts()
-    reference = _digest_of(a.merge(b).merge(c).merge(d))
-    assert _digest_of(a.merge(b.merge(c.merge(d)))) == reference
-    for order in itertools.permutations((a, b, c, d)):
-        merged = order[0]
-        for part in order[1:]:
-            merged = merged.merge(part)
-        assert _digest_of(merged) == reference
-
-
-def test_merged_accumulators_match_single_stream():
-    """Sharded observation reduces to exactly the one-stream result."""
-    import math
-
-    from repro.analysis.metrics import QuantileAccumulator, WelfordAccumulator
-    from repro.analysis.stats import percentile
-
-    values = [0.3 * i + 1 / 3 for i in range(20)]
-    whole_q = QuantileAccumulator()
-    for v in values:
-        whole_q.observe(v)
-    sharded = [QuantileAccumulator() for _ in range(4)]
-    for i, v in enumerate(values):
-        sharded[i % 4].observe(v, source=i % 4)
-    merged = sharded[0].merge(sharded[1]).merge(sharded[2]).merge(sharded[3])
-    assert merged.quantile(0.95) == percentile(values, 0.95)
-    assert merged.mean == math.fsum(values) / len(values)
-    assert merged.count == whole_q.count
-
-    whole_w = WelfordAccumulator()
-    for v in values:
-        whole_w.observe(v)
-    shards_w = [WelfordAccumulator() for _ in range(4)]
-    for i, v in enumerate(values):
-        shards_w[i % 4].observe(v, source=i % 4)
-    merged_w = shards_w[0].merge(shards_w[1]).merge(shards_w[2]).merge(shards_w[3])
-    assert merged_w.count == whole_w.count
-    assert abs(merged_w.mean - whole_w.mean) < 1e-12
-    assert abs(merged_w.variance - whole_w.variance) < 1e-12
-
-
-def test_accumulator_merge_rejects_overlapping_sources():
-    import pytest
-
-    from repro.analysis.metrics import QuantileAccumulator, WelfordAccumulator
-
-    a = QuantileAccumulator()
-    a.observe(1.0, source="s")
-    b = QuantileAccumulator()
-    b.observe(2.0, source="s")
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-    c = WelfordAccumulator()
-    c.observe(1.0, source=3)
-    d = WelfordAccumulator()
-    d.observe(2.0, source=3)
-    with pytest.raises(ValueError):
-        c.merge(d)

@@ -6,10 +6,8 @@ import pytest
 
 from repro.net.latency import (
     FixedLatency,
-    LanLatency,
     LognormalLatency,
     UniformLatency,
-    WanLatency,
 )
 
 
@@ -55,22 +53,3 @@ def test_lognormal_median_roughly_centred(rng):
     samples = sorted(model.sample(rng, 0, 1) for _ in range(2000))
     median = samples[len(samples) // 2]
     assert 1.7 < median < 2.3
-
-
-def test_lan_preset_is_fast(rng):
-    model = LanLatency()
-    assert model.mean() < 5.0
-
-
-def test_wan_latency_grows_with_distance(rng):
-    model = WanLatency(base=10.0, per_hop=5.0, jitter=0.0)
-    near = model.sample(rng, 0, 1)
-    far = model.sample(rng, 0, 7)
-    assert far > near
-    assert near == pytest.approx(15.0)
-    assert far == pytest.approx(45.0)
-
-
-def test_wan_validates_params():
-    with pytest.raises(ValueError):
-        WanLatency(jitter=1.5)

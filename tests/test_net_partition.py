@@ -42,14 +42,6 @@ def test_heal_restores_everything():
     assert pm.is_fully_connected()
 
 
-def test_majority_group():
-    pm = PartitionManager(5)
-    pm.split([[0, 1, 2], [3, 4]])
-    assert pm.majority_group() == [0, 1, 2]
-    pm.split([[0, 1], [2, 3]])  # 4 is leftover alone; no majority of 5
-    assert pm.majority_group() is None
-
-
 def test_groups_listing():
     pm = PartitionManager(4)
     pm.split([[1, 3], [0, 2]])

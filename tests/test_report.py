@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import Table, bullet_list, format_ratio
+from repro.analysis.report import Table
 
 
 def test_table_renders_header_and_rows():
@@ -34,13 +34,3 @@ def test_table_alignment_widths():
     text = table.render()
     header, rule, row = text.splitlines()
     assert len(header) == len(rule) == len(row)
-
-
-def test_format_ratio():
-    assert format_ratio(6.0, 2.0) == "3.0x"
-    assert format_ratio(1.0, 0.0) == "inf"
-
-
-def test_bullet_list():
-    text = bullet_list(["one", "two"])
-    assert text == "  - one\n  - two"

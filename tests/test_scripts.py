@@ -205,3 +205,36 @@ def test_retained_fail_grows_names_growing_src_sites_over_the_budget():
     }
     assert retained.over_budget(half, full, 0.25) == ["src/a.py:1: 2.00 MiB, GROWS"]
     assert retained.over_budget(half, full, 4.0) == []
+
+
+def _reach():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "scripts" / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reach_list_names_existing_functions_with_known_reasons():
+    """DESIGN.md's list of the functions the drivers do not reach names only
+    functions that exist, each with one of the census's reasons (the census
+    itself, ``scripts/reach.py --check``, runs in CI: minutes, not seconds)."""
+    reach = _reach()
+    names = {name for name, _ in reach.functions().values()}
+    listed = reach.listed()
+    assert listed, "the list in DESIGN.md is empty or its heading moved"
+    assert sorted(set(listed) - names) == []
+    assert sorted(name for name, reason in listed.items() if reason not in reach.REASONS) == []
+
+
+def test_reach_check_fails_on_an_unlisted_or_a_reached_function():
+    reach = _reach()
+    listed_name = next(iter(reach.listed()))
+    unreached = {name: 1 for name in reach.listed()}
+    assert reach.held_to_list(unreached, by_drivers=set()) == []
+    problems = reach.held_to_list({**unreached, "repro.new:fresh": 3}, by_drivers=set())
+    assert problems == ["unlisted, not reached by the drivers: repro.new:fresh"]
+    del unreached[listed_name]
+    problems = reach.held_to_list(unreached, by_drivers={listed_name})
+    assert problems == [f"listed, but the drivers reach it: {listed_name}"]

@@ -25,7 +25,7 @@ def captured_run(protocol="rbp", **overrides):
 
 def test_capture_records_delivered_messages():
     cluster, capture = captured_run()
-    assert len(capture) == cluster.network.stats.delivered
+    assert len(capture.messages) == cluster.network.stats.delivered
     kinds = {m.kind for m in capture.messages}
     assert "rbp.write" in kinds and "rbp.vote" in kinds
 
@@ -70,7 +70,7 @@ def test_capture_capacity_bound():
     capture = MessageCapture(capacity=2)
     for n in range(5):
         capture.record(float(n), 0, 1, "k")
-    assert len(capture) == 2
+    assert len(capture.messages) == 2
 
 
 def test_sequence_matches_round_structure():

@@ -69,11 +69,11 @@ def test_clear():
     assert log.dropped == 0 and not log.truncated
 
 
-# -- ring mode (E13 soaks) -------------------------------------------------------
+# -- the ring (E13 soaks) ---------------------------------------------------------
 
 
 def test_ring_keeps_newest_records():
-    log = TraceLog(capacity=3, mode="ring")
+    log = TraceLog(capacity=3)
     for i in range(8):
         log.emit(float(i), "s", "k", i=i)
     assert len(log) == 3
@@ -81,7 +81,7 @@ def test_ring_keeps_newest_records():
 
 
 def test_ring_records_are_chronological_across_wraparound():
-    log = TraceLog(capacity=4, mode="ring")
+    log = TraceLog(capacity=4)
     for i in range(11):  # wraps twice, ends mid-buffer
         log.emit(float(i), "s", "k")
     times = [r.time for r in log.records]
@@ -89,7 +89,7 @@ def test_ring_records_are_chronological_across_wraparound():
 
 
 def test_ring_dropped_is_exact():
-    log = TraceLog(capacity=5, mode="ring")
+    log = TraceLog(capacity=5)
     for i in range(17):
         log.emit(float(i), "s", "k")
     assert log.dropped == 12  # overwritten, not refused
@@ -98,7 +98,7 @@ def test_ring_dropped_is_exact():
 
 
 def test_ring_below_capacity_matches_unbounded():
-    ring = TraceLog(capacity=10, mode="ring")
+    ring = TraceLog(capacity=10)
     plain = TraceLog()
     for i in range(6):
         ring.emit(float(i), "s", "k", i=i)
@@ -109,18 +109,8 @@ def test_ring_below_capacity_matches_unbounded():
     assert not ring.truncated
 
 
-def test_head_mode_unchanged_by_mode_parameter():
-    head = TraceLog(capacity=2, mode="head")
-    legacy = TraceLog(capacity=2)
-    for i in range(5):
-        head.emit(float(i), "s", "k")
-        legacy.emit(float(i), "s", "k")
-    assert [r.time for r in head.records] == [r.time for r in legacy.records] == [0.0, 1.0]
-    assert head.dropped == legacy.dropped == 3
-
-
 def test_ring_filter_sees_rotated_order():
-    log = TraceLog(capacity=3, mode="ring")
+    log = TraceLog(capacity=3)
     for i in range(5):
         log.emit(float(i), "s", "a" if i % 2 else "b")
     assert [r.time for r in log.filter(kind="a")] == [3.0]
@@ -128,7 +118,7 @@ def test_ring_filter_sees_rotated_order():
 
 
 def test_ring_clear_resets_head():
-    log = TraceLog(capacity=2, mode="ring")
+    log = TraceLog(capacity=2)
     for i in range(5):
         log.emit(float(i), "s", "k")
     log.clear()
@@ -139,11 +129,7 @@ def test_ring_clear_resets_head():
 
 def test_ring_requires_capacity():
     with pytest.raises(ValueError):
-        TraceLog(mode="ring")
-    with pytest.raises(ValueError):
-        TraceLog(capacity=0, mode="ring")
-    with pytest.raises(ValueError):
-        TraceLog(capacity=5, mode="sideways")
+        TraceLog(capacity=0)
 
 
 # -- rows against the record-per-emit reference ------------------------------------
@@ -153,16 +139,15 @@ class _RecordLog:
     """The reference: one ``TraceRecord`` built per emit, a ring rotated on
     read."""
 
-    def __init__(self, capacity=None, mode="head"):
-        self.capacity, self.mode = capacity, mode
+    def __init__(self, capacity=None):
+        self.capacity = capacity
         self.buffer, self.head = [], 0
 
     def emit(self, time, source, kind, **detail):
         record = TraceRecord(time, source, kind, detail)
         if self.capacity is not None and len(self.buffer) >= self.capacity:
-            if self.mode == "ring":
-                self.buffer[self.head] = record
-                self.head = (self.head + 1) % self.capacity
+            self.buffer[self.head] = record
+            self.head = (self.head + 1) % self.capacity
             return
         self.buffer.append(record)
 
@@ -171,11 +156,9 @@ class _RecordLog:
         return self.buffer[self.head:] + self.buffer[:self.head]
 
 
-@pytest.mark.parametrize(
-    "capacity, mode", [(None, "head"), (7, "head"), (7, "ring"), (40, "ring")]
-)
-def test_rows_read_back_as_the_records_emitted(capacity, mode):
-    log, reference = TraceLog(capacity=capacity, mode=mode), _RecordLog(capacity, mode)
+@pytest.mark.parametrize("capacity", [None, 7, 40])
+def test_rows_read_back_as_the_records_emitted(capacity):
+    log, reference = TraceLog(capacity=capacity), _RecordLog(capacity)
     for i in range(23):  # overwrites a 7-slot ring twice over, ending mid-buffer
         args = (i * 0.5, f"site{i % 3}", ("tx.commit", "tx.abort", "net")[i % 3])
         detail = {"tx": f"T{i % 4}", "n": i} if i % 5 else {}

@@ -4,10 +4,8 @@ import pytest
 
 from repro.analysis.stats import (
     Summary,
-    confidence_interval,
     mean,
     percentile,
-    stddev,
     summarize,
 )
 
@@ -38,24 +36,10 @@ def test_percentile_single_value():
     assert percentile([7.0], 0.99) == 7.0
 
 
-def test_mean_and_stddev():
+def test_mean():
     assert mean([2.0, 4.0]) == 3.0
-    assert stddev([2.0, 4.0]) == pytest.approx(1.4142, rel=1e-3)
-    assert stddev([5.0]) == 0.0
     with pytest.raises(ValueError):
         mean([])
-
-
-def test_confidence_interval_contains_mean():
-    data = [1.0, 2.0, 3.0, 4.0, 5.0]
-    low, high = confidence_interval(data)
-    assert low < 3.0 < high
-
-
-def test_confidence_interval_tightens_with_samples():
-    narrow = confidence_interval([3.0] * 100 + [3.1] * 100)
-    wide = confidence_interval([1.0, 5.0])
-    assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
 
 
 def test_summarize():
@@ -65,7 +49,6 @@ def test_summarize():
     assert summary.p50 == 3.0
     assert summary.minimum == 1.0
     assert summary.maximum == 5.0
-    assert "n=5" in str(summary)
 
 
 def test_summarize_empty():

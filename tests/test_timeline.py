@@ -20,7 +20,7 @@ def test_builder_extracts_lifecycle():
     timeline = builder.timelines["t1#1"]
     assert timeline.submit == 0.0
     assert timeline.reads_done is not None
-    assert timeline.finished
+    assert timeline.end is not None
     assert timeline.outcome == "committed"
     assert timeline.site == "site0"
 

@@ -5,14 +5,13 @@ from repro.core.transaction import (
     Transaction,
     TransactionSpec,
     TxPhase,
-    older,
 )
 
 
 def test_spec_make_sorts_writes():
     spec = TransactionSpec.make("T1", 0, read_keys=["b"], writes={"z": 1, "a": 2})
     assert spec.write_keys == ("a", "z")
-    assert spec.writes_dict() == {"a": 2, "z": 1}
+    assert dict(spec.writes) == {"a": 2, "z": 1}
 
 
 def test_read_only_detection():
@@ -26,7 +25,7 @@ def test_tx_id_encodes_attempt():
     spec = TransactionSpec.make("T7", 2, writes={"x": 1})
     tx = Transaction(spec, attempt=3, submit_time=10.0, first_submit_time=1.0)
     assert tx.tx_id == "T7#3"
-    assert tx.home == 2
+    assert tx.spec.home == 2
 
 
 def test_priority_uses_first_submission():
@@ -41,14 +40,14 @@ def test_older_comparison():
     spec_b = TransactionSpec.make("B", 1, writes={"x": 1})
     a = Transaction(spec_a, 1, 1.0, 1.0)
     b = Transaction(spec_b, 1, 2.0, 2.0)
-    assert older(a.priority, b.priority)
-    assert not older(b.priority, a.priority)
+    assert a.priority < b.priority
+    assert not b.priority < a.priority
 
 
 def test_priority_tiebreak_by_site_then_name():
     a = Transaction(TransactionSpec.make("A", 0, writes={"x": 1}), 1, 1.0, 1.0)
     b = Transaction(TransactionSpec.make("B", 1, writes={"x": 1}), 1, 1.0, 1.0)
-    assert older(a.priority, b.priority)
+    assert a.priority < b.priority
 
 
 def test_phase_lifecycle_and_terminal():
@@ -67,7 +66,6 @@ def test_observed_accessors():
     tx = Transaction(spec, 1, 0.0, 0.0)
     tx.reads_observed = {"x": (10, 2), "y": (20, 0)}
     assert tx.observed_versions() == {"x": 2, "y": 0}
-    assert tx.observed_values() == {"x": 10, "y": 20}
 
 
 def test_abort_reasons_have_distinct_values():

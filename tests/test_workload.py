@@ -118,7 +118,6 @@ def test_closed_loop_keeps_mpl_bounded():
     runner.start()
     result = cluster.run(max_time=500000)
     assert result.ok
-    assert runner.done
     assert in_flight_high_water <= 3
     assert result.committed_specs == 15
 
