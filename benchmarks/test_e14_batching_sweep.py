@@ -100,9 +100,9 @@ def test_e14_batching_sweep(benchmark):
         assert best_txn_s > measured[(protocol, None)]["txn_s"]
     # CBP commits one null-message period after its commit request whatever
     # the window, so the window moves its throughput by no more than run
-    # noise (a window wins at 7 of 11 seeds, passthrough at 4, seed 21 among
-    # them; EXPERIMENTS.md, E14).  What batching reliably buys CBP is the
-    # wire: every window sends fewer datagrams per update than passthrough.
+    # noise (a window wins at 5 of 11 seeds, passthrough at 6; EXPERIMENTS.md,
+    # E14).  What batching reliably buys CBP is the wire: every window sends
+    # fewer datagrams per update than passthrough.
     for window in WINDOWS[1:]:
         assert (
             measured[("cbp", window)]["datagrams_per_update"]

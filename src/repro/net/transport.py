@@ -15,8 +15,9 @@ Two modes, fixed at construction:
   to the network itself, so no transport code runs per datagram.
 - **ARQ** (lossy network, or ``reliable=True`` on a lossless one): payloads
   are framed with per-link sequence numbers; the receiver delivers in order
-  and returns cumulative acks; the sender retransmits unacked frames on a
-  timer.  First transmissions keep the payload's own accounting label;
+  and returns cumulative acks; the sender resends lost frames as soon as an
+  ack shows them missing, and unacked frames on a timer.  First
+  transmissions keep the payload's own accounting label;
   retransmissions are labelled ``transport.retransmit`` and acks
   ``transport.ack`` so experiments can separate protocol messages from
   transport overhead (E1's analytical comparison depends on this).
@@ -27,7 +28,20 @@ Reliability machinery (ARQ mode):
   further sends queue in FIFO order and are admitted as acks free slots, so
   a dead link accumulates a bounded retransmission set instead of an
   unbounded one.
-- **Retransmission with exponential backoff.**  Each silent retransmit
+- **Loss repair.**  ``Network`` links are FIFO, so a frame sent before
+  one that has arrived, and not itself received, is lost.  Every ack names
+  the frame it answers, and the sender resends at once, once each, the
+  unacked frames between the last arrival the peer reported and that one.
+  Every ack also carries the acker's send high-water mark toward the peer;
+  a receiver that learns of seqs it has not heard of below it answers with
+  a NACK naming that mark, which brings the same resend.  So a lost tail
+  frame, even a link's first, is repaired on the next datagram the other
+  way, not a timer interval later.  Correctness does not rest on FIFO (seq
+  dedup discards duplicates); on a reordering network the inference would
+  only cost extra resends.
+- **Retransmission with exponential backoff.**  The timer is the backstop
+  for what an ack cannot show: a lost NACK with no later traffic, a lost
+  resend, a crashed or partitioned peer.  Each silent retransmit
   interval doubles the next one (up to ``max_backoff`` times the base
   interval); any ack that makes progress resets the backoff.  A crashed or
   partitioned peer therefore costs a geometrically decaying trickle, not a
@@ -88,12 +102,22 @@ class Frame:
 class AckFrame:
     """Cumulative acknowledgment: everything below ``next_expected`` arrived.
 
+    ``seq`` names the frame the ack answers (-1: none, the re-sync ack for
+    a frame numbered against a previous incarnation).  A NACK (``nack``)
+    answers no frame: its ``seq`` is the peer's send high-water mark, and
+    every frame below it that the acker has not reported is lost.  ``high``
+    is the acker's own send high-water mark toward the peer (the next seq
+    it would assign), so the peer can NACK what it lacks below it.
+
     Carries the same epoch pair as :class:`Frame` so a recovered receiver's
     acks teach senders about the new incarnation even when the ack itself
     acknowledges nothing.
     """
 
     next_expected: int
+    seq: int = -1
+    high: int = 0
+    nack: bool = False
     src_epoch: int = 0
     dst_epoch: int = 0
     kind: str = "transport.ack"
@@ -102,6 +126,12 @@ class AckFrame:
 @dataclass
 class _LinkSendState:
     next_seq: int = 0
+    #: Lowest unacked seq: ``unacked`` holds exactly ``[acked_to, next_seq)``,
+    #: in seq order (insertion order).
+    acked_to: int = 0
+    #: Every seq below this was reported arrived by the peer or has been
+    #: resent once as a hole the peer named (see ``_repair``).
+    repaired_to: int = 0
     unacked: dict[int, Frame] = field(default_factory=dict)
     #: Payloads waiting for a window slot, FIFO: (payload, accounting label).
     pending: deque = field(default_factory=deque)
@@ -120,6 +150,9 @@ class _LinkSendState:
 @dataclass
 class _LinkRecvState:
     next_expected: int = 0
+    #: Every seq below this has arrived or been named lost to the sender
+    #: (by the ack of a later frame, or by a NACK).
+    heard_to: int = 0
     buffer: dict[int, Frame] = field(default_factory=dict)
 
 
@@ -322,7 +355,7 @@ class ReliableTransport:
         self._send_state[peer] = state
         # Re-frame in the original FIFO order: unacked frames (by sequence)
         # first, then payloads that never got a window slot.
-        for seq in sorted(old.unacked):
+        for seq in range(old.acked_to, old.next_seq):
             frame = old.unacked[seq]
             if len(state.unacked) < self.window:
                 self._admit(peer, state, frame.payload, frame.kind, resend=True)
@@ -369,8 +402,10 @@ class ReliableTransport:
             # Numbered against our previous incarnation: the sequence means
             # nothing to our fresh receive state.  Ack with the current
             # epoch; _note_peer_epoch on the sender re-frames its traffic.
-            self._send_ack(src, state)
+            self._send_ack(src, state, -1)
             return
+        if frame.seq >= state.heard_to:
+            state.heard_to = frame.seq + 1
         if frame.seq == state.next_expected:
             state.next_expected += 1
             self._deliver(src, frame.payload)
@@ -380,11 +415,22 @@ class ReliableTransport:
                 self._deliver(src, queued.payload)
         elif frame.seq > state.next_expected:
             state.buffer[frame.seq] = frame
-        # Always (re)acknowledge cumulatively.
-        self._send_ack(src, state)
+        # Always (re)acknowledge cumulatively, naming the frame answered:
+        # the sender resends the holes below it (``_repair``).
+        self._send_ack(src, state, frame.seq)
 
-    def _send_ack(self, src: int, state: _LinkRecvState) -> None:
-        ack = AckFrame(state.next_expected, self.epoch, self._peer_epoch.get(src, 0))
+    def _send_ack(
+        self, src: int, state: _LinkRecvState, seq: int, nack: bool = False
+    ) -> None:
+        send = self._send_state.get(src)
+        ack = AckFrame(
+            state.next_expected,
+            seq,
+            send.next_seq if send is not None else 0,
+            nack,
+            self.epoch,
+            self._peer_epoch.get(src, 0),
+        )
         self.network.send(self.site, src, ack, ACK_KIND)
 
     def _on_ack(self, src: int, ack: AckFrame) -> None:
@@ -393,13 +439,22 @@ class ReliableTransport:
         if ack.dst_epoch != self.epoch:
             return  # acknowledges frames of our previous incarnation
         state = self._send_state.get(src)
-        if state is None:
-            return
-        acked = [s for s in state.unacked if s < ack.next_expected]
-        for seq in acked:
+        if state is not None:
+            self._on_link_ack(src, state, ack)
+        if ack.high:
+            self._nack_below(src, ack.high)
+
+    def _on_link_ack(self, src: int, state: _LinkSendState, ack: AckFrame) -> None:
+        """Apply one ack (or NACK) from ``src`` to our send side of the link."""
+        low = state.acked_to
+        for seq in range(low, ack.next_expected):
             del state.unacked[seq]
+        acked = ack.next_expected > low
         if acked:
+            state.acked_to = ack.next_expected
             state.backoff = 1.0  # forward progress
+        self._repair(src, state, ack)
+        if acked:
             self._refill(src, state)
         if not state.unacked:
             # Park rather than cancel: the armed handle stays in the heap
@@ -411,6 +466,33 @@ class ReliableTransport:
             # deadline back in for the frames still outstanding.
             state.retransmit_due = None
             self._arm_retransmit(src, state)
+
+    def _repair(self, dst: int, state: _LinkSendState, ack: AckFrame) -> None:
+        """Resend, once each, the holes ``ack`` names.
+
+        Links are FIFO, so a frame sent before the one an ack answers, and
+        not itself reported, was lost; a NACK names the same holes below the
+        high-water mark it answers.  A hole whose resend is lost too is the
+        timer's (``_retransmit``).
+        """
+        for seq in range(max(state.repaired_to, state.acked_to), ack.seq):
+            self._transmit(dst, state.unacked[seq], True)
+        # A plain ack's own frame arrived; a NACK's mark is the next seq,
+        # which may not have been sent yet.
+        end = ack.seq if ack.nack else ack.seq + 1
+        if end > state.repaired_to:
+            state.repaired_to = end
+
+    def _nack_below(self, src: int, high: int) -> None:
+        """``src`` has sent every seq below ``high`` toward us: NACK at once
+        the ones we have not heard of (FIFO: the ack carrying ``high``
+        arrived after them, so they are lost)."""
+        state = self._recv_state.get(src)
+        if state is None:
+            state = self._recv_state[src] = _LinkRecvState()
+        if high > state.heard_to:
+            state.heard_to = high
+            self._send_ack(src, state, high, nack=True)
 
     def _arm_retransmit(self, dst: int, state: _LinkSendState) -> None:
         if state.retransmit_due is not None or dst in self._suspected:
@@ -429,7 +511,7 @@ class ReliableTransport:
             # Re-armed by the next send after recovery (reset() clears us).
             state.retransmit_due = None
             return
-        for seq in sorted(state.unacked):
+        for seq in range(state.acked_to, state.next_seq):
             self._transmit(dst, state.unacked[seq], True)
         # Exponential backoff: each silent interval doubles the next one so
         # a dead or partitioned peer costs a decaying trickle, not a storm.

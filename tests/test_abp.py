@@ -228,3 +228,46 @@ def test_bundled_variant_ships_no_protocol_state():
 
     cluster = quick_cluster("abp", abp_variant="bundled")
     assert cluster.replicas[0].export_protocol_state() is None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: a quorumless ABP view orders and commits its own requests",
+)
+def test_a_home_isolated_in_a_minority_decides_nothing_until_the_heal():
+    """ABP, 4 sites, shipped variant: home 3 broadcasts T's commit request
+    and is cut off into a singleton view half a hop later, with T's write
+    set live at the home.  A quorumless view may decide nothing, so T stays
+    open (``Replica._quorum_lost`` waits, ``_rejudge`` re-checks nothing)
+    until the heal, then gets an answer, and 1SR and convergence hold.
+
+    What happens instead: the singleton view makes the home its own
+    sequencer, which orders T's request and commits T at t=180, when the
+    view lands.  The heal's state transfer then replaces the home's store
+    with the majority's, which never saw T, so a commit the client was told
+    of is lost everywhere, and neither the 1SR nor the convergence check
+    sees it."""
+    from repro.core.cluster import Cluster, ClusterConfig
+    from repro.core.transaction import TransactionSpec
+    from repro.net.latency import FixedLatency
+    from repro.sim.faults import FaultSchedule
+
+    cluster = Cluster(ClusterConfig(
+        protocol="abp", num_sites=4, num_objects=8, seed=11, abp_variant="shipped",
+        enable_failure_detector=True, fd_interval=20.0, fd_timeout=80.0,
+        latency=FixedLatency(1.0),
+    ))
+    FaultSchedule(cluster).partition([[0, 1, 2], [3]], at=100.5).heal(at=1000.0)
+    t = cluster.submit(
+        TransactionSpec.make("T", 3, read_keys=["x0"], writes={"x0": 1}), at=100.0
+    )
+    cluster.run(max_time=999.0)
+    assert not cluster.replicas[3].has_quorum
+    assert not t.final
+    result = cluster.run(max_time=100_000.0, stop_when=cluster.await_specs(1))
+    assert t.final
+    assert result.serialization.ok, result.serialization.explain()
+    assert result.converged
+    if t.committed:
+        assert all(replica.store.read("x0").value == 1 for replica in cluster.replicas)

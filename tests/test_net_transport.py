@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.net.latency import UniformLatency
+from repro.net.latency import FixedLatency, UniformLatency
 from repro.net.network import Network
-from repro.net.transport import ReliableTransport
+from repro.net.transport import AckFrame, Frame, ReliableTransport
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
@@ -19,12 +19,12 @@ class Msg:
     kind: str = "msg"
 
 
-def build(loss_rate=0.0, num_sites=2, seed=3, **transport_kwargs):
+def build(loss_rate=0.0, num_sites=2, seed=3, latency=None, **transport_kwargs):
     engine = SimulationEngine()
     network = Network(
         engine,
         num_sites,
-        latency=UniformLatency(0.5, 1.5),
+        latency=latency if latency is not None else UniformLatency(0.5, 1.5),
         rng=RngRegistry(seed),
         loss_rate=loss_rate,
     )
@@ -244,3 +244,141 @@ def test_non_string_kind_is_labelled_by_type_name_in_both_modes(reliable):
     assert len(inboxes[1]) == 2 and inboxes[0] == []
     labels = {k: v for k, v in network.stats.by_kind.items() if k != "transport.ack"}
     assert labels == {"Numbered": 2}
+
+
+def drop_first(network, *matches):
+    """Drop, once each, the first datagram each predicate in ``matches``
+    accepts (``fn(src, dst, payload)``), as a lost datagram.  Returns the
+    send time of every retransmitted frame."""
+    pending = list(matches)
+    resent_at = []
+    send = network.send
+
+    def lossy_send(src, dst, payload, kind=None):
+        for match in pending:
+            if match(src, dst, payload):
+                pending.remove(match)
+                network.stats.dropped_loss += 1
+                return
+        if kind == "transport.retransmit":
+            resent_at.append(network.engine.now)
+        send(src, dst, payload, kind)
+
+    network.send = lossy_send
+    return resent_at
+
+
+def frame_seq(seq, src=0):
+    """Matches site ``src``'s frame ``seq`` (first transmission or resend)."""
+    return lambda sender, dst, payload: (
+        sender == src and isinstance(payload, Frame) and payload.seq == seq
+    )
+
+
+def a_nack(src, dst, payload):
+    return isinstance(payload, AckFrame) and payload.nack
+
+
+def test_loss_mid_stream_is_resent_on_the_next_frames_ack():
+    """FIFO links: the ack of frame 3 names a frame sent after the lost
+    frame 2, so the sender resends 2 at once, one round trip after the
+    loss, not a retransmit interval later -- and only 2, only once."""
+    engine, network, transports, inboxes = build(
+        reliable=True, latency=FixedLatency(1.0), retransmit_interval=10.0
+    )
+    resent_at = drop_first(network, frame_seq(2))
+    for n in range(5):
+        transports[0].send(1, Msg(n))
+    engine.run(until=5.0)
+    assert [p.n for _, p in inboxes[1]] == list(range(5))
+    assert resent_at == [2.0]  # when the ack of frame 3 arrived
+    assert network.stats.dropped_loss == 1
+
+
+def test_tail_loss_is_nacked_on_the_next_reverse_ack():
+    """The lost frame is the link's first and last: no later frame's ack
+    can name it.  The receiver's own traffic is acked with the sender's
+    high-water mark (1), which tells the receiver it lacks seq 0; its NACK
+    brings the resend long before the timer."""
+    engine, network, transports, inboxes = build(
+        reliable=True, latency=FixedLatency(1.0), retransmit_interval=10.0
+    )
+    resent_at = drop_first(network, frame_seq(0))
+    transports[0].send(1, Msg(1))
+    engine.schedule_at(0.5, transports[1].send, 0, Msg(100))
+    engine.run(until=6.0)
+    assert [p.n for _, p in inboxes[1]] == [1]
+    assert [p.n for _, p in inboxes[0]] == [100]
+    # Site 1's frame reaches site 0 at 1.5, its ack (high=1) site 1 at 2.5,
+    # site 1's NACK site 0 at 3.5.
+    assert resent_at == [3.5]
+
+
+@pytest.mark.parametrize("lost", ["nack", "retransmission"])
+def test_loss_of_the_repair_falls_back_to_the_timer(lost):
+    """A NACK lost with no later traffic, or a resend lost itself, leaves
+    the hole to the retransmit timer: still repaired, one interval on."""
+    engine, network, transports, inboxes = build(
+        reliable=True, latency=FixedLatency(1.0), retransmit_interval=10.0
+    )
+    second = a_nack if lost == "nack" else frame_seq(0)
+    resent_at = drop_first(network, frame_seq(0), second)
+    transports[0].send(1, Msg(1))
+    engine.schedule_at(0.5, transports[1].send, 0, Msg(100))
+    engine.run(until=9.0)
+    assert inboxes[1] == []
+    engine.run(until=20.0)
+    assert [p.n for _, p in inboxes[1]] == [1]
+    assert [p.n for _, p in inboxes[0]] == [100]
+    assert resent_at == [10.0]  # the timer, armed at the first send
+    assert network.stats.dropped_loss == 2
+
+
+def test_forced_arq_without_loss_sends_no_retransmissions():
+    """Lossless FIFO links never show a hole, so forced ARQ sends acks and
+    no repair: a NACK or a gap resend here would be a false inference."""
+    from repro.core.cluster import Cluster, ClusterConfig
+    from repro.core.transaction import TransactionSpec
+
+    for protocol in ("abp", "rbp", "cbp", "p2p"):
+        cluster = Cluster(ClusterConfig(
+            protocol=protocol, num_sites=4, num_objects=8, seed=5, reliable_links=True,
+        ))
+        statuses = [
+            cluster.submit(
+                TransactionSpec.make(f"t{n}", n % 4, read_keys=[f"x{n % 8}"],
+                                     writes={f"x{(n + 1) % 8}": n}),
+                at=0.5 * n,
+            )
+            for n in range(24)
+        ]
+        result = cluster.run(max_time=10_000.0)
+        assert all(status.final for status in statuses), protocol
+        assert cluster.network.stats.by_kind["transport.ack"] > 0, protocol
+        assert cluster.network.stats.retransmissions == 0, protocol
+        assert result.serialization.ok, protocol
+
+
+def test_loss_repair_ignores_a_high_water_mark_from_a_previous_incarnation():
+    """After site 1 recovers, site 0 relinks it; an ack of the old
+    incarnation still in flight names a high-water mark of the dead
+    stream, which must not be NACKed against the new one."""
+    engine, network, transports, inboxes = build(reliable=True, latency=FixedLatency(1.0))
+    for n in range(3):
+        transports[1].send(0, Msg(n))
+    engine.run(until=10.0)
+    transports[1].reset()
+    transports[1].send(0, Msg(3))
+    engine.run(until=20.0)
+    assert [p.n for _, p in inboxes[0]] == [0, 1, 2, 3]
+    assert transports[0]._peer_epoch[1] == 1  # relinked
+    sent = network.stats.sent
+    stale = AckFrame(0, seq=-1, high=3, src_epoch=0, dst_epoch=0)
+    transports[0]._on_datagram(1, stale)
+    assert network.stats.sent == sent  # no NACK
+    assert transports[0]._recv_state[1].heard_to == 1
+    # The new incarnation's mark is heard: seq 1 of the new stream is
+    # unknown here, so site 0 NACKs it.
+    transports[0]._on_datagram(1, AckFrame(0, seq=-1, high=2, src_epoch=1, dst_epoch=0))
+    assert network.stats.sent == sent + 1
+    assert transports[0]._recv_state[1].heard_to == 2
