@@ -26,7 +26,10 @@ One line, suitable for CHANGES.md::
   "Functions the drivers do not reach" (``scripts/reach.py`` holds the
   list to the census; this reads the list and does not run it);
 - detcheck rules;
-- collected tier-1 tests.
+- collected tier-1 tests;
+- startup modules: the ``repro`` modules (packages included) a fresh
+  interpreter holds after building an RBP ``Cluster`` through the
+  ``repro`` facade -- what every run pays for before its first event.
 """
 
 from __future__ import annotations
@@ -85,6 +88,25 @@ def collected_tests() -> int:
     return int(re.search(r"(\d+) tests? collected", proc.stdout).group(1))
 
 
+def startup_modules() -> int:
+    """``repro`` modules an RBP ``Cluster`` build imports, in a child
+    process (this one has imported more)."""
+    code = (
+        "import sys\n"
+        "from repro import Cluster, ClusterConfig\n"
+        "Cluster(ClusterConfig(protocol='rbp'))\n"
+        "print(sum(name == 'repro' or name.startswith('repro.') for name in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(proc.stdout)
+
+
 def main() -> None:
     paths = sorted(SRC.rglob("*.py"))
     everything = [path.read_text() for path in paths]
@@ -113,7 +135,8 @@ def main() -> None:
         f"recovery backlogs {sum(len(set(re.findall(BACKLOG_ATTR, t))) for t in everything)}, "
         f"test-only lines {listed_lines()}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
-        f"tests {collected_tests()}"
+        f"tests {collected_tests()}, "
+        f"startup modules {startup_modules()}"
     )
 
 

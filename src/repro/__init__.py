@@ -23,42 +23,47 @@ Quick start::
     assert result.ok  # one-copy serializable and replicas converged
 """
 
-from repro.analysis.metrics import MetricsCollector
-from repro.analysis.report import Table
-from repro.core.api import Outcome, ReplicatedDatabase
-from repro.core.cluster import Cluster, ClusterConfig, ClusterResult
-from repro.core.transaction import AbortReason, Transaction, TransactionSpec, TxPhase
-from repro.db.serialization import HistoryRecorder, SerializationResult
-from repro.net.latency import (
-    FixedLatency,
-    LognormalLatency,
-    UniformLatency,
-)
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from repro.workload.runner import ClosedLoopRunner, OpenLoopRunner
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbortReason",
-    "ClosedLoopRunner",
-    "Cluster",
-    "ClusterConfig",
-    "ClusterResult",
-    "FixedLatency",
-    "HistoryRecorder",
-    "LognormalLatency",
-    "MetricsCollector",
-    "OpenLoopRunner",
-    "Outcome",
-    "ReplicatedDatabase",
-    "SerializationResult",
-    "Table",
-    "Transaction",
-    "TransactionSpec",
-    "TxPhase",
-    "UniformLatency",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "__version__",
-]
+#: Public name -> the module defining it.  The facade imports a module on
+#: the first use of one of its names (PEP 562), so ``import repro`` loads
+#: no protocol stack and a run loads only what it executes.
+_EXPORTS = {
+    "AbortReason": "repro.core.transaction",
+    "ClosedLoopRunner": "repro.workload.runner",
+    "Cluster": "repro.core.cluster",
+    "ClusterConfig": "repro.core.cluster",
+    "ClusterResult": "repro.core.cluster",
+    "FixedLatency": "repro.net.latency",
+    "HistoryRecorder": "repro.db.serialization",
+    "LognormalLatency": "repro.net.latency",
+    "MetricsCollector": "repro.analysis.metrics",
+    "OpenLoopRunner": "repro.workload.runner",
+    "Outcome": "repro.core.api",
+    "ReplicatedDatabase": "repro.core.api",
+    "SerializationResult": "repro.db.serialization",
+    "Table": "repro.analysis.report",
+    "Transaction": "repro.core.transaction",
+    "TransactionSpec": "repro.core.transaction",
+    "TxPhase": "repro.core.transaction",
+    "UniformLatency": "repro.net.latency",
+    "WorkloadConfig": "repro.workload.generator",
+    "WorkloadGenerator": "repro.workload.generator",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

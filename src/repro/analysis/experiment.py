@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.analysis.metrics import measurement_digest, merge_seed_measurements
 from repro.analysis.report import Table
+
+if TYPE_CHECKING:  # imported by the first sweep that builds the pool
+    from concurrent.futures import ProcessPoolExecutor
 
 #: One unit of parallel work: every seed of one chunk of one cell.
 _ChunkKey = tuple[int, int]
@@ -70,6 +72,8 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         _pool.shutdown(wait=True)
         _pool = None
     if _pool is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         _pool = ProcessPoolExecutor(max_workers=workers)
         _pool_workers = workers
     return _pool

@@ -27,12 +27,8 @@ from itertools import compress
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
-from typing import TYPE_CHECKING
-
 from repro.analysis.stats import Summary, summarize
-
-if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
-    from repro.core.transaction import AbortReason, Transaction
+from repro.core.transaction import AbortReason, Transaction
 
 
 @dataclass
@@ -88,8 +84,6 @@ class MetricsCollector:
         self.latency_read_only.append(read_only)
 
     def tx_aborted(self, tx: Transaction, reason: AbortReason, end_time: float) -> None:
-        from repro.core.transaction import AbortReason
-
         self.aborts_by_reason[reason] += 1
         if not tx.read_only:
             self.aborted_updates += 1

@@ -9,7 +9,3 @@ distributed) deadlocks, resolved by waits-for cycle detection and
 timeouts.  Experiment E6 contrasts its deadlock rate with RBP's
 deadlock-freedom.
 """
-
-from repro.baselines.p2p_2pc import PointToPointReplica
-
-__all__ = ["PointToPointReplica"]

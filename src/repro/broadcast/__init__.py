@@ -12,27 +12,3 @@ paper builds on.  The primitives form a hierarchy [HT93]:
 Plus the membership layer: heartbeat failure detection and majority-quorum
 views [Bv94, SS94].
 """
-
-from repro.broadcast.message import BroadcastMessage, MessageId
-from repro.broadcast.vector_clock import VectorClock
-from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
-from repro.broadcast.total import SequencedEnvelope, TotalOrderBroadcast
-from repro.broadcast.failure_detector import FailureDetector
-from repro.broadcast.membership import MembershipService, View
-from repro.broadcast.stability import StabilityTracker
-
-__all__ = [
-    "BroadcastMessage",
-    "CausalBroadcast",
-    "CausalEnvelope",
-    "FailureDetector",
-    "MembershipService",
-    "MessageId",
-    "ReliableBroadcast",
-    "SequencedEnvelope",
-    "StabilityTracker",
-    "TotalOrderBroadcast",
-    "VectorClock",
-    "View",
-]

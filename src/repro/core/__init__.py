@@ -14,23 +14,3 @@
 :class:`repro.core.cluster.Cluster` wires replicas, broadcast stacks, the
 workload driver and the invariant checkers into one harness.
 """
-
-from repro.core.transaction import (
-    AbortReason,
-    Transaction,
-    TransactionSpec,
-    TxPhase,
-)
-from repro.core.cluster import Cluster, ClusterConfig, ClusterResult
-from repro.core.replica import Replica
-
-__all__ = [
-    "AbortReason",
-    "Cluster",
-    "ClusterConfig",
-    "ClusterResult",
-    "Replica",
-    "Transaction",
-    "TransactionSpec",
-    "TxPhase",
-]

@@ -20,19 +20,11 @@ timestamp) after a jittered backoff, until it commits or exhausts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.analysis.metrics import MetricsCollector
-from repro.baselines.p2p_2pc import PointToPointReplica
-from repro.broadcast.causal import CausalBroadcast
-from repro.broadcast.failure_detector import FailureDetector
-from repro.broadcast.membership import MembershipService, View
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.total import TotalOrderBroadcast
-from repro.core.atomic_protocol import AtomicBroadcastReplica
-from repro.core.causal_protocol import CausalBroadcastReplica
 from repro.core.recovery import RecoveryAgent
-from repro.core.reliable_protocol import ReliableBroadcastReplica
 from repro.core.replica import Replica
 from repro.core.transaction import AbortReason, Transaction, TransactionSpec
 from repro.db.serialization import (
@@ -49,6 +41,12 @@ from repro.net.transport import ReliableTransport
 from repro.sim.engine import RUN_EXHAUSTED, SimulationEngine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:  # built only by the protocols and options that use them
+    from repro.broadcast.causal import CausalBroadcast
+    from repro.broadcast.failure_detector import FailureDetector
+    from repro.broadcast.membership import MembershipService, View
+    from repro.broadcast.total import TotalOrderBroadcast
 
 PROTOCOLS = ("rbp", "cbp", "abp", "p2p")
 
@@ -253,6 +251,9 @@ class Cluster:
             )
 
             if config.enable_failure_detector:
+                from repro.broadcast.failure_detector import FailureDetector
+                from repro.broadcast.membership import MembershipService
+
                 detector = FailureDetector(
                     self.engine,
                     router,
@@ -285,7 +286,11 @@ class Cluster:
             self.metrics,
             self.trace,
         )
+        # Each protocol imports its own replica and broadcast layers: a run
+        # loads only the stack it executes.
         if config.protocol == "rbp":
+            from repro.core.reliable_protocol import ReliableBroadcastReplica
+
             return ReliableBroadcastReplica(
                 *common,
                 rbcast=reliable,
@@ -295,21 +300,30 @@ class Cluster:
                 group_commit=batched,
             )
         if config.protocol == "p2p":
+            from repro.baselines.p2p_2pc import PointToPointReplica
+
             return PointToPointReplica(
                 *common,
                 router=router,
                 write_timeout=config.p2p_write_timeout,
                 deadlock_check_interval=config.p2p_deadlock_interval,
             )
+        from repro.broadcast.causal import CausalBroadcast
+
         causal = CausalBroadcast(reliable)
         self.causals.append(causal)
         if config.protocol == "cbp":
+            from repro.core.causal_protocol import CausalBroadcastReplica
+
             return CausalBroadcastReplica(
                 *common,
                 cbcast=causal,
                 heartbeat_interval=config.cbp_heartbeat,
                 per_op=config.cbp_per_op,
             )
+        from repro.broadcast.total import TotalOrderBroadcast
+        from repro.core.atomic_protocol import AtomicBroadcastReplica
+
         total = TotalOrderBroadcast(
             self.engine,
             causal,
@@ -365,15 +379,7 @@ class Cluster:
             self.trace.emit(
                 self.engine.now, f"site{site}", "recovery.state_transfer", donor=donor.site
             )
-        if isinstance(replica, ReliableBroadcastReplica):
-            # The snapshot (when one was needed) already reflects the
-            # donor's decided transactions; the log lets this site discharge
-            # residual in-doubt state — including a parked transaction of
-            # its own the majority decided without it — and answer decision
-            # queries for them.  Worth adopting even when the stores already
-            # agree: an all-aborted epoch leaves digests equal but in-doubt
-            # state standing.
-            replica.adopt_protocol_state(donor.export_protocol_state())
+        replica.on_heal(donor)
 
     # -- client API ------------------------------------------------------------------
 

@@ -658,6 +658,16 @@ class ReliableBroadcastReplica(Replica):
         self._ack_outbox.clear()
         self.termination.crash()
 
+    def on_heal(self, donor: Replica) -> None:
+        """Adopt ``donor``'s decision log and open records.  The snapshot
+        (when one was needed) already reflects the donor's decided
+        transactions; the log lets this site discharge residual in-doubt
+        state — including a parked transaction of its own the majority
+        decided without it — and answer decision queries for them.  Worth
+        adopting even when the stores already agree: an all-aborted epoch
+        leaves digests equal but in-doubt state standing."""
+        self.adopt_protocol_state(donor.export_protocol_state())
+
     def export_protocol_state(self) -> Optional[dict]:
         """The decision log (tx -> committed?), so a rejoiner can answer —
         and terminate — decision queries for outcomes reached while it was

@@ -328,6 +328,12 @@ class Replica(Process):
         replayed delivery must find in place (ABP's total-order index) is
         set here.  The base replica has nothing to set."""
 
+    def on_heal(self, donor: Replica) -> None:
+        """Hook invoked when this site rejoins the primary component after a
+        healed partition, once its store has caught up with ``donor``'s
+        (``Cluster._state_transfer_into``).  The base replica has nothing
+        more to adopt."""
+
     def export_protocol_state(self) -> Optional[dict]:
         """Protocol-private state a state-transfer donor ships alongside
         the committed-store snapshot (e.g. CBP's in-flight transaction

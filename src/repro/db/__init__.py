@@ -7,24 +7,3 @@ two-phase-locking :class:`repro.db.locks.LockManager`, and a
 obligation into an executable check (one-copy serialization graph
 acyclicity) asserted by every test and benchmark run.
 """
-
-from repro.db.locks import (
-    LockManager,
-    LockMode,
-    LockPolicyError,
-)
-from repro.db.serialization import HistoryRecorder, SerializationResult
-from repro.db.storage import VersionedStore
-from repro.db.wal import LogRecord, LogRecordType, WriteAheadLog
-
-__all__ = [
-    "HistoryRecorder",
-    "LockManager",
-    "LockMode",
-    "LockPolicyError",
-    "LogRecord",
-    "LogRecordType",
-    "SerializationResult",
-    "VersionedStore",
-    "WriteAheadLog",
-]

@@ -19,29 +19,3 @@ Layering (bottom to top):
   is priced by.
 - The broadcast primitives in :mod:`repro.broadcast` build on the transport.
 """
-
-from repro.net.latency import (
-    FixedLatency,
-    LatencyModel,
-    LognormalLatency,
-    UniformLatency,
-)
-from repro.net.network import Network, NetworkStats
-from repro.net.partition import PartitionManager
-from repro.net.router import ChannelRouter
-from repro.net.sizes import estimate_size, wire_size
-from repro.net.transport import ReliableTransport
-
-__all__ = [
-    "ChannelRouter",
-    "FixedLatency",
-    "LatencyModel",
-    "LognormalLatency",
-    "Network",
-    "NetworkStats",
-    "PartitionManager",
-    "ReliableTransport",
-    "UniformLatency",
-    "estimate_size",
-    "wire_size",
-]

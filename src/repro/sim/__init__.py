@@ -14,20 +14,3 @@ Public classes:
 - :class:`repro.sim.rng.RngRegistry` -- named deterministic random streams.
 - :class:`repro.sim.trace.TraceLog` -- structured event tracing.
 """
-
-from repro.sim.engine import EventHandle, SimulationEngine
-from repro.sim.faults import FaultEvent, FaultSchedule
-from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceLog, TraceRecord
-
-__all__ = [
-    "EventHandle",
-    "FaultEvent",
-    "FaultSchedule",
-    "SimulationEngine",
-    "Process",
-    "RngRegistry",
-    "TraceLog",
-    "TraceRecord",
-]

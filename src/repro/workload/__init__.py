@@ -1,18 +1,5 @@
 """Workload generation and load drivers for the experiments."""
 
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from repro.workload.runner import ClosedLoopRunner, OpenLoopRunner
-from repro.workload.scenarios import SCENARIOS, Scenario, get_scenario, scenario_names
-from repro.workload.zipf import ZipfSampler
+from repro.workload.generator import WorkloadConfig
 
-__all__ = [
-    "ClosedLoopRunner",
-    "OpenLoopRunner",
-    "SCENARIOS",
-    "Scenario",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-    "ZipfSampler",
-    "get_scenario",
-    "scenario_names",
-]
+__all__ = ["WorkloadConfig"]

@@ -1,7 +1,11 @@
 """Tests for wire-size estimation and byte accounting."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.net.sizes import (
     HEADER_BYTES,
     OBJECT_OVERHEAD,
@@ -174,6 +178,11 @@ def test_every_datagram_is_sized_as_the_plain_traversal_sizes_it(monkeypatch):
     shape = "by hand"
     for payload in by_hand:
         checked_wire_size(payload)
+    # Every module registers its wire classes when imported, and a run
+    # imports only its own stack: import them all, so the audit covers
+    # every wire class whatever the runs above happened to load.
+    for module in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(module.name)
     wire_classes = {cls for cls in registered_payloads() if cls.__module__.startswith("repro.")}
     assert not wire_classes - seen, sorted(cls.__name__ for cls in wire_classes - seen)
 
