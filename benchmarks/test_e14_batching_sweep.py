@@ -11,10 +11,12 @@ trials make the price visible:
   the window widens (the headline: each datagram that never exists is a
   loss trial that never happens and a header never paid);
 - **throughput** (committed txns per simulated second) *rises* for RBP
-  and ABP at moderate windows — fewer datagrams mean fewer loss-repair
+  at the zero-width window — fewer datagrams mean fewer loss-repair
   round trips, which shortens the commit-latency tail more than the
   window delays commits; CBP's commit waits for a null-message period
-  either way, so its throughput moves by no more than run noise;
+  either way, and ABP's passthrough already sends each commit request
+  once, numbered by the sequencer, so for both the window moves
+  throughput by no more than run noise;
 - past the sweet spot the window delay itself dominates and throughput
   falls again: batching is a knob, not a free lunch.
 
@@ -88,28 +90,28 @@ def test_e14_batching_sweep(benchmark):
         # group commit.
         base = measured[(protocol, None)]
         assert measured[(protocol, 2.0)]["bytes_per_update"] < base["bytes_per_update"]
-    for protocol in ("rbp", "abp"):
-        # Fewer datagrams = fewer loss-repair rounds: RBP and ABP have a
-        # window setting that commits *faster* than passthrough despite the
-        # added delay (the sweet spot differs — RBP's vote storms coalesce
-        # best at zero window, ABP's sequencer traffic tolerates a wider
-        # one).
-        best_txn_s = max(
-            measured[(protocol, window)]["txn_s"] for window in WINDOWS[1:]
-        )
-        assert best_txn_s > measured[(protocol, None)]["txn_s"]
+    # Fewer datagrams = fewer loss-repair rounds: RBP has a window setting
+    # that commits *faster* than passthrough despite the added delay (its
+    # vote storms coalesce best at zero window).
+    best_txn_s = max(measured[("rbp", window)]["txn_s"] for window in WINDOWS[1:])
+    assert best_txn_s > measured[("rbp", None)]["txn_s"]
     # CBP commits one null-message period after its commit request whatever
     # the window, so the window moves its throughput by no more than run
     # noise (a window wins at 5 of 11 seeds, passthrough at 6; EXPERIMENTS.md,
     # E14).  What batching reliably buys CBP is the wire: every window sends
     # fewer datagrams per update than passthrough.
+    # ABP's passthrough sends one numbered relay per commit request and no
+    # ordering message, so little is left to coalesce: a window beats
+    # passthrough at 2 of seeds 21-25 (the zero-width one, seeds 22 and 25),
+    # and the 2 ms window reads 0.29-1.13x of it (median 0.80; EXPERIMENTS.md,
+    # E14).  What it reliably buys ABP is the wire too: every window sends
+    # fewer datagrams and fewer bytes per update than passthrough.
     for window in WINDOWS[1:]:
         assert (
             measured[("cbp", window)]["datagrams_per_update"]
             < measured[("cbp", None)]["datagrams_per_update"]
         )
-    # The step change the batching layer exists for: ABP (the paper's
-    # throughput winner) gains at least 1.5x committed txn/s.
-    assert measured[("abp", 2.0)]["txn_s"] >= 1.5 * measured[("abp", None)]["txn_s"]
+        for metric in ("datagrams_per_update", "bytes_per_update"):
+            assert measured[("abp", window)][metric] < measured[("abp", None)][metric]
 
     bench_once(benchmark, batching_run, "abp", 2.0)

@@ -28,8 +28,9 @@ EXPLANATIONS = {
     "         decentralized 2PC vote storm (every site to every site)",
     "cbp": "ONE write set + ONE commit request; the echo transactions from\n"
     "         other sites double as implicit acknowledgments — no acks exist",
-    "abp": "ONE commit request + the sequencer's order assignment; every\n"
-    "         site certifies alone, nothing flows back",
+    "abp": "ONE commit request, broadcast numbered by the sequencer (a home\n"
+    "         elsewhere forwards it there first); every site certifies alone,\n"
+    "         nothing flows back",
 }
 
 

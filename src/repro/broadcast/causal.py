@@ -120,6 +120,14 @@ class CausalBroadcast:
         """Copy of the site's current delivered-vector clock."""
         return self._clock.copy()
 
+    def frontier(self) -> VectorClock:
+        """What a broadcast issued now would causally follow: the delivered
+        clock with this site's own entry at its send counter (its own
+        broadcasts count from the moment they are sent)."""
+        stamp = self._clock.copy()
+        stamp.entries[self.site] = self._send_seq
+        return stamp
+
     def set_deliver(self, fn: Callable[[BroadcastMessage, CausalEnvelope], None]) -> None:
         self._deliver = fn
 

@@ -329,7 +329,6 @@ class Cluster:
             causal,
             mode=config.abp_order_mode,
             uniform=config.abp_uniform,
-            group_commit=batched,
         )
         self.totals.append(total)
         return AtomicBroadcastReplica(*common, abcast=total, variant=config.abp_variant)

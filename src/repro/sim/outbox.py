@@ -1,7 +1,7 @@
 """Swap-drain outbox with one guarded flush timer.
 
-What the batcher, the total-order sequencer, RBP group commit and the
-token-mode total order owe the network collects here until a flush.  Two
+What the batcher, RBP group commit and the token-mode total order owe
+the network collects here until a flush.  Two
 hazards are handled once: a send can deliver back synchronously and enqueue
 more mid-flush, so :meth:`Outbox.drain` detaches the queue first and such
 arrivals wait for the next flush (detcheck H402); and at most one timer is

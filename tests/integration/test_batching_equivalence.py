@@ -37,8 +37,8 @@ PINNED_PASSTHROUGH = {
     ("rbp", 0.05): "676c7d38a2952e7a",
     ("cbp", 0.0): "1fce9984faddd809",
     ("cbp", 0.05): "eafb95d70cf1d868",
-    ("abp", 0.0): "808c347762b4dc64",
-    ("abp", 0.05): "25b3a0e165fc2cd9",
+    ("abp", 0.0): "ed00f1b05f8c0522",
+    ("abp", 0.05): "625554d4ab049bd5",
     ("p2p", 0.0): "486895b99c27ad43",
     ("p2p", 0.05): "e005cb2530b9c828",
 }
@@ -52,8 +52,8 @@ PINNED_BATCHED = {
     ("rbp", 0.05): (2573, 4531),
     ("cbp", 0.0): (468, 1064),
     ("cbp", 0.05): (1066, 1881),
-    ("abp", 0.0): (267, 658),
-    ("abp", 0.05): (586, 1104),
+    ("abp", 0.0): (142, 378),
+    ("abp", 0.05): (365, 653),
     ("p2p", 0.0): (1213, 3023),
     ("p2p", 0.05): (2414, 4536),
 }

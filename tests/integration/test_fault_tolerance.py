@@ -144,3 +144,35 @@ def test_abp_sequencer_takeover_when_quiesced():
     # The new sequencer is the lowest surviving member.
     survivors = [t for t in cluster.totals if cluster.replicas[t.site].alive]
     assert any(t.is_sequencer and t.site == 1 for t in survivors)
+
+
+def test_abp_sequencer_takeover_with_forwards_in_flight():
+    """The sequencer crashes as three homes forward their commit requests
+    to it (two from one home): none is relayed before the crash.  At the
+    view change each home re-forwards its own to the new sequencer, and
+    every survivor certifies each request once, in one order."""
+    cluster = Cluster(
+        fault_config("abp", num_sites=4, relay=True, fd_interval=15.0, fd_timeout=60.0)
+    )
+    cluster.submit(spec("pre", 1, "x0", "before"), at=100.0)
+    cluster.run(max_time=2000)
+    crash_at = cluster.engine.now + 100.0
+    cluster.crash_site(0, at=crash_at)
+    specs = [
+        cluster.submit(spec(name, home, key, name), at=crash_at)
+        for name, home, key in (("a", 1, "x1"), ("b", 2, "x2"), ("c", 2, "x3"), ("d", 3, "x4"))
+    ]
+    certified = {site: [] for site in (1, 2, 3)}
+    for site, order in certified.items():
+        replica = cluster.replicas[site]
+        certify = replica._certify
+        replica._certify = lambda request, certify=certify, order=order: (
+            order.append(request.tx), certify(request)
+        )
+    result = cluster.run(max_time=100_000, stop_when=cluster.await_specs(5))
+    assert result.ok
+    assert all(status.committed for status in specs)
+    orders = list(certified.values())
+    assert len(orders[0]) == len(set(orders[0])) == 4
+    assert all(order == orders[0] for order in orders)
+    assert [cluster.totals[site].epoch for site in (1, 2, 3)] == [1, 1, 1]

@@ -8,7 +8,8 @@ cluster (no heartbeats, crash-free, direct dissemination):
 - RBP : w writes + w acks + commit request, all (n-1), plus the
         decentralized votes: every site broadcasts to n-1 others = n(n-1)
 - CBP : 1 batched write set + 1 commit request            = 2(n-1)
-- ABP : 1 commit request + 1 order assignment             = 2(n-1)
+- ABP : 1 commit request, broadcast numbered by the sequencer = n-1,
+        plus 1 forward to the sequencer when the home is not it
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.core.cluster import Cluster, ClusterConfig
 from repro.core.transaction import TransactionSpec
 
 
-def run_one_update(protocol, num_sites, writes, **overrides):
+def run_one_update(protocol, num_sites, writes, home=0, **overrides):
     config = dict(
         protocol=protocol,
         num_sites=num_sites,
@@ -29,7 +30,7 @@ def run_one_update(protocol, num_sites, writes, **overrides):
     config.update(overrides)
     cluster = Cluster(ClusterConfig(**config))
     spec = TransactionSpec.make(
-        "tx", 0, writes={f"x{i}": i for i in range(writes)}
+        "tx", home, writes={f"x{i}": i for i in range(writes)}
     )
     cluster.submit(spec)
     # Give CBP's implicit acks a nudge: after the update lands, every other
@@ -74,11 +75,12 @@ def test_cbp_message_count_excluding_echo_traffic(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_abp_message_count(n):
-    _, result = run_one_update("abp", n, 2)
-    assert result.messages_by_kind["abp.commit_request"] == n - 1
-    assert result.messages_by_kind["abcast.order"] == n - 1
-    assert not any("ack" in kind for kind in result.messages_by_kind)
-    assert not any("vote" in kind for kind in result.messages_by_kind)
+    for home in (0, n - 1):  # the sequencer, and a site that forwards to it
+        _, result = run_one_update("abp", n, 2, home=home)
+        assert result.messages_by_kind["abp.commit_request"] == n - 1
+        assert result.messages_by_kind.get("abcast.forward", 0) == (home != 0)
+        assert not any("ack" in kind for kind in result.messages_by_kind)
+        assert not any("vote" in kind for kind in result.messages_by_kind)
 
 
 def test_protocol_ordering_of_total_cost():
@@ -87,15 +89,17 @@ def test_protocol_ordering_of_total_cost():
     n, w = 5, 2
     totals = {}
     for protocol in ("rbp", "cbp", "abp", "p2p"):
-        cluster, result = run_one_update(protocol, n, w)
+        # ABP's home is not the sequencer, so its forward is priced too.
+        cluster, result = run_one_update(protocol, n, w, home=int(protocol == "abp"))
         if protocol == "cbp":
             # isolate the measured transaction's share (echo helpers ran too)
             updates = 1 + (n - 1)
             totals[protocol] = result.messages_total("cbp.") // updates
         else:
             totals[protocol] = result.messages_total(f"{protocol}.") + (
-                result.messages_by_kind.get("abcast.order", 0)
+                result.messages_by_kind.get("abcast.forward", 0)
             )
+    assert totals["abp"] == (n - 1) + 1
     assert totals["abp"] <= totals["cbp"] < totals["p2p"] < totals["rbp"]
 
 

@@ -158,7 +158,8 @@ def retained_state(protocol, transactions):
         "wal rows": max(len(wal) for wal in wals) < CHUNK <= min(wal.last_lsn for wal in wals),
         "wal image": [len(wal.image) for wal in wals],
         "total order": [
-            len(total._unordered) + len(total._ready) + len(total._delivery_order)
+            len(total._forwarded) + len(total._parked) + len(total._ready)
+            + len(total._delivery_order)
             for total in cluster.totals
         ],
         "tombstones": [

@@ -18,16 +18,19 @@ def test_single_update_commits_everywhere(make_spec, variant):
 
 
 def test_no_acknowledgment_messages_at_all(make_spec):
-    """The paper's headline: commit requests + ordering traffic only."""
+    """The paper's headline: commit requests + ordering traffic only.  The
+    sequencer (site 0) broadcasts its own request; any other home forwards
+    it to the sequencer first, which broadcasts it numbered."""
     from tests.conftest import quick_cluster
 
-    cluster = quick_cluster("abp", num_sites=3)
-    cluster.submit(make_spec("t1", 0, writes={"x0": 1, "x1": 2}))
-    result = cluster.run()
-    assert result.ok
-    kinds = set(result.messages_by_kind)
-    assert kinds == {"abp.commit_request", "abcast.order"}
-    assert result.messages_by_kind["abp.commit_request"] == 2  # n-1
+    for home, kinds in ((0, {"abp.commit_request"}), (1, {"abp.commit_request", "abcast.forward"})):
+        cluster = quick_cluster("abp", num_sites=3)
+        cluster.submit(make_spec("t1", home, writes={"x0": 1, "x1": 2}))
+        result = cluster.run()
+        assert result.ok
+        assert set(result.messages_by_kind) == kinds
+        assert result.messages_by_kind["abp.commit_request"] == 2  # n-1
+        assert result.messages_by_kind.get("abcast.forward", 0) == (home != 0)
 
 
 def test_shipped_variant_sends_writes_causally(make_spec):
@@ -50,7 +53,13 @@ def test_certification_aborts_stale_reader(make_spec):
     cluster = quick_cluster("abp", retry_aborted=False, num_sites=3)
     t1 = cluster.submit(make_spec("t1", 0, reads=["x0"], writes={"x0": "new"}), at=0.0)
     t2 = cluster.submit(make_spec("t2", 1, reads=["x0"], writes={"x1": "stale"}), at=0.1)
-    result = cluster.run()
+    # Until every site has certified both requests: the run stops once the
+    # stores agree, and the aborted T2 writes nothing.
+    result = cluster.run(
+        stop_when=lambda: all(
+            r.certified_commits + r.certified_aborts == 2 for r in cluster.replicas
+        )
+    )
     assert result.ok
     statuses = [t1.committed, t2.committed]
     assert statuses.count(True) == 1
@@ -236,15 +245,15 @@ def test_bundled_variant_ships_no_protocol_state():
     reason="ROADMAP item 14: a quorumless ABP view orders and commits its own requests",
 )
 def test_a_home_isolated_in_a_minority_decides_nothing_until_the_heal():
-    """ABP, 4 sites, shipped variant: home 3 broadcasts T's commit request
-    and is cut off into a singleton view half a hop later, with T's write
-    set live at the home.  A quorumless view may decide nothing, so T stays
+    """ABP, 4 sites, shipped variant: home 3 forwards T's commit request to
+    the sequencer and is cut off into a singleton view half a hop later,
+    with T's write set live at the home.  A quorumless view may decide nothing, so T stays
     open (``Replica._quorum_lost`` waits, ``_rejudge`` re-checks nothing)
     until the heal, then gets an answer, and 1SR and convergence hold.
 
     What happens instead: the singleton view makes the home its own
-    sequencer, which orders T's request and commits T at t=180, when the
-    view lands.  The heal's state transfer then replaces the home's store
+    sequencer, which re-forwards T's request to itself, orders it and
+    commits T at t=180, when the view lands.  The heal's state transfer then replaces the home's store
     with the majority's, which never saw T, so a commit the client was told
     of is lost everywhere, and neither the 1SR nor the convergence check
     sees it."""

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.broadcast.causal import CausalEnvelope
 from repro.broadcast.message import BroadcastMessage, MessageId
-from repro.broadcast.total import OrderAssignment, SequencedEnvelope, TotalOrderBroadcast
+from repro.broadcast.total import OrderForward, SequencedEnvelope, TotalOrderBroadcast
 from repro.broadcast.vector_clock import VectorClock
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.sim.engine import SimulationEngine
@@ -107,16 +107,47 @@ def test_token_mode_uses_token_messages(harness_factory):
     assert h.network.stats.by_kind["abcast.token"] > 0
 
 
-def test_sequencer_emits_order_assignments(harness_factory):
+def test_sequencer_relays_what_it_is_forwarded(harness_factory):
+    """A non-sequencer forwards its ordered payload to the sequencer, which
+    broadcasts it once, numbered: one forward and n-1 relays, no separate
+    ordering message."""
     h = harness_factory(num_sites=3, stack="total", mode="sequencer")
     h.layers[1].broadcast(Op("x"))
     h.run(until=100.0)
-    assert h.network.stats.by_kind["abcast.order"] > 0
+    assert h.network.stats.by_kind == {"abcast.forward": 1, "op": 2}
+    assert all(h.delivered[site] == [(Op("x"), 0)] for site in range(3))
 
 
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         TotalOrderBroadcast(None, _StubCausal(0, 1), mode="quantum")
+
+
+def test_takeover_relays_what_the_crashed_sequencer_left_unrelayed_once_each(harness_factory):
+    """The sequencer crashes with forwards unrelayed: site 2's second and
+    site 3's first reach it only after the crash.  Site 2 installs the new
+    view before the old sequencer's relay of its first forward reaches it,
+    so it re-forwards that one too; the new sequencer has delivered the
+    relay and drops the re-forward.  Every survivor delivers each payload
+    once, in one order."""
+    h = harness_factory(num_sites=4, stack="total", mode="sequencer")
+    h.layers[2].broadcast(Op("a"))
+    h.engine.run(until=50.0, stop_when=lambda: h.layers[0]._relayed[2] == 1)
+    h.network.set_site_up(0, False)
+    h.layers[0].crash()
+    h.layers[2].broadcast(Op("b"))
+    h.layers[3].broadcast(Op("c"))
+    survivors = [1, 2, 3]
+    h.layers[2].set_group(survivors)
+    assert not h.delivered[2]  # the old relay of "a" is still in flight
+    h.run(until=h.engine.now + 10.0)
+    for site in (1, 3):
+        h.layers[site].set_group(survivors)
+    h.run(until=h.engine.now + 100.0)
+    orders = [[(p.label, idx) for p, idx in h.delivered[site]] for site in survivors]
+    assert orders[0] == [("a", 0), ("b", 1), ("c", 2)] or orders[0] == [("a", 0), ("c", 1), ("b", 2)]
+    assert all(order == orders[0] for order in orders)
+    assert all(not h.layers[site]._forwarded and not h.layers[site]._parked for site in survivors)
 
 
 # -- the delivery queue against a sorted-list reference -----------------------------
@@ -126,20 +157,37 @@ NUM_SITES = 4
 SITE = 2
 
 
+class _StubRouter:
+    def __init__(self):
+        self.sent = []
+
+    def register(self, channel, handler, during_transfer=False):
+        pass
+
+    def send(self, dst, channel, payload, kind=None):
+        self.sent.append((dst, payload))
+
+
 class _StubCausal:
     """The causal layer's surface the total order uses: deliveries are
-    handed in by the test, broadcasts are captured."""
+    handed in by the test, broadcasts and forwards are captured, and the
+    frontier is the test's ``clock``."""
 
     def __init__(self, site, num_sites):
         self.site = site
         self.num_sites = num_sites
         self.sent = []
+        self.clock = [0] * num_sites
+        self.reliable = SimpleNamespace(router=_StubRouter())
 
     def set_deliver(self, fn):
         pass
 
     def broadcast(self, payload, kind=None):
         self.sent.append(payload)
+
+    def frontier(self):
+        return VectorClock(list(self.clock))
 
     def set_group(self, members):
         pass
@@ -185,10 +233,6 @@ class _SortedListQueue:
             return key[1] == 0
         return key[0] >= self.last[0] and key[1] == self.last[1] + 1
 
-    def adopt(self, last):
-        self.last = last
-        self.keys = [key for key in self.keys if key > last]
-
 
 def _layer():
     layer = TotalOrderBroadcast(SimulationEngine(), _StubCausal(SITE, NUM_SITES))
@@ -197,97 +241,96 @@ def _layer():
     return layer, delivered
 
 
-def _deliver_data(layer, msg_id, clock=None):
-    vc = VectorClock(clock or [0] * NUM_SITES)
-    envelope = CausalEnvelope(vc, SequencedEnvelope(Op(str(msg_id)), True))
-    layer._on_causal_deliver(BroadcastMessage(msg_id, envelope), envelope)
+def _relay(layer, key, forward, payload=None, sender=None):
+    """Hand ``layer`` the relay of ``forward`` (``(origin, n)``) numbered
+    ``key``, broadcast by ``sender`` (the epoch's sequencer: site 0 for
+    epoch 0, site 1 for epoch 1)."""
+    inner = SequencedEnvelope(payload or Op(str(forward)), True, preassigned=key, forward=forward)
+    envelope = CausalEnvelope(VectorClock.zero(NUM_SITES), inner)
+    sender = key[0] if sender is None else sender
+    layer._on_causal_deliver(BroadcastMessage(MessageId(sender, key[1]), envelope), envelope)
+
+
+def _fifo_interleaving(draw, forwards):
+    """``forwards`` in a drawn order that keeps each origin's in order."""
+    queues = {}
+    for forward in forwards:
+        queues.setdefault(forward[0], []).append(forward)
+    origins = draw(st.permutations([origin for origin, _ in forwards]))
+    return [queues[origin].pop(0) for origin in origins]
 
 
 @st.composite
-def _ordering_histories(draw):
-    """Ordered messages numbered by site 0 in its own delivery order, then
-    by site 1 under epoch 1 after a takeover, as a non-sequencer receives
-    them: each number after its data message, site 1's after the takeover,
-    everything else in any order.
+def _relay_histories(draw):
+    """Forwards relayed by site 0 under epoch 0, then by site 1 under epoch
+    1 after a takeover, as a non-sequencer delivers them: each sequencer's
+    relays in its own order, site 1's after those of site 0's it had
+    delivered, the two streams interleaved, and this site's view change
+    anywhere.
 
-    Site 1 saw site 0's first ``assigned`` numbers and numbers the rest,
-    in id order, from there.  Site 0 also numbered the next ``late``
-    messages, but those frames missed site 1, so each of those messages
-    gets two numbers: one from each epoch, reaching this site in either
-    order, before or after the message is delivered.  The first wins.
+    Site 0 relayed the first ``assigned + late`` forwards, each origin's in
+    order.  Site 1 delivered only the first ``assigned`` of those relays;
+    the rest are re-forwarded to it, and it relays them from the counter it
+    saw.  Each of the ``late`` forwards is therefore relayed twice, once
+    per epoch; the first relay to arrive wins.
     """
-    ids = draw(st.lists(
-        st.tuples(st.sampled_from([0, 1, 3]), st.integers(0, 6)),
-        min_size=1, max_size=10, unique=True,
-    ))
-    ids = [MessageId(sender, seq) for sender, seq in ids]
-    numbering = draw(st.permutations(ids))
-    assigned = draw(st.integers(0, len(ids)))
-    late = draw(st.integers(0, len(ids) - assigned))
-    old = {msg_id: seq for seq, msg_id in enumerate(numbering[: assigned + late])}
-    new = {msg_id: assigned + i for i, msg_id in enumerate(sorted(numbering[assigned:]))}
-    pool = [("data", msg_id) for msg_id in ids] + [("takeover",)]
-    events, arrived, took_over = [], [], False
-    while pool:
-        event = pool.pop(draw(st.integers(0, len(pool) - 1)))
-        events.append(event)
-        if event[0] == "takeover":
-            took_over, numbered = True, arrived
-        elif event[0] == "data":
-            arrived.append(event[1])
-            numbered = [event[1]] if took_over else []
-            if event[1] in old:
-                pool.append(("assign", 0, event[1], old[event[1]]))
+    counts = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))
+    forwards = [(origin, n) for origin, count in zip((0, 1, 3), counts) for n in range(count)]
+    numbering = _fifo_interleaving(draw, forwards)
+    assigned = draw(st.integers(0, len(numbering)))
+    late = draw(st.integers(0, len(numbering) - assigned))
+    old = [(0, seq) for seq in range(assigned + late)]
+    new = [(1, assigned + i) for i in range(len(numbering) - assigned)]
+    renumbered = _fifo_interleaving(draw, numbering[assigned:])
+    events, took_over = [], False
+    while old or new or not took_over:
+        heads = ["old"] if old else []
+        if new and (not old or old[0][1] >= assigned):
+            heads.append("new")
+        if not took_over:
+            heads.append("takeover")
+        head = draw(st.sampled_from(heads))
+        if head == "takeover":
+            took_over = True
+            events.append(("takeover",))
+        elif head == "old":
+            key = old.pop(0)
+            events.append(("relay", key, numbering[key[1]]))
         else:
-            numbered = []
-        pool.extend(("assign", 1, msg_id, new[msg_id]) for msg_id in numbered if msg_id in new)
+            key = new.pop(0)
+            events.append(("relay", key, renumbered[key[1] - assigned]))
     return events
 
 
-# The four duplicate orders, before and after delivery, for a = (0, 0) and
-# b = (1, 0): site 0 numbered both, site 1 saw only a's number and numbers b.
-_A, _B = MessageId(0, 0), MessageId(1, 0)
+# Site 0 relayed a = (0, 0) and b = (1, 0); site 1 saw only a's relay and
+# relays b again: its relay arrives after the old one, or before.
+_A, _B = (0, 0), (1, 0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ordering_histories())
-@example([  # takeover's number first, old one after b is delivered
-    ("data", _A), ("data", _B), ("assign", 0, _A, 0), ("takeover",),
-    ("assign", 1, _B, 1), ("assign", 0, _B, 1),
+@given(_relay_histories())
+@example([
+    ("relay", (0, 0), _A), ("relay", (0, 1), _B), ("takeover",), ("relay", (1, 1), _B),
 ])
-@example([  # takeover's number first, old one while b still waits for a
-    ("data", _A), ("data", _B), ("takeover",), ("assign", 1, _B, 1),
-    ("assign", 0, _B, 1), ("assign", 0, _A, 0),
-])
-@example([  # old number first, takeover's after b is delivered
-    ("data", _A), ("data", _B), ("assign", 0, _A, 0), ("assign", 0, _B, 1),
-    ("takeover",), ("assign", 1, _B, 1),
-])
-@example([  # old number first, takeover's while b still waits for a
-    ("data", _A), ("data", _B), ("takeover",), ("assign", 0, _B, 1),
-    ("assign", 1, _B, 1), ("assign", 0, _A, 0),
+@example([
+    ("relay", (0, 0), _A), ("takeover",), ("relay", (1, 1), _B), ("relay", (0, 1), _B),
 ])
 def test_heap_queue_delivers_what_a_sorted_list_delivers(events):
     layer, delivered = _layer()
     reference = _SortedListQueue()
     for event in events:
-        if event[0] == "data":
-            _deliver_data(layer, event[1])
-            continue
         if event[0] == "takeover":
             # Site 0 departs: site 1 takes over, not us.
             layer.set_group([1, 2, 3])
             assert not layer.is_sequencer and layer.epoch == 1
             continue
-        _, epoch, msg_id, seq = event
-        layer._on_order_assignment(OrderAssignment(epoch, [(msg_id, seq)]))
-        reference.assign(msg_id, (epoch, seq))
+        _, key, forward = event
+        _relay(layer, key, forward)
+        reference.assign(forward, key)
         assert [label for label, _ in delivered] == reference.delivered
         assert [index for _, index in delivered] == list(range(len(delivered)))
         assert layer._next_seq == reference.next_seq
-    # Every message got a number, so none waits for one; the numbered ones
-    # not delivered wait where the reference's do.
-    assert not layer._unordered
+    # The numbered ones not delivered wait where the reference's do.
     assert sorted(layer._ready) == sorted(layer._delivery_order) == reference.keys
 
 
@@ -300,60 +343,97 @@ def test_is_sequencer_follows_set_group():
         assert layer.group == sorted(members)
 
 
+def _sent_relays(layer):
+    return [(relay.preassigned, relay.forward, relay.payload.label) for relay in layer.causal.sent]
+
+
 def test_takeover_numbers_the_backlog_from_the_counter():
-    """A site that becomes sequencer numbers the messages still waiting,
-    in id order, continuing the old sequencer's counter under a new epoch;
-    later ordered messages it numbers as they arrive."""
+    """A site that becomes sequencer relays the forwards still waiting —
+    those parked here and its own not yet delivered back — continuing the
+    old sequencer's counter under a new epoch, and drops a forward whose
+    relay it has delivered; later forwards it relays as they arrive."""
     layer, delivered = _layer()
-    first, late, early = MessageId(0, 0), MessageId(3, 1), MessageId(1, 4)
-    for msg_id in (first, late, early):
-        _deliver_data(layer, msg_id)
-    layer._on_order_assignment(OrderAssignment(0, [(first, 0)]))
-    assert delivered == [(str(first), 0)]
+    for label in ("own0", "own1", "own2"):
+        layer.broadcast(Op(label))
+    router = layer.causal.reliable.router
+    assert [(dst, forward.n) for dst, forward in router.sent] == [(0, 0), (0, 1), (0, 2)]
+    _relay(layer, (0, 0), (SITE, 0), router.sent[0][1].payload)
+    _relay(layer, (0, 1), (3, 0))
+    assert delivered == [("own0", 0), ("(3, 0)", 1)]
+    # Site 3 installed the view first: its re-forward of (3, 0), relayed
+    # already, and its next forward arrive before this site orders.
+    zero = VectorClock.zero(NUM_SITES)
+    layer._on_forward(3, OrderForward(0, zero, Op("(3, 0)")))
+    layer._on_forward(3, OrderForward(1, zero, Op("three1")))
+    assert not layer.causal.sent
     layer.set_group([2, 3])
     assert layer.is_sequencer
-    (takeover,) = layer.causal.sent
-    assert (takeover.epoch, takeover.assignments) == (1, [(early, 1), (late, 2)])
-    layer._on_order_assignment(takeover)
-    fresh = MessageId(3, 2)
-    _deliver_data(layer, fresh)
-    assert layer.causal.sent[-1].assignments == [(fresh, 3)]
-    assert [label for label, _ in delivered] == [str(m) for m in (first, early, late, fresh)]
+    assert _sent_relays(layer) == [
+        ((1, 2), (3, 1), "three1"), ((1, 3), (SITE, 1), "own1"), ((1, 4), (SITE, 2), "own2"),
+    ]
+    for relay in list(layer.causal.sent):  # their local delivery
+        envelope = CausalEnvelope(zero, relay)
+        message = BroadcastMessage(MessageId(SITE, relay.preassigned[1]), envelope)
+        layer._on_causal_deliver(message, envelope)
+    assert not layer._forwarded and not layer._parked
+    layer._on_forward(3, OrderForward(2, zero, Op("three2")))
+    assert _sent_relays(layer)[-1] == ((1, 5), (3, 2), "three2")
+    assert [label for label, _ in delivered] == ["own0", "(3, 0)", "three1", "own1", "own2"]
+
+
+def test_sequencer_relays_a_forward_once_its_frontier_covers_the_forwards():
+    """A forward whose origin had delivered what the sequencer has not
+    waits, and so does that origin's next one; another origin's passes;
+    the delivery that covers it releases both, in order."""
+    layer, _ = _layer()
+    layer.set_group([2, 3])
+    ahead = VectorClock([0, 0, 0, 1])
+    layer._on_forward(3, OrderForward(0, ahead, Op("w")))
+    layer._on_forward(3, OrderForward(1, ahead, Op("w2")))
+    layer._on_forward(1, OrderForward(0, VectorClock.zero(NUM_SITES), Op("x")))
+    assert [label for _, _, label in _sent_relays(layer)] == ["x"]
+    layer.causal.clock[3] = 1
+    envelope = CausalEnvelope(ahead, SequencedEnvelope(Op("write set"), False))
+    layer.set_deliver(lambda payload, envelope, index: None)
+    layer._on_causal_deliver(BroadcastMessage(MessageId(3, 0), envelope), envelope)
+    assert [label for _, _, label in _sent_relays(layer)] == ["x", "w", "w2"]
+    assert not layer._parked
 
 
 def test_adopt_state_drops_the_covered_prefix_and_resumes_after_it():
     """Numbered messages at or below the adopted last key are dropped, the
-    ones beyond it deliver from the adopted position, and unnumbered ones
-    the adopted causal clock covers are dropped with them."""
+    ones beyond it deliver from the adopted position, and this site's own
+    forwards the donor had delivered back are dropped with them; a relay
+    the adopted counters cover is a duplicate."""
     layer, delivered = _layer()
-    reference = _SortedListQueue()
-    ids = [MessageId(0, seq) for seq in range(6)]
-    for seq, msg_id in enumerate(ids):
-        _deliver_data(layer, msg_id, [seq + 1, 0, 0, 0])
-        if seq not in (1, 5):  # number 1 is lost; message 5 is never numbered
-            layer._on_order_assignment(OrderAssignment(0, [(msg_id, seq)]))
-            reference.record((0, seq), str(msg_id))
-    assert [label for label, _ in delivered] == reference.delivered == [str(ids[0])]
+    for label in ("own0", "own1", "own2"):
+        layer.broadcast(Op(label))
+    _relay(layer, (0, 0), (0, 0))
+    _relay(layer, (0, 2), (1, 0))  # the relay numbered 1 never reaches this site
+    assert delivered == [("(0, 0)", 0)]
     covered = SimpleNamespace(
-        causal_clock=[6, 0, 0, 0],
         total_order_state={
-            "next_delivery_index": 3, "last_delivered_key": (0, 2), "next_seq": 6, "epoch": 0,
+            "next_delivery_index": 4,
+            "last_delivered_key": (0, 3),
+            "next_seq": 4,
+            "relayed": [1, 1, 2, 0],
+            "epoch": 0,
         },
     )
     layer.adopt_state(covered)
-    reference.adopt((0, 2))
-    assert sorted(layer._ready) == sorted(layer._delivery_order) == reference.keys
-    assert not layer._unordered  # message 5: covered, its number never coming
-    layer._on_order_assignment(OrderAssignment(0, []))  # any delivery drains
-    reference.drain()
-    assert [label for label, _ in delivered] == reference.delivered
-    assert [index for _, index in delivered] == [0, 3, 4]
+    assert not layer._ready and not layer._delivery_order
+    assert [forward.n for forward in layer._forwarded] == [2]
+    _relay(layer, (0, 4), (3, 0))
+    _relay(layer, (0, 4), (SITE, 1), sender=1)  # covered: a second relay of own1
+    _relay(layer, (0, 5), (SITE, 2))
+    assert delivered == [("(0, 0)", 0), ("(3, 0)", 4), ("(2, 2)", 5)]
+    assert not layer._forwarded
 
 
 def test_recovered_abp_site_keeps_no_covered_unnumbered_message():
-    """ABP, 4 sites, site 3 down from 50 to 300 under a closed loop: the
-    rejoiner keeps no pre-crash commit request the snapshot covered in its
-    unnumbered queue (its number is covered too, so it would wait for good)."""
+    """ABP, 4 sites, site 3 down from 50 to 300 under a closed loop: no site
+    keeps a forward waiting for its relay at the end (the rejoiner's covered
+    ones included: their relay is covered too, so it never comes)."""
     cluster = Cluster(ClusterConfig(protocol="abp", num_sites=4, num_objects=32, seed=12))
     cluster.crash_site(3, at=50)
     cluster.recover_site(3, at=300)
@@ -363,4 +443,4 @@ def test_recovered_abp_site_keeps_no_covered_unnumbered_message():
     result = cluster.run(max_time=100_000)
     assert result.ok, result.serialization.explain()
     assert cluster.recovery_agents[3].transfers_completed == 1
-    assert [len(total._unordered) for total in cluster.totals] == [0, 0, 0, 0]
+    assert [len(total._forwarded) + len(total._parked) for total in cluster.totals] == [0] * 4
