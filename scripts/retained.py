@@ -54,12 +54,13 @@ def pending_callbacks(engine) -> dict[str, int]:
     from repro.sim.process import Process
 
     counts: collections.Counter[str] = collections.Counter()
-    for _, _, handle in engine._heap:
-        if handle.cancelled:
-            continue
-        fn = handle.fn
+    for _, _, fn, args in engine._heap:
+        if args is None:  # a cancellable event: (time, seq, handle, None)
+            if fn.cancelled:
+                continue
+            fn, args = fn.fn, fn.args
         if getattr(fn, "__func__", None) is Process._guarded:
-            fn = handle.args[1]  # (epoch, fn, args): the guarded callback
+            fn = args[1]  # (epoch, fn, args): the guarded callback
         counts[getattr(fn, "__qualname__", type(fn).__name__)] += 1
     return dict(counts)
 

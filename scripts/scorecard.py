@@ -29,13 +29,20 @@ One line, suitable for CHANGES.md::
 - collected tier-1 tests;
 - startup modules: the ``repro`` modules (packages included) a fresh
   interpreter holds after building an RBP ``Cluster`` through the
-  ``repro`` facade -- what every run pays for before its first event.
+  ``repro`` facade -- what every run pays for before its first event;
+- calls per datagram: the Python calls (functions and builtins) cProfile
+  counts while a fixed small RBP cell, and then a fixed small P2P cell,
+  runs to its result, over the datagrams it sends (``NetworkStats.sent``),
+  in a child process.  The per-datagram path sets a long run's wall time,
+  and unlike the wall time this count repeats exactly on one interpreter,
+  so a change to that path can quote it before and after.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import os
 import pathlib
 import re
@@ -107,6 +114,59 @@ def startup_modules() -> int:
     return int(proc.stdout)
 
 
+#: The cells ``calls_per_datagram`` profiles: ``ClusterConfig`` and
+#: closed-loop overrides, each a few seconds' worth of a bench workload.
+CALL_CELLS = {
+    "rbp": dict(protocol="rbp", num_sites=8, num_objects=4096, transactions=200, mpl=8),
+    "p2p": dict(protocol="p2p", num_sites=8, num_objects=4096, transactions=200, mpl=8),
+}
+
+_CALLS_CHILD = """
+import cProfile, gc, json, pstats
+from repro.core.cluster import Cluster, ClusterConfig
+from repro.workload.generator import WorkloadConfig
+from repro.workload.runner import ClosedLoopRunner
+counts = {{}}
+for name, cell in {cells!r}.items():
+    cell = dict(cell)
+    transactions, mpl = cell.pop("transactions"), cell.pop("mpl")
+    workload = WorkloadConfig(num_objects=cell["num_objects"], num_sites=cell["num_sites"])
+    # A short unprofiled run first: what a run imports or resolves once
+    # (lazy imports, first-sight sizers) is not counted against a datagram.
+    # The collector is off while profiling: when it runs depends on what
+    # the interpreter allocated before, and what it frees can make calls.
+    for count in (mpl, transactions):
+        cluster = Cluster(ClusterConfig(seed=1, **cell))
+        runner = ClosedLoopRunner(cluster, workload, mpl=mpl, transactions=count)
+        profile = cProfile.Profile()
+        gc.collect()
+        gc.disable()
+        if count == transactions:
+            profile.enable()
+        runner.start()
+        result = cluster.run()
+        profile.disable()
+        gc.enable()
+        assert result.ok and not result.incomplete_specs, name
+    counts[name] = pstats.Stats(profile).total_calls / cluster.network.stats.sent
+print(json.dumps(counts))
+"""
+
+
+def calls_per_datagram() -> dict[str, float]:
+    """Python calls per datagram sent on each ``CALL_CELLS`` cell.  The
+    hash seed is pinned: with it free, the P2P count (never a simulated
+    number) moved by up to 0.6 % between interpreters."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALLS_CHILD.format(cells=CALL_CELLS)],
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def main() -> None:
     paths = sorted(SRC.rglob("*.py"))
     everything = [path.read_text() for path in paths]
@@ -136,7 +196,9 @@ def main() -> None:
         f"test-only lines {listed_lines()}, "
         f"lint rules {len(ALL_RULE_IDS)}, "
         f"tests {collected_tests()}, "
-        f"startup modules {startup_modules()}"
+        f"startup modules {startup_modules()}, "
+        "calls per datagram "
+        + " / ".join(f"{name} {calls:.2f}" for name, calls in calls_per_datagram().items())
     )
 
 

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.analysis.metrics import MetricsCollector
-from repro.core.events import (
-    P2pDecision,
-    P2pPrepare,
-    P2pVote,
-    P2pWrite,
-    P2pWriteAck,
-)
+from repro.baselines.p2p_events import P2pDecision, P2pPrepare, P2pVote, P2pWrite, P2pWriteAck
 from repro.core.replica import Replica
 from repro.core.tally import Tally
 from repro.core.transaction import AbortReason, Transaction, TxPhase
@@ -330,7 +324,8 @@ class PointToPointReplica(Replica):
     # -- message dispatch ---------------------------------------------------------------------
 
     def _on_message(self, src: int, payload: Any) -> None:
-        handler = self._handlers.get(type(payload))
-        if handler is None:
-            raise RuntimeError(f"site {self.site}: unexpected p2p payload {payload!r}")
+        try:
+            handler = self._handlers[payload.__class__]
+        except KeyError:
+            raise RuntimeError(f"site {self.site}: unexpected p2p payload {payload!r}") from None
         handler(src, payload)

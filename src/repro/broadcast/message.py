@@ -30,20 +30,23 @@ class MessageId(NamedTuple):
     seq: int
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class BroadcastMessage:
     """A payload travelling through a broadcast primitive.
 
     ``kind`` labels the payload for message accounting; it defaults to the
-    payload's own ``kind`` attribute when present.
+    payload's own ``kind`` attribute when present.  The constructor is
+    written out so that one broadcast allocates its header in one frame.
     """
 
     id: MessageId
     payload: Any
     kind: str = ""
 
-    def __post_init__(self) -> None:
-        self.kind = sys.intern(self.kind or kind_of(self.payload))
+    def __init__(self, id: MessageId, payload: Any, kind: str = "") -> None:
+        self.id = id
+        self.payload = payload
+        self.kind = sys.intern(kind or kind_of(payload))
 
     @property
     def sender(self) -> int:

@@ -136,14 +136,18 @@ class ReliableBroadcast:
         # Single shared envelope for the whole fan-out; multicast skips the
         # sending site itself (local delivery goes through the event loop).
         self.router.multicast(self.group, CHANNEL, message, message.kind)
-        self.engine.schedule(0.0, self._deliver_local, message)
+        # Never cancelled: a handle-less event, now, behind the fan-out.
+        self.engine.schedule_at(self.engine.now, self._handoff, message)
         return message
 
-    def _deliver_local(self, message: BroadcastMessage) -> None:
-        self._handoff(message)
-
     def _on_receive(self, src: int, message: BroadcastMessage) -> None:
-        if not self.seen.admit(message.id):
+        # SeenIds.admit's in-order case inlined (every passthrough and ARQ
+        # delivery is one); any other arrival goes through admit itself.
+        sender, seq = message.id
+        tops = self.seen._top
+        if seq == tops[sender]:
+            tops[sender] = seq + 1
+        elif not self.seen.admit(message.id):
             return
         if self.relay:
             # multicast skips our own site; one envelope for the fan-out.
@@ -153,7 +157,12 @@ class ReliableBroadcast:
                 message,
                 message.kind,
             )
-        self._handoff(message)
+        # _handoff, inlined: this runs once per datagram received.
+        deliver = self._deliver
+        if deliver is None:
+            raise RuntimeError(f"site {self.site}: reliable broadcast has no deliver callback")
+        self.delivered_count += 1
+        deliver(message)
 
     def _handoff(self, message: BroadcastMessage) -> None:
         if self._deliver is None:

@@ -47,7 +47,7 @@ from typing import Any, Optional
 from repro.analysis.metrics import MetricsCollector
 from repro.broadcast.causal import CausalEnvelope
 from repro.broadcast.total import TotalOrderBroadcast
-from repro.core.events import AbpCommitRequest, AbpWriteSet
+from repro.core.abp_events import AbpCommitRequest, AbpWriteSet
 from repro.core.replica import Replica
 from repro.core.transaction import AbortReason, Transaction, TxPhase
 from repro.db.locks import LockMode

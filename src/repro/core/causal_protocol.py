@@ -56,7 +56,7 @@ from repro.analysis.metrics import MetricsCollector
 from repro.broadcast.causal import CausalBroadcast, CausalEnvelope
 from repro.broadcast.message import BroadcastMessage
 from repro.broadcast.vector_clock import BEFORE, VectorClock
-from repro.core.events import CbpCommitRequest, CbpNack, CbpNull, CbpWriteSet
+from repro.core.cbp_events import CbpCommitRequest, CbpNack, CbpNull, CbpWriteSet
 from repro.core.replica import Replica
 from repro.core.tally import Tally
 from repro.core.transaction import AbortReason, Transaction, TxPhase

@@ -38,7 +38,7 @@ from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.net.router import ChannelRouter
 from repro.net.transport import ReliableTransport
-from repro.sim.engine import RUN_EXHAUSTED, SimulationEngine
+from repro.sim.engine import RUN_EXHAUSTED, RUN_STOPPED, SimulationEngine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
@@ -206,6 +206,11 @@ class Cluster:
         self._committed_specs = 0
         self._failed_specs = 0
         self._spec_listeners: list[Callable[[SpecStatus], None]] = []
+        #: Set while :meth:`run` waits for every spec to be final: the
+        #: ``_finish`` that empties ``_specs`` stops the engine (and sets
+        #: ``_stopped_on_final``), so no predicate runs per event.
+        self._stop_on_final = False
+        self._stopped_on_final = False
         self._build()
 
     # -- construction ---------------------------------------------------------------
@@ -441,6 +446,10 @@ class Cluster:
         del self._specs[status.spec.name]
         for listener in self._spec_listeners:
             listener(status)
+        # After the listeners: a closed-loop client's next spec keeps it going.
+        if self._stop_on_final and not self._specs:
+            self._stopped_on_final = True
+            self.engine.stop()
 
     # -- fault injection ---------------------------------------------------------------
 
@@ -514,7 +523,8 @@ class Cluster:
     # -- running ----------------------------------------------------------------------
 
     def all_final(self) -> bool:
-        """O(1): ``run`` evaluates this after *every* event."""
+        """O(1).  ``run``'s default stop: not polled, but fired by the
+        ``_finish`` that makes it true (see :meth:`run`)."""
         return not self._specs
 
     def specs_submitted(self) -> int:
@@ -549,12 +559,35 @@ class Cluster:
         time) pass their own ``stop_when`` so the run does not stop in a
         momentary all-final lull.
 
+        The default stop (``stop_when`` left out, or :meth:`all_final`
+        itself) is not a predicate polled after every event: the engine
+        stops at the end of the event whose ``_finish`` made the last spec
+        final, which is where the poll would have stopped it.  A spec
+        submitted later in that same event resumes the run, as the poll
+        would not have stopped; with no spec pending at the start there is
+        no ``_finish`` to wait for, and :meth:`all_final` is polled.
+
         With ``drain`` (the default) the run then continues in chunks until
         the replicas converge, so in-flight remote applies (votes, echoes,
         decisions still on the wire when the last client got its answer)
         reach every site before invariants are checked.
         """
-        self.engine.run(until=max_time, stop_when=stop_when or self.all_final)
+        if stop_when is None:
+            stop_when = self.all_final
+        if stop_when != self.all_final or not self._specs:
+            self.engine.run(until=max_time, stop_when=stop_when)
+        else:
+            self._stop_on_final = True
+            self._stopped_on_final = False
+            try:
+                while (
+                    self.engine.run(until=max_time) == RUN_STOPPED
+                    and self._stopped_on_final
+                    and self._specs
+                ):
+                    self._stopped_on_final = False
+            finally:
+                self._stop_on_final = False
         if drain:
             self._drain(max_time)
         return self.result()

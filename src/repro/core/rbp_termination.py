@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from repro.core.events import RbpDecisionAnswer, RbpDecisionQuery
+from repro.core.rbp_events import RbpDecisionAnswer, RbpDecisionQuery
 
 
 @dataclass

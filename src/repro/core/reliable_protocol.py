@@ -42,7 +42,7 @@ from typing import Any, Optional
 from repro.analysis.metrics import MetricsCollector
 from repro.broadcast.message import BroadcastMessage
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.core.events import (
+from repro.core.rbp_events import (
     RbpAbort,
     RbpCommitRequest,
     RbpDecisionAnswer,
@@ -171,6 +171,14 @@ class ReliableBroadcastReplica(Replica):
         #: linearly in the write count at unchanged message cost.
         self.pipeline_writes = pipeline_writes
         self._all_sites = frozenset(range(num_sites))
+        #: Broadcast payloads by exact type (votes are most of them).
+        self._on_payload = {
+            RbpVote: self._on_vote,
+            RbpWrite: self._on_write,
+            RbpCommitRequest: self._on_commit_request,
+            RbpVoteBatch: self._on_vote_batch,
+            RbpAbort: self._on_abort,
+        }
         rbcast.set_deliver(self._on_broadcast)
         # Served during a state transfer: decision queries read only the
         # durable decision log (which survived the crash and the install
@@ -320,21 +328,20 @@ class ReliableBroadcastReplica(Replica):
 
     def _on_broadcast(self, message: BroadcastMessage) -> None:
         payload = message.payload
-        if isinstance(payload, RbpWrite):
-            self._on_write(payload)
-        elif isinstance(payload, RbpCommitRequest):
-            self._on_commit_request(payload)
-        elif isinstance(payload, RbpVote):
-            self._on_vote(payload)
-        elif isinstance(payload, RbpVoteBatch):
-            # Group commit: tally each constituent as if it arrived alone.
-            for vote in payload.votes:
-                self._on_vote(vote)
-        elif isinstance(payload, RbpAbort):
-            # Initiator-driven: an authoritative outcome, not a presumption.
-            self._purge(payload.tx, authoritative=True)
-        else:
-            raise RuntimeError(f"site {self.site}: unexpected RBP payload {payload!r}")
+        try:
+            handler = self._on_payload[payload.__class__]
+        except KeyError:
+            raise RuntimeError(f"site {self.site}: unexpected RBP payload {payload!r}") from None
+        handler(payload)
+
+    def _on_vote_batch(self, batch: RbpVoteBatch) -> None:
+        # Group commit: tally each constituent as if it arrived alone.
+        for vote in batch.votes:
+            self._on_vote(vote)
+
+    def _on_abort(self, abort: RbpAbort) -> None:
+        # Initiator-driven: an authoritative outcome, not a presumption.
+        self._purge(abort.tx, authoritative=True)
 
     def _on_write(self, write: RbpWrite) -> None:
         rec = self._live.get(write.tx)
@@ -500,10 +507,14 @@ class ReliableBroadcastReplica(Replica):
                 # the transaction — must not re-open a tally.
                 return
             rec = self._open(vote.tx)
-        if rec.votes is None:
-            rec.votes = Tally()
-        rec.votes[vote.site] = vote.yes
-        self._check_votes(vote.tx, rec)
+        votes = rec.votes
+        if votes is None:
+            votes = rec.votes = Tally()
+        votes[vote.site] = vote.yes
+        # Every vote but the deciding one stops here: the tally cannot be
+        # complete with fewer answers than the electorate has members.
+        if len(votes) >= len(rec.electorate):
+            self._check_votes(vote.tx, rec)
 
     def _check_votes(self, tx_id: str, rec: _TxRecord) -> None:
         if not rec.request_seen:

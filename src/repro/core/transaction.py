@@ -120,3 +120,8 @@ class Transaction:
 
     def __str__(self) -> str:
         return self.tx_id
+
+
+def priority_of(payload: Any) -> Optional[tuple]:
+    """The embedded priority of a wire payload, when it has one."""
+    return getattr(payload, "priority", None)

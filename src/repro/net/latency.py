@@ -49,7 +49,9 @@ class UniformLatency(LatencyModel):
         self.high = high
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        return rng.uniform(self.low, self.high)
+        # ``random.uniform``'s own arithmetic, one frame and one draw.
+        low = self.low
+        return low + (self.high - low) * rng.random()
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0

@@ -123,7 +123,7 @@ class Network:
         delivery still goes through the event loop (keeping callback
         ordering uniform).
         """
-        self._fan_out(src, (dst,), payload, kind, True)
+        self.multicast(src, (dst,), payload, kind, True)
 
     def multicast(
         self,
@@ -138,18 +138,15 @@ class Network:
         The paper's cost model treats a broadcast to ``n`` sites as ``n``
         point-to-point messages in the absence of hardware multicast; the
         accounting says exactly that, and every destination gets its own
-        loss and latency draw, in destination order.
+        loss and latency draw, in destination order.  What differs per
+        destination (reachability, loss, latency, FIFO clamp) runs per
+        destination; the label, the wire size and the accounting are shared.
+        Each delivery is one handle-less engine event: nothing cancels a
+        datagram in flight.
         """
-        self._fan_out(src, dsts, payload, kind, include_self)
-
-    def _fan_out(
-        self, src: int, dsts: Iterable[int], payload: Any, kind: Optional[str], include_self: bool
-    ) -> None:
-        """One payload to each of ``dsts``: what differs per destination
-        (reachability, loss, latency, FIFO clamp) runs per destination; the
-        label, the wire size and the accounting are shared."""
-        self._check_site(src)
         num_sites = self.num_sites
+        if not 0 <= src < num_sites:
+            raise ValueError(f"unknown site {src} (num_sites={num_sites})")
         size = wire_size(payload)
         stats = self.stats
         src_up = self._site_up[src]
@@ -196,26 +193,22 @@ class Network:
                 schedule_at(deliver_at, deliver, src, dst, payload, label)
         finally:
             if datagrams:
-                self._account(payload, label, size, datagrams)
-
-    def _account(self, payload: Any, label: str, size: int, datagrams: int) -> None:
-        """Count ``datagrams`` physical sends of one payload."""
-        stats = self.stats
-        stats.sent += datagrams
-        stats.bytes_sent += size * datagrams
-        if label == BATCH_KIND:
-            # A flush-window batch is one physical datagram but many
-            # protocol messages: attribute each constituent's count and
-            # bytes to its own kind so the E1/E11 per-kind cost tables are
-            # batching-invariant, and only the shared framing residual to
-            # the batch label.  (Retransmissions of batch frames keep the
-            # opaque ``transport.retransmit`` label, as all repair traffic
-            # does.)  ``sent`` keeps counting physical datagrams, so with
-            # batching on ``sum(by_kind) > sent`` by design.
-            self._account_batch(payload, size, datagrams)
-        else:
-            stats.by_kind[label] += datagrams
-            stats.bytes_by_kind[label] += size * datagrams
+                stats.sent += datagrams
+                stats.bytes_sent += size * datagrams
+                if label == BATCH_KIND:
+                    # A flush-window batch is one physical datagram but many
+                    # protocol messages: attribute each constituent's count
+                    # and bytes to its own kind so the E1/E11 per-kind cost
+                    # tables are batching-invariant, and only the shared
+                    # framing residual to the batch label.  (Retransmissions
+                    # of batch frames keep the opaque ``transport.retransmit``
+                    # label, as all repair traffic does.)  ``sent`` keeps
+                    # counting physical datagrams, so with batching on
+                    # ``sum(by_kind) > sent`` by design.
+                    self._account_batch(payload, size, datagrams)
+                else:
+                    stats.by_kind[label] += datagrams
+                    stats.bytes_by_kind[label] += size * datagrams
 
     def _deliver(self, src: int, dst: int, payload: Any, kind: str) -> None:
         if not self._site_up[dst]:

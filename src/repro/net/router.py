@@ -25,9 +25,13 @@ from repro.net.transport import ReliableTransport
 Handler = Callable[[int, Any], None]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Tagged:
-    """A channel-tagged payload travelling through the transport."""
+    """A channel-tagged payload travelling through the transport.
+
+    ``kind`` is interned, and defaults to the payload's own label
+    (:func:`repro.net.sizes.kind_of`); the constructor is written out so
+    that one is allocated per send in a single frame."""
 
     channel: str
     payload: Any
@@ -36,8 +40,11 @@ class Tagged:
     #: the same Tagged inside a Frame per link, and each Frame is sized.
     _size: int = field(default=-1, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.kind = sys.intern(self.kind or kind_of(self.payload))
+    def __init__(self, channel: str, payload: Any, kind: str) -> None:
+        self.channel = channel
+        self.payload = payload
+        self.kind = sys.intern(kind or kind_of(payload))
+        self._size = -1
 
 
 class ChannelRouter:
@@ -102,15 +109,18 @@ class ChannelRouter:
         self._sender.multicast(dsts, Tagged(channel, payload, kind or ""), kind, include_self)
 
     def _dispatch(self, src: int, payload: Any) -> None:
-        if isinstance(payload, Tagged):
-            handler = self._handlers.get(payload.channel)
-            if handler is None:
+        # Exact types: nothing subclasses either envelope.
+        cls = payload.__class__
+        if cls is Tagged:
+            try:
+                handler = self._handlers[payload.channel]
+            except KeyError:
                 raise RuntimeError(
                     f"site {self.site}: no handler for channel {payload.channel!r}"
-                )
+                ) from None
             handler(src, payload.payload)
             return
-        if isinstance(payload, BatchEnvelope):
+        if cls is BatchEnvelope:
             # Unpack in slot order — the sender's issue order — so batching
             # preserves per-link FIFO payload-for-payload, and batches from
             # different senders dispatch in (sender, seq) arrival order.

@@ -23,8 +23,18 @@ every envelope layer in between -- ``Tagged`` -> ``Frame`` /
   builtin container it subclasses, else to its own ``__wire_size__``,
   else to the generic ``__dict__`` / ``__slots__`` walk.
 
+The sizers that run per datagram -- a wire class's derived sizer and the
+list / tuple / set / dict walks -- size a child whose exact type is
+``str``, ``int``, ``float``, ``bool`` or ``None`` in their own frame, and
+call the table's sizer for any other child directly, so a fan-out costs
+one call per nested *object*, not one per field.  The inlined rule is
+:func:`estimate_size`'s, child for child (``tests/test_net_sizes.py``
+holds the two to the same plain traversal); a ``str`` subclass, ``bytes``
+and every container still go through the table.
+
 The depth guard bounds every path, so a cyclic payload gets a finite size
-instead of a ``RecursionError``.
+instead of a ``RecursionError``: a sizer whose children would lie past it
+charges each one ``OBJECT_OVERHEAD``, as :func:`estimate_size` would.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ def estimate_size(payload: Any, _depth: int = 0) -> int:
 
 def wire_size(payload: Any) -> int:
     """Payload size plus the per-message header."""
-    return HEADER_BYTES + estimate_size(payload)
+    cls = payload.__class__
+    return HEADER_BYTES + (_SIZERS.get(cls) or _resolve(cls))(payload, 0)
 
 
 def _size_str(payload: str, depth: int) -> int:
@@ -62,35 +73,8 @@ def _size_str(payload: str, depth: int) -> int:
     return len(payload.encode("utf-8", errors="replace"))
 
 
-def _size_items(payload: Any, depth: int) -> int:
-    deeper = depth + 1
-    total = OBJECT_OVERHEAD
-    for item in payload:
-        total += estimate_size(item, deeper)
-    return total
-
-
-def _size_mapping(payload: Any, depth: int) -> int:
-    deeper = depth + 1
-    total = OBJECT_OVERHEAD
-    for key, value in payload.items():
-        total += estimate_size(key, deeper) + estimate_size(value, deeper)
-    return total
-
-
-def _size_object(payload: Any, depth: int) -> int:
-    """The generic walk: an object's attribute dict, else its slots."""
-    inner = getattr(payload, "__dict__", None)
-    if inner is not None:
-        return _size_items(inner.values(), depth)
-    deeper = depth + 1
-    total = OBJECT_OVERHEAD
-    for name in getattr(payload.__class__, "__slots__", ()):
-        total += estimate_size(getattr(payload, name, None), deeper)
-    return total
-
-
-#: The one dispatch table: exact type -> sizer.  Seeded with the builtins;
+#: The one dispatch table: exact type -> sizer.  Seeded with the builtins
+#: (the containers once their sizers are generated, below);
 #: :func:`register_payload` adds the wire classes, :func:`_resolve` whatever
 #: else turns up inside a payload.
 _SIZERS: dict[type, Sizer] = {
@@ -100,11 +84,6 @@ _SIZERS: dict[type, Sizer] = {
     type(None): lambda payload, depth: 0,
     str: _size_str,
     bytes: lambda payload, depth: len(payload),
-    dict: _size_mapping,
-    list: _size_items,
-    tuple: _size_items,
-    set: _size_items,
-    frozenset: _size_items,
 }
 _CONTAINERS = (str, bytes, dict, list, tuple, set, frozenset)
 
@@ -132,33 +111,117 @@ def _own_sizer(cls: type) -> Sizer | None:
     return lambda payload, depth: own(payload)
 
 
+def _child_term(value: str, indent: str) -> str:
+    """Source that adds the size of the child ``value`` (an expression) at
+    depth ``deeper`` to ``total``: :func:`estimate_size` below the depth
+    guard, with the primitives sized in place and the table's sizer called
+    directly for anything else.  Every generated sizer uses this one rule."""
+    lines = (
+        f"child = {value}",
+        "cls = child.__class__",
+        "if cls is str:",
+        "    total += len(child) if child.isascii() else "
+        "len(child.encode('utf-8', errors='replace'))",
+        "elif cls is int or cls is float:",
+        "    total += 8",
+        "elif cls is bool:",
+        "    total += 1",
+        "elif child is not None:",
+        "    total += (sizers.get(cls) or resolve(cls))(child, deeper)",
+    )
+    return "".join(f"{indent}{line}\n" for line in lines)
+
+
+def _compile(source: str) -> Sizer:
+    """The ``sizer`` function ``source`` defines, bound to the table."""
+    scope = {"sizers": _SIZERS, "resolve": _resolve}
+    exec(source, scope)
+    return scope["sizer"]
+
+
+#: Past the depth guard a child costs ``OBJECT_OVERHEAD`` whatever it is.
+_GUARD = f"    deeper = depth + 1\n    if deeper > {_MAX_DEPTH}:\n"
+
+#: Iterables: lists, tuples, sets, a dict's values (the generic walk).
+_size_items = _compile(
+    "def sizer(payload, depth):\n"
+    f"{_GUARD}        return {OBJECT_OVERHEAD} * (1 + len(payload))\n"
+    f"    total = {OBJECT_OVERHEAD}\n"
+    "    for item in payload:\n"
+    f"{_child_term('item', '        ')}"
+    "    return total\n"
+)
+
+#: Mappings: each key and each value is a child.
+_size_mapping = _compile(
+    "def sizer(payload, depth):\n"
+    f"{_GUARD}        return {OBJECT_OVERHEAD} * (1 + 2 * len(payload))\n"
+    f"    total = {OBJECT_OVERHEAD}\n"
+    "    for key, value in payload.items():\n"
+    f"{_child_term('key', '        ')}"
+    f"{_child_term('value', '        ')}"
+    "    return total\n"
+)
+_SIZERS.update(
+    {
+        dict: _size_mapping,
+        list: _size_items,
+        tuple: _size_items,
+        set: _size_items,
+        frozenset: _size_items,
+    }
+)
+
+
+def _size_object(payload: Any, depth: int) -> int:
+    """The generic walk: an object's attribute dict, else its slots."""
+    inner = getattr(payload, "__dict__", None)
+    if inner is not None:
+        return _size_items(inner.values(), depth)
+    deeper = depth + 1
+    total = OBJECT_OVERHEAD
+    for name in getattr(payload.__class__, "__slots__", ()):
+        total += estimate_size(getattr(payload, name, None), deeper)
+    return total
+
+
 def _derived_sizer(cls: type) -> Sizer:
     """Sizer over ``cls``'s declared slots: the generic walk of the same
     object, unrolled once per class instead of looped once per message (as
-    the hand-written ``__wire_size__`` methods it replaces were).  Every
-    slot must be set, which a dataclass ``__init__`` guarantees.  Memoized
-    into ``_size`` when the class declares that slot, which is then not
-    wire content."""
-    terms = "".join(
-        f" + size(payload.{name}, deeper)" for name in cls.__slots__ if name != "_size"
+    the hand-written ``__wire_size__`` methods it replaces were).  A slot
+    holding a ``str``, ``int``, ``float``, ``bool`` or ``None`` is sized in
+    the sizer's own frame, any other value by its table sizer, called
+    directly (``_child_term``); past the depth guard every slot costs
+    ``OBJECT_OVERHEAD``.  Every slot must be set, which a dataclass
+    ``__init__`` guarantees.  Memoized into ``_size`` when the class
+    declares that slot, which is then not wire content: the first sizing
+    of an instance is stored and every later one returns it."""
+    names = [name for name in cls.__slots__ if name != "_size"]
+    memo = "_size" in cls.__slots__
+    source = "def sizer(payload, depth):\n"
+    if memo:
+        source += "    if payload._size >= 0:\n        return payload._size\n"
+    source += (
+        f"{_GUARD}        total = {OBJECT_OVERHEAD * (1 + len(names))}\n"
+        "    else:\n"
+        f"        total = {OBJECT_OVERHEAD}\n"
     )
-    scope = {"size": estimate_size}
-    exec(
-        "def sizer(payload, depth):\n"
-        "    deeper = depth + 1\n"
-        f"    return {OBJECT_OVERHEAD}{terms}\n",
-        scope,
-    )
-    size = scope["sizer"]
-    if "_size" not in cls.__slots__:
-        return size
+    for name in names:
+        source += _child_term(f"payload.{name}", "        ")
+    if memo:
+        source += "    payload._size = total\n"
+    return _compile(source + "    return total\n")
 
-    def memoized(payload: Any, depth: int) -> int:
-        if payload._size < 0:
-            payload._size = size(payload, depth)
-        return payload._size
 
-    return memoized
+def _first_sizing(cls: type) -> Sizer:
+    """Placeholder for ``cls``'s derived sizer: the first sizing derives
+    it, puts it in the table in its own place, and uses it."""
+
+    def derive(payload: Any, depth: int) -> int:
+        sizer = _SIZERS[cls] = _derived_sizer(cls)
+        return sizer(payload, depth)
+
+    return derive
 
 
 def kind_of(payload: Any) -> str:
@@ -196,7 +259,9 @@ def register_payload(*classes: type) -> None:
       subclasses a builtin container (a ``NamedTuple`` such as
       ``MessageId``) is sized as that container, as the plain traversal
       sizes it: its ``__slots__`` is empty, and a sizer derived from it
-      would count no fields.
+      would count no fields.  The sizer is generated when an instance is
+      first sized, not at import: compiling one costs about half a
+      millisecond, and most runs send a few of the classes they import.
     - **Memo.**  A class that declares a ``_size`` slot (``-1`` = not yet
       sized) has its size computed once per instance and stored there;
       the slot is bookkeeping, never wire content.  Declaring the slot is
@@ -216,7 +281,7 @@ def register_payload(*classes: type) -> None:
                 f"wire payload {cls.__name__} must declare __slots__ "
                 "(e.g. @dataclass(slots=True)) or define __wire_size__"
             )
-        _SIZERS[cls] = own or _derived_sizer(cls)
+        _SIZERS[cls] = own or _first_sizing(cls)
         _REGISTERED_PAYLOADS.add(cls)
 
 

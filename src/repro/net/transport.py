@@ -10,9 +10,10 @@ Two modes, fixed at construction:
 
 - **passthrough**: no framing and no acks, so message accounting matches the
   paper's analytical cost model exactly.  This is the default on a lossless
-  network.  Passthrough is a binding, not a layer: sends go straight to the
-  network and :meth:`ReliableTransport.set_receiver` attaches the receiver
-  to the network itself, so no transport code runs per datagram.
+  network.  Passthrough is a binding, not a layer: the transport's ``send``
+  and ``multicast`` are the network's own, bound to the site, and
+  :meth:`ReliableTransport.set_receiver` attaches the receiver to the
+  network itself, so no transport code runs per datagram.
 - **ARQ** (lossy network, or ``reliable=True`` on a lossless one): payloads
   are framed with per-link sequence numbers; the receiver delivers in order
   and returns cumulative acks; the sender resends lost frames as soon as an
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Optional
 
 from repro.net.network import Network
@@ -209,7 +211,13 @@ class ReliableTransport:
         self._receiver: Optional[Callable[[int, Any], None]] = None
         self._send_state: dict[int, _LinkSendState] = {}
         self._recv_state: dict[int, _LinkRecvState] = {}
-        if not self.passthrough:
+        if self.passthrough:
+            # A binding, not a layer: this site's sends are the network's
+            # own, with the site as their source (as ``set_receiver``
+            # attaches the receiver to the network).
+            self.send = partial(network.send, site)
+            self.multicast = partial(network.multicast, site)
+        else:
             network.attach(site, self._on_datagram)
 
     def set_receiver(self, fn: Callable[[int, Any], None]) -> None:
@@ -222,8 +230,10 @@ class ReliableTransport:
             self.network.attach(self.site, fn)
 
     def send(self, dst: int, payload: Any, kind: Optional[str] = None) -> None:
-        """Send ``payload`` reliably and in FIFO order to ``dst``."""
-        if self.passthrough or dst == self.site:
+        """Send ``payload`` reliably and in FIFO order to ``dst``.
+
+        ARQ mode only: a passthrough transport's ``send`` is the network's."""
+        if dst == self.site:
             self.network.send(self.site, dst, payload, kind)
             return
         state = self._send_state.setdefault(dst, _LinkSendState())
@@ -242,12 +252,10 @@ class ReliableTransport:
     ) -> None:
         """Send ``payload`` to each of ``dsts`` (our own site only on request).
 
-        Passthrough hands the whole fan-out to the network at once; ARQ
-        frames the payload per link.
+        ARQ mode only: it frames the payload per link (a passthrough
+        transport's ``multicast`` is the network's, which takes the whole
+        fan-out at once).
         """
-        if self.passthrough:
-            self.network.multicast(self.site, dsts, payload, kind, include_self)
-            return
         for dst in dsts:
             if dst != self.site or include_self:
                 self.send(dst, payload, kind)

@@ -15,9 +15,19 @@ Determinism guarantees:
 
 Hot-path design (the whole library funnels through this loop):
 
-- **Heap entries are ``(time, seq, handle)`` tuples**, so ``heapq`` orders
-  them in C; :meth:`SimulationEngine.run` settles, pops and fires the head
-  in one loop body rather than through a call per step.
+- **Heap entries are ``(time, seq, fn, args)`` tuples**, so ``heapq``
+  orders them in C (``seq`` is unique, so a comparison never reaches
+  ``fn``); :meth:`SimulationEngine.run` settles, pops and fires the head in
+  one loop body rather than through a call per step.
+- **Only a cancellable event carries a handle.**  :meth:`SimulationEngine.
+  schedule_at` is fire-and-forget: it pushes the callback and its
+  arguments and returns nothing, which is what a datagram delivery, a
+  spec's first attempt or a scripted fault needs -- nothing ever cancels
+  them, and the network schedules one per datagram.  :meth:`SimulationEngine.
+  schedule` and :meth:`SimulationEngine.reschedule` return an
+  :class:`EventHandle` (timers, watchdogs, outbox flushes: anything a
+  caller may cancel or re-arm); its entry is ``(time, seq, handle, None)``,
+  the ``None`` marking where the callback lives.
 - **Lazy cancellation with bounded garbage.**  ``EventHandle.cancel`` leaves
   the heap entry in place (an O(log n) removal per cancel would dominate ARQ
   timer churn), but the engine counts cancelled residents and compacts the
@@ -60,8 +70,8 @@ class EventHandle:
     real deadline: normally equal to ``time`` (the heap position), it is
     moved forward by :meth:`SimulationEngine.reschedule` without touching the
     heap — the engine re-sorts the entry when it surfaces.  ``time`` and
-    ``seq`` mirror the handle's ``(time, seq, handle)`` heap entry; the heap
-    orders on the tuple, never on the handle.
+    ``seq`` mirror the handle's ``(time, seq, handle, None)`` heap entry;
+    the heap orders on the tuple, never on the handle.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "fire_at", "_engine")
@@ -121,10 +131,10 @@ class SimulationEngine:
     compact_min = 64
 
     def __init__(self) -> None:
-        #: ``(time, seq, handle)`` entries: ``seq`` is unique, so ``heapq``
-        #: orders them by comparing floats and ints in C and never reaches
-        #: the handle.
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, fn, args)`` entries, or ``(time, seq, handle, None)``
+        #: for a cancellable event: ``seq`` is unique, so ``heapq`` orders
+        #: them by comparing floats and ints in C and never reaches ``fn``.
+        self._heap: list[tuple[float, int, Any, Optional[tuple]]] = []
         #: Current simulation time: the time of the event firing, or of the
         #: last one fired.  Only the engine writes it.
         self.now = 0.0
@@ -136,20 +146,27 @@ class SimulationEngine:
         self.compactions = 0
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
+        """Schedule ``fn(*args)`` to run ``delay`` time units from now;
+        returns the handle that cancels it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, fn, *args)
+        return self._push_handle(self.now + delay, fn, args)
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at an absolute simulation time, for good:
+        no handle, so nothing can cancel it (use :meth:`schedule` for an
+        event that may be cancelled)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
         seq = self._seq = self._seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, args))
+
+    def _push_handle(self, time: float, fn: Callable[..., Any], args: tuple) -> EventHandle:
+        seq = self._seq = self._seq + 1
         handle = EventHandle(time, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, seq, handle))
+        heapq.heappush(self._heap, (time, seq, handle, None))
         return handle
 
     def reschedule(
@@ -179,7 +196,7 @@ class SimulationEngine:
                 handle.args = args
                 return handle
             handle.cancel()
-        return self.schedule_at(target, fn, *args)
+        return self._push_handle(target, fn, args)
 
     def stop(self) -> None:
         """Request the run loop to exit after the current event."""
@@ -193,26 +210,28 @@ class SimulationEngine:
         value :meth:`run` returns (``RUN_HORIZON`` vs ``RUN_EXHAUSTED``) to
         distinguish them.
         """
-        head = self._settle_head()
-        return None if head is None else head.time
+        return None if self._settle_head() is None else self._heap[0][0]
 
-    def _settle_head(self) -> Optional[EventHandle]:
+    def _settle_head(self) -> Optional[tuple]:
         """Expose the next *live* event at the heap top.
 
         Discards cancelled entries and re-sorts entries whose deadline was
-        deferred by :meth:`reschedule`; returns the settled head without
-        popping it.
+        deferred by :meth:`reschedule`; returns the settled head entry
+        without popping it.
         """
         heap = self._heap
         while heap:
-            head = heap[0][2]
+            entry = heap[0]
+            if entry[3] is not None:
+                return entry
+            head = entry[2]
             if head.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
             elif head.fire_at > head.time:
                 self._resort_deferred(head)
             else:
-                return head
+                return entry
         return None
 
     def _resort_deferred(self, head: EventHandle) -> None:
@@ -221,7 +240,7 @@ class SimulationEngine:
         heapq.heappop(self._heap)
         head.time = head.fire_at
         head.seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (head.time, head.seq, head))
+        heapq.heappush(self._heap, (head.time, head.seq, head, None))
 
     def step(self) -> bool:
         """Run the single next pending event.
@@ -230,18 +249,17 @@ class SimulationEngine:
         """
         if self._settle_head() is None:
             return False
-        self._fire(heapq.heappop(self._heap)[2])
-        return True
-
-    def _fire(self, handle: EventHandle) -> None:
-        self.now = handle.time
-        handle.fired = True
-        fn, args = handle.fn, handle.args
-        handle.fn = None
-        handle.args = ()
-        assert fn is not None
+        time, _, fn, args = heapq.heappop(self._heap)
+        self.now = time
+        if args is None:
+            handle = fn
+            handle.fired = True
+            fn, args = handle.fn, handle.args
+            handle.fn = None
+            handle.args = ()
         fn(*args)
         self.events_processed += 1
+        return True
 
     def run(
         self,
@@ -285,23 +303,27 @@ class SimulationEngine:
                         # requested horizon (run_for semantics).
                         self.now = until
                     return RUN_EXHAUSTED
-                time, _, handle = heap[0]
-                if handle.cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if handle.fire_at > time:
-                    self._resort_deferred(handle)
-                    continue
+                time, _, fn, args = heap[0]
+                if args is None:
+                    # A handle's entry: settle it as _settle_head does.
+                    if fn.cancelled:
+                        heappop(heap)
+                        self._cancelled_in_heap -= 1
+                        continue
+                    if fn.fire_at > time:
+                        self._resort_deferred(fn)
+                        continue
                 if until is not None and time > until:
                     self.now = until
                     return RUN_HORIZON
                 heappop(heap)
                 self.now = time
-                handle.fired = True
-                fn, args = handle.fn, handle.args
-                handle.fn = None
-                handle.args = ()
+                if args is None:
+                    handle = fn
+                    handle.fired = True
+                    fn, args = handle.fn, handle.args
+                    handle.fn = None
+                    handle.args = ()
                 fn(*args)
                 self.events_processed += 1
                 processed += 1
@@ -329,7 +351,9 @@ class SimulationEngine:
         rewritten in place: a cancel inside a callback compacts the very
         list :meth:`run` is iterating.
         """
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [
+            entry for entry in self._heap if entry[3] is not None or not entry[2].cancelled
+        ]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.compactions += 1

@@ -6,7 +6,7 @@ from repro.analysis.audit import assert_clean, audit_cluster
 from repro.baselines import p2p_2pc
 from repro.core import causal_protocol, reliable_protocol
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.core.events import RbpDecisionQuery
+from repro.core.rbp_events import RbpDecisionQuery
 from repro.core.tally import Tally
 from repro.core.transaction import TransactionSpec
 from repro.db.locks import LockMode

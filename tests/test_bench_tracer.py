@@ -52,6 +52,16 @@ def test_every_engine_method_taking_a_callback_is_traced():
             assert name in engine_methods
 
 
+#: The tiny clusters the tracer watches: every protocol on passthrough
+#: links, and ABP over ARQ (framing, acks and the retransmit timer).
+TINY_CELLS = (
+    ("rbp", 0.0),
+    ("cbp", 0.0),
+    ("abp", 0.0),
+    ("p2p", 0.0),
+    ("abp", 0.05),
+)
+
 _TINY_RUN = """
 import json, sys
 sys.path.insert(0, {bench!r})
@@ -60,28 +70,41 @@ tracer = Tracer()
 tracer.install()
 from repro.core.cluster import Cluster, ClusterConfig
 from repro.core.transaction import TransactionSpec
-cluster = Cluster(ClusterConfig(protocol="abp", num_sites=3, num_objects=8, seed=1))
-for i in range(6):
-    cluster.submit(TransactionSpec.make(f"t{{i}}", i % 3, writes={{f"x{{i}}": i}}), at=float(i))
-tracer.begin()
-before = cluster.engine.events_processed
-result = cluster.run(max_time=10_000, stop_when=cluster.await_specs(6))
-summary = tracer.end()
-print(json.dumps({{
-    "hooks_missing": summary["hooks_missing"],
-    "traced_events": tracer.event,
-    "engine_events": cluster.engine.events_processed - before,
-    "ok": result.ok,
-}}))
+reports = []
+for protocol, loss_rate in {cells!r}:
+    cluster = Cluster(ClusterConfig(
+        protocol=protocol, num_sites=3, num_objects=8, seed=1, loss_rate=loss_rate
+    ))
+    for i in range(6):
+        cluster.submit(TransactionSpec.make(f"t{{i}}", i % 3, writes={{f"x{{i}}": i}}), at=float(i))
+    tracer.begin()
+    before = cluster.engine.events_processed
+    result = cluster.run(max_time=10_000)
+    summary = tracer.end()
+    reports.append({{
+        "cell": [protocol, loss_rate],
+        "hooks_missing": summary["hooks_missing"],
+        "traced_events": tracer.event,
+        "engine_events": cluster.engine.events_processed - before,
+        "retransmissions": cluster.network.stats.retransmissions,
+        "ok": result.ok,
+    }})
+print(json.dumps(reports))
 """
 
 
 def test_tracer_installs_every_hook_and_sees_every_event():
-    """On a tiny ABP cluster every target resolves, and every engine event
-    fires through the tracer's trampoline."""
+    """On a tiny cluster of each protocol, and of ABP over lossy ARQ links,
+    every target resolves and every engine event fires through the
+    tracer's trampoline: a delivery scheduled past the tracer would run
+    inside the engine's span and move protocol time into ``sim.engine``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", _TINY_RUN.format(bench=str(ROOT / "bench"))],
+        [
+            sys.executable,
+            "-c",
+            _TINY_RUN.format(bench=str(ROOT / "bench"), cells=list(TINY_CELLS)),
+        ],
         capture_output=True,
         text=True,
         timeout=120,
@@ -89,8 +112,11 @@ def test_tracer_installs_every_hook_and_sees_every_event():
         env=env,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["hooks_missing"] == []
-    assert report["ok"]
-    assert report["engine_events"] > 0
-    assert report["traced_events"] == report["engine_events"]
+    reports = json.loads(done.stdout.strip().splitlines()[-1])
+    assert [tuple(report["cell"]) for report in reports] == list(TINY_CELLS)
+    for report in reports:
+        assert report["hooks_missing"] == [], report
+        assert report["ok"], report
+        assert report["engine_events"] > 0, report
+        assert report["traced_events"] == report["engine_events"], report
+    assert reports[-1]["retransmissions"] > 0  # the ARQ cell repaired a loss

@@ -1,7 +1,7 @@
 """Protocol tests for CBP (causal broadcast + implicit acknowledgments)."""
 
 
-from repro.core.events import CbpCommitRequest, CbpNull
+from repro.core.cbp_events import CbpCommitRequest, CbpNull
 from repro.core.transaction import AbortReason, TransactionSpec
 
 

@@ -188,3 +188,78 @@ def test_run_for_advances_time(cluster_factory):
     cluster = cluster_factory("rbp")
     cluster.run_for(123.0)
     assert cluster.engine.now == pytest.approx(123.0)
+
+
+def _stop_runs(make_spec, late_submit=False, think=0.0):
+    """The same closed-loop cell run to its final spec three ways: the
+    default stop, ``stop_when=cluster.all_final`` and a polled predicate
+    that reads the same thing.  Returns what each left behind."""
+    from repro.workload import WorkloadConfig
+    from repro.workload.runner import ClosedLoopRunner
+
+    outcomes = []
+    for stop in ("default", "all_final", "polled"):
+        cluster = Cluster(ClusterConfig(protocol="rbp", num_sites=4, num_objects=16, seed=3))
+        ClosedLoopRunner(
+            cluster, WorkloadConfig(num_objects=16, num_sites=4), mpl=3, transactions=9,
+            think_time=think,
+        ).start()
+        if late_submit:
+            # Later in the event that finishes the ninth spec, outside any
+            # spec listener, one more spec is submitted: the poll would not
+            # have stopped there, so neither may the default stop.
+            home = cluster.replicas[0]
+            finish = home.on_complete
+
+            def complete_then_submit(tx, committed, finish=finish, cluster=cluster):
+                finish(tx, committed)
+                if cluster.all_final() and "late" not in cluster._names:
+                    cluster.submit(make_spec("late", 1, writes={"x1": 1}), at=cluster.engine.now)
+
+            home.on_complete = complete_then_submit
+        kwargs = {
+            "default": {},
+            "all_final": {"stop_when": cluster.all_final},
+            "polled": {"stop_when": lambda cluster=cluster: cluster.all_final()},
+        }[stop]
+        result = cluster.run(drain=False, **kwargs)
+        outcomes.append(
+            (cluster.engine.events_processed, cluster.engine.now, result.committed_specs,
+             result.incomplete_specs, cluster.engine.pending_count())
+        )
+    return outcomes
+
+
+@pytest.mark.parametrize("late_submit", [False, True])
+def test_the_default_stop_ends_the_run_where_the_all_final_poll_did(make_spec, late_submit):
+    default, all_final, polled = _stop_runs(make_spec, late_submit=late_submit)
+    assert default == all_final == polled
+    assert default[2] == 9 + late_submit and default[3] == 0
+
+
+def test_the_default_stop_fires_in_a_think_time_lull_as_the_poll_did(make_spec):
+    """With think time the last spec of a batch can leave nothing pending
+    while the clients' next submissions are still timers: the poll stopped
+    there, and so does the default stop."""
+    default, all_final, polled = _stop_runs(make_spec, think=5.0)
+    assert default == all_final == polled
+    assert default[2] < 9 and default[4] > 0
+
+
+def test_with_nothing_submitted_the_default_stop_polls(cluster_factory, make_spec):
+    """No spec pending at the start means no ``_finish`` to wait for: the
+    run polls ``all_final`` as it always did, so a spec that a scheduled
+    event submits still runs to its end."""
+    idle = cluster_factory("rbp")
+    idle.engine.schedule(2.0, lambda: None)
+    idle.engine.schedule(50.0, lambda: None)
+    idle.run(drain=False)
+    assert idle.engine.now == 2.0 and idle.engine.pending_count() == 1
+
+    cluster = cluster_factory("rbp")
+    cluster.engine.schedule(
+        2.0, lambda: cluster.submit(make_spec("t1", 0, writes={"x0": 1}), at=3.0)
+    )
+    cluster.run(drain=False)
+    assert cluster.specs_submitted() == 1 and cluster.all_final()
+    assert cluster.engine.now > 3.0

@@ -2,26 +2,11 @@
 
 import dataclasses
 
-
-from repro.core.events import (
-    AbpCommitRequest,
-    AbpWriteSet,
-    CbpCommitRequest,
-    CbpNack,
-    CbpNull,
-    CbpWriteSet,
-    P2pDecision,
-    P2pPrepare,
-    P2pVote,
-    P2pWrite,
-    P2pWriteAck,
-    RbpAbort,
-    RbpCommitRequest,
-    RbpVote,
-    RbpWrite,
-    RbpWriteAck,
-    priority_of,
-)
+from repro.baselines.p2p_events import P2pDecision, P2pPrepare, P2pVote, P2pWrite, P2pWriteAck
+from repro.core.abp_events import AbpCommitRequest, AbpWriteSet
+from repro.core.cbp_events import CbpCommitRequest, CbpNack, CbpNull, CbpWriteSet
+from repro.core.rbp_events import RbpAbort, RbpCommitRequest, RbpVote, RbpWrite, RbpWriteAck
+from repro.core.transaction import priority_of
 
 ALL_EVENTS = [
     RbpWrite("T#1", 0, "x", 1, (0.0, 0, "T")),

@@ -2,14 +2,18 @@
 
 import importlib
 import pkgutil
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
 import repro
+from repro.net import sizes
 from repro.net.sizes import (
     HEADER_BYTES,
     OBJECT_OVERHEAD,
     estimate_size,
+    register_payload,
     registered_payloads,
     wire_size,
 )
@@ -81,7 +85,8 @@ def test_dict_counts_keys_and_values():
 
 
 def test_dataclass_payloads():
-    from repro.core.events import CbpWriteSet, RbpVote
+    from repro.core.cbp_events import CbpWriteSet
+    from repro.core.rbp_events import RbpVote
 
     vote = RbpVote("T1#1", 2, True)
     write = CbpWriteSet("T1#1", 0, (("x0", "v" * 100),), (1.0, 0, "T1"), True)
@@ -118,6 +123,65 @@ def test_depth_bound_terminates():
     assert estimate_size(message) == naive_size(message, set())
 
 
+@dataclass(slots=True)
+class _Probe:
+    """A wire class whose derived sizer the tests below take apart."""
+
+    count: int
+    value: Any
+    kind: str = "test.probe"
+
+
+register_payload(_Probe)
+
+
+class _Text(str):
+    """A ``str`` subclass: not sized in place, but through the table."""
+
+
+def _chain(leaf, links):
+    """``leaf`` wrapped in ``links`` probes: it sits at depth ``links``."""
+    payload = leaf
+    for n in range(links):
+        payload = _Probe(n, payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [
+        True,
+        2.5,
+        None,
+        "ascii",
+        "na\u00efve \u2603",
+        _Text("subclass"),
+        b"raw",
+        (1, "two", (3.0, None, False)),
+        {"k": (1, True), 2: "v\u00e9", None: {"deep": [1.0]}},
+        frozenset({"a", 1}),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("links", [1, 11, 12, 13, 14])
+def test_the_inlined_sizer_is_the_generic_slot_walk(leaf, links):
+    """The derived sizer sizes a primitive slot in place and calls the
+    table for anything else; at every depth around the guard (a leaf at 12
+    is sized, one at 13 costs ``OBJECT_OVERHEAD``) it equals the generic
+    slot walk and the plain traversal."""
+    payload = _chain(leaf, links)
+    generic = sizes._size_object(payload, 0)
+    assert estimate_size(payload) == generic == naive_size(payload, set())
+    assert wire_size(payload) == HEADER_BYTES + generic
+
+
+def test_a_bool_in_an_int_slot_is_sized_as_a_bool():
+    flag, number = _Probe(True, None), _Probe(7, None)
+    assert estimate_size(flag) == sizes._size_object(flag, 0) == 8 + 1 + 0 + len("test.probe")
+    assert estimate_size(number) == sizes._size_object(number, 0) == 8 + 8 + 0 + len("test.probe")
+    assert estimate_size(_Probe(1, 0.5)) == sizes._size_object(_Probe(1, 0.5), 0)
+
+
 #: One short run per way a datagram can be wrapped: config overrides.
 HARVEST_SHAPES = {
     "rbp": dict(protocol="rbp"),
@@ -142,7 +206,7 @@ def test_every_datagram_is_sized_as_the_plain_traversal_sizes_it(monkeypatch):
     registered wire class the runs did not happen to send."""
     import repro.net.network as network_module
     from repro import Cluster, ClusterConfig, TransactionSpec
-    from repro.core import events
+    from repro.core import abp_events, rbp_events
 
     seen: set[type] = set()
     shape = ""
@@ -169,11 +233,11 @@ def test_every_datagram_is_sized_as_the_plain_traversal_sizes_it(monkeypatch):
         assert cluster.network.stats.sent > 0
 
     by_hand = [
-        events.RbpVoteBatch((events.RbpVote("t", 1, True),)),
-        events.RbpWriteAckBatch((events.RbpWriteAck("t", "x0", 1, False),)),
-        events.RbpDecisionQuery("t", 1, 2),
-        events.RbpDecisionAnswer("t", 1, "presumed", True),
-        events.AbpWriteSet("t", 0, (("x0", "v"),)),
+        rbp_events.RbpVoteBatch((rbp_events.RbpVote("t", 1, True),)),
+        rbp_events.RbpWriteAckBatch((rbp_events.RbpWriteAck("t", "x0", 1, False),)),
+        rbp_events.RbpDecisionQuery("t", 1, 2),
+        rbp_events.RbpDecisionAnswer("t", 1, "presumed", True),
+        abp_events.AbpWriteSet("t", 0, (("x0", "v"),)),
     ]
     shape = "by hand"
     for payload in by_hand:

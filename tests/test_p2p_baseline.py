@@ -1,6 +1,6 @@
 """Protocol tests for the point-to-point ROWA + centralized 2PC baseline."""
 
-from repro.core.events import P2pDecision, P2pPrepare, P2pWrite, P2pWriteAck
+from repro.baselines.p2p_events import P2pDecision, P2pPrepare, P2pWrite, P2pWriteAck
 from repro.core.transaction import AbortReason
 
 

@@ -98,7 +98,7 @@ def test_preempted_reader_retries_and_commits(make_spec):
 
 
 def test_p2p_prepare_for_unknown_tx_votes_no():
-    from repro.core.events import P2pPrepare
+    from repro.baselines.p2p_events import P2pPrepare
 
     cluster = quick_cluster("p2p")
     replica = cluster.replicas[1]

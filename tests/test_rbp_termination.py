@@ -8,7 +8,7 @@ handing over a transaction and feeding answers.
 from types import SimpleNamespace
 
 from repro.analysis.metrics import MetricsCollector
-from repro.core.events import RbpDecisionAnswer, RbpDecisionQuery
+from repro.core.rbp_events import RbpDecisionAnswer, RbpDecisionQuery
 from repro.core.rbp_termination import InDoubtTermination
 
 TX = "T#1"

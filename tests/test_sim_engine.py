@@ -353,3 +353,69 @@ def test_run_until_leaves_a_deferred_timer_beyond_the_horizon_queued(engine):
     assert engine.pending_count() == 1 and engine.peek_time() == 10.0
     assert engine.run() == RUN_EXHAUSTED
     assert fired == ["timer"] and engine.now == 10.0
+
+
+# -- handle-less events (``schedule_at``) ------------------------------------
+
+
+def test_schedule_at_returns_no_handle(engine):
+    assert engine.schedule_at(1.0, lambda: None) is None
+    assert engine.schedule(1.0, lambda: None) is not None
+
+
+def test_handle_less_and_handle_events_at_one_time_fire_in_schedule_order(engine):
+    fired = []
+    engine.schedule_at(4.0, fired.append, "at-1")
+    engine.schedule(4.0, fired.append, "handle-1")
+    engine.schedule_at(4.0, fired.append, "at-2")
+    timer = engine.schedule(1.0, fired.append, "timer")
+    engine.reschedule(timer, 4.0, fired.append, "deferred")  # re-sorted last
+    engine.schedule(4.0, fired.append, "handle-2")
+    engine.schedule_at(2.0, fired.append, "early")
+    engine.run()
+    assert fired == ["early", "at-1", "handle-1", "at-2", "handle-2", "deferred"]
+
+
+def test_run_until_leaves_a_handle_less_event_beyond_the_horizon_queued(engine):
+    fired = []
+    engine.schedule_at(3.0, fired.append, "in")
+    engine.schedule_at(10.0, fired.append, "beyond")
+    assert engine.run(until=5.0) == RUN_HORIZON
+    assert fired == ["in"] and engine.now == 5.0
+    assert engine.pending_count() == 1 and engine.peek_time() == 10.0
+    assert engine.run() == RUN_EXHAUSTED
+    assert fired == ["in", "beyond"] and engine.now == 10.0
+
+
+def test_step_peek_and_pending_count_see_handle_less_entries(engine):
+    fired = []
+    doomed = engine.schedule(1.0, fired.append, "doomed")
+    engine.schedule_at(2.0, fired.append, "at")
+    engine.schedule(3.0, fired.append, "handle")
+    doomed.cancel()
+    assert engine.pending_count() == 2 and engine.heap_size() == 3
+    assert engine.peek_time() == 2.0  # the cancelled head is skipped
+    assert engine.step() is True
+    assert fired == ["at"] and engine.now == 2.0 and engine.events_processed == 1
+    assert engine.pending_count() == 1 and engine.peek_time() == 3.0
+    assert engine.step() is True and engine.step() is False
+    assert fired == ["at", "handle"] and engine.pending_count() == 0
+
+
+def test_compaction_keeps_handle_less_entries(engine):
+    """A cancel storm compacts a heap that also holds handle-less events:
+    the compaction drops only the cancelled handles, and the survivors of
+    both kinds fire in (time, schedule) order."""
+    engine.compact_min = 4
+    fired = []
+    doomed = [engine.schedule(5.0 + i, fired.append, f"doomed{i}") for i in range(8)]
+    for i in range(3):
+        engine.schedule_at(6.0, fired.append, f"at{i}")
+    engine.schedule(6.0, fired.append, "handle")
+    for handle in doomed:
+        handle.cancel()
+    # The seventh cancel compacts (7 > half of 12); the eighth stays.
+    assert engine.compactions == 1
+    assert engine.pending_count() == 4 and engine.heap_size() == 5
+    engine.run()
+    assert fired == ["at0", "at1", "at2", "handle"]

@@ -18,11 +18,18 @@ import repro
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: The modules only one protocol, or only the total-order layer, needs.
+#: Each protocol's wire classes are a module of their own, so a build
+#: registers (and compiles sizers for) only the payloads it sends.
 STACK_MODULES = {
-    "rbp": {"repro.core.reliable_protocol", "repro.core.rbp_termination"},
-    "cbp": {"repro.core.causal_protocol", "repro.broadcast.causal", "repro.broadcast.vector_clock"},
-    "abp": {"repro.core.atomic_protocol"},
-    "p2p": {"repro.baselines.p2p_2pc"},
+    "rbp": {"repro.core.reliable_protocol", "repro.core.rbp_termination", "repro.core.rbp_events"},
+    "cbp": {
+        "repro.core.causal_protocol",
+        "repro.core.cbp_events",
+        "repro.broadcast.causal",
+        "repro.broadcast.vector_clock",
+    },
+    "abp": {"repro.core.atomic_protocol", "repro.core.abp_events"},
+    "p2p": {"repro.baselines.p2p_2pc", "repro.baselines.p2p_events"},
     "total order": {"repro.broadcast.total", "repro.broadcast.stability"},
 }
 

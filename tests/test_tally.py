@@ -4,7 +4,7 @@ judges it against."""
 from typing import Optional
 
 from repro.core.cluster import Cluster, ClusterConfig
-from repro.core.events import RbpCommitRequest, RbpVote, RbpWrite
+from repro.core.rbp_events import RbpCommitRequest, RbpVote, RbpWrite
 from repro.core.tally import Tally
 from repro.core.transaction import Transaction, TransactionSpec, TxPhase
 
